@@ -35,7 +35,6 @@ from .errors import (
     ZeroArgument,
 )
 from .params import (
-    OMEGA_CAP_DEFAULT,
     DerivedParams,
     ProblemParams,
     admissible_lambda_range,
@@ -56,7 +55,6 @@ from .phase import (
     d_f1,
     f0,
     f1,
-    h,
     stationary_point,
     taylor_c,
 )
@@ -133,36 +131,3 @@ from .harness import (
 )
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AssumptionViolated", "BranchViolation", "DegenerateData",
-    "EndpointUniformError", "InvalidParam", "InvalidSplit",
-    "NegativeArgument", "NewtonDivergence", "NonConvergence",
-    "NumericalError", "OrderViolation", "OutOfRange", "ParameterError",
-    "RegimeMismatch", "RootSelectionFailure", "SigmaUnsupported",
-    "SingularPoint", "SplitOutOfRange", "ZeroArgument",
-    "OMEGA_CAP_DEFAULT", "DerivedParams", "ProblemParams",
-    "admissible_lambda_range", "choose_split", "critical_lambda",
-    "default_split_exponent", "derive", "from_offset", "from_omega",
-    "select_phi", "split_from_a",
-    "amp_g", "big_f", "d2_f", "d_f", "d_f1", "f0", "f1", "h",
-    "stationary_point", "taylor_c",
-    "FT_FULL_LINE", "FT_ZERO", "fresnel_segment", "fresnel_tail",
-    "fresnel_tail_asymptotic", "fresnel_tail_general",
-    "PANEL_CAP_DEFAULT", "QuadratureResult", "RayContour",
-    "endpoint_prefactor", "integrate_ray", "integrate_segment",
-    "jb1_oracle", "jb2_oracle", "jb_oracle", "jtilde_oracle",
-    "phi_oracle", "ray_truncation",
-    "CovState", "amp_F", "decomposition_residual", "dzeta_du",
-    "phi_closed", "state_from", "u_of_zeta", "zeta_of_u",
-    "CoefficientTable", "ExpansionTerm", "amn_table",
-    "apply_ibp_operator", "double_factorial", "jb2_series", "rn_bound",
-    "t_term", "tj_bound",
-    "OMEGA_THRESHOLD_DEFAULT", "Approximation", "Method", "Regime",
-    "all_orders", "classify_regime", "corollary_leading",
-    "exponent_identity_residual", "jb1_main", "leading_order",
-    "leading_order_large_omega", "phase_difference_residual",
-    "CSV_HEADER", "SUITES", "ComparisonRow", "SweepConfig",
-    "fit_error_slope", "property_scan", "report_to_json", "rows_to_csv",
-    "run_all_scans", "run_sweep", "sweep_config_from_dict", "write_csv",
-]

@@ -210,7 +210,13 @@ def all_orders(p: ProblemParams, m: int, a: float | None = None,
 
 def corollary_leading(p: ProblemParams,
                       threshold: float = OMEGA_THRESHOLD_DEFAULT) -> Approximation:
-    """Two-term concrete leading form at the balanced split a = t^(-7 delta/16)."""
+    """Two-term concrete leading form at the balanced split a = t^(-7 delta/16).
+
+    The "corollary-remainder" budget t^(-1/2-delta/4) is the remainder's order
+    with coefficient 1, an estimate rather than a bound.  At omega = 0 and
+    delta = 1/2 the measured abs_err/budget is 0.76 at t=1e4, 1.02 at 1e6,
+    1.16 at 1e7 and 1.31 at 1e8, so the error exceeds it from t ~ 1e6 on.
+    """
     if p.sigma != 0.5:
         raise SigmaUnsupported("corollary form defined for sigma = 1/2 only")
     t = p.t

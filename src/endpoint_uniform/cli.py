@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from . import asymptotics, harness, ibp
-from .errors import EndpointUniformError, InvalidParam, NumericalError, ParameterError
+from . import asymptotics, errors, harness, ibp
+from .errors import EndpointUniformError, InvalidParam, ParameterError
 from .params import ProblemParams, choose_split, derive, from_offset, split_from_a
 from .quadrature import (
     PANEL_CAP_DEFAULT,
@@ -135,6 +135,12 @@ def _cmd_oracle(ns) -> dict:
             "result": res.as_dict()}
 
 
+def _row_error(text: str) -> EndpointUniformError:
+    """Rebuild the typed error a sweep row recorded as "Type: message"."""
+    name, _, message = text.partition(": ")
+    return getattr(errors, name)(message)
+
+
 def _cmd_compare(ns) -> dict:
     cfg = harness.SweepConfig(
         t_grid=[ns.t], delta=ns.delta, sigma=ns.sigma,
@@ -156,7 +162,7 @@ def _cmd_compare(ns) -> dict:
         "rows_csv": harness.rows_to_csv(rows),
     }
     if row.error:
-        raise NumericalError(row.error)
+        raise _row_error(row.error)
     return payload
 
 
@@ -284,18 +290,10 @@ def main(argv=None) -> int:
         if ns.subcommand == "verify" and not payload["pass"]:
             return 2
         return 0
-    except ParameterError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except NumericalError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
     except EndpointUniformError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 2
+        return 1 if isinstance(exc, ParameterError) else 2
 
 
 def entry():

@@ -306,43 +306,32 @@ def _contour_samples(cfg: SweepConfig, n_lam=17, n_k=17, n_r=12):
     return out
 
 
-def _scan_im_f(cfg: SweepConfig):
-    worst = math.inf
-    worst_point = None
-    count = 0
+def _scan_contour(cfg: SweepConfig, margins):
+    """One record per contour sample: the least of margins(z, t, lam, k, phi)."""
     for t, lam, k, r, phi in _contour_samples(cfg):
         z = (1.0 - k) + r * np.exp(1j * phi)
-        imf = np.asarray(phase_mod.big_f(z, lam)).imag
-        count += len(r)
-        i = int(np.argmin(imf))
-        if imf[i] < worst:
-            worst = float(imf[i])
-            worst_point = {"t": t, "lambda": lam, "k": k, "R": float(r[i])}
-    return worst, worst_point, count
+        margin = margins(z, t, lam, k, phi)
+        i = int(np.argmin(margin))
+        yield float(margin[i]), {"t": t, "lambda": lam, "k": k, "R": float(r[i])}, len(r)
+
+
+def _scan_im_f(cfg: SweepConfig):
+    def margins(z, t, lam, k, phi):
+        return np.asarray(phase_mod.big_f(z, lam)).imag
+
+    return _scan_contour(cfg, margins)
 
 
 def _scan_phase_bound(cfg: SweepConfig):
-    worst = math.inf
-    worst_point = None
-    count = 0
-    for t, lam, k, r, phi in _contour_samples(cfg):
-        z = (1.0 - k) + r * np.exp(1j * phi)
+    def margins(z, t, lam, k, phi):
         mod = np.abs(np.asarray(phase_mod.d_f(z, lam)))
-        bound = min(math.pi / 2.0 - phi, math.log(t ** (cfg.delta - 1.0) / k))
-        margin = mod - bound
-        count += len(r)
-        i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst = float(margin[i])
-            worst_point = {"t": t, "lambda": lam, "k": k, "R": float(r[i])}
-    return worst, worst_point, count
+        return mod - min(math.pi / 2.0 - phi, math.log(t ** (cfg.delta - 1.0) / k))
+
+    return _scan_contour(cfg, margins)
 
 
 def _scan_split_consistency(cfg: SweepConfig):
     """|segment piece + ray piece - whole| against 3x the quadrature estimates."""
-    worst = math.inf
-    worst_point = None
-    count = 0
     for t in cfg.t_grid:
         for Lam in (0.0, 1.0):
             lam = critical_lambda(t, cfg.delta) * (1.0 + Lam)
@@ -360,12 +349,7 @@ def _scan_split_consistency(cfg: SweepConfig):
                 + part2.abs_error_estimate
                 + part2.truncation_bound
             )
-            margin = 3.0 * est - gap
-            count += 1
-            if margin < worst:
-                worst = margin
-                worst_point = {"t": t, "Lambda": Lam, "gap": gap, "est": est}
-    return worst, worst_point, count
+            yield 3.0 * est - gap, {"t": t, "Lambda": Lam, "gap": gap, "est": est}, 1
 
 
 def _scan_fresnel_asym(cfg: SweepConfig):
@@ -375,28 +359,16 @@ def _scan_fresnel_asym(cfg: SweepConfig):
     )
     slope, _r2 = np.polyfit(np.log(ws), np.log(errs), 1)
     margin = 0.15 - abs(slope + 3.0)
-    point = {"slope": float(slope), "targets": list(ws)}
-    return float(margin), point, len(ws)
+    yield float(margin), {"slope": float(slope), "targets": list(ws)}, len(ws)
 
 
 def _scan_cov_decomposition(cfg: SweepConfig):
-    worst = math.inf
-    worst_point = None
-    count = 0
     for Lam in (0.0, 1.0):
         res = substitution.decomposition_residual(200.0, cfg.delta, Lam, tol=1e-7)
-        margin = 1e-6 - res
-        count += 1
-        if margin < worst:
-            worst = margin
-            worst_point = {"t": 200.0, "Lambda": Lam, "residual": res}
-    return worst, worst_point, count
+        yield 1e-6 - res, {"t": 200.0, "Lambda": Lam, "residual": res}, 1
 
 
 def _scan_exponent_identity(cfg: SweepConfig):
-    worst = math.inf
-    worst_point = None
-    count = 0
     for t in cfg.t_grid:
         for Lam in (0.0, 0.5, 1.0, 5.0):
             lam = critical_lambda(t, cfg.delta) * (1.0 + Lam)
@@ -406,15 +378,11 @@ def _scan_exponent_identity(cfg: SweepConfig):
             a = t ** (-7.0 * cfg.delta / 16.0)
             res2 = asymptotics.phase_difference_residual(p, a)
             m2 = 10.0 * a**3 * t**cfg.delta - res2
-            margin = min(m1, m2)
-            count += 1
-            if margin < worst:
-                worst = margin
-                worst_point = {
-                    "t": t, "Lambda": Lam,
-                    "exponent_residual": res1, "split_residual": res2,
-                }
-    return worst, worst_point, count
+            point = {
+                "t": t, "Lambda": Lam,
+                "exponent_residual": res1, "split_residual": res2,
+            }
+            yield min(m1, m2), point, 1
 
 
 _SCANS = {
@@ -433,8 +401,13 @@ def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if cfg is None:
         cfg = SweepConfig(t_grid=list(DEFAULT_T_GRID))
-    fn, threshold = _SCANS[suite]
-    worst, worst_point, count = fn(cfg)
+    scan, threshold = _SCANS[suite]
+    worst, worst_point, count = math.inf, None, 0
+    for margin, point, n in scan(cfg):
+        count += n
+        # the first record always counts, so a NaN there is reported
+        if worst_point is None or margin < worst:
+            worst, worst_point = margin, point
     return {
         "suite": suite,
         "grid": {"points": count, "t_grid": list(cfg.t_grid), "delta": cfg.delta,

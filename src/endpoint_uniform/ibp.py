@@ -58,12 +58,6 @@ class CoefficientTable:
     def as_dict(self):
         return {(m, n): a for (m, n, a) in self.entries}
 
-    def get(self, m: int, n: int) -> Fraction:
-        for mm, nn, a in self.entries:
-            if mm == m and nn == n:
-                return a
-        return Fraction(0)
-
     def as_strings(self):
         """JSON-friendly exact dump: {"m,n": "p/q"}."""
         return {f"{m},{n}": str(a) for (m, n, a) in self.entries}

@@ -27,11 +27,6 @@ from typing import Optional
 
 from .errors import InvalidParam, InvalidSplit, OutOfRange
 
-# Sweeps are capped at this omega by default; beyond it the large-omega branch
-# is accurate to ~1e-4 relative and the uniform question is moot.
-OMEGA_CAP_DEFAULT = 20.0
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Raw problem inputs, validated on construction."""
@@ -81,10 +76,7 @@ class DerivedParams:
 
 def admissible_lambda_range(t: float, delta: float):
     """Closed admissible window [lambda_c, t^(1-delta) - 1]."""
-    p = t ** (delta - 1.0)
-    lo = p / (1.0 - p)
-    hi = t ** (1.0 - delta) - 1.0
-    return lo, hi
+    return critical_lambda(t, delta), t ** (1.0 - delta) - 1.0
 
 
 def critical_lambda(t: float, delta: float) -> float:
@@ -171,11 +163,7 @@ def choose_split(d: DerivedParams, m: int, b: Optional[float] = None) -> Derived
         raise InvalidSplit(
             f"b={b} violates the order-{m} sandwich ({lo:.6f}, {hi:.6f})"
         )
-    a = d.t ** (-b * d.delta)
-    k = d.t ** (d.delta - 1.0) * (1.0 - a)
-    D = math.log(d.lam * (1.0 - k) / k)
-    D_minus = -math.log1p(-a)
-    return replace(d, k=k, a=a, D=D, D_minus=D_minus)
+    return split_from_a(d, d.t ** (-b * d.delta))
 
 
 def split_from_a(d: DerivedParams, a: float) -> DerivedParams:

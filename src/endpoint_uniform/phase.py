@@ -118,11 +118,6 @@ def amp_g(zeta, lambda_c: float, sigma: float):
     return out if isinstance(zeta, np.ndarray) else complex(out)
 
 
-def h(zeta, lambda_c: float, Lambda: float):
-    """Phase in the offset frame: h = f1 / (1 + lambda_c)."""
-    return f1(zeta, lambda_c, Lambda) / (1.0 + lambda_c)
-
-
 def taylor_c(n_max: int, t: float, delta: float, lam: float):
     """Taylor coefficients of F(1 - t^(delta-1)(1 - zeta)) about zeta = 0.
 

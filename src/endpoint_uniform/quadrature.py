@@ -159,20 +159,14 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         if not np.any(split):
             break
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[~split], lo[split], mid])
-        new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        keep_vals = vals[~split]
-        keep_errs = errs[~split]
-        keep_abs = absints[~split]
-        m = int(np.sum(split))
         child_lo = np.concatenate([lo[split], mid])
         child_hi = np.concatenate([mid, hi[split]])
         cvals, cerrs, cabs = _gk_batch(f, child_lo, child_hi)
-        lo = new_lo
-        hi = new_hi
-        vals = np.concatenate([keep_vals, cvals])
-        errs = np.concatenate([keep_errs, cerrs])
-        absints = np.concatenate([keep_abs, cabs])
+        lo = np.concatenate([lo[~split], child_lo])
+        hi = np.concatenate([hi[~split], child_hi])
+        vals = np.concatenate([vals[~split], cvals])
+        errs = np.concatenate([errs[~split], cerrs])
+        absints = np.concatenate([absints[~split], cabs])
         if phase is not None:
             wmid = np.asarray(phase(mid), dtype=complex)
             wlo = np.concatenate([wlo[~split], wlo[split], wmid])
@@ -201,16 +195,8 @@ def _geometric_breaks(r_max, levels=52):
     return np.concatenate([[0.0], g])
 
 
-def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
-                  panel_cap=PANEL_CAP_DEFAULT, truncation_bound=0.0):
-    """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
-
-    integrand and phase take numpy arrays of complex z.  tol is an absolute
-    tolerance on the value; the per-panel error estimates must sum below it.
-    Raises NonConvergence (with the partial result attached) past panel_cap.
-    """
-    rot = cmath.exp(1j * contour.angle)
-    z0 = contour.origin
+def _on_line(integrand, phase, z0, rot):
+    """Pull integrand (times dz/ds) and phase back to the line z0 + s*rot."""
 
     def f(s):
         return integrand(z0 + s * rot) * rot
@@ -220,6 +206,18 @@ def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
         def ph(s):
             return phase(z0 + s * rot)
 
+    return f, ph
+
+
+def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
+                  panel_cap=PANEL_CAP_DEFAULT, truncation_bound=0.0):
+    """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
+
+    integrand and phase take numpy arrays of complex z.  tol is an absolute
+    tolerance on the value; the per-panel error estimates must sum below it.
+    Raises NonConvergence (with the partial result attached) past panel_cap.
+    """
+    f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
     breaks = _geometric_breaks(contour.r_max)
     value, err, n = _adaptive(f, 0.0, contour.r_max, tol, phase=ph,
                               breaks=breaks, panel_cap=panel_cap)
@@ -234,16 +232,7 @@ def integrate_segment(integrand, z_from, z_to, tol: float, phase=None,
     length = abs(dz)
     if length == 0.0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0.0)
-    rot = dz / length
-
-    def f(s):
-        return integrand(z0 + s * rot) * rot
-
-    ph = None
-    if phase is not None:
-        def ph(s):
-            return phase(z0 + s * rot)
-
+    f, ph = _on_line(integrand, phase, z0, dz / length)
     value, err, n = _adaptive(f, 0.0, length, tol, phase=ph, panel_cap=panel_cap)
     return QuadratureResult(value, err, n, 0.0)
 
@@ -298,11 +287,54 @@ def endpoint_prefactor(d: DerivedParams) -> complex:
     return mod * cmath.exp(1j * ph)
 
 
-def _jb_amplitude(sigma):
-    def amp(z):
-        return (1.0 - z) ** -0.5 * z ** (sigma - 0.5)
+def _oracle(w, amp, origin, tol, panel_cap, angle=None, end=None):
+    """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
+    or else along the ray at angle, truncated by the decay rule."""
 
-    return amp
+    def f(z):
+        return amp(z) * np.exp(1j * w(z))
+
+    if end is not None:
+        return integrate_segment(f, origin, end, tol, phase=w, panel_cap=panel_cap)
+    r_max, tb = ray_truncation(w, amp, origin, angle, tol)
+    return integrate_ray(f, RayContour(origin, angle, r_max), tol, phase=w,
+                         panel_cap=panel_cap, truncation_bound=tb)
+
+
+def _big_f_phase(p: ProblemParams):
+    def w(z):
+        return p.t * phase_mod.big_f(z, p.lam)
+
+    return w
+
+
+def _split_piece(p: ProblemParams, k: float, origin, tol, panel_cap, **contour):
+    """A piece of the split contour: amplitude (1-z)^(-1/2), sigma = 1/2 only."""
+    if p.sigma != 0.5:
+        raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
+    if not (0.0 < k < p.t ** (p.delta - 1.0)):
+        raise NumericalError(f"split point k={k} must lie in (0, t^(delta-1))")
+
+    def amp(z):
+        return (1.0 - z) ** -0.5
+
+    return _oracle(_big_f_phase(p), amp, origin, tol, panel_cap, **contour)
+
+
+def _gaussian_phase(d: DerivedParams):
+    """(lambda_c t/2)(v^2 + beta v), beta = 2 log(1+Lambda)/(1+lambda_c)."""
+    lc = d.lambda_c
+    half = 0.5 * lc * d.t
+    beta = 2.0 * math.log1p(d.Lambda) / (1.0 + lc)
+
+    def w(v):
+        return half * (v * v + beta * v)
+
+    return w
+
+
+def _unit_amplitude(v):
+    return np.ones_like(np.asarray(v, dtype=complex))
 
 
 def jb_oracle(p: ProblemParams, tol: float = 1e-10,
@@ -312,21 +344,13 @@ def jb_oracle(p: ProblemParams, tol: float = 1e-10,
     Contour: the ray 1 - t^(delta-1) + s e^(i phi) with phi = select_phi(lambda),
     truncated by the decay rule.  tol is absolute.
     """
-    d = derive(p)
+    sigma = p.sigma
+
+    def amp(z):
+        return (1.0 - z) ** -0.5 * z ** (sigma - 0.5)
+
     z0 = 1.0 - p.t ** (p.delta - 1.0)
-    amp = _jb_amplitude(p.sigma)
-
-    def w(z):
-        return p.t * phase_mod.big_f(z, p.lam)
-
-    def f(z):
-        return amp(z) * np.exp(1j * w(z))
-
-    r_max, tb = ray_truncation(w, amp, z0, d.phi, tol)
-    contour = RayContour(z0, d.phi, r_max)
-    res = integrate_ray(f, contour, tol, phase=w, panel_cap=panel_cap,
-                        truncation_bound=tb)
-    return res
+    return _oracle(_big_f_phase(p), amp, z0, tol, panel_cap, angle=derive(p).phi)
 
 
 def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
@@ -335,45 +359,14 @@ def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
 
     Only sigma = 1/2 (the split analysis drops z^(sigma-1/2)).
     """
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
-    if not (0.0 < k < p.t ** (p.delta - 1.0)):
-        raise NumericalError(f"split point k={k} must lie in (0, t^(delta-1))")
     z0 = 1.0 - p.t ** (p.delta - 1.0)
-    z1 = 1.0 - k
-
-    def w(z):
-        return p.t * phase_mod.big_f(z, p.lam)
-
-    def f(z):
-        return (1.0 - z) ** -0.5 * np.exp(1j * w(z))
-
-    return integrate_segment(f, z0, z1, tol, phase=w, panel_cap=panel_cap)
+    return _split_piece(p, k, z0, tol, panel_cap, end=1.0 - k)
 
 
 def jb2_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
                panel_cap=PANEL_CAP_DEFAULT) -> QuadratureResult:
     """Ray piece: integral from 1 - k out to infinity at angle select_phi."""
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
-    if not (0.0 < k < p.t ** (p.delta - 1.0)):
-        raise NumericalError(f"split point k={k} must lie in (0, t^(delta-1))")
-    d = derive(p)
-    z0 = 1.0 - k
-
-    def w(z):
-        return p.t * phase_mod.big_f(z, p.lam)
-
-    def amp(z):
-        return (1.0 - z) ** -0.5
-
-    def f(z):
-        return amp(z) * np.exp(1j * w(z))
-
-    r_max, tb = ray_truncation(w, amp, z0, d.phi, tol)
-    contour = RayContour(z0, d.phi, r_max)
-    return integrate_ray(f, contour, tol, phase=w, panel_cap=panel_cap,
-                         truncation_bound=tb)
+    return _split_piece(p, k, 1.0 - k, tol, panel_cap, angle=derive(p).phi)
 
 
 def jtilde_oracle(p: ProblemParams, tol: float = 1e-10,
@@ -388,13 +381,7 @@ def jtilde_oracle(p: ProblemParams, tol: float = 1e-10,
     def amp(zeta):
         return phase_mod.amp_g(zeta, lc, p.sigma)
 
-    def f(zeta):
-        return amp(zeta) * np.exp(1j * w(zeta))
-
-    r_max, tb = ray_truncation(w, amp, 0.0, d.phi, tol)
-    contour = RayContour(0.0, d.phi, r_max)
-    return integrate_ray(f, contour, tol, phase=w, panel_cap=panel_cap,
-                         truncation_bound=tb)
+    return _oracle(w, amp, 0.0, tol, panel_cap, angle=d.phi)
 
 
 def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
@@ -406,21 +393,5 @@ def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
     beta = 2 log(1+Lambda)/(1+lambda_c).  u may be 0 or any point from which
     the pi/4 ray stays in the decay sector (in practice: on that ray).
     """
-    lc = d.lambda_c
-    half = 0.5 * lc * d.t
-    beta = 2.0 * math.log1p(d.Lambda) / (1.0 + lc)
-
-    def w(v):
-        return half * (v * v + beta * v)
-
-    def amp(v):
-        return np.ones_like(np.asarray(v, dtype=complex))
-
-    def f(v):
-        return np.exp(1j * w(v))
-
-    angle = math.pi / 4.0
-    r_max, tb = ray_truncation(w, amp, complex(u), angle, tol)
-    contour = RayContour(complex(u), angle, r_max)
-    return integrate_ray(f, contour, tol, phase=w, panel_cap=panel_cap,
-                         truncation_bound=tb)
+    return _oracle(_gaussian_phase(d), _unit_amplitude, complex(u), tol, panel_cap,
+                   angle=math.pi / 4.0)

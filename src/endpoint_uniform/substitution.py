@@ -23,7 +23,14 @@ from . import phase as phase_mod
 from .errors import NewtonDivergence, RootSelectionFailure
 from .fresnel import fresnel_tail_general
 from .params import DerivedParams, derive, from_offset
-from .quadrature import RayContour, integrate_ray, jtilde_oracle, ray_truncation
+from .quadrature import (
+    RayContour,
+    _gaussian_phase,
+    _unit_amplitude,
+    integrate_ray,
+    jtilde_oracle,
+    ray_truncation,
+)
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,14 @@ def zeta_of_u(u, s: CovState) -> complex:
     return zeta
 
 
+def _dzeta_du_at(u: complex, zeta: complex, s: CovState) -> complex:
+    if abs(u) <= 1e-8:
+        return 1.0 + 0.0j
+    num = math.log1p(s.Lambda) + (1.0 + s.lambda_c) * u
+    den = phase_mod.d_f1(zeta, s.lambda_c, s.Lambda) / s.lambda_c
+    return num / den
+
+
 def dzeta_du(u, s: CovState) -> complex:
     """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c).
 
@@ -151,10 +166,7 @@ def dzeta_du(u, s: CovState) -> complex:
     u = complex(u)
     if abs(u) <= 1e-8:
         return 1.0 + 0.0j
-    zeta = zeta_of_u(u, s)
-    num = math.log1p(s.Lambda) + (1.0 + s.lambda_c) * u
-    den = phase_mod.d_f1(zeta, s.lambda_c, s.Lambda) / s.lambda_c
-    return num / den
+    return _dzeta_du_at(u, zeta_of_u(u, s), s)
 
 
 def amp_F(u, s: CovState, sigma: float) -> complex:
@@ -163,7 +175,7 @@ def amp_F(u, s: CovState, sigma: float) -> complex:
     if u == 0.0:
         return 1.0 + 0.0j
     zeta = zeta_of_u(u, s)
-    return phase_mod.amp_g(zeta, s.lambda_c, sigma) * dzeta_du(u, s)
+    return phase_mod.amp_g(zeta, s.lambda_c, sigma) * _dzeta_du_at(u, zeta, s)
 
 
 def phi_closed(u, s: CovState) -> complex:
@@ -199,16 +211,8 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
 
     angle = math.pi / 4.0
     rot = cmath.exp(1j * angle)
-    half = 0.5 * s.lambda_c * t
-    beta = 2.0 * math.log1p(Lambda) / (1.0 + s.lambda_c)
-
-    def w(v):
-        return half * (v * v + beta * v)
-
-    def amp_one(v):
-        return np.ones_like(np.asarray(v, dtype=complex))
-
-    r_max, _tb = ray_truncation(w, amp_one, 0.0 + 0.0j, angle, tol)
+    r_max, _tb = ray_truncation(_gaussian_phase(d), _unit_amplitude, 0.0 + 0.0j,
+                                angle, tol)
 
     def integrand(v):
         v = np.asarray(v, dtype=complex)

@@ -164,6 +164,18 @@ class TestCompare:
         assert res["rel_err"] < 0.05
         assert res["error"] == ""
 
+    @pytest.mark.parametrize("argv, name", [
+        (("--t", "1e6", "--Lambda", "0.5", "--sigma", "0.75",
+          "--method", "all-orders"), "SigmaUnsupported"),
+        (("--t", "1e4", "--Lambda", "0.001", "--method", "large-omega"),
+         "RegimeMismatch"),
+    ])
+    def test_parameter_error_keeps_its_type(self, capsys, argv, name):
+        # same typed error and exit code as eval on the same point
+        code, _, err = run(capsys, "compare", *argv)
+        assert code == 1
+        assert json.loads(err)["error"] == name
+
 
 class TestSweep:
     def test_csv_out_file(self, capsys, tmp_path):

@@ -90,16 +90,19 @@ def test_amplitude_normalisation(state):
 
 def test_amplitude_factorisation(state):
     # amp_F must equal g(zeta(u)) * dzeta/du with each factor computed
-    # independently (map by the root solve, derivative by differencing)
-    u = 0.1 * RAY
-    zeta = zeta_of_u(u, state)
-    h = 1e-6
-    dz = (zeta_of_u(u + h, state) - zeta_of_u(u - h, state)) / (2 * h)
-    for sigma in (0.5, 0.7):
-        expect = amp_g(zeta, state.lambda_c, sigma) * dz
-        got = amp_F(u, state, sigma)
-        assert got.real == pytest.approx(expect.real, rel=1e-7)
-        assert got.imag == pytest.approx(expect.imag, rel=1e-7)
+    # independently (map by the root solve, derivative by differencing),
+    # and exactly the product of the public factors; 5e-9 sits in the
+    # |u| <= 1e-8 branch where dzeta/du is taken as 1
+    for u in (0.1 * RAY, 5e-9 * RAY):
+        zeta = zeta_of_u(u, state)
+        h = 1e-6
+        dz = (zeta_of_u(u + h, state) - zeta_of_u(u - h, state)) / (2 * h)
+        for sigma in (0.5, 0.7):
+            expect = amp_g(zeta, state.lambda_c, sigma) * dz
+            got = amp_F(u, state, sigma)
+            assert got.real == pytest.approx(expect.real, rel=1e-7)
+            assert got.imag == pytest.approx(expect.imag, rel=1e-7)
+            assert got == amp_g(zeta, state.lambda_c, sigma) * dzeta_du(u, state)
 
 
 def test_amplitude_half_sigma_drops_offset_factor(state):
