@@ -287,45 +287,49 @@ def fit_error_slope(rows, x: str = "t"):
 
 
 def _contour_samples(cfg: SweepConfig, n_lam=17, n_k=17, n_r=12):
-    """Sampled (t, lambda, k, R, phi) tuples on the ray-piece contour."""
+    """Per t: the lambdas, the split points k and the (n_lam, n_k, n_r) radii R
+    of the sampled points on the ray-piece contour."""
     rng = np.random.default_rng(cfg.seed)
-    out = []
     for t in cfg.t_grid[:3] if len(cfg.t_grid) > 3 else cfg.t_grid:
         p_end = t ** (cfg.delta - 1.0)
         lo, hi = admissible_lambda_range(t, cfg.delta)
         lams = np.exp(np.linspace(math.log(lo), math.log(hi), n_lam))
         ks = p_end * np.linspace(0.02, 0.98, n_k)
-        for lam in lams:
-            phi = select_phi(float(lam))
-            for k in ks:
-                r = np.exp(
-                    np.linspace(math.log(1e-6), math.log(50.0), n_r)
-                    + rng.uniform(-0.05, 0.05, n_r)
-                )
-                out.append((t, float(lam), float(k), r, phi))
-    return out
+        r = np.exp(
+            np.linspace(math.log(1e-6), math.log(50.0), n_r)
+            + rng.uniform(-0.05, 0.05, (n_lam, n_k, n_r))
+        )
+        yield t, lams, ks, r
 
 
 def _scan_contour(cfg: SweepConfig, margins):
-    """One record per contour sample: the least of margins(z, t, lam, k, phi)."""
-    for t, lam, k, r, phi in _contour_samples(cfg):
-        z = (1.0 - k) + r * np.exp(1j * phi)
-        margin = margins(z, t, lam, k, phi)
-        i = int(np.argmin(margin))
-        yield float(margin[i]), {"t": t, "lambda": lam, "k": k, "R": float(r[i])}, len(r)
+    """One record per (t, lambda, k) sample: the least of margins(z, t, lam, ks,
+    phi) over its radii, evaluated on one (n_k, n_r) array per lambda."""
+    for t, lams, ks, r in _contour_samples(cfg):
+        for lam, r_lam in zip(lams, r):
+            lam = float(lam)
+            phi = select_phi(lam)
+            z = (1.0 - ks[:, None]) + r_lam * np.exp(1j * phi)
+            margin = margins(z, t, lam, ks, phi)
+            for k, m_row, r_row in zip(ks, margin, r_lam):
+                i = int(np.argmin(m_row))
+                point = {"t": t, "lambda": lam, "k": float(k), "R": float(r_row[i])}
+                yield float(m_row[i]), point, len(r_row)
 
 
 def _scan_im_f(cfg: SweepConfig):
-    def margins(z, t, lam, k, phi):
+    def margins(z, t, lam, ks, phi):
         return np.asarray(phase_mod.big_f(z, lam)).imag
 
     return _scan_contour(cfg, margins)
 
 
 def _scan_phase_bound(cfg: SweepConfig):
-    def margins(z, t, lam, k, phi):
+    def margins(z, t, lam, ks, phi):
         mod = np.abs(np.asarray(phase_mod.d_f(z, lam)))
-        return mod - min(math.pi / 2.0 - phi, math.log(t ** (cfg.delta - 1.0) / k))
+        bound = [min(math.pi / 2.0 - phi, math.log(t ** (cfg.delta - 1.0) / k))
+                 for k in ks]
+        return mod - np.array(bound)[:, None]
 
     return _scan_contour(cfg, margins)
 

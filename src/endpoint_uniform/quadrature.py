@@ -141,11 +141,10 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         wlo, whi = wends[:-1].copy(), wends[1:].copy()
     min_width = 1e-14 * (b - a)
     neglect = 1e-3 * tol
+    capped = len(lo) > panel_cap
 
     for _ in range(200):
         n = len(lo)
-        if n > panel_cap:
-            break
         total_err = float(np.sum(errs))
         if phase is not None:
             adv = np.abs(whi - wlo)
@@ -157,6 +156,10 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         want = errs > max(0.5 * tol / n, 0.0)
         split = (must | want) & (hi - lo > min_width)
         if not np.any(split):
+            break
+        # a round that would pass the cap is not run
+        capped = capped or n + int(np.count_nonzero(split)) > panel_cap
+        if capped:
             break
         mid = 0.5 * (lo[split] + hi[split])
         child_lo = np.concatenate([lo[split], mid])
@@ -176,10 +179,11 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
     value = complex(np.sum(vals[order]))
     err = float(np.sum(errs))
     n = len(lo)
-    if err > tol * 1.0000001 or (n > panel_cap):
+    if err > tol * 1.0000001 or capped:
         result = QuadratureResult(value, err, n, 0.0)
         raise NonConvergence(
-            f"adaptive quadrature stalled at {n} panels, error {err:.3e} > tol {tol:.3e}",
+            f"adaptive quadrature stalled at {n} panels (cap {panel_cap}), "
+            f"error {err:.3e}, tol {tol:.3e}",
             result=result,
         )
     return value, err, n

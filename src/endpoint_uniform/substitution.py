@@ -5,15 +5,31 @@ The variable u is defined implicitly by
     (lambda_c/2)(1+lambda_c) u^2 + lambda_c log(1+Lambda) u = f1(zeta),
 
 which maps the curved phase f1 onto an exact quadratic; u ~ zeta near 0.  The
-integral then decomposes as Jtilde = Phi(0) + int_0^{inf e^{i pi/4}} F'(u)
-Phi(u) du with F(u) = g(zeta(u)) dzeta/du and Phi an incomplete Gaussian-phase
-tail with closed form through the Fresnel tail.  decomposition_residual checks
-that identity end to end against direct quadrature.
+integral then decomposes as Jtilde = F(0) Phi(0) + int_0^{inf e^{i pi/4}}
+F'(u) Phi(u) du with F(u) = g(zeta(u)) dzeta/du, F(0) = 1, and Phi an
+incomplete Gaussian-phase tail with closed form through the Fresnel tail.
+decomposition_residual checks that identity end to end against direct
+quadrature.
+
+zeta_of_u, amp_F and phi_closed take scalars or arrays.  The inversion runs
+its continuation stages and its Newton iterations per element under masks,
+so one GK15 batch of the ray quadrature costs one call.  F' comes from
+differentiating the defining relation, not from differences:
+
+    F' = g'(zeta) zeta'^2 + g(zeta) zeta'',
+    zeta'' = (lambda_c (1+lambda_c) - f1''(zeta) zeta'^2) / f1'(zeta).
+
+Near the origin f1'(zeta) ~ lambda_c (log(1+Lambda) + (1+lambda_c) zeta) is
+small, and at or near Lambda = 0 both the Newton residual and these forms
+cancel catastrophically.  For small |u| the map and its derivatives are
+therefore solved for zeta - u from the Taylor series of f1 (_near_map),
+uniformly in Lambda >= 0.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +47,11 @@ from .quadrature import (
     jtilde_oracle,
     ray_truncation,
 )
+
+# Degree of the Taylor polynomial of f1 used near the origin.  It is used for
+# |u| below 1/4 of its radius of convergence min(1, 1/lambda_c), where the
+# truncation error is below 4^-30 relative.
+_SERIES_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -104,105 +125,225 @@ def u_of_zeta(zeta, s: CovState) -> complex:
     return u
 
 
-def zeta_of_u(u, s: CovState) -> complex:
+def _as_flat(u):
+    return np.asarray(u, dtype=complex).ravel()
+
+
+def _shaped(u, out):
+    """Give out (flat) the shape of u, or a complex scalar for a scalar u."""
+    return out.reshape(np.shape(u)) if isinstance(u, np.ndarray) else complex(out[0])
+
+
+@functools.lru_cache(maxsize=16)
+def _cubic_tail(lambda_c: float):
+    """Polynomial coefficients (highest degree first) of R, R' and R'', where
+
+        f1(zeta) = b zeta + (a/2) zeta^2 + R(zeta),
+        R(zeta) = sum_{m>=3} (lambda_c + (-lambda_c)^m) / (m(m-1)) zeta^m,
+
+    with a = quad_a and b = quad_b; R does not depend on Lambda.
+    """
+    m = np.arange(_SERIES_TERMS, 2, -1.0)
+    c = np.concatenate([(lambda_c + (-lambda_c) ** m) / (m * (m - 1.0)), np.zeros(3)])
+    return c, np.polyder(c), np.polyder(c, 2)
+
+
+def _near_origin(u, s: CovState):
+    """Nonzero points where the map comes from _near_map, not from Newton.
+
+    Near the origin f1'(zeta) ~ b + a zeta can be tiny, and then the Newton
+    residual and the implicit derivatives, evaluated through logarithms, lose
+    all precision.  _near_map needs |b + a u| bounded away from 0, which
+    holds on the whole pi/4 ray; points near the critical point u = -b/a
+    stay with Newton.
+    """
+    a, b = s.quad_a, s.quad_b
+    small = np.abs(u) < 0.25 * min(1.0, 1.0 / s.lambda_c)
+    return small & (u != 0.0) & (np.abs(b + a * u) >= 0.5 * (b + a * np.abs(u)))
+
+
+def _near_map(u, s: CovState):
+    """zeta, zeta' and zeta'' at small nonzero u, free of cancellation.
+
+    With zeta = u + eta the defining relation becomes
+
+        eta (b + a u + a eta/2) + R(u + eta) = 0,
+
+    solved for eta itself by Newton from eta = -R(u)/(b + a u); then, with
+    f1' = b + a zeta + R'(zeta) and delta = zeta' - 1,
+
+        delta = -(a eta + R'(zeta)) / f1',
+        zeta'' = -(a delta (2 + delta) + R''(zeta) (1 + delta)^2) / f1'.
+
+    Every quantity is formed from the small ones (eta, R), so the relative
+    accuracy holds uniformly in Lambda >= 0, including Lambda = 0.
+    """
+    a, b = s.quad_a, s.quad_b
+    r0, r1, r2 = _cubic_tail(s.lambda_c)
+    eta = -np.polyval(r0, u) / (b + a * u)
+    for _ in range(4):
+        zeta = u + eta
+        residual = eta * (b + a * u + 0.5 * a * eta) + np.polyval(r0, zeta)
+        eta = eta - residual / (b + a * zeta + np.polyval(r1, zeta))
+    zeta = u + eta
+    r1z = np.polyval(r1, zeta)
+    f1p = b + a * zeta + r1z
+    delta = -(a * eta + r1z) / f1p
+    d2 = -(a * delta * (2.0 + delta) + np.polyval(r2, zeta) * (1.0 + delta) ** 2) / f1p
+    return zeta, 1.0 + delta, d2
+
+
+def _newton(zeta, rhs, s: CovState, u):
+    """Newton with backtracking on f1(zeta) = rhs, elementwise under masks."""
+    lc, lam = s.lambda_c, s.Lambda
+    tol = 1e-13 * (1.0 + np.abs(rhs))
+    res = phase_mod.f1(zeta, lc, lam) - rhs
+    for iteration in range(51):
+        live = np.flatnonzero(~(np.abs(res) < tol))
+        if live.size == 0:
+            return zeta
+        if iteration == 50:
+            i = live[0]
+            raise NewtonDivergence(f"Newton stalled at u={u[i]}, residual {abs(res[i]):.3e}")
+        z, r, target = zeta[live], res[live], rhs[live]
+        dz = r / phase_mod.d_f1(z, lc, lam)
+        step = np.ones(live.size)
+        trial = z - dz
+        tres = phase_mod.f1(trial, lc, lam) - target
+        for _ in range(29):
+            back = np.flatnonzero(~(np.abs(tres) < np.abs(r)))
+            if back.size == 0:
+                break
+            step[back] *= 0.5
+            trial[back] = z[back] - step[back] * dz[back]
+            tres[back] = phase_mod.f1(trial[back], lc, lam) - target[back]
+        stuck = ~(np.abs(tres) < np.abs(r))
+        if np.any(stuck):
+            i = int(np.argmax(stuck))
+            raise NewtonDivergence(
+                f"no descent direction at u={u[live[i]]}, residual {abs(r[i]):.3e}"
+            )
+        zeta[live] = trial
+        res[live] = tres
+
+
+def zeta_of_u(u, s: CovState):
     """Invert the map by Newton on f1(zeta) = rhs(u), seeded along the ray.
 
-    Continuation in |u| (steps of 0.25) keeps the iteration inside the basin;
-    each stage starts from the previous solution shifted by the identity map.
+    u may be a scalar or an array; each element runs its own continuation
+    in |u| (steps of 0.25, which keeps the iteration inside the basin; each
+    stage starts from the previous solution shifted by the identity map) and
+    its own Newton iteration, under masks.  NewtonDivergence is raised if any
+    element fails.  Small |u| is solved by _near_map instead.
     """
-    u = complex(u)
-    if u == 0.0:
-        return 0.0 + 0.0j
-    n_stage = max(1, int(math.ceil(abs(u) / 0.25)))
-    zeta = 0.0 + 0.0j
-    u_prev = 0.0 + 0.0j
-    for stage in range(1, n_stage + 1):
-        ut = u * (stage / n_stage)
-        rhs = _rhs(ut, s)
-        zeta = zeta + (ut - u_prev)
-        converged = False
-        for _ in range(50):
-            res = phase_mod.f1(zeta, s.lambda_c, s.Lambda) - rhs
-            if abs(res) < 1e-13 * (1.0 + abs(rhs)):
-                converged = True
-                break
-            dz = res / phase_mod.d_f1(zeta, s.lambda_c, s.Lambda)
-            step = 1.0
-            for _ in range(30):
-                trial = zeta - step * dz
-                tres = phase_mod.f1(trial, s.lambda_c, s.Lambda) - rhs
-                if abs(tres) < abs(res):
-                    break
-                step *= 0.5
-            else:
-                raise NewtonDivergence(
-                    f"no descent direction at u={u}, residual {abs(res):.3e}"
-                )
-            zeta = zeta - step * dz
-        if not converged:
-            res = phase_mod.f1(zeta, s.lambda_c, s.Lambda) - rhs
-            if abs(res) >= 1e-13 * (1.0 + abs(rhs)):
-                raise NewtonDivergence(
-                    f"Newton stalled at u={u}, residual {abs(res):.3e}"
-                )
-        u_prev = ut
-    return zeta
+    flat = _as_flat(u)
+    zeta = np.zeros_like(flat)
+    near = _near_origin(flat, s)
+    if near.any():
+        zeta[near] = _near_map(flat[near], s)[0]
+    todo = np.flatnonzero((flat != 0.0) & ~near)
+    if todo.size:
+        uu = flat[todo]
+        n_stage = np.maximum(1, np.ceil(np.abs(uu) / 0.25)).astype(int)
+        z = np.zeros_like(uu)
+        u_prev = np.zeros_like(uu)
+        for stage in range(1, int(n_stage.max()) + 1):
+            live = np.flatnonzero(n_stage >= stage)
+            ut = uu[live] * (stage / n_stage[live])
+            z[live] = _newton(z[live] + (ut - u_prev[live]), _rhs(ut, s), s, uu[live])
+            u_prev[live] = ut
+        # one more step: the stopping test is absolute, the derivatives of
+        # the map want zeta to the precision of f1 itself
+        res = phase_mod.f1(z, s.lambda_c, s.Lambda) - _rhs(uu, s)
+        zeta[todo] = z - res / phase_mod.d_f1(z, s.lambda_c, s.Lambda)
+    return _shaped(u, zeta)
 
 
-def _dzeta_du_at(u: complex, zeta: complex, s: CovState) -> complex:
-    if abs(u) <= 1e-8:
-        return 1.0 + 0.0j
-    num = math.log1p(s.Lambda) + (1.0 + s.lambda_c) * u
-    den = phase_mod.d_f1(zeta, s.lambda_c, s.Lambda) / s.lambda_c
-    return num / den
+def _derivatives(u, zeta, s: CovState):
+    """zeta'(u) and zeta''(u) at zeta = zeta_of_u(u), for arrays.
+
+    Differentiating f1(zeta(u)) = rhs(u) once and twice gives
+
+        zeta' = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c),
+        zeta'' = (lambda_c (1+lambda_c) - f1''(zeta) zeta'^2) / f1'(zeta),
+
+    f1'' = lambda_c (lambda_c/(1+lambda_c zeta) + 1/(1-zeta)); near the origin
+    both come from _near_map.  At u = 0 they are 1 and 0, or -(1-lambda_c)/3
+    for zeta'' when Lambda = 0.
+    """
+    lc = s.lambda_c
+    f1p = phase_mod.d_f1(zeta, lc, s.Lambda)
+    f1pp = lc * (lc / (1.0 + lc * zeta) + 1.0 / (1.0 - zeta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (math.log1p(s.Lambda) + (1.0 + lc) * u) / (f1p / lc)
+        d2 = (s.quad_a - f1pp * d1 * d1) / f1p
+    near = _near_origin(u, s)
+    if near.any():
+        d1[near], d2[near] = _near_map(u[near], s)[1:]
+    zero = u == 0.0
+    d1[zero] = 1.0
+    d2[zero] = 0.0 if s.Lambda > 0.0 else -(1.0 - lc) / 3.0
+    return d1, d2
 
 
-def dzeta_du(u, s: CovState) -> complex:
+def _slope(u, zeta, s: CovState):
+    """dzeta/du as amp_F and dzeta_du report it: its limit 1 for |u| <= 1e-8."""
+    out = np.ones_like(u)
+    far = np.abs(u) > 1e-8
+    out[far] = _derivatives(u[far], zeta[far], s)[0]
+    return out
+
+
+def dzeta_du(u, s: CovState):
     """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c).
 
     The u -> 0 limit is 1 (both numerator and denominator tend to
-    log(1+Lambda), or to 0 at the same linear rate when Lambda = 0).
+    log(1+Lambda), or to 0 at the same linear rate when Lambda = 0); it is
+    returned for |u| <= 1e-8.
     """
-    u = complex(u)
-    if abs(u) <= 1e-8:
-        return 1.0 + 0.0j
-    return _dzeta_du_at(u, zeta_of_u(u, s), s)
+    flat = _as_flat(u)
+    return _shaped(u, _slope(flat, zeta_of_u(flat, s), s))
 
 
-def amp_F(u, s: CovState, sigma: float) -> complex:
-    """Amplitude in the u frame: g(zeta(u)) dzeta/du; equals 1 at u = 0."""
-    u = complex(u)
-    if u == 0.0:
-        return 1.0 + 0.0j
-    zeta = zeta_of_u(u, s)
-    return phase_mod.amp_g(zeta, s.lambda_c, sigma) * _dzeta_du_at(u, zeta, s)
+def amp_F(u, s: CovState, sigma: float):
+    """Amplitude in the u frame: g(zeta(u)) dzeta/du; equals 1 at u = 0.
+
+    Scalar or array u; dzeta/du is taken as its limit 1 for |u| <= 1e-8.
+    """
+    flat = _as_flat(u)
+    zeta = zeta_of_u(flat, s)
+    slope = _slope(flat, zeta, s)
+    return phase_mod.amp_g(_shaped(u, zeta), s.lambda_c, sigma) * _shaped(u, slope)
 
 
-def phi_closed(u, s: CovState) -> complex:
+def phi_closed(u, s: CovState):
     """Closed form of the Gaussian-phase tail Phi(u) via the Fresnel tail:
 
     Phi(u) = e^{-i omega^2} sqrt(2/(lambda_c t)) FT(sqrt(lambda_c t/2) u + omega).
+
+    Scalar or array u.
     """
-    w = math.sqrt(s.lambda_c * s.t / 2.0) * complex(u) + s.omega
+    u = np.asarray(u, dtype=complex) if isinstance(u, np.ndarray) else complex(u)
+    w = math.sqrt(s.lambda_c * s.t / 2.0) * u + s.omega
     scale = math.sqrt(2.0 / (s.lambda_c * s.t))
     return cmath.exp(-1j * s.omega**2) * scale * fresnel_tail_general(w)
 
 
-def _amp_F_prime(u, s: CovState, sigma: float, direction: complex) -> complex:
-    """Directional derivative of amp_F along the ray by centered differences."""
-    h = 1e-5 * (1.0 + abs(u))
-    fp = amp_F(u + h * direction, s, sigma)
-    fm = amp_F(u - h * direction, s, sigma)
-    return (fp - fm) / (2.0 * h * direction)
+def _amp_F_prime(u, zeta, s: CovState, sigma: float):
+    """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' at zeta = zeta_of_u(u) (arrays)."""
+    lc = s.lambda_c
+    d1, d2 = _derivatives(u, zeta, s)
+    dlog_g = 0.5 / (1.0 - zeta) + (sigma - 0.5) * lc / (1.0 + lc * zeta)
+    return phase_mod.amp_g(zeta, lc, sigma) * (dlog_g * d1 * d1 + d2)
 
 
 def decomposition_residual(t: float, delta: float, Lambda: float,
                            tol: float = 1e-7, sigma: float = 0.5) -> float:
-    """|Jtilde - Phi(0) - int F'(u) Phi(u) du| over the pi/4 ray.
+    """|Jtilde - F(0) Phi(0) - int F'(u) Phi(u) du| over the pi/4 ray.
 
-    Each piece (direct Jtilde quadrature, closed-form Phi, ray quadrature of
-    F' Phi) carries its own tolerance ~ tol, so the residual lands near the
-    combined budget rather than machine precision.
+    The direct Jtilde quadrature and the ray quadrature of F' Phi each carry
+    a tolerance ~ tol; Phi is closed form.  The integrand evaluates each GK15
+    batch with one map inversion and one Fresnel-tail call.
     """
     p = from_offset(t, delta, sigma, Lambda)
     d = derive(p)
@@ -210,19 +351,14 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     direct = jtilde_oracle(p, tol=tol).value
 
     angle = math.pi / 4.0
-    rot = cmath.exp(1j * angle)
     r_max, _tb = ray_truncation(_gaussian_phase(d), _unit_amplitude, 0.0 + 0.0j,
                                 angle, tol)
 
     def integrand(v):
-        v = np.asarray(v, dtype=complex)
-        flat = v.ravel()
-        res = np.empty(flat.shape, dtype=complex)
-        for i, vi in enumerate(flat):
-            res[i] = _amp_F_prime(vi, s, sigma, rot) * phi_closed(vi, s)
-        return res.reshape(v.shape)
+        return _amp_F_prime(v, zeta_of_u(v, s), s, sigma) * phi_closed(v, s)
 
     contour = RayContour(0.0 + 0.0j, angle, r_max)
     tail = integrate_ray(integrand, contour, tol, phase=None)
-    recomposed = phi_closed(0.0, s) + tail.value
+    # boundary term F(0) Phi(0) of the integration by parts; F(0) = 1
+    recomposed = amp_F(0.0, s, sigma) * phi_closed(0.0, s) + tail.value
     return abs(direct - recomposed)

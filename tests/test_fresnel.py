@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -11,6 +12,7 @@ from endpoint_uniform import (
     FT_FULL_LINE,
     FT_ZERO,
     NegativeArgument,
+    NumericalError,
     OrderViolation,
     ZeroArgument,
     fresnel_segment,
@@ -30,6 +32,14 @@ TAIL_AT_ONE = complex(-0.277867169242521955870847, 0.3163887669343690237957889)
 def erfc_form(w):
     """Independent closed form via the complementary error function."""
     return (math.sqrt(math.pi) / 2) * ROT * scipy.special.erfc(w * ROT.conjugate())
+
+
+def mp_tail(w):
+    """FT(w) from mpmath's erfc at 30 digits, at the exact double w."""
+    with mpmath.workdps(30):
+        rot = mpmath.expjpi(mpmath.mpf(1) / 4)
+        w = mpmath.mpc(w)
+        return complex(mpmath.sqrt(mpmath.pi) / 2 * rot * mpmath.erfc(w / rot))
 
 
 def test_tail_at_zero_is_rotated_gaussian():
@@ -137,3 +147,51 @@ def test_asymptotic_more_terms_tighten():
     e1 = abs(fresnel_tail_asymptotic(w, 1) - exact)
     e3 = abs(fresnel_tail_asymptotic(w, 3) - exact)
     assert e3 < e1 / 10.0
+
+
+# Lower limits off the pi/4 ray where the former nested quadrature stopped
+# with NonConvergence after ~34 000 panels (second and fourth quadrant).
+OFF_RAY = [
+    -1.6327769485719297 + 4.7504186364063665j,
+    -0.9489004691074636 + 3.961082961245517j,
+    2.3519264101839887 - 2.2638173737797933j,
+]
+
+
+def test_general_argument_off_the_ray_matches_mpmath():
+    rng = np.random.default_rng(5)
+    pts = OFF_RAY + list(rng.uniform(-5.0, 5.0, 50) + 1j * rng.uniform(-5.0, 5.0, 50))
+    for w in pts:
+        ref = mp_tail(w)
+        assert abs(fresnel_tail_general(w) - ref) <= 1e-12 * abs(ref), w
+
+
+@pytest.mark.parametrize("omega, r", [(0.0, 8.0), (1.0, 5.0), (5.0, 5.0),
+                                      (10.0, 2.0), (20.0, 0.5), (40.0, 0.5)])
+def test_tiny_tail_on_the_ray_is_relatively_accurate(omega, r):
+    # |FT| runs from ~1e-8 down to ~1e-30 here; an absolute tolerance would
+    # leave no correct digits
+    w = omega + r * ROT
+    ref = mp_tail(w)
+    assert abs(ref) < 2e-8
+    assert abs(fresnel_tail_general(w) - ref) <= 1e-12 * abs(ref)
+
+
+def test_array_input_equals_scalar_input():
+    rng = np.random.default_rng(11)
+    w = (rng.uniform(-6.0, 6.0, 60) + 1j * rng.uniform(-6.0, 6.0, 60)).reshape(3, 20)
+    w[0, 0] = 0.0
+    w[1, :5] = OFF_RAY + [7.5, 3.0 + 3.0 * ROT]
+    got = fresnel_tail_general(w)
+    assert got.shape == w.shape
+    expect = np.array([fresnel_tail_general(complex(x)) for x in w.ravel()]).reshape(w.shape)
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+    assert got[0, 0] == FT_ZERO
+
+
+def test_overflowing_tail_raises_typed_error():
+    # |e^{i w^2}| = e^{1200} at w = 30 - 20i: the tail does not fit a double
+    with pytest.raises(NumericalError):
+        fresnel_tail_general(30.0 - 20.0j)
+    with pytest.raises(NumericalError):
+        fresnel_tail_general(np.array([1.0, 30.0 - 20.0j]))

@@ -73,6 +73,27 @@ def test_panel_cap_raises_with_partial_result():
     assert partial.abs_error_estimate > 0
 
 
+@pytest.mark.parametrize("t", [1e11, 1e12])
+def test_panel_cap_is_not_passed(t):
+    # the last refinement round used to run past the cap (316 and 433 panels
+    # against 300); a round that would pass it is now refused before it runs
+    p = from_offset(t, 0.5, 0.5, 0.0)
+    with pytest.raises(NonConvergence) as exc:
+        jb_oracle(p, tol=1e-10, panel_cap=300)
+    assert 0 < exc.value.result.panels <= 300
+
+
+def test_panel_cap_with_only_phase_splits_left_is_not_converged():
+    # a constant integrand has no quadrature error, but 4000 s^2 advances far
+    # more than 2 pi per panel: stopping at the cap must still raise
+    contour = RayContour(0.0 + 0.0j, 0.0, 12.0)
+    with pytest.raises(NonConvergence) as exc:
+        integrate_ray(lambda z: np.ones_like(z), contour, tol=1e-3,
+                      phase=lambda z: 4000 * z * z, panel_cap=300)
+    assert exc.value.result.abs_error_estimate <= 1e-3
+    assert exc.value.result.panels <= 300
+
+
 def test_nonfinite_integrand_rejected():
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 2.0)
 

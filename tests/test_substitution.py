@@ -1,10 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from endpoint_uniform import (
+    NewtonDivergence,
     amp_F,
     amp_g,
     decomposition_residual,
@@ -17,6 +19,7 @@ from endpoint_uniform import (
     u_of_zeta,
     zeta_of_u,
 )
+from endpoint_uniform.substitution import _amp_F_prime
 from conftest import fit_loglog
 
 RAY = cmath.exp(1j * math.pi / 4)
@@ -148,3 +151,75 @@ def test_decomposition_identity_critical():
 
 def test_decomposition_identity_offset():
     assert decomposition_residual(200.0, 0.5, 1.0, tol=1e-7) < 1e-6
+
+
+def test_decomposition_identity_just_off_critical():
+    # log(1+Lambda) ~ 1e-10: f1'(zeta) is tiny near the origin as at Lambda = 0
+    assert decomposition_residual(200.0, 0.5, 1e-10, tol=1e-7) < 1e-6
+
+
+def mp_amp_F(s, sigma, seed):
+    """F(u) = g(zeta(u)) zeta'(u) in mpmath: zeta by a 40-digit root solve of
+    f1(zeta) = (a/2) u^2 + b u started from seed, zeta' from the implicit
+    relation."""
+    lc = mpmath.mpf(s.lambda_c)
+    lg = mpmath.log1p(mpmath.mpf(s.Lambda))
+    a, b = lc * (1 + lc), lc * lg
+
+    def f1(z):
+        return (lc * z * (lg + mpmath.log(1 + lc * z) - mpmath.log(1 - z))
+                + mpmath.log(1 + lc * z) + lc * mpmath.log(1 - z))
+
+    def F(u):
+        z = mpmath.findroot(lambda x: f1(x) - (a / 2 * u * u + b * u), mpmath.mpc(seed))
+        g = (1 - z) ** -0.5 * (1 + lc * z) ** (mpmath.mpf(sigma) - 0.5)
+        return g * (b + a * u) / (lc * (lg + mpmath.log(1 + lc * z) - mpmath.log(1 - z)))
+
+    return F
+
+
+@pytest.mark.parametrize("Lam", [0.0, 1e-10, 1.0])
+@pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 1e-2, 0.5, 0.6, 2.0])
+def test_amp_F_prime_matches_mpmath_derivative(Lam, r):
+    # the implicit derivative, with the near-origin solve for small |u| where
+    # f1'(zeta) is tiny, against mpmath differentiation of g(zeta(u)) zeta'(u)
+    s = state_from(derive(from_offset(200.0, 0.5, 0.5, Lam)))
+    u = np.array([r * RAY])
+    zeta = zeta_of_u(u, s)
+    got = _amp_F_prime(u, zeta, s, 0.5)[0]
+    with mpmath.workdps(40):
+        ref = complex(mpmath.diff(mp_amp_F(s, 0.5, zeta[0]), mpmath.mpc(u[0]),
+                                  h=mpmath.mpf(r) * mpmath.mpf("1e-12")))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("Lam", [0.0, 0.8])
+def test_array_calls_equal_scalar_calls(Lam):
+    s = state_from(derive(from_offset(200.0, 0.5, 0.5, Lam)))
+    u = np.array([0.0, 5e-9, 1e-6, 0.03, 0.3, 1.2, 2.0]) * RAY
+    u = np.concatenate([u, [0.5, -0.2j, 0.4 + 0.1j]]).reshape(2, 5)
+    for fn in (lambda x: zeta_of_u(x, s), lambda x: amp_F(x, s, 0.7),
+               lambda x: phi_closed(x, s)):
+        got = fn(u)
+        assert got.shape == u.shape
+        expect = np.array([fn(complex(x)) for x in u.ravel()]).reshape(u.shape)
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+def test_array_path_raises_when_one_element_diverges(state):
+    # no root continues to u = 3 on the real axis: Newton finds no descent
+    u = np.array([0.1 * RAY, 0.5 * RAY, 3.0])
+    with pytest.raises(NewtonDivergence, match=r"u=\(3\+0j\)"):
+        zeta_of_u(u, state)
+    with pytest.raises(NewtonDivergence):
+        amp_F(u, state, 0.5)
+    zeta_of_u(u[:2], state)
+
+
+def test_round_trip_next_to_the_critical_point():
+    # u -> -b/a on the negative axis is where f1'(zeta) vanishes; the
+    # near-origin solve must leave such points to the Newton continuation
+    s = state_from(derive(from_offset(200.0, 0.5, 0.5, 0.1)))
+    for f in (0.3, 0.9, 0.99):
+        u = -f * s.quad_b / s.quad_a
+        assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) < 1e-10
