@@ -20,7 +20,6 @@ from endpoint_uniform import (
     from_offset,
     jb_oracle,
     jtilde_oracle,
-    state_from,
     u_of_zeta,
     zeta_of_u,
 )
@@ -46,12 +45,11 @@ def main():
         res = decomposition_residual(t, 0.5, Lam, tol=1e-7)
         print(f"  full decomposition residual {res:.3e}  (budget 1e-6)")
 
-        st = state_from(d)
         u = 0.4 * RAY
-        zeta = zeta_of_u(u, st)
-        back = u_of_zeta(zeta, st)
+        zeta = zeta_of_u(u, d)
+        back = u_of_zeta(zeta, d)
         print(f"  map round trip |u - u(zeta(u))| = {abs(back - u):.3e}, "
-              f"dzeta/du(0) = {dzeta_du(0.0, st):.1f}")
+              f"dzeta/du(0) = {dzeta_du(0.0, d):.1f}")
         print()
 
 

@@ -81,12 +81,10 @@ from .quadrature import (
     ray_truncation,
 )
 from .substitution import (
-    CovState,
     amp_F,
     decomposition_residual,
     dzeta_du,
     phi_closed,
-    state_from,
     u_of_zeta,
     zeta_of_u,
 )

@@ -67,8 +67,8 @@ class Approximation:
         }
 
 
-def classify_regime(omega: float, threshold: float = OMEGA_THRESHOLD_DEFAULT) -> Regime:
-    return Regime.OMEGA_LARGE if omega > threshold else Regime.OMEGA_BOUNDED
+def classify_regime(omega: float) -> Regime:
+    return Regime.OMEGA_LARGE if omega > OMEGA_THRESHOLD_DEFAULT else Regime.OMEGA_BOUNDED
 
 
 def exponent_identity_residual(p: ProblemParams) -> float:
@@ -95,8 +95,7 @@ def _endpoint_exponent(p: ProblemParams, d) -> float:
     return p.t * complex(phase_mod.big_f(z0, p.lam)).real - d.omega**2
 
 
-def leading_order(p: ProblemParams,
-                  threshold: float = OMEGA_THRESHOLD_DEFAULT) -> Approximation:
+def leading_order(p: ProblemParams) -> Approximation:
     """Uniform leading term, any sigma in [1/2, 1), any admissible offset.
 
     Computed from the offset-frame prefactor; the equivalent endpoint form
@@ -130,17 +129,16 @@ def leading_order(p: ProblemParams,
         value=value,
         method=Method.LEADING_ORDER,
         error_budget=[],
-        regime=classify_regime(d.omega, threshold),
+        regime=classify_regime(d.omega),
     )
 
 
-def leading_order_large_omega(p: ProblemParams,
-                              threshold: float = OMEGA_THRESHOLD_DEFAULT) -> Approximation:
+def leading_order_large_omega(p: ProblemParams) -> Approximation:
     """Integration-by-parts form, requires omega above the regime threshold."""
     d = derive(p)
-    if d.omega < threshold:
+    if d.omega < OMEGA_THRESHOLD_DEFAULT:
         raise RegimeMismatch(
-            f"omega={d.omega:.3f} below the large-omega threshold {threshold}"
+            f"omega={d.omega:.3f} below the large-omega threshold {OMEGA_THRESHOLD_DEFAULT}"
         )
     lc = d.lambda_c
     scale = math.sqrt(2.0 / (lc * p.t))
@@ -178,8 +176,7 @@ def jb1_main(p: ProblemParams, a: float) -> complex:
     return cmath.exp(1j * chi) * p.t**-0.5 * math.sqrt(2.0 / (1.0 + lc)) * seg
 
 
-def all_orders(p: ProblemParams, m: int, a: float | None = None,
-               threshold: float = OMEGA_THRESHOLD_DEFAULT) -> Approximation:
+def all_orders(p: ProblemParams, m: int, a: float | None = None) -> Approximation:
     """Split-contour expansion of order m >= 4 (sigma = 1/2).
 
     Ray-piece boundary terms j = 1..m-3 plus the segment main term; the
@@ -204,12 +201,11 @@ def all_orders(p: ProblemParams, m: int, a: float | None = None,
         value=series_value + seg,
         method=Method.ALL_ORDERS,
         error_budget=budget,
-        regime=classify_regime(d.omega, threshold),
+        regime=classify_regime(d.omega),
     )
 
 
-def corollary_leading(p: ProblemParams,
-                      threshold: float = OMEGA_THRESHOLD_DEFAULT) -> Approximation:
+def corollary_leading(p: ProblemParams) -> Approximation:
     """Two-term concrete leading form at the balanced split a = t^(-7 delta/16).
 
     The "corollary-remainder" budget t^(-1/2-delta/4) is the remainder's order
@@ -232,7 +228,7 @@ def corollary_leading(p: ProblemParams,
         value=value,
         method=Method.COROLLARY_LEADING,
         error_budget=budget,
-        regime=classify_regime(d.omega, threshold),
+        regime=classify_regime(d.omega),
     )
 
 

@@ -31,26 +31,51 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParam(message)
 
 
-def _add_param_flags(sp, need_t=True):
+# defaults of the valued flags; sweep applies them itself when it has no config
+_DEFAULTS = {"delta": 0.5, "sigma": 0.5, "tol": 1e-10}
+
+
+def _add_point(sp, need_t=True):
     sp.add_argument("--t", type=float, required=need_t,
                     help="large parameter t (scientific notation ok)")
-    sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--sigma", type=float, default=0.5)
+    sp.add_argument("--delta", type=float, default=_DEFAULTS["delta"])
+    sp.add_argument("--sigma", type=float, default=_DEFAULTS["sigma"])
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--lambda", dest="lam", type=float,
                        help="lambda directly")
     group.add_argument("--Lambda", dest="Lambda", type=float,
                        help="offset from the critical lambda: lambda = lambda_c (1+Lambda)")
-    sp.add_argument("--tol", type=float, default=1e-10)
+
+
+def _add_tol(sp, panel_cap=False):
+    sp.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
+    if panel_cap:
+        sp.add_argument("--panel-cap", dest="panel_cap", type=int,
+                        default=PANEL_CAP_DEFAULT, help=argparse.SUPPRESS)
+
+
+def _add_order(sp):
     sp.add_argument("--m", type=int, default=None, help="expansion order (>= 4)")
+
+
+def _add_split(sp):
+    _add_order(sp)
     sp.add_argument("--b", type=float, default=None, help="split exponent")
     sp.add_argument("--a", type=float, default=None, help="split width directly")
-    sp.add_argument("--seed", type=int, default=0)
+
+
+def _add_output(sp, formats=("json", "text")):
     sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sp.add_argument("--config", type=str, default=None)
-    sp.add_argument("--panel-cap", dest="panel_cap", type=int,
-                    default=PANEL_CAP_DEFAULT, help=argparse.SUPPRESS)
+    sp.add_argument("--format", choices=formats, default="json")
+
+
+def _load_config(path) -> harness.SweepConfig:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InvalidParam(f"cannot read config {path}: {exc}") from exc
+    return harness.sweep_config_from_dict(data)
 
 
 def _build_params(ns) -> ProblemParams:
@@ -62,13 +87,8 @@ def _build_params(ns) -> ProblemParams:
 
 
 def _echo_flags(ns) -> dict:
-    out = {}
-    for key, val in sorted(vars(ns).items()):
-        if key in ("func", "subcommand"):
-            continue
-        if val is not None:
-            out[key] = val
-    return out
+    return {key: val for key, val in sorted(vars(ns).items())
+            if key not in ("func", "subcommand") and val is not None}
 
 
 def _split_fields(ns, p: ProblemParams):
@@ -83,10 +103,7 @@ def _emit(payload: dict, ns):
     if ns.format == "csv" and "rows_csv" in payload:
         text = payload["rows_csv"]
     elif ns.format == "text":
-        lines = []
-        for key, val in payload.get("result", payload).items():
-            lines.append(f"{key}: {val}")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{key}: {val}\n" for key, val in payload.get("result", payload).items())
     else:
         clean = {k: v for k, v in payload.items() if k != "rows_csv"}
         text = json.dumps(clean, indent=2, default=float) + "\n"
@@ -98,20 +115,16 @@ def _emit(payload: dict, ns):
 
 
 def _method_result(ns, p: ProblemParams) -> dict:
-    method = ns.method
-    if method == "oracle":
-        res = jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap)
-        return res.as_dict()
-    if method == "leading":
-        return asymptotics.leading_order(p).as_dict()
-    if method == "large-omega":
-        return asymptotics.leading_order_large_omega(p).as_dict()
-    if method == "all-orders":
+    if ns.method == "oracle":
+        return jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap).as_dict()
+    if ns.method == "all-orders":
         m = ns.m if ns.m is not None else 4
-        return asymptotics.all_orders(p, m, ns.a).as_dict()
-    if method == "corollary":
-        return asymptotics.corollary_leading(p).as_dict()
-    raise InvalidParam(f"unknown method {method!r}")
+        return asymptotics.all_orders(p, m, _split_fields(ns, p).a).as_dict()
+    if ns.method == "leading":
+        return asymptotics.leading_order(p).as_dict()
+    if ns.method == "large-omega":
+        return asymptotics.leading_order_large_omega(p).as_dict()
+    return asymptotics.corollary_leading(p).as_dict()
 
 
 def _cmd_eval(ns) -> dict:
@@ -145,7 +158,7 @@ def _cmd_compare(ns) -> dict:
     cfg = harness.SweepConfig(
         t_grid=[ns.t], delta=ns.delta, sigma=ns.sigma,
         lambda_spec=("lambda", [_build_params(ns).lam]),
-        methods=[ns.method], tol=ns.tol, seed=ns.seed,
+        methods=[ns.method], tol=ns.tol,
         m_order=ns.m if ns.m is not None else 4,
     )
     rows = harness.run_sweep(cfg)
@@ -166,13 +179,22 @@ def _cmd_compare(ns) -> dict:
     return payload
 
 
+# sweep flags that describe the grid, which a config file describes instead
+_GRID_FLAGS = ("t", "delta", "sigma", "lam", "Lambda", "method", "tol", "m")
+
+
 def _cmd_sweep(ns) -> dict:
     if ns.config:
-        with open(ns.config) as fh:
-            cfg = harness.sweep_config_from_dict(json.load(fh))
+        if any(getattr(ns, key) is not None for key in _GRID_FLAGS):
+            raise InvalidParam("sweep --config takes no --t, --delta, --sigma, "
+                               "--lambda, --Lambda, --method, --tol or --m")
+        cfg = _load_config(ns.config)
     else:
         if ns.t is None:
             raise InvalidParam("sweep needs --config or --t")
+        for key, val in _DEFAULTS.items():
+            if getattr(ns, key) is None:
+                setattr(ns, key, val)
         spec = ("critical", None)
         if ns.Lambda is not None:
             spec = ("lambda", [from_offset(ns.t, ns.delta, ns.sigma, ns.Lambda).lam])
@@ -181,7 +203,7 @@ def _cmd_sweep(ns) -> dict:
         cfg = harness.SweepConfig(
             t_grid=[ns.t], delta=ns.delta, sigma=ns.sigma, lambda_spec=spec,
             methods=[ns.method] if ns.method else ["leading"],
-            tol=ns.tol, seed=ns.seed, m_order=ns.m if ns.m is not None else 4,
+            tol=ns.tol, m_order=ns.m if ns.m is not None else 4,
         )
     rows = harness.run_sweep(cfg)
     csv_text = harness.rows_to_csv(rows)
@@ -219,10 +241,7 @@ def _cmd_terms(ns) -> dict:
 
 
 def _cmd_verify(ns) -> dict:
-    cfg = None
-    if ns.config:
-        with open(ns.config) as fh:
-            cfg = harness.sweep_config_from_dict(json.load(fh))
+    cfg = _load_config(ns.config) if ns.config else None
     if ns.suite == "all":
         report = harness.run_all_scans(cfg)
     else:
@@ -241,41 +260,54 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("eval", help="evaluate one method at one point")
-    _add_param_flags(sp)
-    sp.add_argument("--method", required=True,
-                    choices=("oracle", "leading", "large-omega", "all-orders",
-                             "corollary"))
+    _add_point(sp)
+    sp.add_argument("--method", required=True, choices=harness.METHODS)
+    _add_tol(sp, panel_cap=True)
+    _add_split(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("oracle", help="direct quadrature with diagnostics")
-    _add_param_flags(sp)
+    _add_point(sp)
     sp.add_argument("--piece", choices=("whole", "jb1", "jb2", "jtilde"),
                     default="whole")
+    _add_tol(sp, panel_cap=True)
+    _add_split(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("compare", help="one method against the oracle")
-    _add_param_flags(sp)
+    _add_point(sp)
     sp.add_argument("--method", required=True,
-                    choices=("leading", "large-omega", "all-orders", "corollary"))
+                    choices=[m for m in harness.METHODS if m != "oracle"])
+    _add_tol(sp)
+    _add_order(sp)
+    _add_output(sp, ("json", "csv", "text"))
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("sweep", help="comparison table over a grid")
-    _add_param_flags(sp, need_t=False)
-    sp.add_argument("--method", default=None,
-                    choices=("oracle", "leading", "large-omega", "all-orders",
-                             "corollary"))
-    sp.set_defaults(func=_cmd_sweep)
+    sp.add_argument("--config", type=str, default=None)
+    _add_point(sp, need_t=False)
+    sp.add_argument("--method", default=None, choices=harness.METHODS)
+    _add_tol(sp)
+    _add_order(sp)
+    _add_output(sp, ("json", "csv", "text"))
+    # None marks a grid flag as not given; _cmd_sweep fills in the defaults
+    sp.set_defaults(func=_cmd_sweep, **dict.fromkeys(_DEFAULTS))
 
     sp = sub.add_parser("terms", help="coefficient tables and boundary terms")
-    _add_param_flags(sp, need_t=False)
     sp.add_argument("--N", type=int, default=None, help="table level to dump")
     sp.add_argument("--j-max", dest="j_max", type=int, default=None)
+    _add_point(sp, need_t=False)
+    _add_split(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_terms)
 
     sp = sub.add_parser("verify", help="property-scan suites")
-    _add_param_flags(sp, need_t=False)
     sp.add_argument("--suite", default="all",
                     choices=("all",) + harness.SUITES)
+    sp.add_argument("--config", type=str, default=None)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_verify)
 
     return parser

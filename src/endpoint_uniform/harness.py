@@ -16,12 +16,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import asymptotics, phase as phase_mod, substitution
-from .errors import DegenerateData, EndpointUniformError
+from .errors import DegenerateData, EndpointUniformError, InvalidParam
 from .fresnel import fresnel_tail, fresnel_tail_asymptotic
 from .params import (
     ProblemParams,
@@ -38,6 +38,8 @@ CSV_HEADER = (
     "t,delta,sigma,lambda,Lambda,omega,method,m,a,approx_re,approx_im,"
     "oracle_re,oracle_im,abs_err,rel_err,budget,runtime_ms,error"
 )
+
+METHODS = ("oracle", "leading", "large-omega", "all-orders", "corollary")
 
 SUITES = (
     "ImFNonneg",
@@ -89,19 +91,40 @@ class SweepConfig:
 
 
 def sweep_config_from_dict(d: dict) -> SweepConfig:
+    """Read a config file's object, refusing what run_sweep could not run."""
+    if not isinstance(d, dict):
+        raise InvalidParam("a config must be a JSON object")
+    known = [f.name for f in fields(SweepConfig)]
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise InvalidParam(f"unknown config keys {unknown}; known: {known}")
+    if "t_grid" not in d:
+        raise InvalidParam("a config needs t_grid")
     spec = d.get("lambda_spec", {"kind": "critical"})
+    if not isinstance(spec, dict):
+        raise InvalidParam(f"lambda_spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "critical")
     values = spec.get("values")
-    return SweepConfig(
-        t_grid=list(d["t_grid"]),
-        delta=float(d.get("delta", 0.5)),
-        sigma=float(d.get("sigma", 0.5)),
-        lambda_spec=(kind, values),
-        methods=list(d.get("methods", ["leading"])),
-        tol=float(d.get("tol", 1e-10)),
-        seed=int(d.get("seed", 0)),
-        m_order=int(d.get("m_order", 4)),
-    )
+    if kind not in ("critical", "lambda", "omega"):
+        raise InvalidParam(f"unknown lambda_spec kind {kind!r}")
+    if kind != "critical" and values is None:
+        raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+    bad = [m for m in d.get("methods", []) if m not in METHODS]
+    if bad:
+        raise InvalidParam(f"unknown methods {bad}; known: {list(METHODS)}")
+    try:
+        return SweepConfig(
+            t_grid=list(d["t_grid"]),
+            delta=float(d.get("delta", 0.5)),
+            sigma=float(d.get("sigma", 0.5)),
+            lambda_spec=(kind, values),
+            methods=list(d.get("methods", ["leading"])),
+            tol=float(d.get("tol", 1e-10)),
+            seed=int(d.get("seed", 0)),
+            m_order=int(d.get("m_order", 4)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidParam(f"bad config value: {exc}") from exc
 
 
 @dataclass

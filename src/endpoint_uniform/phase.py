@@ -86,6 +86,37 @@ def f0(Lambda: float, lambda_c: float) -> float:
     return math.log(lambda_c / (1.0 + lambda_c)) + math.log1p(Lambda) - lambda_c * r
 
 
+def _log1p(z):
+    """log(1 + z) with a relative error of a few ulp also for small |z|.
+
+    np.log(1 + z) loses the low bits of z in forming 1 + z, and numpy's
+    complex log1p is no better.  The real part is taken as 0.5 log1p(s) with
+    s = x (2 + x) + y^2 = |1 + z|^2 - 1, the imaginary part as atan2(y, 1 + x)
+    (Kahan 1987).  Only where |1 + z|^2 < 1/2, next to the branch point, is
+    1 + z formed directly.  Scalars stay in math.
+    """
+    x, y = z.real, z.imag
+    s = x * (2.0 + x) + y * y
+    if not isinstance(z, np.ndarray):
+        if s < -0.5:
+            return complex(np.log(1.0 + z))
+        return complex(0.5 * math.log1p(s), math.atan2(y, 1.0 + x))
+    out = np.empty_like(z)
+    np.log1p(np.maximum(s, -0.5), out=out.real)
+    out.real *= 0.5
+    np.arctan2(y, 1.0 + x, out=out.imag)
+    near = s < -0.5
+    if near.any():
+        out.real[near] = np.log(np.abs(1.0 + z[near]))
+    return out
+
+
+def _offset_logs(zeta, lambda_c: float):
+    """zeta as complex, log(1 + lambda_c zeta) and log(1 - zeta)."""
+    za = _as_complex(zeta) if isinstance(zeta, np.ndarray) else complex(zeta)
+    return za, _log1p(lambda_c * za), _log1p(-za)
+
+
 def f1(zeta, lambda_c: float, Lambda: float):
     """Offset phase, analytic near 0 with f1(0) = 0.
 
@@ -94,21 +125,14 @@ def f1(zeta, lambda_c: float, Lambda: float):
 
     Cuts sit on zeta <= -1/lambda_c and zeta >= 1.
     """
-    za = _as_complex(zeta)
-    lg = math.log1p(Lambda)
-    la = np.log(1.0 + lambda_c * za)
-    lb = np.log(1.0 - za)
-    out = lambda_c * za * (lg + la - lb) + la + lambda_c * lb
-    return out if isinstance(zeta, np.ndarray) else complex(out)
+    za, la, lb = _offset_logs(zeta, lambda_c)
+    return lambda_c * za * (math.log1p(Lambda) + la - lb) + la + lambda_c * lb
 
 
 def d_f1(zeta, lambda_c: float, Lambda: float):
     """df1/dzeta = lambda_c [log(1+Lambda) + log(1+lambda_c zeta) - log(1-zeta)]."""
-    za = _as_complex(zeta)
-    out = lambda_c * (
-        math.log1p(Lambda) + np.log(1.0 + lambda_c * za) - np.log(1.0 - za)
-    )
-    return out if isinstance(zeta, np.ndarray) else complex(out)
+    _za, la, lb = _offset_logs(zeta, lambda_c)
+    return lambda_c * (math.log1p(Lambda) + la - lb)
 
 
 def amp_g(zeta, lambda_c: float, sigma: float):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,58 +53,34 @@ from .quadrature import (
 _SERIES_TERMS = 32
 
 
-@dataclass(frozen=True)
-class CovState:
-    t: float
-    Lambda: float
-    lambda_c: float
-    # point where the u ~ zeta correspondence anchors the quadratic root
-    branch_anchor: complex = 0.0 + 0.0j
-
-    @property
-    def quad_a(self) -> float:
-        return self.lambda_c * (1.0 + self.lambda_c)
-
-    @property
-    def quad_b(self) -> float:
-        return self.lambda_c * math.log1p(self.Lambda)
-
-    @property
-    def omega(self) -> float:
-        return (
-            math.sqrt(self.lambda_c * self.t / 2.0)
-            * math.log1p(self.Lambda)
-            / (1.0 + self.lambda_c)
-        )
+def _quad(d: DerivedParams):
+    """Coefficients (a, b) of the quadratic (a/2) u^2 + b u that f1 maps onto."""
+    return d.lambda_c * (1.0 + d.lambda_c), d.lambda_c * math.log1p(d.Lambda)
 
 
-def state_from(d: DerivedParams) -> CovState:
-    return CovState(t=d.t, Lambda=d.Lambda, lambda_c=d.lambda_c)
+def _rhs(u, d: DerivedParams):
+    a, b = _quad(d)
+    return 0.5 * a * u * u + b * u
 
 
-def _rhs(u, s: CovState):
-    return 0.5 * s.quad_a * u * u + s.quad_b * u
-
-
-def u_of_zeta(zeta, s: CovState) -> complex:
+def u_of_zeta(zeta, d: DerivedParams) -> complex:
     """Solve the quadratic for u, picking the root continuous from u(0)=0.
 
     The two roots are u = (-B +- sqrt(B^2 + 2 A f1))/A.  The branch is fixed
-    by marching from the anchor: the square root is tracked continuously from
-    +B at zeta=0, which selects u ~ zeta.  With B=0 (Lambda=0) the first
+    by marching out from zeta = 0: the square root is tracked continuously
+    from its value +B there, which selects u ~ zeta.  With B=0 (Lambda=0) the first
     marching step disambiguates by closeness to zeta itself.
     """
     zeta = complex(zeta)
-    a_coef = s.quad_a
-    b_coef = s.quad_b
+    a_coef, b_coef = _quad(d)
     if zeta == 0.0:
         return 0.0 + 0.0j
-    steps = max(16, int(8 * abs(zeta) * (1.0 + s.lambda_c)))
+    steps = max(16, int(8 * abs(zeta) * (1.0 + d.lambda_c)))
     r_prev = complex(b_coef)
     u = 0.0 + 0.0j
     for j in range(1, steps + 1):
         zj = zeta * (j / steps)
-        disc = b_coef * b_coef + 2.0 * a_coef * phase_mod.f1(zj, s.lambda_c, s.Lambda)
+        disc = b_coef * b_coef + 2.0 * a_coef * phase_mod.f1(zj, d.lambda_c, d.Lambda)
         root = cmath.sqrt(disc)
         cand = (root, -root)
         if abs(r_prev) > 0.0:
@@ -148,7 +123,7 @@ def _cubic_tail(lambda_c: float):
     return c, np.polyder(c), np.polyder(c, 2)
 
 
-def _near_origin(u, s: CovState):
+def _near_origin(u, d: DerivedParams):
     """Nonzero points where the map comes from _near_map, not from Newton.
 
     Near the origin f1'(zeta) ~ b + a zeta can be tiny, and then the Newton
@@ -157,12 +132,12 @@ def _near_origin(u, s: CovState):
     holds on the whole pi/4 ray; points near the critical point u = -b/a
     stay with Newton.
     """
-    a, b = s.quad_a, s.quad_b
-    small = np.abs(u) < 0.25 * min(1.0, 1.0 / s.lambda_c)
+    a, b = _quad(d)
+    small = np.abs(u) < 0.25 * min(1.0, 1.0 / d.lambda_c)
     return small & (u != 0.0) & (np.abs(b + a * u) >= 0.5 * (b + a * np.abs(u)))
 
 
-def _near_map(u, s: CovState):
+def _near_map(u, d: DerivedParams):
     """zeta, zeta' and zeta'' at small nonzero u, free of cancellation.
 
     With zeta = u + eta the defining relation becomes
@@ -178,8 +153,8 @@ def _near_map(u, s: CovState):
     Every quantity is formed from the small ones (eta, R), so the relative
     accuracy holds uniformly in Lambda >= 0, including Lambda = 0.
     """
-    a, b = s.quad_a, s.quad_b
-    r0, r1, r2 = _cubic_tail(s.lambda_c)
+    a, b = _quad(d)
+    r0, r1, r2 = _cubic_tail(d.lambda_c)
     eta = -np.polyval(r0, u) / (b + a * u)
     for _ in range(4):
         zeta = u + eta
@@ -193,9 +168,9 @@ def _near_map(u, s: CovState):
     return zeta, 1.0 + delta, d2
 
 
-def _newton(zeta, rhs, s: CovState, u):
+def _newton(zeta, rhs, d: DerivedParams, u):
     """Newton with backtracking on f1(zeta) = rhs, elementwise under masks."""
-    lc, lam = s.lambda_c, s.Lambda
+    lc, lam = d.lambda_c, d.Lambda
     tol = 1e-13 * (1.0 + np.abs(rhs))
     res = phase_mod.f1(zeta, lc, lam) - rhs
     for iteration in range(51):
@@ -227,7 +202,7 @@ def _newton(zeta, rhs, s: CovState, u):
         res[live] = tres
 
 
-def zeta_of_u(u, s: CovState):
+def zeta_of_u(u, d: DerivedParams):
     """Invert the map by Newton on f1(zeta) = rhs(u), seeded along the ray.
 
     u may be a scalar or an array; each element runs its own continuation
@@ -238,9 +213,9 @@ def zeta_of_u(u, s: CovState):
     """
     flat = _as_flat(u)
     zeta = np.zeros_like(flat)
-    near = _near_origin(flat, s)
+    near = _near_origin(flat, d)
     if near.any():
-        zeta[near] = _near_map(flat[near], s)[0]
+        zeta[near] = _near_map(flat[near], d)[0]
     todo = np.flatnonzero((flat != 0.0) & ~near)
     if todo.size:
         uu = flat[todo]
@@ -250,16 +225,16 @@ def zeta_of_u(u, s: CovState):
         for stage in range(1, int(n_stage.max()) + 1):
             live = np.flatnonzero(n_stage >= stage)
             ut = uu[live] * (stage / n_stage[live])
-            z[live] = _newton(z[live] + (ut - u_prev[live]), _rhs(ut, s), s, uu[live])
+            z[live] = _newton(z[live] + (ut - u_prev[live]), _rhs(ut, d), d, uu[live])
             u_prev[live] = ut
         # one more step: the stopping test is absolute, the derivatives of
         # the map want zeta to the precision of f1 itself
-        res = phase_mod.f1(z, s.lambda_c, s.Lambda) - _rhs(uu, s)
-        zeta[todo] = z - res / phase_mod.d_f1(z, s.lambda_c, s.Lambda)
+        res = phase_mod.f1(z, d.lambda_c, d.Lambda) - _rhs(uu, d)
+        zeta[todo] = z - res / phase_mod.d_f1(z, d.lambda_c, d.Lambda)
     return _shaped(u, zeta)
 
 
-def _derivatives(u, zeta, s: CovState):
+def _derivatives(u, zeta, d: DerivedParams):
     """zeta'(u) and zeta''(u) at zeta = zeta_of_u(u), for arrays.
 
     Differentiating f1(zeta(u)) = rhs(u) once and twice gives
@@ -271,30 +246,30 @@ def _derivatives(u, zeta, s: CovState):
     both come from _near_map.  At u = 0 they are 1 and 0, or -(1-lambda_c)/3
     for zeta'' when Lambda = 0.
     """
-    lc = s.lambda_c
-    f1p = phase_mod.d_f1(zeta, lc, s.Lambda)
+    lc = d.lambda_c
+    f1p = phase_mod.d_f1(zeta, lc, d.Lambda)
     f1pp = lc * (lc / (1.0 + lc * zeta) + 1.0 / (1.0 - zeta))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (math.log1p(s.Lambda) + (1.0 + lc) * u) / (f1p / lc)
-        d2 = (s.quad_a - f1pp * d1 * d1) / f1p
-    near = _near_origin(u, s)
+        d1 = (math.log1p(d.Lambda) + (1.0 + lc) * u) / (f1p / lc)
+        d2 = (_quad(d)[0] - f1pp * d1 * d1) / f1p
+    near = _near_origin(u, d)
     if near.any():
-        d1[near], d2[near] = _near_map(u[near], s)[1:]
+        d1[near], d2[near] = _near_map(u[near], d)[1:]
     zero = u == 0.0
     d1[zero] = 1.0
-    d2[zero] = 0.0 if s.Lambda > 0.0 else -(1.0 - lc) / 3.0
+    d2[zero] = 0.0 if d.Lambda > 0.0 else -(1.0 - lc) / 3.0
     return d1, d2
 
 
-def _slope(u, zeta, s: CovState):
+def _slope(u, zeta, d: DerivedParams):
     """dzeta/du as amp_F and dzeta_du report it: its limit 1 for |u| <= 1e-8."""
     out = np.ones_like(u)
     far = np.abs(u) > 1e-8
-    out[far] = _derivatives(u[far], zeta[far], s)[0]
+    out[far] = _derivatives(u[far], zeta[far], d)[0]
     return out
 
 
-def dzeta_du(u, s: CovState):
+def dzeta_du(u, d: DerivedParams):
     """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c).
 
     The u -> 0 limit is 1 (both numerator and denominator tend to
@@ -302,21 +277,21 @@ def dzeta_du(u, s: CovState):
     returned for |u| <= 1e-8.
     """
     flat = _as_flat(u)
-    return _shaped(u, _slope(flat, zeta_of_u(flat, s), s))
+    return _shaped(u, _slope(flat, zeta_of_u(flat, d), d))
 
 
-def amp_F(u, s: CovState, sigma: float):
+def amp_F(u, d: DerivedParams, sigma: float):
     """Amplitude in the u frame: g(zeta(u)) dzeta/du; equals 1 at u = 0.
 
     Scalar or array u; dzeta/du is taken as its limit 1 for |u| <= 1e-8.
     """
     flat = _as_flat(u)
-    zeta = zeta_of_u(flat, s)
-    slope = _slope(flat, zeta, s)
-    return phase_mod.amp_g(_shaped(u, zeta), s.lambda_c, sigma) * _shaped(u, slope)
+    zeta = zeta_of_u(flat, d)
+    slope = _slope(flat, zeta, d)
+    return phase_mod.amp_g(_shaped(u, zeta), d.lambda_c, sigma) * _shaped(u, slope)
 
 
-def phi_closed(u, s: CovState):
+def phi_closed(u, d: DerivedParams):
     """Closed form of the Gaussian-phase tail Phi(u) via the Fresnel tail:
 
     Phi(u) = e^{-i omega^2} sqrt(2/(lambda_c t)) FT(sqrt(lambda_c t/2) u + omega).
@@ -324,15 +299,15 @@ def phi_closed(u, s: CovState):
     Scalar or array u.
     """
     u = np.asarray(u, dtype=complex) if isinstance(u, np.ndarray) else complex(u)
-    w = math.sqrt(s.lambda_c * s.t / 2.0) * u + s.omega
-    scale = math.sqrt(2.0 / (s.lambda_c * s.t))
-    return cmath.exp(-1j * s.omega**2) * scale * fresnel_tail_general(w)
+    w = math.sqrt(d.lambda_c * d.t / 2.0) * u + d.omega
+    scale = math.sqrt(2.0 / (d.lambda_c * d.t))
+    return cmath.exp(-1j * d.omega**2) * scale * fresnel_tail_general(w)
 
 
-def _amp_F_prime(u, zeta, s: CovState, sigma: float):
+def _amp_F_prime(u, zeta, d: DerivedParams, sigma: float):
     """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' at zeta = zeta_of_u(u) (arrays)."""
-    lc = s.lambda_c
-    d1, d2 = _derivatives(u, zeta, s)
+    lc = d.lambda_c
+    d1, d2 = _derivatives(u, zeta, d)
     dlog_g = 0.5 / (1.0 - zeta) + (sigma - 0.5) * lc / (1.0 + lc * zeta)
     return phase_mod.amp_g(zeta, lc, sigma) * (dlog_g * d1 * d1 + d2)
 
@@ -347,7 +322,6 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     """
     p = from_offset(t, delta, sigma, Lambda)
     d = derive(p)
-    s = state_from(d)
     direct = jtilde_oracle(p, tol=tol).value
 
     angle = math.pi / 4.0
@@ -355,10 +329,10 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
                                 angle, tol)
 
     def integrand(v):
-        return _amp_F_prime(v, zeta_of_u(v, s), s, sigma) * phi_closed(v, s)
+        return _amp_F_prime(v, zeta_of_u(v, d), d, sigma) * phi_closed(v, d)
 
     contour = RayContour(0.0 + 0.0j, angle, r_max)
     tail = integrate_ray(integrand, contour, tol, phase=None)
     # boundary term F(0) Phi(0) of the integration by parts; F(0) = 1
-    recomposed = amp_F(0.0, s, sigma) * phi_closed(0.0, s) + tail.value
+    recomposed = amp_F(0.0, d, sigma) * phi_closed(0.0, d) + tail.value
     return abs(direct - recomposed)

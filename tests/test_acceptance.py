@@ -41,7 +41,6 @@ from endpoint_uniform import (
     leading_order_large_omega,
     phase_difference_residual,
     property_scan,
-    state_from,
     zeta_of_u,
     ProblemParams,
 )
@@ -256,7 +255,7 @@ def test_10_derivative_oracles():
     slopes["d2_f"], _ = fit_loglog([1e-4, 1e-5], errs)
 
     # variable-change map derivative
-    st = state_from(derive(from_offset(200.0, 0.5, 0.5, 0.8)))
+    st = derive(from_offset(200.0, 0.5, 0.5, 0.8))
     hs = [3e-2, 1e-2, 3e-3]
     errs = []
     for h in hs:

@@ -43,10 +43,6 @@ class TestRegime:
         assert classify_regime(0.0) is Regime.OMEGA_BOUNDED
         assert classify_regime(100.0) is Regime.OMEGA_LARGE
 
-    def test_custom_threshold(self):
-        assert classify_regime(3.0, threshold=2.0) is Regime.OMEGA_LARGE
-        assert classify_regime(3.0, threshold=4.0) is Regime.OMEGA_BOUNDED
-
     def test_leading_order_reports_regime(self):
         small = leading_order(from_omega(1e6, 0.5, 0.5, 0.5))
         big = leading_order(from_omega(1e6, 0.5, 0.5, 8.0))

@@ -14,7 +14,10 @@ import pytest
 
 from endpoint_uniform import (
     CSV_HEADER,
+    all_orders,
     amn_table,
+    choose_split,
+    derive,
     from_offset,
     leading_order,
 )
@@ -22,7 +25,8 @@ from endpoint_uniform import cli
 from endpoint_uniform.cli import main
 
 SCRIPT = "endpoint-uniform"
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def _declared_scripts():
@@ -116,6 +120,25 @@ class TestEval:
         assert code == 0
         lines = dict(l.split(": ", 1) for l in out.strip().splitlines())
         assert set(lines) >= {"re", "im", "method", "regime"}
+
+    def test_all_orders_applies_split_exponent(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--t", "1e6", "--Lambda", "0.5",
+            "--method", "all-orders", "--b", "0.44",
+        )
+        assert code == 0
+        p = from_offset(1e6, 0.5, 0.5, 0.5)
+        a = choose_split(derive(p), 4, 0.44).a
+        assert json.loads(out)["result"] == all_orders(p, 4, a).as_dict()
+        assert json.loads(out)["result"] != all_orders(p, 4).as_dict()
+
+    def test_all_orders_rejects_split_exponent_outside_sandwich(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--t", "1e6", "--Lambda", "0.5",
+            "--method", "all-orders", "--b", "0.40",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidSplit"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"
@@ -219,6 +242,16 @@ class TestSweep:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidParam"
 
+    @pytest.mark.parametrize("grid_flag", [
+        ("--method", "oracle"), ("--t", "1e4"), ("--Lambda", "0.5"),
+        ("--delta", "0.5"), ("--tol", "1e-8"), ("--m", "5"),
+    ], ids=lambda flag: flag[0])
+    def test_config_refuses_grid_flags(self, capsys, grid_flag):
+        config = str(ROOT / "configs" / "large_omega_gap.json")
+        code, out, err = run(capsys, "sweep", "--config", config, *grid_flag)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidParam"
+
 
 class TestTerms:
     def test_table_dump_matches_library(self, capsys):
@@ -257,6 +290,96 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "Nope")
         assert code == 1
         assert json.loads(err)["error"] == "InvalidParam"
+
+
+# Each config is refused where it is read, with the JSON error and exit 1.
+BAD_CONFIGS = {
+    "missing-file": None,
+    "malformed-json": '{"t_grid": [1e4],',
+    "unknown-key": '{"t_grid": [1e4], "mehtods": ["oracle"]}',
+    "missing-t-grid": '{"methods": ["leading"]}',
+    "unknown-kind": '{"t_grid": [1e4], "lambda_spec": {"kind": "omgea", "values": [1]}}',
+    "unknown-method": '{"t_grid": [1e4], "methods": ["leadnig"]}',
+    "t-grid-not-a-list": '{"t_grid": 1e4}',
+    "lambda-spec-not-an-object": '{"t_grid": [1e4], "lambda_spec": "critical"}',
+    "tol-not-a-number": '{"t_grid": [1e4], "tol": "small"}',
+}
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("subcommand", [
+        ("sweep",), ("verify", "--suite", "FresnelAsym"),
+    ], ids=["sweep", "verify"])
+    @pytest.mark.parametrize("name", list(BAD_CONFIGS))
+    def test_bad_config_is_parameter_error(self, capsys, tmp_path, subcommand, name):
+        path = tmp_path / "cfg.json"
+        if BAD_CONFIGS[name] is not None:
+            path.write_text(BAD_CONFIGS[name])
+        code, out, err = run(capsys, *subcommand, "--config", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidParam"
+
+
+# What each subcommand reads; every other option is refused.
+FLAGS = {
+    "eval": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method", "--tol",
+             "--panel-cap", "--m", "--b", "--a", "--out", "--format"},
+    "oracle": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--piece", "--tol",
+               "--panel-cap", "--m", "--b", "--a", "--out", "--format"},
+    "compare": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method", "--tol",
+                "--m", "--out", "--format"},
+    "sweep": {"--config", "--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method",
+              "--tol", "--m", "--out", "--format"},
+    "terms": {"--N", "--j-max", "--t", "--delta", "--sigma", "--lambda", "--Lambda",
+              "--m", "--b", "--a", "--out", "--format"},
+    "verify": {"--suite", "--config", "--out", "--format"},
+}
+
+# A valid command per subcommand, a value per flag, and the flags each refuses.
+BASE = {
+    "eval": ("eval", "--t", "1e4", "--Lambda", "0.5", "--method", "leading"),
+    "oracle": ("oracle", "--t", "1e4", "--Lambda", "0.5"),
+    "compare": ("compare", "--t", "1e4", "--Lambda", "0.5", "--method", "leading"),
+    "sweep": ("sweep", "--t", "1e4", "--method", "leading"),
+    "terms": ("terms", "--N", "2"),
+    "verify": ("verify", "--suite", "FresnelAsym"),
+}
+VALUES = {"--seed": "7", "--config": "cfg.json", "--panel-cap": "100", "--b": "0.44",
+          "--a": "0.1", "--t": "1e4", "--delta": "0.5", "--sigma": "0.5",
+          "--lambda": "0.01", "--Lambda": "0.5", "--tol": "1e-8", "--m": "4"}
+REMOVED = [
+    (sub, flag)
+    for sub, flags in (
+        ("eval", ("--seed", "--config")),
+        ("oracle", ("--seed", "--config")),
+        ("compare", ("--b", "--a", "--seed", "--config", "--panel-cap")),
+        ("sweep", ("--b", "--a", "--seed", "--panel-cap")),
+        ("terms", ("--tol", "--seed", "--config", "--panel-cap")),
+        ("verify", ("--t", "--delta", "--sigma", "--lambda", "--Lambda", "--tol", "--m",
+                    "--b", "--a", "--seed", "--panel-cap")),
+    )
+    for flag in flags
+]
+
+
+class TestFlags:
+    def test_each_subcommand_declares_only_what_it_reads(self):
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        declared = {
+            name: {opt for action in sp._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help")}
+            for name, sp in subparsers.items()
+        }
+        assert declared == FLAGS
+        assert sum(len(flags) for flags in declared.values()) == 63
+
+    @pytest.mark.parametrize("sub, flag", REMOVED, ids=[f"{s}{f}" for s, f in REMOVED])
+    def test_removed_flag_is_refused(self, capsys, sub, flag):
+        code, out, err = run(capsys, *BASE[sub], flag, VALUES[flag])
+        assert code == 1 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "InvalidParam"
+        assert flag in msg["message"]
 
 
 class TestTopLevel:

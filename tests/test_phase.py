@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,6 +92,37 @@ def test_f1_vanishes_at_origin():
 
 def test_amp_g_unity_at_origin():
     assert amp_g(0.0, 0.25, 0.75) == 1.0
+
+
+def _mp_offset_terms(zeta, lc, Lam):
+    """f1 and f1' at 40 digits, with the summed magnitudes of their terms."""
+    with mpmath.workdps(40):
+        z, lc = mpmath.mpc(zeta), mpmath.mpf(lc)
+        lg = mpmath.log1p(mpmath.mpf(Lam))
+        la, lb = mpmath.log(1 + lc * z), mpmath.log(1 - z)
+        f = lc * z * (lg + la - lb) + la + lc * lb
+        df = lc * (lg + la - lb)
+        f_size = abs(lc * z * (lg + la - lb)) + abs(la) + abs(lc * lb)
+        df_size = lc * (abs(lg) + abs(la) + abs(lb))
+        return complex(f), complex(df), float(f_size), float(df_size)
+
+
+@pytest.mark.parametrize("lc", [1e-7, 1e-2, 1.0])
+@pytest.mark.parametrize("Lam", [0.0, 0.5])
+def test_f1_and_derivative_against_mpmath_at_small_zeta(lc, Lam):
+    # log(1 + lc zeta) and log(1 - zeta) must keep the low bits of zeta: each
+    # value is good to a few ulp of its largest term, not to eps absolute
+    eps = np.finfo(float).eps
+    zetas = [r * cmath.exp(1j * a) for r in (1e-12, 1e-8, 1e-4, 1e-2, 0.3, 0.7)
+             for a in (math.pi / 4, 0.1, -2.0)]
+    got_f = f1(np.array(zetas), lc, Lam)
+    got_df = d_f1(np.array(zetas), lc, Lam)
+    for i, zeta in enumerate(zetas):
+        f, df, f_size, df_size = _mp_offset_terms(zeta, lc, Lam)
+        for value in (f1(zeta, lc, Lam), got_f[i]):
+            assert abs(value - f) <= 8 * eps * f_size
+        for value in (d_f1(zeta, lc, Lam), got_df[i]):
+            assert abs(value - df) <= 8 * eps * df_size
 
 
 def test_f1_derivative_consistency():

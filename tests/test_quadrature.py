@@ -131,6 +131,26 @@ def test_jtilde_oracle_independent_pin():
     assert abs(res.value - JTILDE_T100_CRITICAL) < 1e-11
 
 
+# J_tilde at delta = sigma = 1/2 by 30-digit mpmath quadrature on the ray
+# zeta = s e^(i pi/4) (two subdivisions and rules agree to double precision).
+JTILDE_LARGE_T = {
+    (1e10, 0.0): complex(0.0028024792507232673, 0.0028041506143960822),
+    (1e10, 0.5): complex(1.1960490708000278e-09, 2.466303443125502e-05),
+    (1e12, 0.0): complex(0.0008862264083915305, 0.0008863932230246477),
+    (1e12, 0.5): complex(1.1960356195783143e-11, 2.466303462183927e-06),
+}
+
+
+@pytest.mark.parametrize("t, Lam", list(JTILDE_LARGE_T))
+def test_jtilde_oracle_converges_at_large_t(t, Lam):
+    # the offset phase t f1/(1+lambda_c) keeps its precision near zeta = 0,
+    # so the default tolerance is reached in a few dozen panels
+    res = jtilde_oracle(from_offset(t, 0.5, 0.5, Lam))
+    ref = JTILDE_LARGE_T[t, Lam]
+    assert res.panels < 200
+    assert abs(res.value - ref) <= 1e-8 * abs(ref)
+
+
 def test_frame_change_prefactor_identity():
     # the original and offset-frame integrals differ by the exact prefactor
     for t, Lam in ((100.0, 0.0), (400.0, 0.6), (2000.0, 1.5)):

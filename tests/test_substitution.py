@@ -15,11 +15,10 @@ from endpoint_uniform import (
     from_offset,
     phi_closed,
     phi_oracle,
-    state_from,
     u_of_zeta,
     zeta_of_u,
 )
-from endpoint_uniform.substitution import _amp_F_prime
+from endpoint_uniform.substitution import _amp_F_prime, _quad
 from conftest import fit_loglog
 
 RAY = cmath.exp(1j * math.pi / 4)
@@ -27,19 +26,20 @@ RAY = cmath.exp(1j * math.pi / 4)
 
 @pytest.fixture(scope="module")
 def state():
-    return state_from(derive(from_offset(200.0, 0.5, 0.5, 0.8)))
+    return derive(from_offset(200.0, 0.5, 0.5, 0.8))
 
 
 @pytest.fixture(scope="module")
 def state_critical():
-    return state_from(derive(from_offset(200.0, 0.5, 0.5, 0.0)))
+    return derive(from_offset(200.0, 0.5, 0.5, 0.0))
 
 
 def test_state_fields(state):
     assert state.t == 200.0
     assert state.Lambda == pytest.approx(0.8, rel=1e-13)
-    assert state.quad_a == pytest.approx(state.lambda_c * (1 + state.lambda_c))
-    assert state.quad_b == pytest.approx(state.lambda_c * math.log1p(0.8))
+    quad_a, quad_b = _quad(state)
+    assert quad_a == pytest.approx(state.lambda_c * (1 + state.lambda_c))
+    assert quad_b == pytest.approx(state.lambda_c * math.log1p(0.8))
     assert state.omega > 0
 
 
@@ -137,12 +137,11 @@ def test_phi_envelope_bounded_along_ray(state, state_critical):
 def test_phi_origin_large_omega_limit():
     # Phi(0) approaches the integration-by-parts value as omega grows
     d = derive(from_offset(4e4, 0.5, 0.5, 3.0))
-    s = state_from(d)
-    assert s.omega > 10.0
-    closed = phi_closed(0.0, s)
+    assert d.omega > 10.0
+    closed = phi_closed(0.0, d)
     scale = math.sqrt(2.0 / (d.lambda_c * d.t))
-    ibp = scale * (-1.0 / (2j * s.omega))
-    assert abs(closed / ibp - 1.0) < 1.0 / s.omega ** 2 * 2.0
+    ibp = scale * (-1.0 / (2j * d.omega))
+    assert abs(closed / ibp - 1.0) < 1.0 / d.omega ** 2 * 2.0
 
 
 def test_decomposition_identity_critical():
@@ -183,7 +182,7 @@ def mp_amp_F(s, sigma, seed):
 def test_amp_F_prime_matches_mpmath_derivative(Lam, r):
     # the implicit derivative, with the near-origin solve for small |u| where
     # f1'(zeta) is tiny, against mpmath differentiation of g(zeta(u)) zeta'(u)
-    s = state_from(derive(from_offset(200.0, 0.5, 0.5, Lam)))
+    s = derive(from_offset(200.0, 0.5, 0.5, Lam))
     u = np.array([r * RAY])
     zeta = zeta_of_u(u, s)
     got = _amp_F_prime(u, zeta, s, 0.5)[0]
@@ -195,7 +194,7 @@ def test_amp_F_prime_matches_mpmath_derivative(Lam, r):
 
 @pytest.mark.parametrize("Lam", [0.0, 0.8])
 def test_array_calls_equal_scalar_calls(Lam):
-    s = state_from(derive(from_offset(200.0, 0.5, 0.5, Lam)))
+    s = derive(from_offset(200.0, 0.5, 0.5, Lam))
     u = np.array([0.0, 5e-9, 1e-6, 0.03, 0.3, 1.2, 2.0]) * RAY
     u = np.concatenate([u, [0.5, -0.2j, 0.4 + 0.1j]]).reshape(2, 5)
     for fn in (lambda x: zeta_of_u(x, s), lambda x: amp_F(x, s, 0.7),
@@ -219,7 +218,8 @@ def test_array_path_raises_when_one_element_diverges(state):
 def test_round_trip_next_to_the_critical_point():
     # u -> -b/a on the negative axis is where f1'(zeta) vanishes; the
     # near-origin solve must leave such points to the Newton continuation
-    s = state_from(derive(from_offset(200.0, 0.5, 0.5, 0.1)))
+    s = derive(from_offset(200.0, 0.5, 0.5, 0.1))
+    quad_a, quad_b = _quad(s)
     for f in (0.3, 0.9, 0.99):
-        u = -f * s.quad_b / s.quad_a
+        u = -f * quad_b / quad_a
         assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) < 1e-10
