@@ -91,9 +91,25 @@ def _echo_flags(ns) -> dict:
             if key not in ("func", "subcommand") and val is not None}
 
 
-def _split_fields(ns, p: ProblemParams):
+_SPLIT_FLAGS = ("m", "b", "a")
+_FLAG_NAMES = {"lam": "--lambda", "j_max": "--j-max"}
+
+
+def _refuse(ns, keys, reader: str):
+    """Refuse, naming them, the flags among keys that were given: reader
+    never reads them."""
+    given = [key for key in keys if getattr(ns, key) is not None]
+    if given:
+        names = ", ".join(_FLAG_NAMES.get(key, "--" + key) for key in given)
+        raise InvalidParam(f"{reader} reads no {names}")
+
+
+def _split_fields(ns, p: ProblemParams, order_read=False):
+    """The split from --a, or else from --m and --b; order_read says whether
+    the caller reads --m as the expansion order even when --a is given."""
     d = derive(p)
     if ns.a is not None:
+        _refuse(ns, ("b",) if order_read else ("m", "b"), "the split from --a")
         return split_from_a(d, ns.a)
     m = ns.m if ns.m is not None else 4
     return choose_split(d, m, ns.b)
@@ -119,7 +135,8 @@ def _method_result(ns, p: ProblemParams) -> dict:
         return jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap).as_dict()
     if ns.method == "all-orders":
         m = ns.m if ns.m is not None else 4
-        return asymptotics.all_orders(p, m, _split_fields(ns, p).a).as_dict()
+        split = _split_fields(ns, p, order_read=True)
+        return asymptotics.all_orders(p, m, split.a).as_dict()
     if ns.method == "leading":
         return asymptotics.leading_order(p).as_dict()
     if ns.method == "large-omega":
@@ -128,14 +145,18 @@ def _method_result(ns, p: ProblemParams) -> dict:
 
 
 def _cmd_eval(ns) -> dict:
+    if ns.method != "all-orders":
+        _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
     p = _build_params(ns)
     return {"subcommand": "eval", "flags": _echo_flags(ns),
             "result": _method_result(ns, p)}
 
 
 def _cmd_oracle(ns) -> dict:
-    p = _build_params(ns)
     piece = ns.piece
+    if piece in ("whole", "jtilde"):
+        _refuse(ns, _SPLIT_FLAGS, f"oracle --piece {piece}")
+    p = _build_params(ns)
     if piece == "whole":
         res = jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap)
     elif piece == "jtilde":
@@ -219,6 +240,8 @@ def _cmd_sweep(ns) -> dict:
 
 
 def _cmd_terms(ns) -> dict:
+    if ns.t is None:
+        _refuse(ns, ("j_max", "lam", "Lambda") + _SPLIT_FLAGS, "terms without --t")
     out = {"subcommand": "terms", "flags": _echo_flags(ns)}
     if ns.N is not None:
         table = ibp.amn_table(ns.N)

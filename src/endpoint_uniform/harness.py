@@ -5,6 +5,11 @@ quadrature oracle and against each other.  Output is deterministic: grids are
 fixed by the config, randomness is seeded, rows keep submission order even
 when computed on a worker pool, and CSV serialization zeroes the wall-clock
 column by default so identical configs give identical bytes.
+
+A sweep runs the oracle once per grid point and tolerance: the method rows of
+a point share each quadrature, and a failed one gives each row that needs it
+the same error.  So with deterministic=False the runtime_ms of the first row
+that needs a quadrature includes it, and the later rows do not.
 """
 
 from __future__ import annotations
@@ -186,8 +191,22 @@ def _eval_method(method: str, p: ProblemParams, cfg: SweepConfig):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _oracle(memo: dict, p: ProblemParams, tol: float):
+    """jb_oracle(p, tol) once per tolerance at this point: memo keeps the
+    result, or the typed error, which is raised again for every row."""
+    if tol not in memo:
+        try:
+            memo[tol] = jb_oracle(p, tol=tol)
+        except EndpointUniformError as exc:
+            memo[tol] = exc
+    res = memo[tol]
+    if isinstance(res, EndpointUniformError):
+        raise res
+    return res
+
+
 def _run_point(args):
-    cfg, t, lam, method = args
+    cfg, t, lam, method, memo = args
     start = time.perf_counter()
     row = ComparisonRow(
         t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam,
@@ -199,7 +218,7 @@ def _run_point(args):
         row.Lambda = d.Lambda
         row.omega = d.omega
         if method == "oracle":
-            res = jb_oracle(p, tol=cfg.tol)
+            res = _oracle(memo, p, cfg.tol)
             row.approx = res.value
             row.oracle = res.value
             row.abs_err = 0.0
@@ -213,7 +232,7 @@ def _run_point(args):
             row.a = a
             expected = _expected_method_error(method, value, budget, p)
             oracle_tol = max(1e-13, min(cfg.tol, 1e-3 * expected))
-            res = jb_oracle(p, tol=oracle_tol)
+            res = _oracle(memo, p, oracle_tol)
             row.oracle = res.value
             row.abs_err = abs(value - res.value)
             if abs(res.value) > 0.0:
@@ -224,23 +243,28 @@ def _run_point(args):
     return row
 
 
+def _run_methods(point):
+    """The rows of one (t, lambda) point, in method order, sharing one memo."""
+    cfg, t, lam = point
+    memo = {}
+    return [_run_point((cfg, t, lam, method, memo)) for method in cfg.methods]
+
+
 def run_sweep(cfg: SweepConfig) -> list:
     """Cross product of (t grid) x (lambda spec) x (methods), one row each.
 
-    Per-row failures land in the error column; the sweep itself never aborts.
+    The rows of a point share its oracle quadratures, one per tolerance; a
+    worker pool maps over points.  Per-row failures land in the error column;
+    the sweep itself never aborts.
     """
-    tasks = []
-    for t in cfg.t_grid:
-        for lam in cfg.lambda_values(t):
-            for method in cfg.methods:
-                tasks.append((cfg, t, lam, method))
-    if not tasks:
-        return []
+    points = [(cfg, t, lam) for t in cfg.t_grid for lam in cfg.lambda_values(t)]
     workers = _worker_count()
-    if workers == 1 or len(tasks) == 1:
-        return [_run_point(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_point, tasks))
+    if workers == 1 or len(points) <= 1:
+        groups = [_run_methods(point) for point in points]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_run_methods, points))
+    return [row for group in groups for row in group]
 
 
 def rows_to_csv(rows, deterministic: bool = True) -> str:

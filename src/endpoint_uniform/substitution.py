@@ -234,39 +234,42 @@ def zeta_of_u(u, d: DerivedParams):
     return _shaped(u, zeta)
 
 
-def _derivatives(u, zeta, d: DerivedParams):
-    """zeta'(u) and zeta''(u) at zeta = zeta_of_u(u), for arrays.
+def _map(u, d: DerivedParams):
+    """zeta(u), zeta'(u) and zeta''(u) for a flat array u, one solve per point.
 
-    Differentiating f1(zeta(u)) = rhs(u) once and twice gives
+    Points near the origin take all three from _near_map.  The rest take zeta
+    from zeta_of_u, and the derivatives from differentiating
+    f1(zeta(u)) = rhs(u) once and twice:
 
         zeta' = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c),
         zeta'' = (lambda_c (1+lambda_c) - f1''(zeta) zeta'^2) / f1'(zeta),
 
-    f1'' = lambda_c (lambda_c/(1+lambda_c zeta) + 1/(1-zeta)); near the origin
-    both come from _near_map.  At u = 0 they are 1 and 0, or -(1-lambda_c)/3
-    for zeta'' when Lambda = 0.
+    f1'' = lambda_c (lambda_c/(1+lambda_c zeta) + 1/(1-zeta)).  At u = 0 they
+    are 1 and 0, or -(1-lambda_c)/3 for zeta'' when Lambda = 0.
     """
-    lc = d.lambda_c
-    f1p = phase_mod.d_f1(zeta, lc, d.Lambda)
-    f1pp = lc * (lc / (1.0 + lc * zeta) + 1.0 / (1.0 - zeta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (math.log1p(d.Lambda) + (1.0 + lc) * u) / (f1p / lc)
-        d2 = (_quad(d)[0] - f1pp * d1 * d1) / f1p
+    zeta, d1, d2 = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     near = _near_origin(u, d)
     if near.any():
-        d1[near], d2[near] = _near_map(u[near], d)[1:]
+        zeta[near], d1[near], d2[near] = _near_map(u[near], d)
+    far = ~near
+    lc = d.lambda_c
+    uf = u[far]
+    zf = zeta_of_u(uf, d)
+    f1p = phase_mod.d_f1(zf, lc, d.Lambda)
+    f1pp = lc * (lc / (1.0 + lc * zf) + 1.0 / (1.0 - zf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = (math.log1p(d.Lambda) + (1.0 + lc) * uf) / (f1p / lc)
+        s2 = (_quad(d)[0] - f1pp * s1 * s1) / f1p
+    zeta[far], d1[far], d2[far] = zf, s1, s2
     zero = u == 0.0
     d1[zero] = 1.0
     d2[zero] = 0.0 if d.Lambda > 0.0 else -(1.0 - lc) / 3.0
-    return d1, d2
+    return zeta, d1, d2
 
 
-def _slope(u, zeta, d: DerivedParams):
+def _slope(u, d1):
     """dzeta/du as amp_F and dzeta_du report it: its limit 1 for |u| <= 1e-8."""
-    out = np.ones_like(u)
-    far = np.abs(u) > 1e-8
-    out[far] = _derivatives(u[far], zeta[far], d)[0]
-    return out
+    return np.where(np.abs(u) > 1e-8, d1, 1.0)
 
 
 def dzeta_du(u, d: DerivedParams):
@@ -277,7 +280,7 @@ def dzeta_du(u, d: DerivedParams):
     returned for |u| <= 1e-8.
     """
     flat = _as_flat(u)
-    return _shaped(u, _slope(flat, zeta_of_u(flat, d), d))
+    return _shaped(u, _slope(flat, _map(flat, d)[1]))
 
 
 def amp_F(u, d: DerivedParams, sigma: float):
@@ -286,9 +289,9 @@ def amp_F(u, d: DerivedParams, sigma: float):
     Scalar or array u; dzeta/du is taken as its limit 1 for |u| <= 1e-8.
     """
     flat = _as_flat(u)
-    zeta = zeta_of_u(flat, d)
-    slope = _slope(flat, zeta, d)
-    return phase_mod.amp_g(_shaped(u, zeta), d.lambda_c, sigma) * _shaped(u, slope)
+    zeta, d1, _d2 = _map(flat, d)
+    return (phase_mod.amp_g(_shaped(u, zeta), d.lambda_c, sigma)
+            * _shaped(u, _slope(flat, d1)))
 
 
 def phi_closed(u, d: DerivedParams):
@@ -304,10 +307,10 @@ def phi_closed(u, d: DerivedParams):
     return cmath.exp(-1j * d.omega**2) * scale * fresnel_tail_general(w)
 
 
-def _amp_F_prime(u, zeta, d: DerivedParams, sigma: float):
-    """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' at zeta = zeta_of_u(u) (arrays)."""
+def _amp_F_prime(u, d: DerivedParams, sigma: float):
+    """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' for a flat array u."""
     lc = d.lambda_c
-    d1, d2 = _derivatives(u, zeta, d)
+    zeta, d1, d2 = _map(u, d)
     dlog_g = 0.5 / (1.0 - zeta) + (sigma - 0.5) * lc / (1.0 + lc * zeta)
     return phase_mod.amp_g(zeta, lc, sigma) * (dlog_g * d1 * d1 + d2)
 
@@ -318,7 +321,8 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
 
     The direct Jtilde quadrature and the ray quadrature of F' Phi each carry
     a tolerance ~ tol; Phi is closed form.  The integrand evaluates each GK15
-    batch with one map inversion and one Fresnel-tail call.
+    batch with one map solve (zeta, zeta' and zeta'') and one Fresnel-tail
+    call.
     """
     p = from_offset(t, delta, sigma, Lambda)
     d = derive(p)
@@ -329,7 +333,7 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
                                 angle, tol)
 
     def integrand(v):
-        return _amp_F_prime(v, zeta_of_u(v, d), d, sigma) * phi_closed(v, d)
+        return _amp_F_prime(v, d, sigma) * phi_closed(v, d)
 
     contour = RayContour(0.0 + 0.0j, angle, r_max)
     tail = integrate_ray(integrand, contour, tol, phase=None)

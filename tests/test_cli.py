@@ -382,6 +382,38 @@ class TestFlags:
         assert flag in msg["message"]
 
 
+# Flags a subcommand declares but the chosen method, piece or mode never reads.
+UNREAD = {
+    "eval-leading-b": (("eval", "--method", "leading", "--t", "1e6", "--Lambda", "0.5",
+                        "--b", "0.44"), ["--b"]),
+    "oracle-whole-m": (("oracle", "--piece", "whole", "--t", "1e6", "--Lambda", "0.5",
+                        "--m", "5"), ["--m"]),
+    "terms-table-b": (("terms", "--N", "2", "--b", "0.44"), ["--b"]),
+    "terms-table-point": (("terms", "--N", "2", "--lambda", "0.01", "--j-max", "2"),
+                          ["--lambda", "--j-max"]),
+    "oracle-jb1-a-m": (("oracle", "--piece", "jb1", "--t", "1e4", "--Lambda", "0.5",
+                        "--a", "0.1", "--m", "5"), ["--m"]),
+    "all-orders-a-b": (("eval", "--method", "all-orders", "--t", "1e6", "--Lambda", "0.5",
+                        "--a", "0.01", "--b", "0.44"), ["--b"]),
+}
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("name", list(UNREAD))
+    def test_unread_flag_is_refused(self, capsys, name):
+        argv, flags = UNREAD[name]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "InvalidParam"
+        assert all(flag in msg["message"] for flag in flags)
+
+    def test_split_flags_stay_accepted_where_read(self, capsys):
+        code, _, _ = run(capsys, "oracle", "--piece", "jb1", "--t", "1e4", "--Lambda", "0.5",
+                         "--m", "5", "--b", "0.45")
+        assert code == 0
+
+
 class TestTopLevel:
     def test_no_subcommand(self, capsys):
         code, _, err = run(capsys)

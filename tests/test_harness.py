@@ -2,14 +2,17 @@
 
 import json
 import math
+import threading
 
 import pytest
 
+from endpoint_uniform import harness
 from endpoint_uniform import (
     CSV_HEADER,
     SUITES,
     ComparisonRow,
     DegenerateData,
+    NonConvergence,
     SweepConfig,
     fit_error_slope,
     property_scan,
@@ -109,6 +112,59 @@ class TestSweep:
         monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "1")
         serial = rows_to_csv(run_sweep(cfg))
         assert serial == parallel
+
+
+ALL_ROUTES = ["oracle", "leading", "all-orders", "corollary"]
+
+
+def count_oracle(monkeypatch, raises=None):
+    """Patch the sweep's jb_oracle to record (t, lambda, tol, thread) per call,
+    and to raise raises instead of integrating when it is given."""
+    calls = []
+    real = harness.jb_oracle
+
+    def oracle(p, tol):
+        calls.append((p.t, p.lam, tol, threading.get_ident()))
+        if raises is not None:
+            raise raises
+        return real(p, tol=tol)
+
+    monkeypatch.setattr(harness, "jb_oracle", oracle)
+    return calls
+
+
+class TestSharedOracle:
+    def test_one_quadrature_per_point_and_tolerance(self, monkeypatch):
+        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "1")
+        calls = count_oracle(monkeypatch)
+        cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=ALL_ROUTES, tol=1e-10)
+        rows = run_sweep(cfg)
+        keys = [call[:3] for call in calls]
+        assert len(rows) == 2 * 2 * 4
+        assert len(keys) == len(set(keys))
+        assert {(r.t, r.lam) for r in rows} == {key[:2] for key in keys}
+
+    def test_csv_does_not_depend_on_the_worker_count(self, monkeypatch):
+        cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=ALL_ROUTES, tol=1e-10)
+        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "1")
+        serial = rows_to_csv(run_sweep(cfg))
+        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "2")
+        calls = count_oracle(monkeypatch)
+        assert rows_to_csv(run_sweep(cfg)) == serial
+        # the pool maps over points: each point's quadratures run once, on one thread
+        keys = [call[:3] for call in calls]
+        assert len(keys) == len(set(keys))
+        threads = {}
+        for t, lam, _tol, thread in calls:
+            threads.setdefault((t, lam), set()).add(thread)
+        assert all(len(ids) == 1 for ids in threads.values())
+
+    def test_failed_quadrature_runs_once_and_fails_every_row(self, monkeypatch):
+        # at tol 1e-13 every route asks the oracle for the same tolerance
+        calls = count_oracle(monkeypatch, raises=NonConvergence("panel cap reached"))
+        rows = run_sweep(small_cfg(t_grid=[1e4], methods=ALL_ROUTES, tol=1e-13))
+        assert len(calls) == 1
+        assert [r.error for r in rows] == ["NonConvergence: panel cap reached"] * 4
 
 
 class TestConfig:

@@ -5,8 +5,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from endpoint_uniform import phase
 from endpoint_uniform import (
     NewtonDivergence,
+    RootSelectionFailure,
     amp_F,
     amp_g,
     decomposition_residual,
@@ -49,6 +51,15 @@ def test_round_trip_along_ray(state):
         zeta = zeta_of_u(u, state)
         back = u_of_zeta(zeta, state)
         assert abs(back - u) < 1e-10 * max(1.0, abs(u))
+
+
+def test_ambiguous_root_is_refused(state, monkeypatch):
+    # f1 = -b^2/a makes the discriminant -b^2: both roots +-i b are as far from
+    # the root b tracked from zeta = 0, so continuity cannot pick one
+    quad_a, quad_b = _quad(state)
+    monkeypatch.setattr(phase, "f1", lambda zeta, lc, Lam: -quad_b * quad_b / quad_a)
+    with pytest.raises(RootSelectionFailure, match="ambiguous root at step 1/"):
+        u_of_zeta(0.3 * RAY, state)
 
 
 def test_round_trip_other_direction(state):
@@ -185,7 +196,7 @@ def test_amp_F_prime_matches_mpmath_derivative(Lam, r):
     s = derive(from_offset(200.0, 0.5, 0.5, Lam))
     u = np.array([r * RAY])
     zeta = zeta_of_u(u, s)
-    got = _amp_F_prime(u, zeta, s, 0.5)[0]
+    got = _amp_F_prime(u, s, 0.5)[0]
     with mpmath.workdps(40):
         ref = complex(mpmath.diff(mp_amp_F(s, 0.5, zeta[0]), mpmath.mpc(u[0]),
                                   h=mpmath.mpf(r) * mpmath.mpf("1e-12")))
