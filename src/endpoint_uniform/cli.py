@@ -92,7 +92,8 @@ def _echo_flags(ns) -> dict:
 
 
 _SPLIT_FLAGS = ("m", "b", "a")
-_FLAG_NAMES = {"lam": "--lambda", "j_max": "--j-max"}
+_ORACLE_FLAGS = ("tol", "panel_cap")
+_FLAG_NAMES = {"lam": "--lambda", "j_max": "--j-max", "panel_cap": "--panel-cap"}
 
 
 def _refuse(ns, keys, reader: str):
@@ -147,6 +148,11 @@ def _method_result(ns, p: ProblemParams) -> dict:
 def _cmd_eval(ns) -> dict:
     if ns.method != "all-orders":
         _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
+    if ns.method != "oracle":
+        _refuse(ns, _ORACLE_FLAGS, f"eval --method {ns.method}")
+    else:
+        ns.tol = _DEFAULTS["tol"] if ns.tol is None else ns.tol
+        ns.panel_cap = PANEL_CAP_DEFAULT if ns.panel_cap is None else ns.panel_cap
     p = _build_params(ns)
     return {"subcommand": "eval", "flags": _echo_flags(ns),
             "result": _method_result(ns, p)}
@@ -288,7 +294,8 @@ def build_parser() -> _Parser:
     _add_tol(sp, panel_cap=True)
     _add_split(sp)
     _add_output(sp)
-    sp.set_defaults(func=_cmd_eval)
+    # None marks --tol and --panel-cap as not given; only the oracle reads them
+    sp.set_defaults(func=_cmd_eval, **dict.fromkeys(_ORACLE_FLAGS))
 
     sp = sub.add_parser("oracle", help="direct quadrature with diagnostics")
     _add_point(sp)

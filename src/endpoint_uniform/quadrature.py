@@ -11,6 +11,11 @@ decay of exp(i t F).  Panels are 15-point Gauss-Kronrod with the embedded
     still contributes (oscillation/decay resolution; without it a panel much
     wider than the decay scale can look converged while missing everything).
 
+Refinement stops with NonConvergence at the panel cap, or earlier at the
+roundoff floor: when FLOOR_ROUNDS error-driven rounds in a row (rounds with no
+phase-forced split) fail to halve the summed error estimate, as they do once
+t F is too large for double precision, further bisection cannot reach tol.
+
 Panel evaluation is batched through numpy, and the final sum runs over panels
 sorted by position, so results are reproducible run to run.
 """
@@ -81,6 +86,12 @@ _WG = np.array(
 
 PANEL_CAP_DEFAULT = 20000
 PHASE_ADVANCE_CAP = 2.0 * math.pi
+# Roundoff floor, after the roundoff test of QUADPACK dqagse (Piessens et al.
+# 1983): an error-driven round (one with no phase-forced split) is stuck when
+# the summed error estimate is still FLOOR_RATIO or more of its value a round
+# earlier; FLOOR_ROUNDS stuck rounds in a row stop the refinement.
+FLOOR_RATIO = 0.5
+FLOOR_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,7 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
     phase, when given, maps parameter arrays to the complex oscillation
     exponent t*F; panels with more than 2*pi of phase advance and a
     non-negligible modulus are split regardless of their error estimate.
+    Raises NonConvergence at the panel cap or at the roundoff floor.
     """
     if breaks is None:
         breaks = np.array([a, b])
@@ -142,6 +154,8 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
     min_width = 1e-14 * (b - a)
     neglect = 1e-3 * tol
     capped = len(lo) > panel_cap
+    prev_err = math.inf
+    stuck = 0  # error-driven rounds in a row that did not halve the error
 
     for _ in range(200):
         n = len(lo)
@@ -152,6 +166,11 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         else:
             must = np.zeros(n, dtype=bool)
         if total_err <= tol and not np.any(must):
+            break
+        halved = total_err < FLOOR_RATIO * prev_err
+        stuck = 0 if halved or np.any(must) else stuck + 1
+        prev_err = total_err
+        if stuck == FLOOR_ROUNDS:
             break
         want = errs > max(0.5 * tol / n, 0.0)
         split = (must | want) & (hi - lo > min_width)
@@ -179,14 +198,15 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
     value = complex(np.sum(vals[order]))
     err = float(np.sum(errs))
     n = len(lo)
-    if err > tol * 1.0000001 or capped:
-        result = QuadratureResult(value, err, n, 0.0)
-        raise NonConvergence(
-            f"adaptive quadrature stalled at {n} panels (cap {panel_cap}), "
-            f"error {err:.3e}, tol {tol:.3e}",
-            result=result,
-        )
-    return value, err, n
+    if stuck == FLOOR_ROUNDS:
+        why = (f"hit its error floor at {n} panels: error {err:.3e} "
+               f"not halved in {FLOOR_ROUNDS} rounds running")
+    elif err > tol * 1.0000001 or capped:
+        why = f"stalled at {n} panels (cap {panel_cap}), error {err:.3e}"
+    else:
+        return value, err, n
+    raise NonConvergence(f"adaptive quadrature {why}, tol {tol:.3e}",
+                         result=QuadratureResult(value, err, n, 0.0))
 
 
 def _geometric_breaks(r_max, levels=52):
@@ -219,7 +239,8 @@ def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
 
     integrand and phase take numpy arrays of complex z.  tol is an absolute
     tolerance on the value; the per-panel error estimates must sum below it.
-    Raises NonConvergence (with the partial result attached) past panel_cap.
+    Raises NonConvergence (with the partial result attached) past panel_cap
+    or at the roundoff floor.
     """
     f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
     breaks = _geometric_breaks(contour.r_max)

@@ -70,7 +70,7 @@ class TestEval:
     def test_flags_are_echoed(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--t", "1e5", "--Lambda", "0.4",
-            "--method", "leading", "--tol", "1e-8",
+            "--method", "oracle", "--tol", "1e-8",
         )
         flags = json.loads(out)["flags"]
         assert flags["t"] == 1e5
@@ -386,6 +386,9 @@ class TestFlags:
 UNREAD = {
     "eval-leading-b": (("eval", "--method", "leading", "--t", "1e6", "--Lambda", "0.5",
                         "--b", "0.44"), ["--b"]),
+    "eval-leading-tol-panel-cap": (("eval", "--method", "leading", "--t", "1e6",
+                                    "--Lambda", "0.5", "--tol", "1e-3", "--panel-cap", "5"),
+                                   ["--tol", "--panel-cap"]),
     "oracle-whole-m": (("oracle", "--piece", "whole", "--t", "1e6", "--Lambda", "0.5",
                         "--m", "5"), ["--m"]),
     "terms-table-b": (("terms", "--N", "2", "--b", "0.44"), ["--b"]),

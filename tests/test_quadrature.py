@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from endpoint_uniform import (
     RayContour,
     SigmaUnsupported,
     big_f,
+    choose_split,
     critical_lambda,
     derive,
     endpoint_prefactor,
@@ -92,6 +94,57 @@ def test_panel_cap_with_only_phase_splits_left_is_not_converged():
                       phase=lambda z: 4000 * z * z, panel_cap=300)
     assert exc.value.result.abs_error_estimate <= 1e-3
     assert exc.value.result.panels <= 300
+
+
+@pytest.mark.parametrize("t", [1e11, 1e12, 1e13, 1e14])
+def test_oracle_stops_at_its_error_floor(t):
+    # at Lambda = 0 the phase t F is too large for doubles to carry and the
+    # error estimate stops falling above tol; bisecting on until the panel cap
+    # stops it would take 11.8k-14.5k panels
+    with pytest.raises(NonConvergence) as exc:
+        jb_oracle(from_offset(t, 0.5, 0.5, 0.0))
+    assert exc.value.result.panels < 2000
+    assert exc.value.result.abs_error_estimate > 1e-10
+    assert re.search(r"error floor at \d+ panels: error \S+ .*, tol \S+$", str(exc.value))
+
+
+def _pseudo_noise(z):
+    """Deterministic values in [-1, 1) that change on a scale no panel resolves."""
+    x = np.sin(np.real(z) * 12989.8) * 43758.5453
+    return 2.0 * (x - np.floor(x)) - 1.0
+
+
+def test_noisy_segment_stops_at_its_error_floor():
+    # 1e-9 of noise floors the summed error estimate near 2.6e-9 > tol;
+    # bisecting on until the panel cap stops it would take 15 686 panels
+    with pytest.raises(NonConvergence) as exc:
+        integrate_segment(lambda z: np.exp(1j * z * z) + 1e-9 * _pseudo_noise(z),
+                          0.0, 20.0, tol=1e-10, phase=lambda z: z * z)
+    assert exc.value.result.panels < 5000
+    assert "error floor" in str(exc.value)
+
+
+def test_phase_forced_rounds_do_not_count_toward_the_floor():
+    # the same integrand without the noise: from one panel, the first rounds
+    # split on phase advance while the error estimate stays between 4 and 7
+    res = integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 20.0, tol=1e-10,
+                            phase=lambda z: z * z)
+    assert abs(res.value - fresnel_segment(0.0, 20.0)) < 1e-12
+    assert res.abs_error_estimate <= 1e-10
+
+
+@pytest.mark.parametrize("t, Lam, panels", [(1e14, 0.5, 93), (1e10, 0.0, 106),
+                                            (1e9, 10.0, 68)])
+def test_converged_oracle_panel_counts(t, Lam, panels):
+    # oracle-hard points that converge keep their value and panel count
+    assert jb_oracle(from_offset(t, 0.5, 0.5, Lam)).panels == panels
+
+
+def test_phase_forced_rise_then_convergence():
+    # jb1 starts from one panel; its error estimate rises from 1.7e-5 to
+    # 5.1e-5 over phase-forced rounds and then converges
+    p = from_offset(1e8, 0.5, 0.5, 10.0)
+    assert jb1_oracle(p, choose_split(derive(p), 4).k).panels == 128
 
 
 def test_nonfinite_integrand_rejected():
