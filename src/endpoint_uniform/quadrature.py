@@ -11,9 +11,12 @@ decay of exp(i t F).  Panels are 15-point Gauss-Kronrod with the embedded
     still contributes (oscillation/decay resolution; without it a panel much
     wider than the decay scale can look converged while missing everything).
 
+An error-driven round (one with no phase-forced split) is stuck when it fails
+to halve the summed error estimate.  A stuck round bisects worst-first, as
+QUADPACK dqagse does: only the largest-error panels that together hold
+FLOOR_RATIO (half) of the error, not every panel above its share of tol.
 Refinement stops with NonConvergence at the panel cap, or earlier at the
-roundoff floor: when FLOOR_ROUNDS error-driven rounds in a row (rounds with no
-phase-forced split) fail to halve the summed error estimate, as they do once
+roundoff floor: when FLOOR_ROUNDS stuck rounds come in a row, as they do once
 t F is too large for double precision, further bisection cannot reach tol.
 
 Panel evaluation is batched through numpy, and the final sum runs over panels
@@ -89,9 +92,14 @@ PHASE_ADVANCE_CAP = 2.0 * math.pi
 # Roundoff floor, after the roundoff test of QUADPACK dqagse (Piessens et al.
 # 1983): an error-driven round (one with no phase-forced split) is stuck when
 # the summed error estimate is still FLOOR_RATIO or more of its value a round
-# earlier; FLOOR_ROUNDS stuck rounds in a row stop the refinement.
+# earlier.  A stuck round bisects the largest-error panels that hold
+# FLOOR_RATIO of the error; FLOOR_ROUNDS stuck rounds in a row stop the
+# refinement.
 FLOOR_RATIO = 0.5
 FLOOR_ROUNDS = 4
+# the doubling grid r = 2^j that ray_truncation searches
+TRUNCATION_J_LO = -120
+TRUNCATION_J_HI = 40
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,14 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         prev_err = total_err
         if stuck == FLOOR_ROUNDS:
             break
-        want = errs > max(0.5 * tol / n, 0.0)
+        if stuck:
+            # worst-first, ties at the cut included; min() keeps the index in
+            # range should rounding leave the whole cumsum short of the cut
+            worst = np.sort(errs)[::-1]
+            i = int(np.searchsorted(np.cumsum(worst), FLOOR_RATIO * total_err))
+            want = errs >= worst[min(i, n - 1)]
+        else:
+            want = errs > max(0.5 * tol / n, 0.0)
         split = (must | want) & (hi - lo > min_width)
         if not np.any(split):
             break
@@ -262,11 +277,10 @@ def integrate_segment(integrand, z_from, z_to, tol: float, phase=None,
     return QuadratureResult(value, err, n, 0.0)
 
 
-def ray_truncation(phase, amplitude, origin, angle, tol,
-                   j_lo=-120, j_hi=40):
+def ray_truncation(phase, amplitude, origin, angle, tol):
     """Truncation radius by the decay rule, searched on a doubling grid.
 
-    Picks the smallest r = 2^j with
+    Picks the smallest r = 2^j, TRUNCATION_J_LO <= j <= TRUNCATION_J_HI, with
 
         Im[t F(z(r))] >= log(1/tol) + log(1 + r * A(r)),
 
@@ -275,7 +289,7 @@ def ray_truncation(phase, amplitude, origin, angle, tol,
     (r_max, truncation_bound).
     """
     rot = cmath.exp(1j * angle)
-    r = 2.0 ** np.arange(j_lo, j_hi + 1, dtype=float)
+    r = 2.0 ** np.arange(TRUNCATION_J_LO, TRUNCATION_J_HI + 1, dtype=float)
     z = origin + r * rot
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         imw = np.asarray(phase(z), dtype=complex).imag
