@@ -31,6 +31,7 @@ from .fresnel import fresnel_tail, fresnel_tail_asymptotic
 from .params import (
     ProblemParams,
     admissible_lambda_range,
+    check_tolerance,
     choose_split,
     critical_lambda,
     derive,
@@ -81,6 +82,9 @@ class SweepConfig:
     tol: float = 1e-10
     seed: int = 0
     m_order: int = 4
+
+    def __post_init__(self):
+        check_tolerance(self.tol)
 
     def lambda_values(self, t: float) -> list:
         kind, values = self.lambda_spec

@@ -74,6 +74,12 @@ class DerivedParams:
     D_minus: Optional[float] = None
 
 
+def check_tolerance(tol: float):
+    """Refuse a quadrature tolerance that is not finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParam(f"tol must be finite and > 0, got {tol}")
+
+
 def admissible_lambda_range(t: float, delta: float):
     """Closed admissible window [lambda_c, t^(1-delta) - 1]."""
     return critical_lambda(t, delta), t ** (1.0 - delta) - 1.0

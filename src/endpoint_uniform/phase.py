@@ -36,21 +36,38 @@ def _check_cuts(z):
     """Reject z on the cuts (-inf,0] and [1,inf) of F (within CUT_GUARD)."""
     za = _as_complex(z)
     on_axis = np.abs(za.imag) < CUT_GUARD
-    left = za.real <= CUT_GUARD
-    right = za.real >= 1.0 - CUT_GUARD
-    bad = on_axis & (left | right)
-    if np.any(bad):
-        zb = za[bad].ravel()[0] if za.ndim else za
+    if not on_axis.any():  # the common case: a contour off the real axis
+        return
+    zx = za[on_axis] if za.ndim else za
+    bad = (zx.real <= CUT_GUARD) | (zx.real >= 1.0 - CUT_GUARD)
+    if bad.any():
+        zb = zx[bad].ravel()[0] if za.ndim else za
         raise BranchViolation(f"z={zb} lies on or within {CUT_GUARD} of a branch cut")
 
 
-def big_f(z, lam: float):
-    """F(z; lambda) with principal logs.  Scalar in, scalar out; arrays pass through."""
+def big_f(z, lam: float, sigma=None):
+    """F(z; lambda) with principal logs.  Scalar in, scalar out; arrays pass through.
+
+    Given sigma, returns the pair (F, amplitude): the amplitude
+    (1-z)^(-1/2) z^(sigma-1/2) of the integral, as exp(-log(1-z)/2)
+    exp((sigma-1/2) log z) from the same two logarithms.  numpy's complex
+    power computes a**b as exp(b log a), so this equals (1-z)**-0.5 *
+    z**(sigma-0.5) bit for bit (the tests check it on oracle nodes).  The
+    factor in z, exactly 1 at sigma = 1/2, is left out there.
+    """
     _check_cuts(z)
     za = _as_complex(z)
     w = 1.0 - za
-    out = w * np.log(w) + za * np.log(za) + za * math.log(lam)
-    return out if isinstance(z, np.ndarray) else complex(out)
+    log_w, log_z = np.log(w), np.log(za)
+    out = w * log_w + za * log_z + za * math.log(lam)
+    if sigma is None:
+        return out if isinstance(z, np.ndarray) else complex(out)
+    amp = np.exp(-0.5 * log_w)
+    if sigma != 0.5:
+        amp = amp * np.exp((sigma - 0.5) * log_z)
+    if isinstance(z, np.ndarray):
+        return out, amp
+    return complex(out), complex(amp)
 
 
 def d_f(z, lam: float):

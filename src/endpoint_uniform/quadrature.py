@@ -19,6 +19,13 @@ Refinement stops with NonConvergence at the panel cap, or earlier at the
 roundoff floor: when FLOOR_ROUNDS stuck rounds come in a row, as they do once
 t F is too large for double precision, further bisection cannot reach tol.
 
+Each node is evaluated once, for the integrand and the phase together: the
+z-frame oracles take t F and the amplitude from the same two logarithms
+(phase.big_f with sigma), and a panel is bisected at its centre node (GK15
+node 7 is x = 0), so the phase at a new panel edge is the one the integrand
+callback already returned there.  The phase alone is evaluated only at the
+initial breaks and on the truncation grid.
+
 Panel evaluation is batched through numpy, and the final sum runs over panels
 sorted by position, so results are reproducible run to run.
 """
@@ -32,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import NonConvergence, NumericalError, SigmaUnsupported
-from .params import DerivedParams, ProblemParams, derive
+from .errors import InvalidParam, NonConvergence, NumericalError, SigmaUnsupported
+from .params import DerivedParams, ProblemParams, check_tolerance, derive
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
 # indexed nodes.  Values as tabulated for the classical QUADPACK pair.
@@ -86,6 +93,11 @@ _WG = np.array(
         0.1294849661688697,
     ]
 )
+# the centre node x = 0, where a panel is bisected
+_CENTRE = 7
+# complex copies, so a batch does not cast the weights on every product
+_WGK_C = _WGK.astype(complex)
+_WG_C = _WG.astype(complex)
 
 PANEL_CAP_DEFAULT = 20000
 PHASE_ADVANCE_CAP = 2.0 * math.pi
@@ -129,25 +141,30 @@ class QuadratureResult:
 
 
 def _gk_batch(f, lo, hi):
-    """Evaluate GK15 on each [lo_i, hi_i].  Returns (integral, err, absint)."""
+    """Evaluate GK15 on each [lo_i, hi_i]; f returns (integrand, phase) at the
+    nodes.  Returns (integral, err, absint, phase at the centre node)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     s = mid[:, None] + half[:, None] * _XGK[None, :]
-    y = np.asarray(f(s.ravel()), dtype=complex).reshape(s.shape)
-    if not np.all(np.isfinite(y)):
+    y, w = f(s.ravel())
+    y = np.asarray(y, dtype=complex).reshape(s.shape)
+    if not np.isfinite(y).all():
         raise NumericalError("integrand returned a non-finite value")
-    ik = (y @ _WGK) * half
-    ig = (y[:, 1::2] @ _WG) * half
+    ik = (y @ _WGK_C) * half
+    ig = (y[:, 1::2] @ _WG_C) * half
     err = np.abs(ik - ig)
     absint = (np.abs(y) @ _WGK) * half
-    return ik, err, absint
+    wc = np.asarray(w, dtype=complex).reshape(s.shape)[:, _CENTRE]
+    return ik, err, absint, wc
 
 
-def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
+def _adaptive(f, phase, a, b, tol, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
     """Adaptive GK15 of f over [a, b] (real parameter line).
 
-    phase, when given, maps parameter arrays to the complex oscillation
-    exponent t*F; panels with more than 2*pi of phase advance and a
+    f maps parameter arrays to the pair (integrand, complex oscillation
+    exponent t*F); phase gives t*F alone and is called once, at the initial
+    breaks.  A panel is bisected at its centre node, where f has already
+    given t*F.  Panels with more than 2*pi of phase advance and a
     non-negligible modulus are split regardless of their error estimate.
     Raises NonConvergence at the panel cap or at the roundoff floor.
     """
@@ -155,10 +172,9 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         breaks = np.array([a, b])
     lo = np.asarray(breaks[:-1], dtype=float)
     hi = np.asarray(breaks[1:], dtype=float)
-    vals, errs, absints = _gk_batch(f, lo, hi)
-    if phase is not None:
-        wends = np.asarray(phase(np.concatenate([lo, [hi[-1]]])), dtype=complex)
-        wlo, whi = wends[:-1].copy(), wends[1:].copy()
+    vals, errs, absints, wmid = _gk_batch(f, lo, hi)
+    wends = np.asarray(phase(np.concatenate([lo, [hi[-1]]])), dtype=complex)
+    wlo, whi = wends[:-1], wends[1:]
     min_width = 1e-14 * (b - a)
     neglect = 1e-3 * tol
     capped = len(lo) > panel_cap
@@ -167,16 +183,13 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
 
     for _ in range(200):
         n = len(lo)
-        total_err = float(np.sum(errs))
-        if phase is not None:
-            adv = np.abs(whi - wlo)
-            must = (adv > PHASE_ADVANCE_CAP) & (absints > neglect)
-        else:
-            must = np.zeros(n, dtype=bool)
-        if total_err <= tol and not np.any(must):
+        total_err = float(errs.sum())
+        must = (np.abs(whi - wlo) > PHASE_ADVANCE_CAP) & (absints > neglect)
+        forced = bool(must.any())
+        if total_err <= tol and not forced:
             break
         halved = total_err < FLOOR_RATIO * prev_err
-        stuck = 0 if halved or np.any(must) else stuck + 1
+        stuck = 0 if halved or forced else stuck + 1
         prev_err = total_err
         if stuck == FLOOR_ROUNDS:
             break
@@ -189,25 +202,26 @@ def _adaptive(f, a, b, tol, phase=None, breaks=None, panel_cap=PANEL_CAP_DEFAULT
         else:
             want = errs > max(0.5 * tol / n, 0.0)
         split = (must | want) & (hi - lo > min_width)
-        if not np.any(split):
+        if not split.any():
             break
         # a round that would pass the cap is not run
         capped = capped or n + int(np.count_nonzero(split)) > panel_cap
         if capped:
             break
-        mid = 0.5 * (lo[split] + hi[split])
-        child_lo = np.concatenate([lo[split], mid])
-        child_hi = np.concatenate([mid, hi[split]])
-        cvals, cerrs, cabs = _gk_batch(f, child_lo, child_hi)
-        lo = np.concatenate([lo[~split], child_lo])
-        hi = np.concatenate([hi[~split], child_hi])
-        vals = np.concatenate([vals[~split], cvals])
-        errs = np.concatenate([errs[~split], cerrs])
-        absints = np.concatenate([absints[~split], cabs])
-        if phase is not None:
-            wmid = np.asarray(phase(mid), dtype=complex)
-            wlo = np.concatenate([wlo[~split], wlo[split], wmid])
-            whi = np.concatenate([whi[~split], wmid, whi[split]])
+        keep = ~split
+        slo, shi, smid = lo[split], hi[split], wmid[split]
+        mid = 0.5 * (slo + shi)
+        child_lo = np.concatenate([slo, mid])
+        child_hi = np.concatenate([mid, shi])
+        cvals, cerrs, cabs, cmid = _gk_batch(f, child_lo, child_hi)
+        lo = np.concatenate([lo[keep], child_lo])
+        hi = np.concatenate([hi[keep], child_hi])
+        vals = np.concatenate([vals[keep], cvals])
+        errs = np.concatenate([errs[keep], cerrs])
+        absints = np.concatenate([absints[keep], cabs])
+        wlo = np.concatenate([wlo[keep], wlo[split], smid])
+        whi = np.concatenate([whi[keep], smid, whi[split]])
+        wmid = np.concatenate([wmid[keep], cmid])
 
     order = np.argsort(lo, kind="stable")
     value = complex(np.sum(vals[order]))
@@ -235,15 +249,24 @@ def _geometric_breaks(r_max, levels=52):
 
 
 def _on_line(integrand, phase, z0, rot):
-    """Pull integrand (times dz/ds) and phase back to the line z0 + s*rot."""
+    """Pull integrand (times dz/ds) and phase back to the line z0 + s*rot.
+
+    Returns f(s) -> (integrand * rot, phase) for the GK15 nodes and ph(s) ->
+    phase for the initial breaks.  An integrand that returns the pair
+    (values, phase) itself spares the second evaluation at the nodes.  A
+    phase of None is zero, which forces no split.
+    """
+    if phase is None:
+        phase = np.zeros_like
 
     def f(s):
-        return integrand(z0 + s * rot) * rot
+        z = z0 + s * rot
+        y = integrand(z)
+        y, w = y if isinstance(y, tuple) else (y, phase(z))
+        return y * rot, w
 
-    ph = None
-    if phase is not None:
-        def ph(s):
-            return phase(z0 + s * rot)
+    def ph(s):
+        return phase(z0 + s * rot)
 
     return f, ph
 
@@ -252,34 +275,37 @@ def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
                   panel_cap=PANEL_CAP_DEFAULT, truncation_bound=0.0):
     """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
 
-    integrand and phase take numpy arrays of complex z.  tol is an absolute
-    tolerance on the value; the per-panel error estimates must sum below it.
-    Raises NonConvergence (with the partial result attached) past panel_cap
-    or at the roundoff floor.
+    integrand and phase take numpy arrays of complex z; integrand returns
+    the values, or the pair (values, phase) when it computes the phase on
+    the way.  tol is an absolute tolerance on the value; the per-panel error
+    estimates must sum below it.  Raises NonConvergence (with the partial
+    result attached) past panel_cap or at the roundoff floor.
     """
     f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
     breaks = _geometric_breaks(contour.r_max)
-    value, err, n = _adaptive(f, 0.0, contour.r_max, tol, phase=ph,
-                              breaks=breaks, panel_cap=panel_cap)
+    value, err, n = _adaptive(f, ph, 0.0, contour.r_max, tol, breaks=breaks,
+                              panel_cap=panel_cap)
     return QuadratureResult(value, err, n, truncation_bound)
 
 
 def integrate_segment(integrand, z_from, z_to, tol: float, phase=None,
                       panel_cap=PANEL_CAP_DEFAULT):
-    """Integrate along the straight segment from z_from to z_to."""
+    """Integrate along the straight segment from z_from to z_to (integrand and
+    phase as for integrate_ray)."""
     z0 = complex(z_from)
     dz = complex(z_to) - z0
     length = abs(dz)
     if length == 0.0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0.0)
     f, ph = _on_line(integrand, phase, z0, dz / length)
-    value, err, n = _adaptive(f, 0.0, length, tol, phase=ph, panel_cap=panel_cap)
+    value, err, n = _adaptive(f, ph, 0.0, length, tol, panel_cap=panel_cap)
     return QuadratureResult(value, err, n, 0.0)
 
 
-def ray_truncation(phase, amplitude, origin, angle, tol):
+def ray_truncation(phase_amp, origin, angle, tol):
     """Truncation radius by the decay rule, searched on a doubling grid.
 
+    phase_amp maps numpy arrays of complex z to the pair (t F, amplitude).
     Picks the smallest r = 2^j, TRUNCATION_J_LO <= j <= TRUNCATION_J_HI, with
 
         Im[t F(z(r))] >= log(1/tol) + log(1 + r * A(r)),
@@ -292,8 +318,9 @@ def ray_truncation(phase, amplitude, origin, angle, tol):
     r = 2.0 ** np.arange(TRUNCATION_J_LO, TRUNCATION_J_HI + 1, dtype=float)
     z = origin + r * rot
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        imw = np.asarray(phase(z), dtype=complex).imag
-        amp = np.abs(np.asarray(amplitude(z), dtype=complex))
+        w, a = phase_amp(z)
+        imw = np.asarray(w, dtype=complex).imag
+        amp = np.abs(np.asarray(a, dtype=complex))
     amp = np.where(np.isfinite(amp), amp, 0.0)
     imw = np.where(np.isfinite(imw), imw, np.inf)
     ampmax = np.maximum.accumulate(amp)
@@ -326,25 +353,38 @@ def endpoint_prefactor(d: DerivedParams) -> complex:
     return mod * cmath.exp(1j * ph)
 
 
-def _oracle(w, amp, origin, tol, panel_cap, angle=None, end=None):
+def _oracle(wa, w, origin, tol, panel_cap, angle=None, end=None):
     """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
-    or else along the ray at angle, truncated by the decay rule."""
+    or else along the ray at angle, truncated by the decay rule.  wa(z) gives
+    the pair (w(z), amp(z)) at the nodes, w alone the phase at the initial
+    breaks."""
+    check_tolerance(tol)
+    if not panel_cap >= 1:
+        raise InvalidParam(f"panel_cap must be >= 1, got {panel_cap}")
 
     def f(z):
-        return amp(z) * np.exp(1j * w(z))
+        wz, amp = wa(z)
+        return amp * np.exp(1j * wz), wz
 
     if end is not None:
         return integrate_segment(f, origin, end, tol, phase=w, panel_cap=panel_cap)
-    r_max, tb = ray_truncation(w, amp, origin, angle, tol)
+    r_max, tb = ray_truncation(wa, origin, angle, tol)
     return integrate_ray(f, RayContour(origin, angle, r_max), tol, phase=w,
                          panel_cap=panel_cap, truncation_bound=tb)
 
 
-def _big_f_phase(p: ProblemParams):
+def _z_frame(p: ProblemParams, sigma: float):
+    """(wa, w) of the z-frame oracles: t F with the amplitude
+    (1-z)^(-1/2) z^(sigma-1/2), from one pair of logarithms, and t F alone."""
+
+    def wa(z):
+        f, amp = phase_mod.big_f(z, p.lam, sigma)
+        return p.t * f, amp
+
     def w(z):
         return p.t * phase_mod.big_f(z, p.lam)
 
-    return w
+    return wa, w
 
 
 def _split_piece(p: ProblemParams, k: float, origin, tol, panel_cap, **contour):
@@ -353,15 +393,12 @@ def _split_piece(p: ProblemParams, k: float, origin, tol, panel_cap, **contour):
         raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
     if not (0.0 < k < p.t ** (p.delta - 1.0)):
         raise NumericalError(f"split point k={k} must lie in (0, t^(delta-1))")
-
-    def amp(z):
-        return (1.0 - z) ** -0.5
-
-    return _oracle(_big_f_phase(p), amp, origin, tol, panel_cap, **contour)
+    return _oracle(*_z_frame(p, 0.5), origin, tol, panel_cap, **contour)
 
 
-def _gaussian_phase(d: DerivedParams):
-    """(lambda_c t/2)(v^2 + beta v), beta = 2 log(1+Lambda)/(1+lambda_c)."""
+def _gaussian_frame(d: DerivedParams):
+    """(wa, w) of the Gaussian phase (lambda_c t/2)(v^2 + beta v), beta =
+    2 log(1+Lambda)/(1+lambda_c), with unit amplitude."""
     lc = d.lambda_c
     half = 0.5 * lc * d.t
     beta = 2.0 * math.log1p(d.Lambda) / (1.0 + lc)
@@ -369,11 +406,10 @@ def _gaussian_phase(d: DerivedParams):
     def w(v):
         return half * (v * v + beta * v)
 
-    return w
+    def wa(v):
+        return w(v), np.ones_like(np.asarray(v, dtype=complex))
 
-
-def _unit_amplitude(v):
-    return np.ones_like(np.asarray(v, dtype=complex))
+    return wa, w
 
 
 def jb_oracle(p: ProblemParams, tol: float = 1e-10,
@@ -383,13 +419,8 @@ def jb_oracle(p: ProblemParams, tol: float = 1e-10,
     Contour: the ray 1 - t^(delta-1) + s e^(i phi) with phi = select_phi(lambda),
     truncated by the decay rule.  tol is absolute.
     """
-    sigma = p.sigma
-
-    def amp(z):
-        return (1.0 - z) ** -0.5 * z ** (sigma - 0.5)
-
     z0 = 1.0 - p.t ** (p.delta - 1.0)
-    return _oracle(_big_f_phase(p), amp, z0, tol, panel_cap, angle=derive(p).phi)
+    return _oracle(*_z_frame(p, p.sigma), z0, tol, panel_cap, angle=derive(p).phi)
 
 
 def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
@@ -417,10 +448,10 @@ def jtilde_oracle(p: ProblemParams, tol: float = 1e-10,
     def w(zeta):
         return p.t * phase_mod.f1(zeta, lc, d.Lambda) / (1.0 + lc)
 
-    def amp(zeta):
-        return phase_mod.amp_g(zeta, lc, p.sigma)
+    def wa(zeta):
+        return w(zeta), phase_mod.amp_g(zeta, lc, p.sigma)
 
-    return _oracle(w, amp, 0.0, tol, panel_cap, angle=d.phi)
+    return _oracle(wa, w, 0.0, tol, panel_cap, angle=d.phi)
 
 
 def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
@@ -432,5 +463,4 @@ def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
     beta = 2 log(1+Lambda)/(1+lambda_c).  u may be 0 or any point from which
     the pi/4 ray stays in the decay sector (in practice: on that ray).
     """
-    return _oracle(_gaussian_phase(d), _unit_amplitude, complex(u), tol, panel_cap,
-                   angle=math.pi / 4.0)
+    return _oracle(*_gaussian_frame(d), complex(u), tol, panel_cap, angle=math.pi / 4.0)

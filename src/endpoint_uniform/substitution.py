@@ -40,8 +40,7 @@ from .fresnel import fresnel_tail_general
 from .params import DerivedParams, derive, from_offset
 from .quadrature import (
     RayContour,
-    _gaussian_phase,
-    _unit_amplitude,
+    _gaussian_frame,
     integrate_ray,
     jtilde_oracle,
     ray_truncation,
@@ -329,8 +328,7 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     direct = jtilde_oracle(p, tol=tol).value
 
     angle = math.pi / 4.0
-    r_max, _tb = ray_truncation(_gaussian_phase(d), _unit_amplitude, 0.0 + 0.0j,
-                                angle, tol)
+    r_max, _tb = ray_truncation(_gaussian_frame(d)[0], 0.0 + 0.0j, angle, tol)
 
     def integrand(v):
         return _amp_F_prime(v, d, sigma) * phi_closed(v, d)

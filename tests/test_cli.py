@@ -303,6 +303,8 @@ BAD_CONFIGS = {
     "t-grid-not-a-list": '{"t_grid": 1e4}',
     "lambda-spec-not-an-object": '{"t_grid": [1e4], "lambda_spec": "critical"}',
     "tol-not-a-number": '{"t_grid": [1e4], "tol": "small"}',
+    "tol-zero": '{"t_grid": [1e4], "tol": 0}',
+    "tol-negative": '{"t_grid": [1e4], "methods": ["oracle"], "tol": -1e-10}',
 }
 
 
@@ -318,6 +320,26 @@ class TestConfigFiles:
         code, out, err = run(capsys, *subcommand, "--config", str(path))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InvalidParam"
+
+
+# A tolerance that is not finite and > 0, or a panel cap below 1, is refused
+# before any quadrature runs, whichever subcommand reads it.
+BAD_QUADRATURE_FLAGS = {
+    "oracle-tol-zero": ("oracle", "--tol", "0"),
+    "oracle-tol-nan": ("oracle", "--piece", "jb1", "--tol", "nan"),
+    "oracle-panel-cap-zero": ("oracle", "--panel-cap", "0"),
+    "eval-tol-negative": ("eval", "--method", "oracle", "--tol", "-1"),
+    "sweep-tol-zero": ("sweep", "--method", "oracle", "--tol", "0"),
+    "compare-tol-inf": ("compare", "--method", "leading", "--tol", "inf"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_QUADRATURE_FLAGS))
+def test_bad_tol_or_panel_cap_is_parameter_error(capsys, name):
+    subcommand, *flags = BAD_QUADRATURE_FLAGS[name]
+    code, out, err = run(capsys, subcommand, "--t", "1e5", "--Lambda", "0.5", *flags)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidParam"
 
 
 # What each subcommand reads; every other option is refused.

@@ -12,6 +12,7 @@ from endpoint_uniform import (
     SUITES,
     ComparisonRow,
     DegenerateData,
+    InvalidParam,
     NonConvergence,
     SweepConfig,
     fit_error_slope,
@@ -283,3 +284,12 @@ class TestPropertyScans:
         b = property_scan("ImFNonneg", small_cfg(seed=3))
         assert a["worst_margin"] == b["worst_margin"]
         assert a["worst_point"] == b["worst_point"]
+
+
+@pytest.mark.parametrize("tol", [0, -1e-10, math.inf, math.nan])
+def test_sweep_config_refuses_bad_tol(tol):
+    # refused before run_sweep, which would raise it on every oracle row
+    with pytest.raises(InvalidParam):
+        sweep_config_from_dict({"t_grid": [1e4], "methods": ["oracle"], "tol": tol})
+    with pytest.raises(InvalidParam):
+        SweepConfig(t_grid=[1e4], tol=tol)

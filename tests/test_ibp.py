@@ -208,7 +208,7 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
 
     z0 = 1.0 - k
     r_max, tb = ray_truncation(
-        w, lambda z: apply_ibp_operator(1, z, p.t, p.lam), z0, d.phi, 1e-12)
+        lambda z: (w(z), apply_ibp_operator(1, z, p.t, p.lam)), z0, d.phi, 1e-12)
     rem = integrate_ray(integrand, RayContour(z0, d.phi, r_max), 1e-12, phase=w)
     assert abs(whole.value - term.value - rem.value) < 1e-10
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from endpoint_uniform import quadrature
+from endpoint_uniform import phase, quadrature
 from endpoint_uniform import (
     FT_ZERO,
+    InvalidParam,
     NonConvergence,
     NumericalError,
     ProblemParams,
@@ -162,7 +163,8 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gk_batch", spy)
     with pytest.raises(NonConvergence):
-        quadrature._adaptive(_noisy_chirp, 0.0, 20.0, 1e-10,
+        quadrature._adaptive(*quadrature._on_line(_noisy_chirp, None, 0.0, 1.0),
+                             0.0, 20.0, 1e-10,
                              breaks=np.linspace(0.0, 20.0, 17))
     lo, errs = batches[0]
     prev = math.inf
@@ -244,9 +246,7 @@ def test_nonfinite_integrand_rejected():
 
 def test_ray_truncation_linear_decay():
     # Im W = r along the ray, amplitude 1: need about log(1/tol)
-    r_max, bound = ray_truncation(lambda z: 1j * abs(z) if np.isscalar(z)
-                                  else 1j * np.abs(z),
-                                  lambda z: np.ones_like(z),
+    r_max, bound = ray_truncation(lambda z: (1j * np.abs(z), np.ones_like(z)),
                                   0.0 + 0.0j, math.pi / 2, 1e-10)
     assert r_max >= math.log(1e10)
     assert bound <= 1e-9
@@ -348,3 +348,147 @@ def test_result_as_dict_schema():
     p = from_offset(1e4, 0.5, 0.5, 0.2)
     d = jb_oracle(p, tol=1e-10).as_dict()
     assert set(d) == {"re", "im", "abs_err", "panels", "truncation_bound"}
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per node: the fused z-frame evaluator and the centre node.
+# ---------------------------------------------------------------------------
+
+# (piece, t, Lambda, sigma): a converged point, a floor failure (t = 1e12,
+# Lambda = 0), and sigma = 0.7, where the amplitude keeps its factor in z
+FUSED_POINTS = [("whole", 1e6, 0.5, 0.5), ("whole", 1e12, 0.0, 0.5),
+                ("whole", 1e6, 0.5, 0.7), ("whole", 1e10, 3.0, 0.7),
+                ("jb1", 1e8, 0.5, 0.5), ("jb2", 1e8, 0.5, 0.5),
+                ("jb1", 1e12, 10.0, 0.5), ("jb2", 1e12, 0.0, 0.5)]
+
+
+def _run_oracle(piece, p):
+    """The oracle's result, or its NonConvergence (message and partial result)."""
+    k = choose_split(derive(p), 4).k
+    try:
+        if piece == "whole":
+            return jb_oracle(p)
+        return (jb1_oracle if piece == "jb1" else jb2_oracle)(p, k)
+    except NonConvergence as exc:
+        return exc
+
+
+def _generic_oracle(piece, p):
+    """The same quadrature through the public two-callable path, with the
+    amplitude and the phase computed apart as numpy powers and phase.big_f."""
+    k = choose_split(derive(p), 4).k
+    sigma = p.sigma
+
+    def w(z):
+        return p.t * big_f(z, p.lam)
+
+    def amp(z):
+        return (1.0 - z) ** -0.5 * z ** (sigma - 0.5)
+
+    def integrand(z):
+        return amp(z) * np.exp(1j * w(z))
+
+    z0 = 1.0 - p.t ** (p.delta - 1.0)
+    try:
+        if piece == "jb1":
+            return integrate_segment(integrand, z0, 1.0 - k, 1e-10, phase=w)
+        origin = z0 if piece == "whole" else 1.0 - k
+        r_max, tb = ray_truncation(lambda z: (w(z), amp(z)), origin, derive(p).phi, 1e-10)
+        return integrate_ray(integrand, RayContour(origin, derive(p).phi, r_max), 1e-10,
+                             phase=w, truncation_bound=tb)
+    except NonConvergence as exc:
+        return exc
+
+
+def _outcome(res):
+    if isinstance(res, NonConvergence):
+        res, message = res.result, str(res)
+    else:
+        message = None
+    return (repr(res.value), repr(res.abs_error_estimate), res.panels,
+            repr(res.truncation_bound), message)
+
+
+@pytest.mark.parametrize("piece, t, Lam, sigma", FUSED_POINTS)
+def test_fused_evaluator_equals_the_formula_it_replaces(monkeypatch, piece, t, Lam, sigma):
+    # on every node the oracle asks for, one log(1-z) and one log z give
+    # exactly the phase of big_f(z, lam) and the numpy powers of the amplitude
+    p = from_offset(t, 0.5, sigma, Lam)
+    nodes = []
+    fused = phase.big_f
+
+    def spy(z, lam, sigma=None):
+        if sigma is not None:
+            nodes.append(np.array(z))
+        return fused(z, lam, sigma)
+
+    monkeypatch.setattr(phase, "big_f", spy)
+    _run_oracle(piece, p)
+    monkeypatch.undo()
+    assert nodes
+    for z in nodes:
+        f, amp = big_f(z, p.lam, sigma)
+        assert np.array_equal(p.t * f, p.t * big_f(z, p.lam))
+        assert np.array_equal(amp, (1.0 - z) ** -0.5 * z ** (sigma - 0.5))
+
+
+@pytest.mark.parametrize("piece, t, Lam, sigma", FUSED_POINTS)
+def test_z_frame_oracles_match_the_generic_path(piece, t, Lam, sigma):
+    # value, error estimate, panels, truncation bound and failure message
+    p = from_offset(t, 0.5, sigma, Lam)
+    assert _outcome(_run_oracle(piece, p)) == _outcome(_generic_oracle(piece, p))
+
+
+def test_bisection_point_is_the_centre_node():
+    assert quadrature._XGK[quadrature._CENTRE] == 0.0
+    lo, hi = np.array([0.1, 1.0 / 3.0]), np.array([0.7, 2.0])
+    mid = 0.5 * (lo + hi)
+    _ik, _err, _abs, wc = quadrature._gk_batch(lambda s: (np.cos(s), s * s), lo, hi)
+    assert np.array_equal(wc, mid * mid)
+
+
+@pytest.mark.parametrize("piece, t, Lam, sigma", [FUSED_POINTS[i] for i in (0, 1, 4, 5)])
+def test_phase_alone_only_at_the_breaks_and_truncation(monkeypatch, piece, t, Lam, sigma):
+    # outside the GK15 batches the phase is evaluated once on the truncation
+    # grid (rays only) and once at the initial breaks, never per round
+    p = from_offset(t, 0.5, sigma, Lam)
+    batches, outside = [], []
+    fused, gk_batch = phase.big_f, quadrature._gk_batch
+
+    def spy_f(z, lam, sigma=None):
+        if not batches or batches[-1] is not None:
+            outside.append(np.size(z))
+        return fused(z, lam, sigma)
+
+    def spy_batch(f, lo, hi):
+        batches.append(None)  # open while the batch runs
+        out = gk_batch(f, lo, hi)
+        batches[-1] = len(lo)
+        return out
+
+    monkeypatch.setattr(phase, "big_f", spy_f)
+    monkeypatch.setattr(quadrature, "_gk_batch", spy_batch)
+    _run_oracle(piece, p)
+    assert len(batches) > 2  # refinement rounds ran
+    grid = quadrature.TRUNCATION_J_HI - quadrature.TRUNCATION_J_LO + 1
+    breaks = 2 if piece == "jb1" else len(quadrature._geometric_breaks(1.0))
+    assert outside == ([breaks] if piece == "jb1" else [grid, breaks])
+
+
+BAD_SETTINGS = {"tol-zero": {"tol": 0.0}, "tol-negative": {"tol": -1.0},
+                "tol-inf": {"tol": math.inf}, "tol-nan": {"tol": math.nan},
+                "panel-cap-zero": {"panel_cap": 0}}
+
+
+@pytest.mark.parametrize("piece", ["whole", "jb1", "jb2", "jtilde"])
+@pytest.mark.parametrize("kwargs", list(BAD_SETTINGS.values()), ids=list(BAD_SETTINGS))
+def test_bad_tol_or_panel_cap_is_invalid_param(piece, kwargs):
+    p = from_offset(1e6, 0.5, 0.5, 0.5)
+    k = choose_split(derive(p), 4).k
+    with pytest.raises(InvalidParam):
+        if piece == "whole":
+            jb_oracle(p, **kwargs)
+        elif piece == "jtilde":
+            jtilde_oracle(p, **kwargs)
+        else:
+            (jb1_oracle if piece == "jb1" else jb2_oracle)(p, k, **kwargs)
