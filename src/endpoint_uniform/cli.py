@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import asymptotics, errors, harness, ibp
+from . import harness, ibp
 from .errors import EndpointUniformError, InvalidParam, ParameterError
 from .params import ProblemParams, choose_split, derive, from_offset, split_from_a
 from .quadrature import (
@@ -131,20 +131,6 @@ def _emit(payload: dict, ns):
         sys.stdout.write(text)
 
 
-def _method_result(ns, p: ProblemParams) -> dict:
-    if ns.method == "oracle":
-        return jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap).as_dict()
-    if ns.method == "all-orders":
-        m = ns.m if ns.m is not None else 4
-        split = _split_fields(ns, p, order_read=True)
-        return asymptotics.all_orders(p, m, split.a).as_dict()
-    if ns.method == "leading":
-        return asymptotics.leading_order(p).as_dict()
-    if ns.method == "large-omega":
-        return asymptotics.leading_order_large_omega(p).as_dict()
-    return asymptotics.corollary_leading(p).as_dict()
-
-
 def _cmd_eval(ns) -> dict:
     if ns.method != "all-orders":
         _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
@@ -154,8 +140,14 @@ def _cmd_eval(ns) -> dict:
         ns.tol = _DEFAULTS["tol"] if ns.tol is None else ns.tol
         ns.panel_cap = PANEL_CAP_DEFAULT if ns.panel_cap is None else ns.panel_cap
     p = _build_params(ns)
+    if ns.method == "oracle":
+        result = jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap)
+    else:
+        a = _split_fields(ns, p, order_read=True).a if ns.method == "all-orders" else None
+        m = ns.m if ns.m is not None else 4
+        result = harness.eval_method(ns.method, p, m, a)[0]
     return {"subcommand": "eval", "flags": _echo_flags(ns),
-            "result": _method_result(ns, p)}
+            "result": result.as_dict()}
 
 
 def _cmd_oracle(ns) -> dict:
@@ -175,12 +167,6 @@ def _cmd_oracle(ns) -> dict:
             "result": res.as_dict()}
 
 
-def _row_error(text: str) -> EndpointUniformError:
-    """Rebuild the typed error a sweep row recorded as "Type: message"."""
-    name, _, message = text.partition(": ")
-    return getattr(errors, name)(message)
-
-
 def _cmd_compare(ns) -> dict:
     cfg = harness.SweepConfig(
         t_grid=[ns.t], delta=ns.delta, sigma=ns.sigma,
@@ -188,9 +174,9 @@ def _cmd_compare(ns) -> dict:
         methods=[ns.method], tol=ns.tol,
         m_order=ns.m if ns.m is not None else 4,
     )
-    rows = harness.run_sweep(cfg)
+    rows = harness.run_sweep(cfg, raise_errors=True)
     row = rows[0]
-    payload = {
+    return {
         "subcommand": "compare",
         "flags": _echo_flags(ns),
         "result": {
@@ -201,9 +187,6 @@ def _cmd_compare(ns) -> dict:
         },
         "rows_csv": harness.rows_to_csv(rows),
     }
-    if row.error:
-        raise _row_error(row.error)
-    return payload
 
 
 # sweep flags that describe the grid, which a config file describes instead
@@ -233,16 +216,14 @@ def _cmd_sweep(ns) -> dict:
             tol=ns.tol, m_order=ns.m if ns.m is not None else 4,
         )
     rows = harness.run_sweep(cfg)
-    csv_text = harness.rows_to_csv(rows)
     if ns.out and ns.format == "csv":
-        with open(ns.out, "w", newline="") as fh:
-            fh.write(csv_text)
+        harness.write_csv(rows, ns.out)
         out_path = ns.out
         ns.out = None  # status JSON goes to stdout, not over the CSV
         return {"subcommand": "sweep", "flags": _echo_flags(ns),
                 "rows": len(rows), "out": out_path}
     return {"subcommand": "sweep", "flags": _echo_flags(ns),
-            "rows": len(rows), "rows_csv": csv_text}
+            "rows": len(rows), "rows_csv": harness.rows_to_csv(rows)}
 
 
 def _cmd_terms(ns) -> dict:

@@ -2,9 +2,9 @@
 
 Everything here is about checking the asymptotic formulas against the direct
 quadrature oracle and against each other.  Output is deterministic: grids are
-fixed by the config, randomness is seeded, rows keep submission order even
-when computed on a worker pool, and CSV serialization zeroes the wall-clock
-column by default so identical configs give identical bytes.
+fixed by the config, randomness is seeded, a sweep runs its rows one after
+another in grid order, and CSV serialization zeroes the wall-clock column by
+default so identical configs give identical bytes.
 
 A sweep runs the oracle once per grid point and tolerance: the method rows of
 a point share each quadrature, and a failed one gives each row that needs it
@@ -18,9 +18,7 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,18 +55,6 @@ SUITES = (
 )
 
 DEFAULT_T_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
-
-
-def _worker_count() -> int:
-    env = os.environ.get("ENDPOINT_UNIFORM_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -164,7 +150,7 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _expected_method_error(method: str, approx: complex, budget: float,
+def _expected_method_error(approx: complex, budget: float,
                            p: ProblemParams) -> float:
     """Scale used only to tighten the oracle tolerance, not reported."""
     mag = abs(approx)
@@ -176,22 +162,21 @@ def _expected_method_error(method: str, approx: complex, budget: float,
     return guess
 
 
-def _eval_method(method: str, p: ProblemParams, cfg: SweepConfig):
-    """Returns (value, budget_total, m, a) for one method at one point."""
+def eval_method(method: str, p: ProblemParams, m_order: int = 4, a=None):
+    """One asymptotic method at p: (approximation, m, a), where m and a are
+    the expansion order and split width the method used, "" if it has none.
+    all-orders splits at a, by default at choose_split's width for m_order."""
     if method == "leading":
-        ap = asymptotics.leading_order(p)
-        return ap.value, float("nan"), "", ""
+        return asymptotics.leading_order(p), "", ""
     if method == "large-omega":
-        ap = asymptotics.leading_order_large_omega(p)
-        return ap.value, sum(v for _k, v in ap.error_budget), "", ""
+        return asymptotics.leading_order_large_omega(p), "", ""
     if method == "all-orders":
-        ap = asymptotics.all_orders(p, cfg.m_order)
-        dd = choose_split(derive(p), cfg.m_order)
-        return ap.value, sum(v for _k, v in ap.error_budget), cfg.m_order, dd.a
+        ap = asymptotics.all_orders(p, m_order, a)
+        if a is None:
+            a = choose_split(derive(p), m_order).a
+        return ap, m_order, a
     if method == "corollary":
-        ap = asymptotics.corollary_leading(p)
-        a = p.t ** (-7.0 * p.delta / 16.0)
-        return ap.value, sum(v for _k, v in ap.error_budget), "", a
+        return asymptotics.corollary_leading(p), "", p.t ** (-7.0 * p.delta / 16.0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -209,8 +194,8 @@ def _oracle(memo: dict, p: ProblemParams, tol: float):
     return res
 
 
-def _run_point(args):
-    cfg, t, lam, method, memo = args
+def _run_point(cfg, t, lam, method, memo, raise_errors=False):
+    """The row of one method at (t, lam); memo is shared by the point's rows."""
     start = time.perf_counter()
     row = ComparisonRow(
         t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam,
@@ -229,46 +214,41 @@ def _run_point(args):
             row.rel_err = 0.0
             row.budget = res.abs_error_estimate + res.truncation_bound
         else:
-            value, budget, m, a = _eval_method(method, p, cfg)
-            row.approx = value
-            row.budget = budget
-            row.m = m
-            row.a = a
-            expected = _expected_method_error(method, value, budget, p)
+            ap, row.m, row.a = eval_method(method, p, cfg.m_order)
+            row.approx = ap.value
+            # leading_order has no budget, and its column stays nan
+            if ap.error_budget:
+                row.budget = sum(v for _k, v in ap.error_budget)
+            expected = _expected_method_error(ap.value, row.budget, p)
             oracle_tol = max(1e-13, min(cfg.tol, 1e-3 * expected))
             res = _oracle(memo, p, oracle_tol)
             row.oracle = res.value
-            row.abs_err = abs(value - res.value)
+            row.abs_err = abs(ap.value - res.value)
             if abs(res.value) > 0.0:
                 row.rel_err = row.abs_err / abs(res.value)
     except EndpointUniformError as exc:
+        if raise_errors:
+            raise
         row.error = f"{type(exc).__name__}: {exc}"
     row.runtime_ms = 1000.0 * (time.perf_counter() - start)
     return row
 
 
-def _run_methods(point):
-    """The rows of one (t, lambda) point, in method order, sharing one memo."""
-    cfg, t, lam = point
-    memo = {}
-    return [_run_point((cfg, t, lam, method, memo)) for method in cfg.methods]
+def run_sweep(cfg: SweepConfig, raise_errors: bool = False) -> list:
+    """Cross product of (t grid) x (lambda spec) x (methods), one row each,
+    in that order.
 
-
-def run_sweep(cfg: SweepConfig) -> list:
-    """Cross product of (t grid) x (lambda spec) x (methods), one row each.
-
-    The rows of a point share its oracle quadratures, one per tolerance; a
-    worker pool maps over points.  Per-row failures land in the error column;
-    the sweep itself never aborts.
+    The rows of a point share its oracle quadratures, one per tolerance.  A
+    row's failure lands in its error column and the sweep goes on; with
+    raise_errors the typed error is raised instead.
     """
-    points = [(cfg, t, lam) for t in cfg.t_grid for lam in cfg.lambda_values(t)]
-    workers = _worker_count()
-    if workers == 1 or len(points) <= 1:
-        groups = [_run_methods(point) for point in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_run_methods, points))
-    return [row for group in groups for row in group]
+    rows = []
+    for t in cfg.t_grid:
+        for lam in cfg.lambda_values(t):
+            memo = {}
+            for method in cfg.methods:
+                rows.append(_run_point(cfg, t, lam, method, memo, raise_errors))
+    return rows
 
 
 def rows_to_csv(rows, deterministic: bool = True) -> str:

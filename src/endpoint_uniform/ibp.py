@@ -93,6 +93,14 @@ def amn_table(N: int) -> CoefficientTable:
     return CoefficientTable(level=N, entries=_amn_entries(N))
 
 
+def _amn_sum(N: int, z, d):
+    """sum over the level-N table of A_mn z^(-m) d^(-n), with d = dF/dz at z."""
+    acc = 0.0 + 0.0j
+    for m, n, a in amn_table(N).entries:
+        acc = acc + float(a) * z ** (-m) * d ** (-n)
+    return acc
+
+
 def apply_ibp_operator(N: int, z, t: float, lam: float):
     """Closed form of the N-fold operator applied to (1-z)^(-1/2).
 
@@ -102,10 +110,7 @@ def apply_ibp_operator(N: int, z, t: float, lam: float):
     d = phase_mod.d_f(za, lam)
     if np.any(np.abs(d) < 1e-12):
         raise SingularPoint("dF/dz ~ 0 on the evaluation locus")
-    table = amn_table(N)
-    acc = np.zeros_like(np.asarray(d, dtype=complex))
-    for m, n, a in table.entries:
-        acc = acc + float(a) * za ** (-m) * d ** (-n)
+    acc = _amn_sum(N, za, d)
     pref = (1.0 - za) ** (-(2 * N + 1) / 2.0) / ((-1j * t) ** N * d**N)
     out = pref * acc
     return out if isinstance(z, np.ndarray) else complex(out)
@@ -142,10 +147,7 @@ def t_term(j: int, p: ProblemParams, k: float) -> ExpansionTerm:
     t = p.t
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
-    table = amn_table(j - 1)
-    acc = 0.0 + 0.0j
-    for m, n, a in table.entries:
-        acc += float(a) * z0 ** (-m) * big_d ** (-n)
+    acc = _amn_sum(j - 1, z0, big_d)
     osc = cmath.exp(1j * t * complex(phase_mod.big_f(z0, p.lam)).real)
     value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
     a_split = _split_a(p, k)

@@ -15,7 +15,7 @@ and the coalescence parameter
 
 which measures how far the stationary point is from the endpoint in units of
 the local Fresnel scale.  This module validates raw inputs and computes these
-derived quantities, plus the contour split (k, a, D, D_minus) used by the
+derived quantities, plus the contour split (k, a) used by the
 integration-by-parts expansion.
 """
 
@@ -70,8 +70,6 @@ class DerivedParams:
     phi: float
     k: Optional[float] = None
     a: Optional[float] = None
-    D: Optional[float] = None
-    D_minus: Optional[float] = None
 
 
 def check_tolerance(tol: float):
@@ -157,7 +155,7 @@ def choose_split(d: DerivedParams, m: int, b: Optional[float] = None) -> Derived
 
         1/2 - 1/(4m-2)  <  b  <  1/2 - 1/(4m+2).
 
-    Returns a copy of d with k, a, D = F'(1-k) and D_minus = -log(1-a) filled in.
+    Returns a copy of d with k and a filled in.
     """
     if m < 4:
         raise InvalidSplit(f"split requires m >= 4, got m={m}")
@@ -177,6 +175,4 @@ def split_from_a(d: DerivedParams, a: float) -> DerivedParams:
     if not (0.0 < a < 1.0):
         raise InvalidSplit(f"a must lie in (0,1), got {a}")
     k = d.t ** (d.delta - 1.0) * (1.0 - a)
-    D = math.log(d.lam * (1.0 - k) / k)
-    D_minus = -math.log1p(-a)
-    return replace(d, k=k, a=a, D=D, D_minus=D_minus)
+    return replace(d, k=k, a=a)

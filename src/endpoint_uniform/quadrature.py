@@ -271,6 +271,12 @@ def _on_line(integrand, phase, z0, rot):
     return f, ph
 
 
+def _check_settings(tol, panel_cap):
+    check_tolerance(tol)
+    if not panel_cap >= 1:
+        raise InvalidParam(f"panel_cap must be >= 1, got {panel_cap}")
+
+
 def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
                   panel_cap=PANEL_CAP_DEFAULT, truncation_bound=0.0):
     """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
@@ -278,9 +284,11 @@ def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
     integrand and phase take numpy arrays of complex z; integrand returns
     the values, or the pair (values, phase) when it computes the phase on
     the way.  tol is an absolute tolerance on the value; the per-panel error
-    estimates must sum below it.  Raises NonConvergence (with the partial
-    result attached) past panel_cap or at the roundoff floor.
+    estimates must sum below it.  Raises InvalidParam unless tol is finite
+    and > 0 and panel_cap >= 1, and NonConvergence (with the partial result
+    attached) past panel_cap or at the roundoff floor.
     """
+    _check_settings(tol, panel_cap)
     f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
     breaks = _geometric_breaks(contour.r_max)
     value, err, n = _adaptive(f, ph, 0.0, contour.r_max, tol, breaks=breaks,
@@ -291,7 +299,8 @@ def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
 def integrate_segment(integrand, z_from, z_to, tol: float, phase=None,
                       panel_cap=PANEL_CAP_DEFAULT):
     """Integrate along the straight segment from z_from to z_to (integrand and
-    phase as for integrate_ray)."""
+    phase, tol and panel_cap as for integrate_ray)."""
+    _check_settings(tol, panel_cap)
     z0 = complex(z_from)
     dz = complex(z_to) - z0
     length = abs(dz)
@@ -311,9 +320,10 @@ def ray_truncation(phase_amp, origin, angle, tol):
         Im[t F(z(r))] >= log(1/tol) + log(1 + r * A(r)),
 
     A(r) the running max of the amplitude modulus on the grid, so the
-    discarded tail is bounded (to leading order) by tol.  Returns
-    (r_max, truncation_bound).
+    discarded tail is bounded (to leading order) by tol, which must be
+    finite and > 0 (else InvalidParam).  Returns (r_max, truncation_bound).
     """
+    check_tolerance(tol)
     rot = cmath.exp(1j * angle)
     r = 2.0 ** np.arange(TRUNCATION_J_LO, TRUNCATION_J_HI + 1, dtype=float)
     z = origin + r * rot
@@ -357,10 +367,8 @@ def _oracle(wa, w, origin, tol, panel_cap, angle=None, end=None):
     """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
     or else along the ray at angle, truncated by the decay rule.  wa(z) gives
     the pair (w(z), amp(z)) at the nodes, w alone the phase at the initial
-    breaks."""
-    check_tolerance(tol)
-    if not panel_cap >= 1:
-        raise InvalidParam(f"panel_cap must be >= 1, got {panel_cap}")
+    breaks.  ray_truncation and the integrators refuse a bad tol or
+    panel_cap."""
 
     def f(z):
         wz, amp = wa(z)

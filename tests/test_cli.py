@@ -1,5 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import csv
+import io
 import json
 import sys
 from importlib.metadata import (
@@ -251,6 +253,38 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--config", config, *grid_flag)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InvalidParam"
+
+
+# The configs' sweep CSVs, as written by `sweep --config configs/<name>.json
+# --format csv` before the sweep became one serial loop.
+PINNED_CSVS = sorted((ROOT / "tests" / "data").glob("*.csv"))
+TEXT_COLUMNS = ("t", "delta", "sigma", "lambda", "Lambda", "omega", "method", "m",
+                "a", "runtime_ms", "error")
+VALUE_COLUMNS = ("approx_re", "approx_im", "oracle_re", "oracle_im", "abs_err", "budget")
+
+
+def _same_number(got: str, want: str, tol: float) -> bool:
+    if want == "nan":
+        return got == "nan"
+    return abs(float(got) - float(want)) <= tol
+
+
+@pytest.mark.parametrize("pinned", PINNED_CSVS, ids=lambda path: path.stem)
+def test_config_sweeps_match_their_pinned_csv(capsys, pinned):
+    # the ~t-sized phase turns a last-ulp libm difference between numpy builds
+    # into ~t eps relative, so the numbers get 1e-6 of the row's |oracle|
+    config = ROOT / "configs" / f"{pinned.stem}.json"
+    code, out, err = run(capsys, "sweep", "--config", str(config), "--format", "csv")
+    assert code == 0 and err == ""
+    got = list(csv.DictReader(io.StringIO(out)))
+    want = list(csv.DictReader(io.StringIO(pinned.read_text())))
+    assert out.splitlines()[0] == CSV_HEADER and len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert [g[c] for c in TEXT_COLUMNS] == [w[c] for c in TEXT_COLUMNS]
+        scale = abs(complex(float(w["oracle_re"]), float(w["oracle_im"])))
+        for c in VALUE_COLUMNS:
+            assert _same_number(g[c], w[c], 1e-6 * scale), (c, g[c], w[c])
+        assert _same_number(g["rel_err"], w["rel_err"], 1e-6), (g["rel_err"], w["rel_err"])
 
 
 class TestTerms:

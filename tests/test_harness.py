@@ -2,7 +2,6 @@
 
 import json
 import math
-import threading
 
 import pytest
 
@@ -107,25 +106,40 @@ class TestSweep:
     def test_empty_grid_gives_no_rows(self):
         assert run_sweep(small_cfg(t_grid=[])) == []
 
-    def test_serial_matches_parallel(self, monkeypatch):
-        cfg = small_cfg(methods=["leading", "corollary"])
-        parallel = rows_to_csv(run_sweep(cfg))
-        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "1")
-        serial = rows_to_csv(run_sweep(cfg))
-        assert serial == parallel
+    def test_one_run_point_call_per_row(self, monkeypatch):
+        # run_sweep looks _run_point up at each row, so a wrapper sees every row
+        calls = []
+        real = harness._run_point
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run_point", counted)
+        cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=["leading", "corollary"])
+        rows = run_sweep(cfg)
+        assert calls == [r.method for r in rows] and len(rows) == 2 * 2 * 2
+
+    def test_raise_errors_raises_the_oracle_error_itself(self, monkeypatch):
+        # not a copy rebuilt from the error column: the partial result stays
+        failure = NonConvergence("panel cap reached", result="partial")
+        count_oracle(monkeypatch, raises=failure)
+        with pytest.raises(NonConvergence) as exc:
+            run_sweep(small_cfg(t_grid=[1e4], methods=["leading"]), raise_errors=True)
+        assert exc.value is failure and exc.value.result == "partial"
 
 
 ALL_ROUTES = ["oracle", "leading", "all-orders", "corollary"]
 
 
 def count_oracle(monkeypatch, raises=None):
-    """Patch the sweep's jb_oracle to record (t, lambda, tol, thread) per call,
-    and to raise raises instead of integrating when it is given."""
+    """Patch the sweep's jb_oracle to record (t, lambda, tol) per call, and to
+    raise raises instead of integrating when it is given."""
     calls = []
     real = harness.jb_oracle
 
     def oracle(p, tol):
-        calls.append((p.t, p.lam, tol, threading.get_ident()))
+        calls.append((p.t, p.lam, tol))
         if raises is not None:
             raise raises
         return real(p, tol=tol)
@@ -136,29 +150,12 @@ def count_oracle(monkeypatch, raises=None):
 
 class TestSharedOracle:
     def test_one_quadrature_per_point_and_tolerance(self, monkeypatch):
-        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "1")
         calls = count_oracle(monkeypatch)
         cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=ALL_ROUTES, tol=1e-10)
         rows = run_sweep(cfg)
-        keys = [call[:3] for call in calls]
         assert len(rows) == 2 * 2 * 4
-        assert len(keys) == len(set(keys))
-        assert {(r.t, r.lam) for r in rows} == {key[:2] for key in keys}
-
-    def test_csv_does_not_depend_on_the_worker_count(self, monkeypatch):
-        cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=ALL_ROUTES, tol=1e-10)
-        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "1")
-        serial = rows_to_csv(run_sweep(cfg))
-        monkeypatch.setenv("ENDPOINT_UNIFORM_THREADS", "2")
-        calls = count_oracle(monkeypatch)
-        assert rows_to_csv(run_sweep(cfg)) == serial
-        # the pool maps over points: each point's quadratures run once, on one thread
-        keys = [call[:3] for call in calls]
-        assert len(keys) == len(set(keys))
-        threads = {}
-        for t, lam, _tol, thread in calls:
-            threads.setdefault((t, lam), set()).add(thread)
-        assert all(len(ids) == 1 for ids in threads.values())
+        assert len(calls) == len(set(calls))
+        assert {(r.t, r.lam) for r in rows} == {call[:2] for call in calls}
 
     def test_failed_quadrature_runs_once_and_fails_every_row(self, monkeypatch):
         # at tol 1e-13 every route asks the oracle for the same tolerance

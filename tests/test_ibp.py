@@ -239,7 +239,7 @@ def test_remainder_bound_formula():
     N = 3
     expect = (double_factorial(2 * N - 1) * t ** -N
               * math.log(t) ** ((2 * N + 1) / 2)
-              * dd.D_minus ** (-2 * N) * dd.k ** (-(2 * N - 1) / 2))
+              * (-math.log1p(-dd.a)) ** (-2 * N) * dd.k ** (-(2 * N - 1) / 2))
     assert rn_bound(N, p, dd.k) == pytest.approx(expect, rel=1e-12)
 
 

@@ -110,9 +110,11 @@ def test_choose_split_m5_default():
 def test_split_derived_quantities_consistent():
     p = ProblemParams(t=1e5, delta=0.5, sigma=0.5, lam=critical_lambda(1e5, 0.5) * 1.5)
     dd = choose_split(derive(p), 4)
-    assert dd.D_minus == pytest.approx(-math.log1p(-dd.a), rel=1e-13)
-    assert dd.D_minus == pytest.approx(math.log(p.t ** -0.5 / dd.k), rel=1e-12)
-    assert dd.D >= dd.D_minus
+    assert dd.k == pytest.approx(p.t ** (0.5 - 1.0) * (1.0 - dd.a), rel=1e-15)
+    # D_- = -log(1-a) and the phase derivative D = F'(1-k) at the split
+    d_minus = -math.log1p(-dd.a)
+    assert d_minus == pytest.approx(math.log(p.t ** -0.5 / dd.k), rel=1e-12)
+    assert math.log(p.lam * (1.0 - dd.k) / dd.k) >= d_minus
 
 
 def test_split_from_a_validates_range():

@@ -492,3 +492,33 @@ def test_bad_tol_or_panel_cap_is_invalid_param(piece, kwargs):
             jtilde_oracle(p, **kwargs)
         else:
             (jb1_oracle if piece == "jb1" else jb2_oracle)(p, k, **kwargs)
+
+
+BAD_TOLS = {"zero": 0.0, "negative": -1.0, "inf": math.inf, "nan": math.nan}
+
+
+@pytest.mark.parametrize("entry", ["ray_truncation", "integrate_ray", "integrate_segment"])
+@pytest.mark.parametrize("tol", list(BAD_TOLS.values()), ids=list(BAD_TOLS))
+def test_bad_tol_is_invalid_param_at_the_public_entries(entry, tol):
+    # not ZeroDivisionError or ValueError from log(1/tol), nor a run to the
+    # error floor (tol 0) or a one-panel result (tol inf)
+    with pytest.raises(InvalidParam):
+        if entry == "ray_truncation":
+            ray_truncation(lambda z: (1j * np.abs(z), np.ones_like(z)), 0j, math.pi / 2, tol)
+        elif entry == "integrate_ray":
+            integrate_ray(lambda z: np.exp(1j * z * z), RayContour(0j, math.pi / 4, 12.0),
+                          tol, phase=lambda z: z * z)
+        else:
+            integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 3.0, tol,
+                              phase=lambda z: z * z)
+
+
+@pytest.mark.parametrize("entry", ["integrate_ray", "integrate_segment"])
+def test_panel_cap_below_one_is_invalid_param_at_the_integrators(entry):
+    with pytest.raises(InvalidParam):
+        if entry == "integrate_ray":
+            integrate_ray(lambda z: np.exp(1j * z * z), RayContour(0j, math.pi / 4, 12.0),
+                          1e-10, phase=lambda z: z * z, panel_cap=0)
+        else:
+            integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 3.0, 1e-10,
+                              phase=lambda z: z * z, panel_cap=0)
