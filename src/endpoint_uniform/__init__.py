@@ -56,7 +56,6 @@ from .phase import (
     f0,
     f1,
     stationary_point,
-    taylor_c,
 )
 from .fresnel import (
     FT_FULL_LINE,

@@ -31,6 +31,7 @@ from .params import (
     admissible_lambda_range,
     check_tolerance,
     choose_split,
+    corollary_split,
     critical_lambda,
     derive,
     from_omega,
@@ -176,7 +177,7 @@ def eval_method(method: str, p: ProblemParams, m_order: int = 4, a=None):
             a = choose_split(derive(p), m_order).a
         return ap, m_order, a
     if method == "corollary":
-        return asymptotics.corollary_leading(p), "", p.t ** (-7.0 * p.delta / 16.0)
+        return asymptotics.corollary_leading(p), "", corollary_split(derive(p)).a
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -371,8 +372,7 @@ def _scan_split_consistency(cfg: SweepConfig):
         for Lam in (0.0, 1.0):
             lam = critical_lambda(t, cfg.delta) * (1.0 + Lam)
             p = ProblemParams(t=t, delta=cfg.delta, sigma=0.5, lam=lam)
-            a = t ** (-7.0 * cfg.delta / 16.0)
-            k = t ** (cfg.delta - 1.0) * (1.0 - a)
+            k = corollary_split(derive(p)).k
             whole = jb_oracle(p, tol=cfg.tol)
             part1 = jb1_oracle(p, k, tol=cfg.tol)
             part2 = jb2_oracle(p, k, tol=cfg.tol)
@@ -410,7 +410,7 @@ def _scan_exponent_identity(cfg: SweepConfig):
             p = ProblemParams(t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam)
             res1 = asymptotics.exponent_identity_residual(p)
             m1 = 1e-9 * (1.0 + t) - res1
-            a = t ** (-7.0 * cfg.delta / 16.0)
+            a = corollary_split(derive(p)).a
             res2 = asymptotics.phase_difference_residual(p, a)
             m2 = 10.0 * a**3 * t**cfg.delta - res2
             point = {

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import AssumptionViolated, SigmaUnsupported, SingularPoint, SplitOutOfRange
-from .params import ProblemParams
+from .params import ProblemParams, check_split_point
 
 
 def double_factorial(n: int) -> int:
@@ -120,51 +120,47 @@ def _split_a(p: ProblemParams, k: float) -> float:
     return 1.0 - k * p.t ** (1.0 - p.delta)
 
 
-def _check_split(p: ProblemParams, k: float):
-    if not (0.0 < k < p.t ** (p.delta - 1.0)):
-        raise SplitOutOfRange(
-            f"split point k={k} outside (0, t^(delta-1)={p.t ** (p.delta - 1.0):.3e})"
-        )
-
-
-def _check_expansion_assumption(p: ProblemParams, k: float):
-    """Successive terms shrink iff t k D_-^2 > 1 (with D_- < 1)."""
+def _check_expansion_assumption(p: ProblemParams, k: float) -> float:
+    """Successive terms shrink iff t k D_-^2 > 1 (with D_- < 1).  Returns D_-."""
     a = _split_a(p, k)
     d_minus = -math.log1p(-a)
     if not (d_minus < 1.0 and p.t * k * d_minus * d_minus > 1.0):
         raise AssumptionViolated(
             f"split a={a:.3e} (D_-={d_minus:.3e}) outside the expansion's validity window"
         )
+    return d_minus
+
+
+def _term_bound(j: int, p: ProblemParams, a: float) -> float:
+    """Magnitude bound (constant 1) for the j-th boundary term at split width a."""
+    return (
+        double_factorial(2 * j - 1)
+        * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
+        * a ** (-(2 * j + 1))
+    )
 
 
 def t_term(j: int, p: ProblemParams, k: float) -> ExpansionTerm:
     """j-th boundary term of the ray piece, exact closed form (j >= 1)."""
     if p.sigma != 0.5:
         raise SigmaUnsupported("boundary terms are defined for sigma = 1/2 only")
-    _check_split(p, k)
+    check_split_point(p.t, p.delta, k)
     if j < 1:
         raise SplitOutOfRange(f"term index must be >= 1, got {j}")
     t = p.t
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
     acc = _amn_sum(j - 1, z0, big_d)
-    osc = cmath.exp(1j * t * complex(phase_mod.big_f(z0, p.lam)).real)
+    osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, k))
     value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
-    a_split = _split_a(p, k)
-    bound = (
-        double_factorial(2 * j - 1)
-        * t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
-        * a_split ** (-(2 * j + 1))
-    )
+    bound = _term_bound(j, p, _split_a(p, k))
     return ExpansionTerm(j=j, value=value, magnitude_bound=bound)
 
 
 def rn_bound(N: int, p: ProblemParams, k: float) -> float:
     """Magnitude bound (constant 1) for the remainder holding terms j >= N."""
-    _check_split(p, k)
-    _check_expansion_assumption(p, k)
-    a = _split_a(p, k)
-    d_minus = -math.log1p(-a)
+    check_split_point(p.t, p.delta, k)
+    d_minus = _check_expansion_assumption(p, k)
     t = p.t
     return (
         double_factorial(2 * N - 1)
@@ -178,13 +174,9 @@ def rn_bound(N: int, p: ProblemParams, k: float) -> float:
 def tj_bound(j: int, p: ProblemParams, a: float) -> float:
     """Magnitude bound (constant 1) for the j-th boundary term, in split width a."""
     k = p.t ** (p.delta - 1.0) * (1.0 - a)
-    _check_split(p, k)
+    check_split_point(p.t, p.delta, k)
     _check_expansion_assumption(p, k)
-    return (
-        double_factorial(2 * j - 1)
-        * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
-        * a ** (-(2 * j + 1))
-    )
+    return _term_bound(j, p, a)
 
 
 def jb2_series(p: ProblemParams, k: float, j_max: int):
@@ -196,7 +188,7 @@ def jb2_series(p: ProblemParams, k: float, j_max: int):
     """
     if p.sigma != 0.5:
         raise SigmaUnsupported("series defined for sigma = 1/2 only")
-    _check_split(p, k)
+    check_split_point(p.t, p.delta, k)
     if j_max < 0:
         raise SplitOutOfRange(f"j_max must be >= 0, got {j_max}")
     terms = [t_term(j, p, k) for j in range(1, j_max + 1)]

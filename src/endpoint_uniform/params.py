@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import InvalidParam, InvalidSplit, OutOfRange
+from .errors import InvalidParam, InvalidSplit, OutOfRange, SplitOutOfRange
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -176,3 +176,16 @@ def split_from_a(d: DerivedParams, a: float) -> DerivedParams:
         raise InvalidSplit(f"a must lie in (0,1), got {a}")
     k = d.t ** (d.delta - 1.0) * (1.0 - a)
     return replace(d, k=k, a=a)
+
+
+def corollary_split(d: DerivedParams) -> DerivedParams:
+    """The corollary's balanced split width a = t^(-7 delta/16)."""
+    return split_from_a(d, d.t ** (-7.0 * d.delta / 16.0))
+
+
+def check_split_point(t: float, delta: float, k: float):
+    """Refuse a split point z = 1-k unless k lies in (0, t^(delta-1))."""
+    if not (0.0 < k < t ** (delta - 1.0)):
+        raise SplitOutOfRange(
+            f"split point k={k} outside (0, t^(delta-1)={t ** (delta - 1.0):.3e})"
+        )

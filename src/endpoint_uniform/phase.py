@@ -70,6 +70,11 @@ def big_f(z, lam: float, sigma=None):
     return complex(out), complex(amp)
 
 
+def t_phase(t: float, lam: float, k: float) -> float:
+    """The real t-sized phase t Re F(1-k; lambda) at the point z = 1-k."""
+    return t * big_f(1.0 - k, lam).real
+
+
 def d_f(z, lam: float):
     """dF/dz = log z - log(1-z) + log lambda."""
     _check_cuts(z)
@@ -157,25 +162,3 @@ def amp_g(zeta, lambda_c: float, sigma: float):
     za = _as_complex(zeta)
     out = (1.0 - za) ** -0.5 * (1.0 + lambda_c * za) ** (sigma - 0.5)
     return out if isinstance(zeta, np.ndarray) else complex(out)
-
-
-def taylor_c(n_max: int, t: float, delta: float, lam: float):
-    """Taylor coefficients of F(1 - t^(delta-1)(1 - zeta)) about zeta = 0.
-
-    c[0] = F at the endpoint, c[1] = t^(delta-1) log(lambda/lambda_c), and for
-    n >= 2
-
-        c[n] = t^(delta-1)/(n(n-1)) * (1 - (-lambda_c)^(n-1)),
-
-    kept in closed form so high orders do not lose accuracy to cancellation.
-    Returns a complex array c[0..n_max].
-    """
-    p = t ** (delta - 1.0)
-    lc = p / (1.0 - p)
-    c = np.zeros(n_max + 1, dtype=complex)
-    c[0] = big_f(1.0 - p, lam)
-    if n_max >= 1:
-        c[1] = p * math.log(lam / lc)
-    for n in range(2, n_max + 1):
-        c[n] = p / (n * (n - 1.0)) * (1.0 - (-lc) ** (n - 1))
-    return c

@@ -19,12 +19,13 @@ Refinement stops with NonConvergence at the panel cap, or earlier at the
 roundoff floor: when FLOOR_ROUNDS stuck rounds come in a row, as they do once
 t F is too large for double precision, further bisection cannot reach tol.
 
-Each node is evaluated once, for the integrand and the phase together: the
-z-frame oracles take t F and the amplitude from the same two logarithms
-(phase.big_f with sigma), and a panel is bisected at its centre node (GK15
-node 7 is x = 0), so the phase at a new panel edge is the one the integrand
-callback already returned there.  The phase alone is evaluated only at the
-initial breaks and on the truncation grid.
+Each node is evaluated once, for the integrand and the phase together: each
+oracle frame is one callable giving the pair (phase, amplitude), the z-frame
+one from the same two logarithms (phase.big_f with sigma), and a panel is
+bisected at its centre node (GK15 node 7 is x = 0), so the phase at a new
+panel edge is the one the integrand callback already returned there.  Outside
+the GK15 batches the frame runs only at the initial breaks and on the
+truncation grid.
 
 Panel evaluation is batched through numpy, and the final sum runs over panels
 sorted by position, so results are reproducible run to run.
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import InvalidParam, NonConvergence, NumericalError, SigmaUnsupported
-from .params import DerivedParams, ProblemParams, check_tolerance, derive
+from .params import DerivedParams, ProblemParams, check_split_point, check_tolerance, derive
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
 # indexed nodes.  Values as tabulated for the classical QUADPACK pair.
@@ -363,61 +364,57 @@ def endpoint_prefactor(d: DerivedParams) -> complex:
     return mod * cmath.exp(1j * ph)
 
 
-def _oracle(wa, w, origin, tol, panel_cap, angle=None, end=None):
+def _oracle(wa, origin, tol, panel_cap, angle=None, end=None):
     """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
     or else along the ray at angle, truncated by the decay rule.  wa(z) gives
-    the pair (w(z), amp(z)) at the nodes, w alone the phase at the initial
-    breaks.  ray_truncation and the integrators refuse a bad tol or
-    panel_cap."""
+    the pair (w(z), amp(z)): at the nodes, on the truncation grid, and at the
+    initial breaks, whose phase is wa(breaks)[0].  ray_truncation and the
+    integrators refuse a bad tol or panel_cap."""
 
     def f(z):
         wz, amp = wa(z)
         return amp * np.exp(1j * wz), wz
 
+    def phase(z):
+        return wa(z)[0]
+
     if end is not None:
-        return integrate_segment(f, origin, end, tol, phase=w, panel_cap=panel_cap)
+        return integrate_segment(f, origin, end, tol, phase=phase, panel_cap=panel_cap)
     r_max, tb = ray_truncation(wa, origin, angle, tol)
-    return integrate_ray(f, RayContour(origin, angle, r_max), tol, phase=w,
+    return integrate_ray(f, RayContour(origin, angle, r_max), tol, phase=phase,
                          panel_cap=panel_cap, truncation_bound=tb)
 
 
 def _z_frame(p: ProblemParams, sigma: float):
-    """(wa, w) of the z-frame oracles: t F with the amplitude
-    (1-z)^(-1/2) z^(sigma-1/2), from one pair of logarithms, and t F alone."""
+    """The z-frame oracles' (phase, amplitude) callable: t F with the
+    amplitude (1-z)^(-1/2) z^(sigma-1/2), from one pair of logarithms."""
 
     def wa(z):
         f, amp = phase_mod.big_f(z, p.lam, sigma)
         return p.t * f, amp
 
-    def w(z):
-        return p.t * phase_mod.big_f(z, p.lam)
-
-    return wa, w
+    return wa
 
 
 def _split_piece(p: ProblemParams, k: float, origin, tol, panel_cap, **contour):
     """A piece of the split contour: amplitude (1-z)^(-1/2), sigma = 1/2 only."""
     if p.sigma != 0.5:
         raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
-    if not (0.0 < k < p.t ** (p.delta - 1.0)):
-        raise NumericalError(f"split point k={k} must lie in (0, t^(delta-1))")
-    return _oracle(*_z_frame(p, 0.5), origin, tol, panel_cap, **contour)
+    check_split_point(p.t, p.delta, k)
+    return _oracle(_z_frame(p, 0.5), origin, tol, panel_cap, **contour)
 
 
 def _gaussian_frame(d: DerivedParams):
-    """(wa, w) of the Gaussian phase (lambda_c t/2)(v^2 + beta v), beta =
-    2 log(1+Lambda)/(1+lambda_c), with unit amplitude."""
+    """(phase, amplitude) callable of the Gaussian phase (lambda_c t/2)(v^2 +
+    beta v), beta = 2 log(1+Lambda)/(1+lambda_c), with unit amplitude."""
     lc = d.lambda_c
     half = 0.5 * lc * d.t
     beta = 2.0 * math.log1p(d.Lambda) / (1.0 + lc)
 
-    def w(v):
-        return half * (v * v + beta * v)
-
     def wa(v):
-        return w(v), np.ones_like(np.asarray(v, dtype=complex))
+        return half * (v * v + beta * v), np.ones_like(np.asarray(v, dtype=complex))
 
-    return wa, w
+    return wa
 
 
 def jb_oracle(p: ProblemParams, tol: float = 1e-10,
@@ -428,7 +425,7 @@ def jb_oracle(p: ProblemParams, tol: float = 1e-10,
     truncated by the decay rule.  tol is absolute.
     """
     z0 = 1.0 - p.t ** (p.delta - 1.0)
-    return _oracle(*_z_frame(p, p.sigma), z0, tol, panel_cap, angle=derive(p).phi)
+    return _oracle(_z_frame(p, p.sigma), z0, tol, panel_cap, angle=derive(p).phi)
 
 
 def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
@@ -453,13 +450,11 @@ def jtilde_oracle(p: ProblemParams, tol: float = 1e-10,
     d = derive(p)
     lc = d.lambda_c
 
-    def w(zeta):
-        return p.t * phase_mod.f1(zeta, lc, d.Lambda) / (1.0 + lc)
-
     def wa(zeta):
-        return w(zeta), phase_mod.amp_g(zeta, lc, p.sigma)
+        return (p.t * phase_mod.f1(zeta, lc, d.Lambda) / (1.0 + lc),
+                phase_mod.amp_g(zeta, lc, p.sigma))
 
-    return _oracle(wa, w, 0.0, tol, panel_cap, angle=d.phi)
+    return _oracle(wa, 0.0, tol, panel_cap, angle=d.phi)
 
 
 def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
@@ -471,4 +466,4 @@ def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
     beta = 2 log(1+Lambda)/(1+lambda_c).  u may be 0 or any point from which
     the pi/4 ray stays in the decay sector (in practice: on that ray).
     """
-    return _oracle(*_gaussian_frame(d), complex(u), tol, panel_cap, angle=math.pi / 4.0)
+    return _oracle(_gaussian_frame(d), complex(u), tol, panel_cap, angle=math.pi / 4.0)

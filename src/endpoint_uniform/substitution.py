@@ -328,7 +328,7 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     direct = jtilde_oracle(p, tol=tol).value
 
     angle = math.pi / 4.0
-    r_max, _tb = ray_truncation(_gaussian_frame(d)[0], 0.0 + 0.0j, angle, tol)
+    r_max, _tb = ray_truncation(_gaussian_frame(d), 0.0 + 0.0j, angle, tol)
 
     def integrand(v):
         return _amp_F_prime(v, d, sigma) * phi_closed(v, d)

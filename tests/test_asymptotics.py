@@ -2,6 +2,7 @@
 expansion driver, and the concrete two-term corollary form."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -64,13 +65,20 @@ class TestLeadingOrder:
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_two_forms_agree_across_grid(self):
-        # the internal cross-check raises NumericalError on disagreement,
-        # so plain completion is the assertion; the residual is checked too
-        for t in np.geomspace(1e4, 1e8, 10):
-            for Lam in (0.0, 0.1, 0.5, 1.0, 2.0):
-                p = from_offset(float(t), 0.5, 0.5, Lam)
-                leading_order(p)
-                assert exponent_identity_residual(p) <= 1e-9 * (1.0 + p.t)
+        # the endpoint form has the modulus
+        # t^(-1/2) sqrt(2/(1+lambda_c)) (1+lambda_c)^(1/2-sigma) |FT(omega)|
+        # and the exponent t F(1-t^(delta-1)) - omega^2; the offset-frame
+        # value must match both
+        for t, Lam, sigma in itertools.product(
+                np.geomspace(1e4, 1e8, 10), (0.0, 0.1, 0.5, 1.0, 2.0), (0.5, 0.7)):
+            p = from_offset(float(t), 0.5, sigma, Lam)
+            d = derive(p)
+            lc = d.lambda_c
+            v = leading_order(p).value
+            mod_b = (p.t ** -0.5 * math.sqrt(2.0 / (1.0 + lc))
+                     * (1.0 + lc) ** (0.5 - sigma) * abs(fresnel_tail(d.omega)))
+            assert abs(abs(v) - mod_b) <= 1e-12 * abs(v)
+            assert exponent_identity_residual(p) <= 1e-9 * (1.0 + p.t)
 
     def test_general_sigma_runs(self):
         p = from_offset(1e5, 0.5, 0.8, 0.3)

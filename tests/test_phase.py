@@ -21,7 +21,6 @@ from endpoint_uniform import (
     f1,
     from_offset,
     stationary_point,
-    taylor_c,
 )
 from conftest import fit_loglog
 
@@ -164,62 +163,6 @@ def test_second_derivative_finite_difference_order():
         errs_per_h.append(max(errs))
     slope = fit_loglog(hs, errs_per_h)[0]
     assert slope == pytest.approx(2.0, abs=0.2)
-
-
-class TestTaylorCoefficients:
-    T, DELTA = 16.0, 0.5
-
-    def coeffs(self, lam=None, n_max=6):
-        lam = critical_lambda(self.T, self.DELTA) if lam is None else lam
-        return taylor_c(n_max, self.T, self.DELTA, lam), lam
-
-    def test_constant_term_is_endpoint_phase(self):
-        c, lam = self.coeffs()
-        z0 = 1.0 - self.T ** (self.DELTA - 1.0)
-        assert c[0] == pytest.approx(complex(big_f(z0, lam)).real, rel=1e-14)
-
-    def test_linear_term_formula(self):
-        lc = critical_lambda(self.T, self.DELTA)
-        c, lam = self.coeffs(lam=lc * 1.7)
-        p = self.T ** (self.DELTA - 1.0)
-        assert c[1] == pytest.approx(p * math.log(lam / lc), rel=1e-13)
-
-    def test_linear_term_vanishes_at_critical(self):
-        c, _ = self.coeffs()
-        assert abs(c[1]) < 1e-16
-
-    def test_quadratic_term(self):
-        c, _ = self.coeffs()
-        lc = critical_lambda(self.T, self.DELTA)
-        p = self.T ** (self.DELTA - 1.0)
-        assert c[2] == pytest.approx(0.5 * p * (1.0 + lc), rel=1e-14)
-
-    def test_cubic_term_exact_rational(self):
-        c, _ = self.coeffs()
-        lc = 1.0 / 3.0
-        assert c[3] == pytest.approx((0.25 / 6.0) * (1.0 - lc ** 2), rel=1e-14)
-
-    def test_general_term_formula(self):
-        c, _ = self.coeffs(n_max=8)
-        lc = critical_lambda(self.T, self.DELTA)
-        p = self.T ** (self.DELTA - 1.0)
-        for n in range(2, 9):
-            expect = (p / (n * (n - 1))) * (1.0 - (-lc) ** (n - 1))
-            assert c[n] == pytest.approx(expect, rel=1e-13)
-
-    def test_truncated_reconstruction_bound(self):
-        t, delta = 1e4, 0.5
-        lam = critical_lambda(t, delta) * 1.3
-        c, _ = taylor_c(6, t, delta, lam), lam
-        p = t ** (delta - 1.0)
-        # t*F is ~1e4-sized, so the comparison carries a rounding floor of
-        # roughly eps * t * |F|; below zeta ~ 0.03 the zeta^7 bound falls
-        # under that floor and only the floor is checkable.
-        for zeta in np.linspace(1e-3, 0.1, 25):
-            exact = t * complex(big_f(1.0 - p * (1.0 - zeta), lam)).real
-            series = t * sum(c[n] * zeta ** n for n in range(7))
-            floor = 64 * np.finfo(float).eps * abs(exact)
-            assert abs(exact - series) <= 2.0 * t ** delta * zeta ** 7 + floor
 
 
 def test_exponent_identity_on_grid():

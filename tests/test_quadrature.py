@@ -17,6 +17,7 @@ from endpoint_uniform import (
     QuadratureResult,
     RayContour,
     SigmaUnsupported,
+    SplitOutOfRange,
     big_f,
     choose_split,
     critical_lambda,
@@ -322,11 +323,14 @@ def test_split_pieces_require_half_sigma():
 
 
 def test_split_point_range_enforced():
+    # a split point outside (0, t^(delta-1)) is a parameter error, typed as
+    # the boundary-term series types it
     p = ProblemParams(t=1e4, delta=0.5, sigma=0.5,
                       lam=critical_lambda(1e4, 0.5))
-    for bad_k in (0.0, 1e4 ** -0.5, 0.5):
-        with pytest.raises(NumericalError):
-            jb1_oracle(p, bad_k)
+    for oracle in (jb1_oracle, jb2_oracle):
+        for bad_k in (0.0, 1e4 ** -0.5, 0.5):
+            with pytest.raises(SplitOutOfRange):
+                oracle(p, bad_k)
 
 
 def test_oracle_deterministic():
