@@ -66,7 +66,7 @@ from .fresnel import (
     fresnel_tail_general,
 )
 from .quadrature import (
-    PANEL_CAP_DEFAULT,
+    PANEL_CAP,
     QuadratureResult,
     RayContour,
     endpoint_prefactor,
@@ -119,7 +119,6 @@ from .harness import (
     SweepConfig,
     fit_error_slope,
     property_scan,
-    report_to_json,
     rows_to_csv,
     run_all_scans,
     run_sweep,

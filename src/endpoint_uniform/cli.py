@@ -15,13 +15,7 @@ import sys
 from . import harness, ibp
 from .errors import EndpointUniformError, InvalidParam, ParameterError
 from .params import ProblemParams, choose_split, derive, from_offset, split_from_a
-from .quadrature import (
-    PANEL_CAP_DEFAULT,
-    jb1_oracle,
-    jb2_oracle,
-    jb_oracle,
-    jtilde_oracle,
-)
+from .quadrature import jb1_oracle, jb2_oracle, jb_oracle, jtilde_oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,11 +41,8 @@ def _add_point(sp, need_t=True):
                        help="offset from the critical lambda: lambda = lambda_c (1+Lambda)")
 
 
-def _add_tol(sp, panel_cap=False):
+def _add_tol(sp):
     sp.add_argument("--tol", type=float, default=_DEFAULTS["tol"])
-    if panel_cap:
-        sp.add_argument("--panel-cap", dest="panel_cap", type=int,
-                        default=PANEL_CAP_DEFAULT, help=argparse.SUPPRESS)
 
 
 def _add_order(sp):
@@ -92,8 +83,7 @@ def _echo_flags(ns) -> dict:
 
 
 _SPLIT_FLAGS = ("m", "b", "a")
-_ORACLE_FLAGS = ("tol", "panel_cap")
-_FLAG_NAMES = {"lam": "--lambda", "j_max": "--j-max", "panel_cap": "--panel-cap"}
+_FLAG_NAMES = {"lam": "--lambda", "j_max": "--j-max"}
 
 
 def _refuse(ns, keys, reader: str):
@@ -134,18 +124,10 @@ def _emit(payload: dict, ns):
 def _cmd_eval(ns) -> dict:
     if ns.method != "all-orders":
         _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
-    if ns.method != "oracle":
-        _refuse(ns, _ORACLE_FLAGS, f"eval --method {ns.method}")
-    else:
-        ns.tol = _DEFAULTS["tol"] if ns.tol is None else ns.tol
-        ns.panel_cap = PANEL_CAP_DEFAULT if ns.panel_cap is None else ns.panel_cap
     p = _build_params(ns)
-    if ns.method == "oracle":
-        result = jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap)
-    else:
-        a = _split_fields(ns, p, order_read=True).a if ns.method == "all-orders" else None
-        m = ns.m if ns.m is not None else 4
-        result = harness.eval_method(ns.method, p, m, a)[0]
+    a = _split_fields(ns, p, order_read=True).a if ns.method == "all-orders" else None
+    m = ns.m if ns.m is not None else 4
+    result = harness.eval_method(ns.method, p, m, a)[0]
     return {"subcommand": "eval", "flags": _echo_flags(ns),
             "result": result.as_dict()}
 
@@ -156,13 +138,13 @@ def _cmd_oracle(ns) -> dict:
         _refuse(ns, _SPLIT_FLAGS, f"oracle --piece {piece}")
     p = _build_params(ns)
     if piece == "whole":
-        res = jb_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap)
+        res = jb_oracle(p, tol=ns.tol)
     elif piece == "jtilde":
-        res = jtilde_oracle(p, tol=ns.tol, panel_cap=ns.panel_cap)
+        res = jtilde_oracle(p, tol=ns.tol)
     else:
         dd = _split_fields(ns, p)
         fn = jb1_oracle if piece == "jb1" else jb2_oracle
-        res = fn(p, dd.k, tol=ns.tol, panel_cap=ns.panel_cap)
+        res = fn(p, dd.k, tol=ns.tol)
     return {"subcommand": "oracle", "flags": _echo_flags(ns), "piece": piece,
             "result": res.as_dict()}
 
@@ -271,26 +253,23 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("eval", help="evaluate one method at one point")
     _add_point(sp)
-    sp.add_argument("--method", required=True, choices=harness.METHODS)
-    _add_tol(sp, panel_cap=True)
+    sp.add_argument("--method", required=True, choices=harness.APPROXIMATIONS)
     _add_split(sp)
     _add_output(sp)
-    # None marks --tol and --panel-cap as not given; only the oracle reads them
-    sp.set_defaults(func=_cmd_eval, **dict.fromkeys(_ORACLE_FLAGS))
+    sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("oracle", help="direct quadrature with diagnostics")
     _add_point(sp)
     sp.add_argument("--piece", choices=("whole", "jb1", "jb2", "jtilde"),
                     default="whole")
-    _add_tol(sp, panel_cap=True)
+    _add_tol(sp)
     _add_split(sp)
     _add_output(sp)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("compare", help="one method against the oracle")
     _add_point(sp)
-    sp.add_argument("--method", required=True,
-                    choices=[m for m in harness.METHODS if m != "oracle"])
+    sp.add_argument("--method", required=True, choices=harness.APPROXIMATIONS)
     _add_tol(sp)
     _add_order(sp)
     _add_output(sp, ("json", "csv", "text"))

@@ -39,7 +39,9 @@ class SigmaUnsupported(ParameterError):
 
 
 class OrderViolation(ParameterError):
-    """Expansion order m below the minimum (m >= 4)."""
+    """An order argument below its minimum (expansion order m >= 4, table
+    level >= 0, term index >= 1, term count >= 0), or Fresnel segment
+    endpoints out of order."""
 
 
 class RegimeMismatch(ParameterError):
@@ -71,7 +73,7 @@ class ZeroArgument(ParameterError):
 
 
 class NonConvergence(NumericalError):
-    """Adaptive quadrature hit its panel cap.
+    """Adaptive quadrature stopped at its panel cap or its roundoff floor.
 
     The partial result (a QuadratureResult) is attached so callers can inspect
     how far the integration got.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -44,7 +43,9 @@ CSV_HEADER = (
     "oracle_re,oracle_im,abs_err,rel_err,budget,runtime_ms,error"
 )
 
-METHODS = ("oracle", "leading", "large-omega", "all-orders", "corollary")
+# the methods eval_method runs; a sweep also runs the oracle itself
+APPROXIMATIONS = ("leading", "large-omega", "all-orders", "corollary")
+METHODS = ("oracle",) + APPROXIMATIONS
 
 SUITES = (
     "ImFNonneg",
@@ -86,6 +87,13 @@ class SweepConfig:
         raise ValueError(f"unknown lambda_spec kind {kind!r}")
 
 
+def _check_numbers(name: str, values):
+    """Refuse values unless it is a list of numbers (a bool is not one)."""
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise InvalidParam(f"{name} must be a list of numbers, got {values!r}")
+
+
 def sweep_config_from_dict(d: dict) -> SweepConfig:
     """Read a config file's object, refusing what run_sweep could not run."""
     if not isinstance(d, dict):
@@ -96,6 +104,7 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
         raise InvalidParam(f"unknown config keys {unknown}; known: {known}")
     if "t_grid" not in d:
         raise InvalidParam("a config needs t_grid")
+    _check_numbers("t_grid", d["t_grid"])
     spec = d.get("lambda_spec", {"kind": "critical"})
     if not isinstance(spec, dict):
         raise InvalidParam(f"lambda_spec must be a JSON object, got {spec!r}")
@@ -103,8 +112,10 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
     values = spec.get("values")
     if kind not in ("critical", "lambda", "omega"):
         raise InvalidParam(f"unknown lambda_spec kind {kind!r}")
-    if kind != "critical" and values is None:
-        raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+    if kind != "critical":
+        if values is None:
+            raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+        _check_numbers("lambda_spec values", values)
     bad = [m for m in d.get("methods", []) if m not in METHODS]
     if bad:
         raise InvalidParam(f"unknown methods {bad}; known: {list(METHODS)}")
@@ -456,7 +467,3 @@ def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:
 def run_all_scans(cfg: SweepConfig | None = None) -> dict:
     reports = [property_scan(s, cfg) for s in SUITES]
     return {"reports": reports, "pass": all(r["pass"] for r in reports)}
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=float)

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import AssumptionViolated, SigmaUnsupported, SingularPoint, SplitOutOfRange
+from .errors import AssumptionViolated, OrderViolation, SigmaUnsupported, SingularPoint
 from .params import ProblemParams, check_split_point
 
 
@@ -89,7 +89,7 @@ def _amn_entries(level: int):
 def amn_table(N: int) -> CoefficientTable:
     """Exact coefficient table at level N (level 0 is the identity table)."""
     if N < 0:
-        raise SplitOutOfRange(f"table level must be >= 0, got {N}")
+        raise OrderViolation(f"table level must be >= 0, got {N}")
     return CoefficientTable(level=N, entries=_amn_entries(N))
 
 
@@ -146,7 +146,7 @@ def t_term(j: int, p: ProblemParams, k: float) -> ExpansionTerm:
         raise SigmaUnsupported("boundary terms are defined for sigma = 1/2 only")
     check_split_point(p.t, p.delta, k)
     if j < 1:
-        raise SplitOutOfRange(f"term index must be >= 1, got {j}")
+        raise OrderViolation(f"term index must be >= 1, got {j}")
     t = p.t
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
@@ -190,7 +190,7 @@ def jb2_series(p: ProblemParams, k: float, j_max: int):
         raise SigmaUnsupported("series defined for sigma = 1/2 only")
     check_split_point(p.t, p.delta, k)
     if j_max < 0:
-        raise SplitOutOfRange(f"j_max must be >= 0, got {j_max}")
+        raise OrderViolation(f"j_max must be >= 0, got {j_max}")
     terms = [t_term(j, p, k) for j in range(1, j_max + 1)]
     value = sum((term.value for term in terms), 0.0 + 0.0j)
     bound = rn_bound(j_max + 1, p, k)

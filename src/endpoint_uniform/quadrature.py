@@ -15,7 +15,7 @@ An error-driven round (one with no phase-forced split) is stuck when it fails
 to halve the summed error estimate.  A stuck round bisects worst-first, as
 QUADPACK dqagse does: only the largest-error panels that together hold
 FLOOR_RATIO (half) of the error, not every panel above its share of tol.
-Refinement stops with NonConvergence at the panel cap, or earlier at the
+Refinement stops with NonConvergence at PANEL_CAP panels, or earlier at the
 roundoff floor: when FLOOR_ROUNDS stuck rounds come in a row, as they do once
 t F is too large for double precision, further bisection cannot reach tol.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import InvalidParam, NonConvergence, NumericalError, SigmaUnsupported
+from .errors import NonConvergence, NumericalError, SigmaUnsupported
 from .params import DerivedParams, ProblemParams, check_split_point, check_tolerance, derive
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
@@ -100,7 +100,8 @@ _CENTRE = 7
 _WGK_C = _WGK.astype(complex)
 _WG_C = _WG.astype(complex)
 
-PANEL_CAP_DEFAULT = 20000
+# the most panels a quadrature refines to; _adaptive reads it at call time
+PANEL_CAP = 20000
 PHASE_ADVANCE_CAP = 2.0 * math.pi
 # Roundoff floor, after the roundoff test of QUADPACK dqagse (Piessens et al.
 # 1983): an error-driven round (one with no phase-forced split) is stuck when
@@ -159,7 +160,7 @@ def _gk_batch(f, lo, hi):
     return ik, err, absint, wc
 
 
-def _adaptive(f, phase, a, b, tol, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
+def _adaptive(f, phase, a, b, tol, breaks=None):
     """Adaptive GK15 of f over [a, b] (real parameter line).
 
     f maps parameter arrays to the pair (integrand, complex oscillation
@@ -167,7 +168,7 @@ def _adaptive(f, phase, a, b, tol, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
     breaks.  A panel is bisected at its centre node, where f has already
     given t*F.  Panels with more than 2*pi of phase advance and a
     non-negligible modulus are split regardless of their error estimate.
-    Raises NonConvergence at the panel cap or at the roundoff floor.
+    Raises NonConvergence at PANEL_CAP panels or at the roundoff floor.
     """
     if breaks is None:
         breaks = np.array([a, b])
@@ -178,7 +179,7 @@ def _adaptive(f, phase, a, b, tol, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
     wlo, whi = wends[:-1], wends[1:]
     min_width = 1e-14 * (b - a)
     neglect = 1e-3 * tol
-    capped = len(lo) > panel_cap
+    capped = len(lo) > PANEL_CAP
     prev_err = math.inf
     stuck = 0  # error-driven rounds in a row that did not halve the error
 
@@ -206,7 +207,7 @@ def _adaptive(f, phase, a, b, tol, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
         if not split.any():
             break
         # a round that would pass the cap is not run
-        capped = capped or n + int(np.count_nonzero(split)) > panel_cap
+        capped = capped or n + int(np.count_nonzero(split)) > PANEL_CAP
         if capped:
             break
         keep = ~split
@@ -232,7 +233,7 @@ def _adaptive(f, phase, a, b, tol, breaks=None, panel_cap=PANEL_CAP_DEFAULT):
         why = (f"hit its error floor at {n} panels: error {err:.3e} "
                f"not halved in {FLOOR_ROUNDS} rounds running")
     elif err > tol * 1.0000001 or capped:
-        why = f"stalled at {n} panels (cap {panel_cap}), error {err:.3e}"
+        why = f"stalled at {n} panels (cap {PANEL_CAP}), error {err:.3e}"
     else:
         return value, err, n
     raise NonConvergence(f"adaptive quadrature {why}, tol {tol:.3e}",
@@ -272,43 +273,35 @@ def _on_line(integrand, phase, z0, rot):
     return f, ph
 
 
-def _check_settings(tol, panel_cap):
-    check_tolerance(tol)
-    if not panel_cap >= 1:
-        raise InvalidParam(f"panel_cap must be >= 1, got {panel_cap}")
-
-
 def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
-                  panel_cap=PANEL_CAP_DEFAULT, truncation_bound=0.0):
+                  truncation_bound=0.0):
     """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
 
     integrand and phase take numpy arrays of complex z; integrand returns
     the values, or the pair (values, phase) when it computes the phase on
     the way.  tol is an absolute tolerance on the value; the per-panel error
     estimates must sum below it.  Raises InvalidParam unless tol is finite
-    and > 0 and panel_cap >= 1, and NonConvergence (with the partial result
-    attached) past panel_cap or at the roundoff floor.
+    and > 0, and NonConvergence (with the partial result attached) at
+    PANEL_CAP panels or at the roundoff floor.
     """
-    _check_settings(tol, panel_cap)
+    check_tolerance(tol)
     f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
     breaks = _geometric_breaks(contour.r_max)
-    value, err, n = _adaptive(f, ph, 0.0, contour.r_max, tol, breaks=breaks,
-                              panel_cap=panel_cap)
+    value, err, n = _adaptive(f, ph, 0.0, contour.r_max, tol, breaks=breaks)
     return QuadratureResult(value, err, n, truncation_bound)
 
 
-def integrate_segment(integrand, z_from, z_to, tol: float, phase=None,
-                      panel_cap=PANEL_CAP_DEFAULT):
-    """Integrate along the straight segment from z_from to z_to (integrand and
-    phase, tol and panel_cap as for integrate_ray)."""
-    _check_settings(tol, panel_cap)
+def integrate_segment(integrand, z_from, z_to, tol: float, phase=None):
+    """Integrate along the straight segment from z_from to z_to (integrand,
+    phase and tol as for integrate_ray)."""
+    check_tolerance(tol)
     z0 = complex(z_from)
     dz = complex(z_to) - z0
     length = abs(dz)
     if length == 0.0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0.0)
     f, ph = _on_line(integrand, phase, z0, dz / length)
-    value, err, n = _adaptive(f, ph, 0.0, length, tol, panel_cap=panel_cap)
+    value, err, n = _adaptive(f, ph, 0.0, length, tol)
     return QuadratureResult(value, err, n, 0.0)
 
 
@@ -364,12 +357,12 @@ def endpoint_prefactor(d: DerivedParams) -> complex:
     return mod * cmath.exp(1j * ph)
 
 
-def _oracle(wa, origin, tol, panel_cap, angle=None, end=None):
+def _oracle(wa, origin, tol, angle=None, end=None):
     """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
     or else along the ray at angle, truncated by the decay rule.  wa(z) gives
     the pair (w(z), amp(z)): at the nodes, on the truncation grid, and at the
     initial breaks, whose phase is wa(breaks)[0].  ray_truncation and the
-    integrators refuse a bad tol or panel_cap."""
+    integrators refuse a bad tol."""
 
     def f(z):
         wz, amp = wa(z)
@@ -379,10 +372,10 @@ def _oracle(wa, origin, tol, panel_cap, angle=None, end=None):
         return wa(z)[0]
 
     if end is not None:
-        return integrate_segment(f, origin, end, tol, phase=phase, panel_cap=panel_cap)
+        return integrate_segment(f, origin, end, tol, phase=phase)
     r_max, tb = ray_truncation(wa, origin, angle, tol)
     return integrate_ray(f, RayContour(origin, angle, r_max), tol, phase=phase,
-                         panel_cap=panel_cap, truncation_bound=tb)
+                         truncation_bound=tb)
 
 
 def _z_frame(p: ProblemParams, sigma: float):
@@ -396,12 +389,12 @@ def _z_frame(p: ProblemParams, sigma: float):
     return wa
 
 
-def _split_piece(p: ProblemParams, k: float, origin, tol, panel_cap, **contour):
+def _split_piece(p: ProblemParams, k: float, origin, tol, **contour):
     """A piece of the split contour: amplitude (1-z)^(-1/2), sigma = 1/2 only."""
     if p.sigma != 0.5:
         raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
     check_split_point(p.t, p.delta, k)
-    return _oracle(_z_frame(p, 0.5), origin, tol, panel_cap, **contour)
+    return _oracle(_z_frame(p, 0.5), origin, tol, **contour)
 
 
 def _gaussian_frame(d: DerivedParams):
@@ -417,35 +410,31 @@ def _gaussian_frame(d: DerivedParams):
     return wa
 
 
-def jb_oracle(p: ProblemParams, tol: float = 1e-10,
-              panel_cap=PANEL_CAP_DEFAULT) -> QuadratureResult:
+def jb_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
     """Direct adaptive quadrature of J(t; lambda) from the left endpoint.
 
     Contour: the ray 1 - t^(delta-1) + s e^(i phi) with phi = select_phi(lambda),
     truncated by the decay rule.  tol is absolute.
     """
     z0 = 1.0 - p.t ** (p.delta - 1.0)
-    return _oracle(_z_frame(p, p.sigma), z0, tol, panel_cap, angle=derive(p).phi)
+    return _oracle(_z_frame(p, p.sigma), z0, tol, angle=derive(p).phi)
 
 
-def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
-               panel_cap=PANEL_CAP_DEFAULT) -> QuadratureResult:
+def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10) -> QuadratureResult:
     """Real-segment piece: integral over [1 - t^(delta-1), 1 - k].
 
     Only sigma = 1/2 (the split analysis drops z^(sigma-1/2)).
     """
     z0 = 1.0 - p.t ** (p.delta - 1.0)
-    return _split_piece(p, k, z0, tol, panel_cap, end=1.0 - k)
+    return _split_piece(p, k, z0, tol, end=1.0 - k)
 
 
-def jb2_oracle(p: ProblemParams, k: float, tol: float = 1e-10,
-               panel_cap=PANEL_CAP_DEFAULT) -> QuadratureResult:
+def jb2_oracle(p: ProblemParams, k: float, tol: float = 1e-10) -> QuadratureResult:
     """Ray piece: integral from 1 - k out to infinity at angle select_phi."""
-    return _split_piece(p, k, 1.0 - k, tol, panel_cap, angle=derive(p).phi)
+    return _split_piece(p, k, 1.0 - k, tol, angle=derive(p).phi)
 
 
-def jtilde_oracle(p: ProblemParams, tol: float = 1e-10,
-                  panel_cap=PANEL_CAP_DEFAULT) -> QuadratureResult:
+def jtilde_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
     """Offset-frame integral J_tilde = int_0^(inf e^(i phi)) g e^(i t h) dzeta."""
     d = derive(p)
     lc = d.lambda_c
@@ -454,11 +443,10 @@ def jtilde_oracle(p: ProblemParams, tol: float = 1e-10,
         return (p.t * phase_mod.f1(zeta, lc, d.Lambda) / (1.0 + lc),
                 phase_mod.amp_g(zeta, lc, p.sigma))
 
-    return _oracle(wa, 0.0, tol, panel_cap, angle=d.phi)
+    return _oracle(wa, 0.0, tol, angle=d.phi)
 
 
-def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
-               panel_cap=PANEL_CAP_DEFAULT) -> QuadratureResult:
+def phi_oracle(u, d: DerivedParams, tol: float = 1e-10) -> QuadratureResult:
     """Direct quadrature of the incomplete Gaussian-phase tail
 
         Phi(u) = int_u^(inf e^(i pi/4)) exp(i (lambda_c t/2)(v^2 + beta v)) dv,
@@ -466,4 +454,4 @@ def phi_oracle(u, d: DerivedParams, tol: float = 1e-10,
     beta = 2 log(1+Lambda)/(1+lambda_c).  u may be 0 or any point from which
     the pi/4 ray stays in the decay sector (in practice: on that ray).
     """
-    return _oracle(_gaussian_frame(d), complex(u), tol, panel_cap, angle=math.pi / 4.0)
+    return _oracle(_gaussian_frame(d), complex(u), tol, angle=math.pi / 4.0)

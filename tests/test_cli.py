@@ -21,6 +21,7 @@ from endpoint_uniform import (
     choose_split,
     derive,
     from_offset,
+    jb_oracle,
     leading_order,
 )
 from endpoint_uniform import cli
@@ -72,14 +73,23 @@ class TestEval:
     def test_flags_are_echoed(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--t", "1e5", "--Lambda", "0.4",
-            "--method", "oracle", "--tol", "1e-8",
+            "--method", "all-orders", "--m", "5",
         )
         flags = json.loads(out)["flags"]
         assert flags["t"] == 1e5
         assert flags["Lambda"] == 0.4
-        assert flags["tol"] == 1e-8
+        assert flags["m"] == 5
         assert flags["delta"] == 0.5
         assert "func" not in flags
+
+    def test_oracle_method_is_refused(self, capsys):
+        # the direct quadrature runs as oracle --piece whole
+        code, out, err = run(
+            capsys, "eval", "--t", "1e5", "--Lambda", "0.4",
+            "--method", "oracle",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidParam"
 
     def test_missing_lambda_is_parameter_error(self, capsys):
         code, out, err = run(capsys, "eval", "--t", "1e5",
@@ -159,12 +169,18 @@ class TestOracle:
         res = json.loads(out)["result"]
         assert {"re", "im", "abs_err", "truncation_bound", "panels"} <= set(res)
 
+    def test_whole_matches_library_bit_for_bit(self, capsys):
+        code, out, err = run(capsys, "oracle", "--piece", "whole",
+                             "--t", "1e5", "--Lambda", "0.4")
+        assert code == 0 and err == ""
+        expect = jb_oracle(from_offset(1e5, 0.5, 0.5, 0.4)).as_dict()
+        assert json.loads(out)["result"] == expect
+
     def test_panel_cap_forces_nonconvergence(self, capsys):
-        code, _, err = run(
-            capsys, "oracle", "--t", "1e4", "--Lambda", "0.5",
-            "--panel-cap", "3",
-        )
-        assert code == 2
+        # the CLI's exit-2 path: at t = 1e12 the quadrature stops at its
+        # roundoff floor, well below the panel cap
+        code, out, err = run(capsys, "oracle", "--t", "1e12", "--Lambda", "0")
+        assert code == 2 and out == ""
         assert json.loads(err)["error"] == "NonConvergence"
 
     def test_piece_jb2(self, capsys):
@@ -310,6 +326,14 @@ class TestTerms:
         assert code == 1
         assert json.loads(err)["error"] == "InvalidParam"
 
+    @pytest.mark.parametrize("argv", [
+        ("--N", "-1"), ("--t", "3e4", "--Lambda", "0.6", "--j-max", "-1"),
+    ], ids=["N", "j-max"])
+    def test_negative_order_is_order_violation(self, capsys, argv):
+        code, out, err = run(capsys, "terms", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "OrderViolation"
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -339,6 +363,12 @@ BAD_CONFIGS = {
     "tol-not-a-number": '{"t_grid": [1e4], "tol": "small"}',
     "tol-zero": '{"t_grid": [1e4], "tol": 0}',
     "tol-negative": '{"t_grid": [1e4], "methods": ["oracle"], "tol": -1e-10}',
+    "t-grid-has-a-string": '{"t_grid": ["1e4"]}',
+    "t-grid-has-a-bool": '{"t_grid": [1e4, true]}',
+    "omega-values-have-a-string": '{"t_grid": [1e4], '
+                                  '"lambda_spec": {"kind": "omega", "values": ["0.5"]}}',
+    "lambda-values-not-a-list": '{"t_grid": [1e4], '
+                                '"lambda_spec": {"kind": "lambda", "values": 0.5}}',
 }
 
 
@@ -356,13 +386,12 @@ class TestConfigFiles:
         assert json.loads(err)["error"] == "InvalidParam"
 
 
-# A tolerance that is not finite and > 0, or a panel cap below 1, is refused
-# before any quadrature runs, whichever subcommand reads it.
+# A tolerance that is not finite and > 0 is refused before any quadrature
+# runs, whichever subcommand reads it; eval, which runs none, has no --tol.
 BAD_QUADRATURE_FLAGS = {
     "oracle-tol-zero": ("oracle", "--tol", "0"),
     "oracle-tol-nan": ("oracle", "--piece", "jb1", "--tol", "nan"),
-    "oracle-panel-cap-zero": ("oracle", "--panel-cap", "0"),
-    "eval-tol-negative": ("eval", "--method", "oracle", "--tol", "-1"),
+    "eval-tol-negative": ("eval", "--method", "leading", "--tol", "-1"),
     "sweep-tol-zero": ("sweep", "--method", "oracle", "--tol", "0"),
     "compare-tol-inf": ("compare", "--method", "leading", "--tol", "inf"),
 }
@@ -378,10 +407,10 @@ def test_bad_tol_or_panel_cap_is_parameter_error(capsys, name):
 
 # What each subcommand reads; every other option is refused.
 FLAGS = {
-    "eval": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method", "--tol",
-             "--panel-cap", "--m", "--b", "--a", "--out", "--format"},
+    "eval": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method",
+             "--m", "--b", "--a", "--out", "--format"},
     "oracle": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--piece", "--tol",
-               "--panel-cap", "--m", "--b", "--a", "--out", "--format"},
+               "--m", "--b", "--a", "--out", "--format"},
     "compare": {"--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method", "--tol",
                 "--m", "--out", "--format"},
     "sweep": {"--config", "--t", "--delta", "--sigma", "--lambda", "--Lambda", "--method",
@@ -406,8 +435,8 @@ VALUES = {"--seed": "7", "--config": "cfg.json", "--panel-cap": "100", "--b": "0
 REMOVED = [
     (sub, flag)
     for sub, flags in (
-        ("eval", ("--seed", "--config")),
-        ("oracle", ("--seed", "--config")),
+        ("eval", ("--seed", "--config", "--tol", "--panel-cap")),
+        ("oracle", ("--seed", "--config", "--panel-cap")),
         ("compare", ("--b", "--a", "--seed", "--config", "--panel-cap")),
         ("sweep", ("--b", "--a", "--seed", "--panel-cap")),
         ("terms", ("--tol", "--seed", "--config", "--panel-cap")),
@@ -427,7 +456,7 @@ class TestFlags:
             for name, sp in subparsers.items()
         }
         assert declared == FLAGS
-        assert sum(len(flags) for flags in declared.values()) == 63
+        assert sum(len(flags) for flags in declared.values()) == 60
 
     @pytest.mark.parametrize("sub, flag", REMOVED, ids=[f"{s}{f}" for s, f in REMOVED])
     def test_removed_flag_is_refused(self, capsys, sub, flag):
@@ -438,7 +467,8 @@ class TestFlags:
         assert flag in msg["message"]
 
 
-# Flags a subcommand declares but the chosen method, piece or mode never reads.
+# Flags the chosen method, piece or mode never reads, each named in the one
+# refusal.  eval declares no --tol or --panel-cap: no eval method reads them.
 UNREAD = {
     "eval-leading-b": (("eval", "--method", "leading", "--t", "1e6", "--Lambda", "0.5",
                         "--b", "0.44"), ["--b"]),

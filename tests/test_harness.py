@@ -1,6 +1,5 @@
 """Sweep driver, CSV serialisation, slope fits, and the property scans."""
 
-import json
 import math
 
 import pytest
@@ -16,7 +15,6 @@ from endpoint_uniform import (
     SweepConfig,
     fit_error_slope,
     property_scan,
-    report_to_json,
     rows_to_csv,
     run_all_scans,
     run_sweep,
@@ -261,12 +259,6 @@ class TestPropertyScans:
         assert rep["suite"] == "FresnelAsym"
         assert rep["pass"] is True
         assert {"points", "t_grid", "delta", "seed"} <= set(rep["grid"])
-
-    def test_report_json_round_trip(self):
-        rep = property_scan("FresnelAsym", small_cfg())
-        back = json.loads(report_to_json(rep))
-        assert back["suite"] == rep["suite"]
-        assert back["pass"] is rep["pass"]
 
     def test_all_suites_pass_on_small_grid(self):
         cfg = small_cfg()

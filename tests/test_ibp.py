@@ -7,6 +7,7 @@ import pytest
 
 from endpoint_uniform import (
     AssumptionViolated,
+    OrderViolation,
     RayContour,
     SigmaUnsupported,
     SingularPoint,
@@ -90,7 +91,7 @@ class TestCoefficientTables:
             "0,0": "3/4", "1,1": "-7/2", "2,1": "1", "2,2": "3"}
 
     def test_negative_level_rejected(self):
-        with pytest.raises(SplitOutOfRange):
+        with pytest.raises(OrderViolation):
             amn_table(-1)
 
 
@@ -169,8 +170,10 @@ def test_boundary_term_magnitude_bounds(split_setup):
 
 def test_term_guards(split_setup):
     p, dd = split_setup
-    with pytest.raises(SplitOutOfRange):
+    with pytest.raises(OrderViolation):
         t_term(0, p, dd.k)
+    with pytest.raises(OrderViolation):
+        jb2_series(p, dd.k, -1)
     bad_sigma = ProblemParams(t=p.t, delta=p.delta, sigma=0.75, lam=p.lam)
     with pytest.raises(SigmaUnsupported):
         t_term(1, bad_sigma, dd.k)

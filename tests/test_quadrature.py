@@ -75,11 +75,12 @@ def test_zero_length_segment():
     assert res.panels == 0
 
 
-def test_panel_cap_raises_with_partial_result():
+def test_panel_cap_raises_with_partial_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "PANEL_CAP", 8)
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
     with pytest.raises(NonConvergence) as exc:
         integrate_ray(lambda z: np.exp(1j * 4000 * z * z), contour, tol=1e-13,
-                      phase=lambda z: 4000 * z * z, panel_cap=8)
+                      phase=lambda z: 4000 * z * z)
     partial = exc.value.result
     assert isinstance(partial, QuadratureResult)
     assert math.isfinite(partial.value.real)
@@ -87,22 +88,24 @@ def test_panel_cap_raises_with_partial_result():
 
 
 @pytest.mark.parametrize("t", [1e11, 1e12])
-def test_panel_cap_is_not_passed(t):
+def test_panel_cap_is_not_passed(monkeypatch, t):
     # the last refinement round used to run past the cap (316 and 433 panels
     # against 300); a round that would pass it is now refused before it runs
+    monkeypatch.setattr(quadrature, "PANEL_CAP", 300)
     p = from_offset(t, 0.5, 0.5, 0.0)
     with pytest.raises(NonConvergence) as exc:
-        jb_oracle(p, tol=1e-10, panel_cap=300)
+        jb_oracle(p, tol=1e-10)
     assert 0 < exc.value.result.panels <= 300
 
 
-def test_panel_cap_with_only_phase_splits_left_is_not_converged():
+def test_panel_cap_with_only_phase_splits_left_is_not_converged(monkeypatch):
     # a constant integrand has no quadrature error, but 4000 s^2 advances far
     # more than 2 pi per panel: stopping at the cap must still raise
+    monkeypatch.setattr(quadrature, "PANEL_CAP", 300)
     contour = RayContour(0.0 + 0.0j, 0.0, 12.0)
     with pytest.raises(NonConvergence) as exc:
         integrate_ray(lambda z: np.ones_like(z), contour, tol=1e-3,
-                      phase=lambda z: 4000 * z * z, panel_cap=300)
+                      phase=lambda z: 4000 * z * z)
     assert exc.value.result.abs_error_estimate <= 1e-3
     assert exc.value.result.panels <= 300
 
@@ -480,8 +483,7 @@ def test_phase_alone_only_at_the_breaks_and_truncation(monkeypatch, piece, t, La
 
 
 BAD_SETTINGS = {"tol-zero": {"tol": 0.0}, "tol-negative": {"tol": -1.0},
-                "tol-inf": {"tol": math.inf}, "tol-nan": {"tol": math.nan},
-                "panel-cap-zero": {"panel_cap": 0}}
+                "tol-inf": {"tol": math.inf}, "tol-nan": {"tol": math.nan}}
 
 
 @pytest.mark.parametrize("piece", ["whole", "jb1", "jb2", "jtilde"])
@@ -515,14 +517,3 @@ def test_bad_tol_is_invalid_param_at_the_public_entries(entry, tol):
         else:
             integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 3.0, tol,
                               phase=lambda z: z * z)
-
-
-@pytest.mark.parametrize("entry", ["integrate_ray", "integrate_segment"])
-def test_panel_cap_below_one_is_invalid_param_at_the_integrators(entry):
-    with pytest.raises(InvalidParam):
-        if entry == "integrate_ray":
-            integrate_ray(lambda z: np.exp(1j * z * z), RayContour(0j, math.pi / 4, 12.0),
-                          1e-10, phase=lambda z: z * z, panel_cap=0)
-        else:
-            integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 3.0, 1e-10,
-                              phase=lambda z: z * z, panel_cap=0)
