@@ -44,7 +44,7 @@ def main():
     for r in rows:
         print(f"   t = {r.t:8.1e}   abs err = {r.abs_err:.3e}   "
               f"rel err = {r.rel_err:.3e}")
-    slope, r2 = fit_error_slope(rows, x="t")
+    slope, r2 = fit_error_slope(rows)
     print(f"   fitted slope of the absolute error {slope:+.3f} "
           f"(r^2 = {r2:.4f})")
 
@@ -59,7 +59,7 @@ def main():
         rows.extend(run_sweep(cfg))
     for r in rows:
         print(f"   t = {r.t:8.1e}   abs err = {r.abs_err:.3e}")
-    slope, r2 = fit_error_slope(rows, x="t")
+    slope, r2 = fit_error_slope(rows)
     print(f"   fitted slope {slope:+.3f} (r^2 = {r2:.4f}); "
           f"the guaranteed rate is -(1/2 + delta/4) = -0.625")
 

@@ -42,7 +42,7 @@ def main():
         print(f"  prefactor * reduced   {pref * tilde:.10e}")
         print(f"  factorisation gap     {gap:.3e}")
 
-        res = decomposition_residual(t, 0.5, Lam, tol=1e-7)
+        res = decomposition_residual(t, 0.5, Lam)
         print(f"  full decomposition residual {res:.3e}  (budget 1e-6)")
 
         u = 0.4 * RAY

@@ -37,6 +37,7 @@ from .errors import (
 from .params import (
     DerivedParams,
     ProblemParams,
+    Split,
     admissible_lambda_range,
     choose_split,
     critical_lambda,

@@ -163,9 +163,7 @@ def all_orders(p: ProblemParams, m: int, a: float | None = None) -> Approximatio
     if m < 4:
         raise OrderViolation(f"expansion order must be >= 4, got {m}")
     d = derive(p)
-    dd = choose_split(d, m) if a is None else split_from_a(d, a)
-    k = dd.k
-    a_used = dd.a
+    k, a_used = choose_split(d, m) if a is None else split_from_a(d, a)
     series_value, _terms, _series_bound = jb2_series(p, k, m - 3)
     seg = jb1_main(p, a_used)
     budget = [
@@ -192,8 +190,7 @@ def corollary_leading(p: ProblemParams) -> Approximation:
         raise SigmaUnsupported("corollary form defined for sigma = 1/2 only")
     t = p.t
     d = derive(p)
-    split = corollary_split(d)
-    a, k = split.a, split.k
+    k, a = corollary_split(d)
     big_d = math.log(1.0 / k - 1.0) + math.log(p.lam)
     osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, k))
     term1 = 1j * osc * t ** (-0.5 - p.delta / 2.0) / big_d

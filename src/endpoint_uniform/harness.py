@@ -72,6 +72,14 @@ class SweepConfig:
     m_order: int = 4
 
     def __post_init__(self):
+        kind, values = self.lambda_spec
+        if kind not in ("critical", "lambda", "omega"):
+            raise InvalidParam(f"unknown lambda_spec kind {kind!r}")
+        if kind != "critical" and values is None:
+            raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+        bad = [m for m in self.methods if m not in METHODS]
+        if bad:
+            raise InvalidParam(f"unknown methods {bad}; known: {list(METHODS)}")
         check_tolerance(self.tol)
 
     def lambda_values(self, t: float) -> list:
@@ -80,11 +88,18 @@ class SweepConfig:
             return [critical_lambda(t, self.delta)]
         if kind == "lambda":
             return list(values)
-        if kind == "omega":
-            return [
-                from_omega(t, self.delta, self.sigma, w).lam for w in values
-            ]
-        raise ValueError(f"unknown lambda_spec kind {kind!r}")
+        return [from_omega(t, self.delta, self.sigma, w).lam for w in values]
+
+
+# the JSON type of each scalar key and of methods; a bool is none of them
+_KEY_TYPES = {
+    "delta": ((int, float), "a number"),
+    "sigma": ((int, float), "a number"),
+    "tol": ((int, float), "a number"),
+    "seed": (int, "an integer"),
+    "m_order": (int, "an integer"),
+    "methods": (list, "a list"),
+}
 
 
 def _check_numbers(name: str, values):
@@ -105,33 +120,18 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
     if "t_grid" not in d:
         raise InvalidParam("a config needs t_grid")
     _check_numbers("t_grid", d["t_grid"])
+    for key, (types, name) in _KEY_TYPES.items():
+        if key in d and (isinstance(d[key], bool) or not isinstance(d[key], types)):
+            raise InvalidParam(f"{key} must be {name}, got {d[key]!r}")
     spec = d.get("lambda_spec", {"kind": "critical"})
     if not isinstance(spec, dict):
         raise InvalidParam(f"lambda_spec must be a JSON object, got {spec!r}")
     kind = spec.get("kind", "critical")
     values = spec.get("values")
-    if kind not in ("critical", "lambda", "omega"):
-        raise InvalidParam(f"unknown lambda_spec kind {kind!r}")
-    if kind != "critical":
-        if values is None:
-            raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+    if kind in ("lambda", "omega") and values is not None:
         _check_numbers("lambda_spec values", values)
-    bad = [m for m in d.get("methods", []) if m not in METHODS]
-    if bad:
-        raise InvalidParam(f"unknown methods {bad}; known: {list(METHODS)}")
-    try:
-        return SweepConfig(
-            t_grid=list(d["t_grid"]),
-            delta=float(d.get("delta", 0.5)),
-            sigma=float(d.get("sigma", 0.5)),
-            lambda_spec=(kind, values),
-            methods=list(d.get("methods", ["leading"])),
-            tol=float(d.get("tol", 1e-10)),
-            seed=int(d.get("seed", 0)),
-            m_order=int(d.get("m_order", 4)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidParam(f"bad config value: {exc}") from exc
+    given = {key: d[key] for key in _KEY_TYPES if key in d}
+    return SweepConfig(t_grid=d["t_grid"], lambda_spec=(kind, values), **given)
 
 
 @dataclass
@@ -282,33 +282,24 @@ def rows_to_csv(rows, deterministic: bool = True) -> str:
     return buf.getvalue()
 
 
-def write_csv(rows, path, deterministic: bool = True):
+def write_csv(rows, path):
     with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows, deterministic=deterministic))
+        fh.write(rows_to_csv(rows))
 
 
-def fit_error_slope(rows, x: str = "t"):
-    """Least-squares slope of log(abs_err) against log(x in {t, omega, a})."""
+def fit_error_slope(rows):
+    """Least-squares slope of log(abs_err) against log(t)."""
     xs, ys = [], []
     for r in rows:
         if r.error:
             continue
-        if x == "t":
-            xv = r.t
-        elif x == "omega":
-            xv = r.omega
-        elif x == "a":
-            xv = r.a if isinstance(r.a, float) else float("nan")
-        else:
-            raise ValueError(f"unknown fit axis {x!r}")
         if (
-            isinstance(xv, float)
-            and math.isfinite(xv)
-            and xv > 0.0
+            math.isfinite(r.t)
+            and r.t > 0.0
             and math.isfinite(r.abs_err)
             and r.abs_err > 0.0
         ):
-            xs.append(math.log(xv))
+            xs.append(math.log(r.t))
             ys.append(math.log(r.abs_err))
     if len(xs) < 3:
         raise DegenerateData(
@@ -410,7 +401,7 @@ def _scan_fresnel_asym(cfg: SweepConfig):
 
 def _scan_cov_decomposition(cfg: SweepConfig):
     for Lam in (0.0, 1.0):
-        res = substitution.decomposition_residual(200.0, cfg.delta, Lam, tol=1e-7)
+        res = substitution.decomposition_residual(200.0, cfg.delta, Lam, sigma=cfg.sigma)
         yield 1e-6 - res, {"t": 200.0, "Lambda": Lam, "residual": res}, 1
 
 

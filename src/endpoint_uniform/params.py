@@ -15,15 +15,15 @@ and the coalescence parameter
 
 which measures how far the stationary point is from the endpoint in units of
 the local Fresnel scale.  This module validates raw inputs and computes these
-derived quantities, plus the contour split (k, a) used by the
+derived quantities, plus the contour split Split(k, a) used by the
 integration-by-parts expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParam, InvalidSplit, OutOfRange, SplitOutOfRange
 
@@ -58,7 +58,7 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Derived quantities; split fields stay None until choose_split is called."""
+    """The inputs with lambda_c, the offset Lambda, omega and the ray angle phi."""
 
     t: float
     delta: float
@@ -68,8 +68,13 @@ class DerivedParams:
     Lambda: float
     omega: float
     phi: float
-    k: Optional[float] = None
-    a: Optional[float] = None
+
+
+class Split(NamedTuple):
+    """The contour split z = 1-k, k = t^(delta-1)(1-a), with split width a."""
+
+    k: float
+    a: float
 
 
 def check_tolerance(tol: float):
@@ -146,7 +151,7 @@ def default_split_exponent(m: int) -> float:
     return 0.5 - 1.0 / (4 * m)
 
 
-def choose_split(d: DerivedParams, m: int, b: Optional[float] = None) -> DerivedParams:
+def choose_split(d: DerivedParams, m: int, b: Optional[float] = None) -> Split:
     """Fix the contour split point for the order-m two-piece expansion.
 
     The split z = 1-k with k = t^(delta-1)(1-a) and a = t^(-b*delta) must keep
@@ -155,7 +160,7 @@ def choose_split(d: DerivedParams, m: int, b: Optional[float] = None) -> Derived
 
         1/2 - 1/(4m-2)  <  b  <  1/2 - 1/(4m+2).
 
-    Returns a copy of d with k and a filled in.
+    Returns Split(k, a).
     """
     if m < 4:
         raise InvalidSplit(f"split requires m >= 4, got m={m}")
@@ -170,16 +175,16 @@ def choose_split(d: DerivedParams, m: int, b: Optional[float] = None) -> Derived
     return split_from_a(d, d.t ** (-b * d.delta))
 
 
-def split_from_a(d: DerivedParams, a: float) -> DerivedParams:
-    """Fill split fields for an explicitly chosen a in (0,1)."""
+def split_from_a(d: DerivedParams, a: float) -> Split:
+    """Split(k, a) for an explicitly chosen a in (0,1)."""
     if not (0.0 < a < 1.0):
         raise InvalidSplit(f"a must lie in (0,1), got {a}")
     k = d.t ** (d.delta - 1.0) * (1.0 - a)
-    return replace(d, k=k, a=a)
+    return Split(k, a)
 
 
-def corollary_split(d: DerivedParams) -> DerivedParams:
-    """The corollary's balanced split width a = t^(-7 delta/16)."""
+def corollary_split(d: DerivedParams) -> Split:
+    """Split(k, a) at the corollary's balanced width a = t^(-7 delta/16)."""
     return split_from_a(d, d.t ** (-7.0 * d.delta / 16.0))
 
 

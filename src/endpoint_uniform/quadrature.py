@@ -19,13 +19,15 @@ Refinement stops with NonConvergence at PANEL_CAP panels, or earlier at the
 roundoff floor: when FLOOR_ROUNDS stuck rounds come in a row, as they do once
 t F is too large for double precision, further bisection cannot reach tol.
 
-Each node is evaluated once, for the integrand and the phase together: each
+Each node is evaluated once, for the integrand and the phase together: the
+integrators take an integrand that returns the pair (values, phase), each
 oracle frame is one callable giving the pair (phase, amplitude), the z-frame
 one from the same two logarithms (phase.big_f with sigma), and a panel is
 bisected at its centre node (GK15 node 7 is x = 0), so the phase at a new
 panel edge is the one the integrand callback already returned there.  Outside
 the GK15 batches the frame runs only at the initial breaks and on the
-truncation grid.
+truncation grid.  A truncated ray (ray_truncation's RayContour) carries the
+bound on its discarded tail, and integrate_ray reports it.
 
 Panel evaluation is batched through numpy, and the final sum runs over panels
 sorted by position, so results are reproducible run to run.
@@ -118,11 +120,12 @@ TRUNCATION_J_HI = 40
 
 @dataclass(frozen=True)
 class RayContour:
-    """Ray origin + s*exp(i*angle), s in [0, r_max]."""
+    """Ray origin + s*exp(i*angle), s in [0, r_max]; truncation_bound bounds the tail."""
 
     origin: complex
     angle: float
     r_max: float
+    truncation_bound: float = 0.0
 
 
 @dataclass
@@ -251,20 +254,11 @@ def _geometric_breaks(r_max, levels=52):
 
 
 def _on_line(integrand, phase, z0, rot):
-    """Pull integrand (times dz/ds) and phase back to the line z0 + s*rot.
-
-    Returns f(s) -> (integrand * rot, phase) for the GK15 nodes and ph(s) ->
-    phase for the initial breaks.  An integrand that returns the pair
-    (values, phase) itself spares the second evaluation at the nodes.  A
-    phase of None is zero, which forces no split.
-    """
-    if phase is None:
-        phase = np.zeros_like
+    """Pull integrand and phase back to the line z0 + s*rot: f(s) gives the
+    pair (values * dz/ds, phase) at the nodes, ph(s) the phase at the breaks."""
 
     def f(s):
-        z = z0 + s * rot
-        y = integrand(z)
-        y, w = y if isinstance(y, tuple) else (y, phase(z))
+        y, w = integrand(z0 + s * rot)
         return y * rot, w
 
     def ph(s):
@@ -273,25 +267,25 @@ def _on_line(integrand, phase, z0, rot):
     return f, ph
 
 
-def integrate_ray(integrand, contour: RayContour, tol: float, phase=None,
-                  truncation_bound=0.0):
+def integrate_ray(integrand, phase, contour: RayContour, tol: float):
     """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
 
-    integrand and phase take numpy arrays of complex z; integrand returns
-    the values, or the pair (values, phase) when it computes the phase on
-    the way.  tol is an absolute tolerance on the value; the per-panel error
-    estimates must sum below it.  Raises InvalidParam unless tol is finite
-    and > 0, and NonConvergence (with the partial result attached) at
+    integrand maps numpy arrays of complex z to the pair (values, phase t F),
+    and phase gives t F alone, at the initial breaks; a zero phase
+    (np.zeros_like) forces no split.  tol is an absolute tolerance on the
+    value; the per-panel error estimates must sum below it.  The result
+    reports contour.truncation_bound.  Raises InvalidParam unless tol is
+    finite and > 0, and NonConvergence (with the partial result attached) at
     PANEL_CAP panels or at the roundoff floor.
     """
     check_tolerance(tol)
     f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
     breaks = _geometric_breaks(contour.r_max)
     value, err, n = _adaptive(f, ph, 0.0, contour.r_max, tol, breaks=breaks)
-    return QuadratureResult(value, err, n, truncation_bound)
+    return QuadratureResult(value, err, n, contour.truncation_bound)
 
 
-def integrate_segment(integrand, z_from, z_to, tol: float, phase=None):
+def integrate_segment(integrand, phase, z_from, z_to, tol: float):
     """Integrate along the straight segment from z_from to z_to (integrand,
     phase and tol as for integrate_ray)."""
     check_tolerance(tol)
@@ -315,7 +309,8 @@ def ray_truncation(phase_amp, origin, angle, tol):
 
     A(r) the running max of the amplitude modulus on the grid, so the
     discarded tail is bounded (to leading order) by tol, which must be
-    finite and > 0 (else InvalidParam).  Returns (r_max, truncation_bound).
+    finite and > 0 (else InvalidParam).  Returns the ray truncated at that
+    radius, carrying the bound.
     """
     check_tolerance(tol)
     rot = cmath.exp(1j * angle)
@@ -337,7 +332,7 @@ def ray_truncation(phase_amp, origin, angle, tol):
         bound = float(np.exp(-imw[i]) * (1.0 + r[i] * ampmax[i]))
     if not math.isfinite(bound):
         bound = 0.0
-    return float(r[i]), bound
+    return RayContour(origin, angle, float(r[i]), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +367,8 @@ def _oracle(wa, origin, tol, angle=None, end=None):
         return wa(z)[0]
 
     if end is not None:
-        return integrate_segment(f, origin, end, tol, phase=phase)
-    r_max, tb = ray_truncation(wa, origin, angle, tol)
-    return integrate_ray(f, RayContour(origin, angle, r_max), tol, phase=phase,
-                         truncation_bound=tb)
+        return integrate_segment(f, phase, origin, end, tol)
+    return integrate_ray(f, phase, ray_truncation(wa, origin, angle, tol), tol)
 
 
 def _z_frame(p: ProblemParams, sigma: float):

@@ -38,18 +38,14 @@ from . import phase as phase_mod
 from .errors import NewtonDivergence, RootSelectionFailure
 from .fresnel import fresnel_tail_general
 from .params import DerivedParams, derive, from_offset
-from .quadrature import (
-    RayContour,
-    _gaussian_frame,
-    integrate_ray,
-    jtilde_oracle,
-    ray_truncation,
-)
+from .quadrature import _gaussian_frame, integrate_ray, jtilde_oracle, ray_truncation
 
 # Degree of the Taylor polynomial of f1 used near the origin.  It is used for
 # |u| below 1/4 of its radius of convergence min(1, 1/lambda_c), where the
 # truncation error is below 4^-30 relative.
 _SERIES_TERMS = 32
+# the tolerance of both quadratures in decomposition_residual
+DECOMPOSITION_TOL = 1e-7
 
 
 def _quad(d: DerivedParams):
@@ -266,31 +262,23 @@ def _map(u, d: DerivedParams):
     return zeta, d1, d2
 
 
-def _slope(u, d1):
-    """dzeta/du as amp_F and dzeta_du report it: its limit 1 for |u| <= 1e-8."""
-    return np.where(np.abs(u) > 1e-8, d1, 1.0)
-
-
 def dzeta_du(u, d: DerivedParams):
     """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c).
 
     The u -> 0 limit is 1 (both numerator and denominator tend to
-    log(1+Lambda), or to 0 at the same linear rate when Lambda = 0); it is
-    returned for |u| <= 1e-8.
+    log(1+Lambda), or to 0 at the same linear rate when Lambda = 0); small
+    |u| takes the series value from _near_map.
     """
     flat = _as_flat(u)
-    return _shaped(u, _slope(flat, _map(flat, d)[1]))
+    return _shaped(u, _map(flat, d)[1])
 
 
 def amp_F(u, d: DerivedParams, sigma: float):
-    """Amplitude in the u frame: g(zeta(u)) dzeta/du; equals 1 at u = 0.
-
-    Scalar or array u; dzeta/du is taken as its limit 1 for |u| <= 1e-8.
-    """
+    """Amplitude in the u frame, g(zeta(u)) dzeta/du, at scalar or array u;
+    1 at u = 0."""
     flat = _as_flat(u)
     zeta, d1, _d2 = _map(flat, d)
-    return (phase_mod.amp_g(_shaped(u, zeta), d.lambda_c, sigma)
-            * _shaped(u, _slope(flat, d1)))
+    return phase_mod.amp_g(_shaped(u, zeta), d.lambda_c, sigma) * _shaped(u, d1)
 
 
 def phi_closed(u, d: DerivedParams):
@@ -315,26 +303,23 @@ def _amp_F_prime(u, d: DerivedParams, sigma: float):
 
 
 def decomposition_residual(t: float, delta: float, Lambda: float,
-                           tol: float = 1e-7, sigma: float = 0.5) -> float:
+                           sigma: float = 0.5) -> float:
     """|Jtilde - F(0) Phi(0) - int F'(u) Phi(u) du| over the pi/4 ray.
 
     The direct Jtilde quadrature and the ray quadrature of F' Phi each carry
-    a tolerance ~ tol; Phi is closed form.  The integrand evaluates each GK15
-    batch with one map solve (zeta, zeta' and zeta'') and one Fresnel-tail
-    call.
+    the tolerance DECOMPOSITION_TOL; Phi is closed form.  The integrand
+    evaluates each GK15 batch with one map solve (zeta, zeta' and zeta'')
+    and one Fresnel-tail call, and has zero phase: F' Phi decays by itself.
     """
     p = from_offset(t, delta, sigma, Lambda)
     d = derive(p)
-    direct = jtilde_oracle(p, tol=tol).value
-
-    angle = math.pi / 4.0
-    r_max, _tb = ray_truncation(_gaussian_frame(d), 0.0 + 0.0j, angle, tol)
+    direct = jtilde_oracle(p, tol=DECOMPOSITION_TOL).value
 
     def integrand(v):
-        return _amp_F_prime(v, d, sigma) * phi_closed(v, d)
+        return _amp_F_prime(v, d, sigma) * phi_closed(v, d), np.zeros_like(v)
 
-    contour = RayContour(0.0 + 0.0j, angle, r_max)
-    tail = integrate_ray(integrand, contour, tol, phase=None)
+    ray = ray_truncation(_gaussian_frame(d), 0.0 + 0.0j, math.pi / 4.0, DECOMPOSITION_TOL)
+    tail = integrate_ray(integrand, np.zeros_like, ray, DECOMPOSITION_TOL)
     # boundary term F(0) Phi(0) of the integration by parts; F(0) = 1
     recomposed = amp_F(0.0, d, sigma) * phi_closed(0.0, d) + tail.value
     return abs(direct - recomposed)

@@ -221,7 +221,7 @@ def test_08_exponent_identities():
 
 
 def test_09_decomposition_identity():
-    residuals = [decomposition_residual(200.0, 0.5, Lam, tol=1e-7)
+    residuals = [decomposition_residual(200.0, 0.5, Lam)
                  for Lam in (0.0, 1.0)]
     ok = all(r < 1e-6 for r in residuals)
     report(9, "frame-change decomposition closes", ok,

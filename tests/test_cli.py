@@ -369,6 +369,12 @@ BAD_CONFIGS = {
                                   '"lambda_spec": {"kind": "omega", "values": ["0.5"]}}',
     "lambda-values-not-a-list": '{"t_grid": [1e4], '
                                 '"lambda_spec": {"kind": "lambda", "values": 0.5}}',
+    "delta-is-a-string": '{"t_grid": [1e4], "delta": "0.5"}',
+    "m-order-not-an-integer": '{"t_grid": [1e4], "m_order": 4.9}',
+    "seed-is-a-bool": '{"t_grid": [1e4], "seed": true}',
+    "seed-is-a-float": '{"t_grid": [1e4], "seed": 1.0}',
+    "sigma-is-a-bool": '{"t_grid": [1e4], "sigma": true}',
+    "methods-not-a-list": '{"t_grid": [1e4], "methods": "leading"}',
 }
 
 

@@ -195,9 +195,25 @@ class TestConfig:
     def test_lambda_values_kinds(self):
         cfg = small_cfg(lambda_spec=("lambda", [0.25, 0.5]))
         assert cfg.lambda_values(1e4) == [0.25, 0.5]
-        cfg = small_cfg(lambda_spec=("bogus", None))
-        with pytest.raises(ValueError):
-            cfg.lambda_values(1e4)
+        with pytest.raises(InvalidParam):
+            small_cfg(lambda_spec=("bogus", None))
+
+    @pytest.mark.parametrize("kw", [
+        {"lambda_spec": ("omega", None)},
+        {"methods": ["bogus"]},
+        {"methods": ["leading", "oracel"]},
+    ], ids=["values-missing", "unknown-method", "one-unknown-method"])
+    def test_direct_config_refused_like_a_file(self, kw):
+        # the CLI and the demos build SweepConfig directly; a bad kind, a
+        # missing values list or an unknown method is InvalidParam there,
+        # not a ValueError or TypeError out of run_sweep
+        with pytest.raises(InvalidParam):
+            small_cfg(**kw)
+
+    def test_from_dict_keeps_values_as_given(self):
+        cfg = sweep_config_from_dict({"t_grid": [1e4], "tol": 1, "seed": 3})
+        assert cfg.tol == 1 and isinstance(cfg.tol, int)
+        assert cfg.seed == 3
 
 
 class TestSlopeFit:
@@ -223,6 +239,16 @@ class TestSlopeFit:
         with pytest.raises(DegenerateData):
             fit_error_slope(self.synthetic_rows(-0.75, n=2))
 
+    def test_integer_t_is_fitted(self):
+        # a config's t_grid may hold JSON integers, which reach the rows as
+        # given; they count as any other t
+        rows = self.synthetic_rows(-0.75)
+        for r in rows:
+            r.t = round(r.t)
+            r.abs_err = 2.0 * r.t**-0.75
+        slope, _ = fit_error_slope(rows)
+        assert slope == pytest.approx(-0.75, abs=1e-10)
+
     def test_error_rows_are_skipped(self):
         rows = self.synthetic_rows(-0.75)
         for r in rows:
@@ -230,27 +256,24 @@ class TestSlopeFit:
         with pytest.raises(DegenerateData):
             fit_error_slope(rows)
 
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            fit_error_slope(self.synthetic_rows(-0.75), x="sigma")
-
-    def test_omega_axis(self):
-        rows = []
-        for w in (2.0, 4.0, 8.0, 16.0):
-            rows.append(
-                ComparisonRow(
-                    t=1e6, delta=0.5, sigma=0.5, lam=0.1, Lambda=0.5,
-                    omega=w, method="large-omega", abs_err=0.3 * w**-2.0,
-                )
-            )
-        slope, _ = fit_error_slope(rows, x="omega")
-        assert slope == pytest.approx(-2.0, abs=1e-10)
 
 
 class TestPropertyScans:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             property_scan("NoSuchSuite")
+
+    def test_cov_decomposition_reads_the_config_sigma(self, monkeypatch):
+        seen = []
+
+        def spy(t, delta, Lambda, **kwargs):
+            seen.append(kwargs.get("sigma", 0.5))
+            return 0.0
+
+        monkeypatch.setattr(harness.substitution, "decomposition_residual", spy)
+        rep = property_scan("CovDecomposition", small_cfg(sigma=0.7))
+        assert seen == [0.7, 0.7]
+        assert rep["pass"]
 
     def test_report_schema(self):
         rep = property_scan("FresnelAsym", small_cfg())

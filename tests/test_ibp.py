@@ -207,12 +207,13 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
         return p.t * big_f(z, p.lam)
 
     def integrand(z):
-        return apply_ibp_operator(1, z, p.t, p.lam) * np.exp(1j * w(z))
+        wz = w(z)
+        return apply_ibp_operator(1, z, p.t, p.lam) * np.exp(1j * wz), wz
 
     z0 = 1.0 - k
-    r_max, tb = ray_truncation(
+    ray = ray_truncation(
         lambda z: (w(z), apply_ibp_operator(1, z, p.t, p.lam)), z0, d.phi, 1e-12)
-    rem = integrate_ray(integrand, RayContour(z0, d.phi, r_max), 1e-12, phase=w)
+    rem = integrate_ray(integrand, w, ray, 1e-12)
     assert abs(whole.value - term.value - rem.value) < 1e-10
 
 

@@ -46,10 +46,18 @@ HARD_REFERENCES = json.loads(
     .read_text())
 
 
+def _square(z):
+    return z * z
+
+
+def _chirp(z):
+    """The pair (e^(i z^2), z^2) the integrators take."""
+    return np.exp(1j * z * z), z * z
+
+
 def test_ray_gaussian_phase_matches_fresnel():
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
-    res = integrate_ray(lambda z: np.exp(1j * z * z), contour, tol=1e-12,
-                        phase=lambda z: z * z)
+    res = integrate_ray(_chirp, _square, contour, tol=1e-12)
     assert abs(res.value - FT_ZERO) < 1e-12
     assert res.abs_error_estimate <= 1e-12 * 1.01
     assert res.panels > 0
@@ -58,19 +66,18 @@ def test_ray_gaussian_phase_matches_fresnel():
 def test_ray_linear_amplitude_closed_form():
     # integral of z e^{iz^2} over the pi/4 ray equals i/2
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
-    res = integrate_ray(lambda z: z * np.exp(1j * z * z), contour, tol=1e-12,
-                        phase=lambda z: z * z)
+    res = integrate_ray(lambda z: (z * np.exp(1j * z * z), z * z), _square, contour,
+                        tol=1e-12)
     assert abs(res.value - 0.5j) < 1e-12
 
 
 def test_segment_matches_fresnel_segment():
-    res = integrate_segment(lambda z: np.exp(1j * z * z), 1.0, 3.0, tol=1e-12,
-                            phase=lambda z: z * z)
+    res = integrate_segment(_chirp, _square, 1.0, 3.0, tol=1e-12)
     assert abs(res.value - fresnel_segment(1.0, 3.0)) < 1e-11
 
 
 def test_zero_length_segment():
-    res = integrate_segment(lambda z: np.exp(1j * z * z), 2.0, 2.0, tol=1e-12)
+    res = integrate_segment(_chirp, _square, 2.0, 2.0, tol=1e-12)
     assert res.value == 0.0
     assert res.panels == 0
 
@@ -79,8 +86,8 @@ def test_panel_cap_raises_with_partial_result(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_CAP", 8)
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
     with pytest.raises(NonConvergence) as exc:
-        integrate_ray(lambda z: np.exp(1j * 4000 * z * z), contour, tol=1e-13,
-                      phase=lambda z: 4000 * z * z)
+        integrate_ray(lambda z: (np.exp(1j * 4000 * z * z), 4000 * z * z),
+                      lambda z: 4000 * z * z, contour, tol=1e-13)
     partial = exc.value.result
     assert isinstance(partial, QuadratureResult)
     assert math.isfinite(partial.value.real)
@@ -104,8 +111,8 @@ def test_panel_cap_with_only_phase_splits_left_is_not_converged(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_CAP", 300)
     contour = RayContour(0.0 + 0.0j, 0.0, 12.0)
     with pytest.raises(NonConvergence) as exc:
-        integrate_ray(lambda z: np.ones_like(z), contour, tol=1e-3,
-                      phase=lambda z: 4000 * z * z)
+        integrate_ray(lambda z: (np.ones_like(z), 4000 * z * z),
+                      lambda z: 4000 * z * z, contour, tol=1e-3)
     assert exc.value.result.abs_error_estimate <= 1e-3
     assert exc.value.result.panels <= 300
 
@@ -140,13 +147,13 @@ def _pseudo_noise(z):
 
 
 def _noisy_chirp(z):
-    return np.exp(1j * z * z) + 1e-9 * _pseudo_noise(z)
+    return np.exp(1j * z * z) + 1e-9 * _pseudo_noise(z), z * z
 
 
 def test_noisy_segment_stops_at_its_error_floor():
     # 1e-9 of noise floors the summed error estimate near 2.6e-9 > tol
     with pytest.raises(NonConvergence) as exc:
-        integrate_segment(_noisy_chirp, 0.0, 20.0, tol=1e-10, phase=lambda z: z * z)
+        integrate_segment(_noisy_chirp, _square, 0.0, 20.0, tol=1e-10)
     assert exc.value.result.panels < 1500
     assert "error floor" in str(exc.value)
 
@@ -166,8 +173,11 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
         return out
 
     monkeypatch.setattr(quadrature, "_gk_batch", spy)
+    def unphased(z):
+        return _noisy_chirp(z)[0], np.zeros_like(z)
+
     with pytest.raises(NonConvergence):
-        quadrature._adaptive(*quadrature._on_line(_noisy_chirp, None, 0.0, 1.0),
+        quadrature._adaptive(*quadrature._on_line(unphased, np.zeros_like, 0.0, 1.0),
                              0.0, 20.0, 1e-10,
                              breaks=np.linspace(0.0, 20.0, 17))
     lo, errs = batches[0]
@@ -196,8 +206,7 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
 def test_phase_forced_rounds_do_not_count_toward_the_floor():
     # the same integrand without the noise: from one panel, the first rounds
     # split on phase advance while the error estimate stays between 4 and 7
-    res = integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 20.0, tol=1e-10,
-                            phase=lambda z: z * z)
+    res = integrate_segment(_chirp, _square, 0.0, 20.0, tol=1e-10)
     assert abs(res.value - fresnel_segment(0.0, 20.0)) < 1e-12
     assert res.abs_error_estimate <= 1e-10
 
@@ -242,18 +251,18 @@ def test_nonfinite_integrand_rejected():
 
     def bad(z):
         out = np.asarray(1.0 / (z - (0.5 + 0.5j) * math.sqrt(2) / 2), dtype=complex)
-        return out
+        return out, np.zeros_like(z)
 
     with pytest.raises(NumericalError):
-        integrate_ray(bad, contour, tol=1e-10)
+        integrate_ray(bad, np.zeros_like, contour, tol=1e-10)
 
 
 def test_ray_truncation_linear_decay():
     # Im W = r along the ray, amplitude 1: need about log(1/tol)
-    r_max, bound = ray_truncation(lambda z: (1j * np.abs(z), np.ones_like(z)),
-                                  0.0 + 0.0j, math.pi / 2, 1e-10)
-    assert r_max >= math.log(1e10)
-    assert bound <= 1e-9
+    ray = ray_truncation(lambda z: (1j * np.abs(z), np.ones_like(z)),
+                         0.0 + 0.0j, math.pi / 2, 1e-10)
+    assert ray.r_max >= math.log(1e10)
+    assert ray.truncation_bound <= 1e-9
 
 
 def test_jb_oracle_independent_pin():
@@ -381,8 +390,9 @@ def _run_oracle(piece, p):
 
 
 def _generic_oracle(piece, p):
-    """The same quadrature through the public two-callable path, with the
-    amplitude and the phase computed apart as numpy powers and phase.big_f."""
+    """The same quadrature through the public integrators, with the
+    amplitude and the phase computed apart as numpy powers and phase.big_f,
+    then paired."""
     k = choose_split(derive(p), 4).k
     sigma = p.sigma
 
@@ -393,16 +403,16 @@ def _generic_oracle(piece, p):
         return (1.0 - z) ** -0.5 * z ** (sigma - 0.5)
 
     def integrand(z):
-        return amp(z) * np.exp(1j * w(z))
+        wz = w(z)
+        return amp(z) * np.exp(1j * wz), wz
 
     z0 = 1.0 - p.t ** (p.delta - 1.0)
     try:
         if piece == "jb1":
-            return integrate_segment(integrand, z0, 1.0 - k, 1e-10, phase=w)
+            return integrate_segment(integrand, w, z0, 1.0 - k, 1e-10)
         origin = z0 if piece == "whole" else 1.0 - k
-        r_max, tb = ray_truncation(lambda z: (w(z), amp(z)), origin, derive(p).phi, 1e-10)
-        return integrate_ray(integrand, RayContour(origin, derive(p).phi, r_max), 1e-10,
-                             phase=w, truncation_bound=tb)
+        ray = ray_truncation(lambda z: (w(z), amp(z)), origin, derive(p).phi, 1e-10)
+        return integrate_ray(integrand, w, ray, 1e-10)
     except NonConvergence as exc:
         return exc
 
@@ -512,8 +522,6 @@ def test_bad_tol_is_invalid_param_at_the_public_entries(entry, tol):
         if entry == "ray_truncation":
             ray_truncation(lambda z: (1j * np.abs(z), np.ones_like(z)), 0j, math.pi / 2, tol)
         elif entry == "integrate_ray":
-            integrate_ray(lambda z: np.exp(1j * z * z), RayContour(0j, math.pi / 4, 12.0),
-                          tol, phase=lambda z: z * z)
+            integrate_ray(_chirp, _square, RayContour(0j, math.pi / 4, 12.0), tol)
         else:
-            integrate_segment(lambda z: np.exp(1j * z * z), 0.0, 3.0, tol,
-                              phase=lambda z: z * z)
+            integrate_segment(_chirp, _square, 0.0, 3.0, tol)

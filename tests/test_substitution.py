@@ -82,6 +82,19 @@ def test_map_derivative_at_origin(state):
     assert dzeta_du(0.0, state) == 1.0
 
 
+@pytest.mark.parametrize("t", [200.0, 1e4, 1e8])
+def test_map_derivative_near_origin_is_its_series(t):
+    # at Lambda = 0, zeta' = 1 - (1-lambda_c) u/3 + O(u^2); dzeta_du and
+    # amp_F / g(zeta) give that value at tiny u, not the limit 1
+    s = derive(from_offset(t, 0.5, 0.5, 0.0))
+    for r in (1e-12, 1e-10, 1e-8):
+        u = r * RAY
+        want = 1.0 - (1.0 - s.lambda_c) * u / 3.0
+        assert abs(dzeta_du(u, s) - want) <= 1e-15
+        ratio = amp_F(u, s, 0.5) / amp_g(zeta_of_u(u, s), s.lambda_c, 0.5)
+        assert abs(ratio - want) <= 1e-15
+
+
 def test_map_derivative_matches_finite_difference(state):
     # steps sit well above the ~1e-13 Newton-solve noise of the map, so the
     # h^2 truncation term dominates the difference
@@ -105,8 +118,8 @@ def test_amplitude_normalisation(state):
 def test_amplitude_factorisation(state):
     # amp_F must equal g(zeta(u)) * dzeta/du with each factor computed
     # independently (map by the root solve, derivative by differencing),
-    # and exactly the product of the public factors; 5e-9 sits in the
-    # |u| <= 1e-8 branch where dzeta/du is taken as 1
+    # and exactly the product of the public factors; at 5e-9 the map and
+    # its derivative come from the series near the origin
     for u in (0.1 * RAY, 5e-9 * RAY):
         zeta = zeta_of_u(u, state)
         h = 1e-6
@@ -156,16 +169,16 @@ def test_phi_origin_large_omega_limit():
 
 
 def test_decomposition_identity_critical():
-    assert decomposition_residual(200.0, 0.5, 0.0, tol=1e-7) < 1e-6
+    assert decomposition_residual(200.0, 0.5, 0.0) < 1e-6
 
 
 def test_decomposition_identity_offset():
-    assert decomposition_residual(200.0, 0.5, 1.0, tol=1e-7) < 1e-6
+    assert decomposition_residual(200.0, 0.5, 1.0) < 1e-6
 
 
 def test_decomposition_identity_just_off_critical():
     # log(1+Lambda) ~ 1e-10: f1'(zeta) is tiny near the origin as at Lambda = 0
-    assert decomposition_residual(200.0, 0.5, 1e-10, tol=1e-7) < 1e-6
+    assert decomposition_residual(200.0, 0.5, 1e-10) < 1e-6
 
 
 def mp_amp_F(s, sigma, seed):
