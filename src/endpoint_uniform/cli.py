@@ -9,6 +9,7 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -303,8 +304,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), once per process: parse_args leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
         payload = ns.func(ns)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -59,8 +60,29 @@ SUITES = (
 DEFAULT_T_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
 
 
+# the type of each scalar field and of methods; a bool is none of them
+_FIELD_TYPES = {
+    "delta": (numbers.Real, "a number"),
+    "sigma": (numbers.Real, "a number"),
+    "tol": (numbers.Real, "a number"),
+    "seed": (numbers.Integral, "an integer"),
+    "m_order": (numbers.Integral, "an integer"),
+    "methods": ((list, tuple), "a list"),
+}
+
+
+def _check_numbers(name: str, values):
+    """Refuse values unless it is a list of numbers (a bool is not one)."""
+    if not isinstance(values, (list, tuple, np.ndarray)) or any(
+            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        raise InvalidParam(f"{name} must be a list of numbers, got {values!r}")
+
+
 @dataclass
 class SweepConfig:
+    """A sweep's grid and settings, refused with InvalidParam unless
+    run_sweep can run it, whether built directly or read from a file."""
+
     t_grid: list
     delta: float = 0.5
     sigma: float = 0.5
@@ -72,11 +94,21 @@ class SweepConfig:
     m_order: int = 4
 
     def __post_init__(self):
+        _check_numbers("t_grid", self.t_grid)
+        for key, (types, name) in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InvalidParam(f"{key} must be {name}, got {value!r}")
+        if not isinstance(self.lambda_spec, tuple) or len(self.lambda_spec) != 2:
+            raise InvalidParam(f"lambda_spec must be a (kind, values) pair, "
+                               f"got {self.lambda_spec!r}")
         kind, values = self.lambda_spec
         if kind not in ("critical", "lambda", "omega"):
             raise InvalidParam(f"unknown lambda_spec kind {kind!r}")
-        if kind != "critical" and values is None:
-            raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+        if kind != "critical":
+            if values is None:
+                raise InvalidParam(f"lambda_spec kind {kind!r} needs values")
+            _check_numbers("lambda_spec values", values)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise InvalidParam(f"unknown methods {bad}; known: {list(METHODS)}")
@@ -91,26 +123,8 @@ class SweepConfig:
         return [from_omega(t, self.delta, self.sigma, w).lam for w in values]
 
 
-# the JSON type of each scalar key and of methods; a bool is none of them
-_KEY_TYPES = {
-    "delta": ((int, float), "a number"),
-    "sigma": ((int, float), "a number"),
-    "tol": ((int, float), "a number"),
-    "seed": (int, "an integer"),
-    "m_order": (int, "an integer"),
-    "methods": (list, "a list"),
-}
-
-
-def _check_numbers(name: str, values):
-    """Refuse values unless it is a list of numbers (a bool is not one)."""
-    if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise InvalidParam(f"{name} must be a list of numbers, got {values!r}")
-
-
 def sweep_config_from_dict(d: dict) -> SweepConfig:
-    """Read a config file's object, refusing what run_sweep could not run."""
+    """Read a config file's object; SweepConfig checks the values."""
     if not isinstance(d, dict):
         raise InvalidParam("a config must be a JSON object")
     known = [f.name for f in fields(SweepConfig)]
@@ -119,19 +133,12 @@ def sweep_config_from_dict(d: dict) -> SweepConfig:
         raise InvalidParam(f"unknown config keys {unknown}; known: {known}")
     if "t_grid" not in d:
         raise InvalidParam("a config needs t_grid")
-    _check_numbers("t_grid", d["t_grid"])
-    for key, (types, name) in _KEY_TYPES.items():
-        if key in d and (isinstance(d[key], bool) or not isinstance(d[key], types)):
-            raise InvalidParam(f"{key} must be {name}, got {d[key]!r}")
     spec = d.get("lambda_spec", {"kind": "critical"})
     if not isinstance(spec, dict):
         raise InvalidParam(f"lambda_spec must be a JSON object, got {spec!r}")
-    kind = spec.get("kind", "critical")
-    values = spec.get("values")
-    if kind in ("lambda", "omega") and values is not None:
-        _check_numbers("lambda_spec values", values)
-    given = {key: d[key] for key in _KEY_TYPES if key in d}
-    return SweepConfig(t_grid=d["t_grid"], lambda_spec=(kind, values), **given)
+    given = {key: d[key] for key in _FIELD_TYPES if key in d}
+    return SweepConfig(t_grid=d["t_grid"], lambda_spec=(spec.get("kind", "critical"),
+                                                        spec.get("values")), **given)
 
 
 @dataclass
@@ -345,8 +352,7 @@ def _scan_contour(cfg: SweepConfig, margins):
             phi = select_phi(lam)
             z = (1.0 - ks[:, None]) + r_lam * np.exp(1j * phi)
             margin = margins(z, t, lam, ks, phi)
-            for k, m_row, r_row in zip(ks, margin, r_lam):
-                i = int(np.argmin(m_row))
+            for k, m_row, r_row, i in zip(ks, margin, r_lam, np.argmin(margin, axis=1)):
                 point = {"t": t, "lambda": lam, "k": float(k), "R": float(r_row[i])}
                 yield float(m_row[i]), point, len(r_row)
 

@@ -3,9 +3,11 @@
     F(z; lambda) = (1-z) log(1-z) + z log z + z log lambda
 
 with principal logarithms, so F is analytic on C minus the cuts (-inf, 0] and
-[1, inf).  All evaluators here accept scalars or numpy arrays of complex z and
-refuse points on (or within 1e-13 of) a cut rather than silently picking a
-side.
+[1, inf).  All evaluators here accept scalars or numpy arrays of complex z;
+those of F refuse points on (or within 1e-13 of) a cut rather than silently
+picking a side.  Every logarithm is taken from real functions (log, log1p,
+atan2 and a hypot), never through numpy's complex log or power, which are
+slower per node, most of all at |z| near 1, where the oracle nodes sit.
 
 The offset coordinate zeta is defined by z = (1 + lambda_c zeta)/(1 + lambda_c),
 which maps zeta = 0 to the left endpoint 1 - t^(delta-1).  In that frame
@@ -32,6 +34,11 @@ def _as_complex(z):
     return np.asarray(z, dtype=complex)
 
 
+def _complex(z):
+    """z as a complex array, or a scalar as a Python complex (kept in math)."""
+    return _as_complex(z) if isinstance(z, np.ndarray) else complex(z)
+
+
 def _check_cuts(z):
     """Reject z on the cuts (-inf,0] and [1,inf) of F (within CUT_GUARD)."""
     za = _as_complex(z)
@@ -49,25 +56,18 @@ def big_f(z, lam: float, sigma=None):
     """F(z; lambda) with principal logs.  Scalar in, scalar out; arrays pass through.
 
     Given sigma, returns the pair (F, amplitude): the amplitude
-    (1-z)^(-1/2) z^(sigma-1/2) of the integral, as exp(-log(1-z)/2)
-    exp((sigma-1/2) log z) from the same two logarithms.  numpy's complex
-    power computes a**b as exp(b log a), so this equals (1-z)**-0.5 *
-    z**(sigma-0.5) bit for bit (the tests check it on oracle nodes).  The
-    factor in z, exactly 1 at sigma = 1/2, is left out there.
+    (1-z)^(-1/2) z^(sigma-1/2) of the integral, as one exp of the same two
+    logarithms, good to a few ulp (the tests check it against mpmath on
+    oracle nodes).  The factor in z, exactly 1 at sigma = 1/2, is left out
+    there.
     """
     _check_cuts(z)
-    za = _as_complex(z)
-    w = 1.0 - za
-    log_w, log_z = np.log(w), np.log(za)
+    za = _complex(z)
+    w, log_w, log_z = _z_logs(za)
     out = w * log_w + za * log_z + za * math.log(lam)
     if sigma is None:
-        return out if isinstance(z, np.ndarray) else complex(out)
-    amp = np.exp(-0.5 * log_w)
-    if sigma != 0.5:
-        amp = amp * np.exp((sigma - 0.5) * log_z)
-    if isinstance(z, np.ndarray):
-        return out, amp
-    return complex(out), complex(amp)
+        return out
+    return out, _amplitude(log_w, log_z, sigma)
 
 
 def t_phase(t: float, lam: float, k: float) -> float:
@@ -76,13 +76,13 @@ def t_phase(t: float, lam: float, k: float) -> float:
 
 
 def d_f(z, lam: float):
-    """dF/dz = log z - log(1-z) + log lambda."""
+    """dF/dz = log z - log(1-z) + log lambda, from big_f's two logarithms."""
     _check_cuts(z)
-    za = _as_complex(z)
+    za = _complex(z)
     if np.any(za == 0.0) or np.any(za == 1.0):
         raise SingularPoint("dF/dz is singular at z = 0 and z = 1")
-    out = np.log(za) - np.log(1.0 - za) + math.log(lam)
-    return out if isinstance(z, np.ndarray) else complex(out)
+    _w, log_w, log_z = _z_logs(za)
+    return log_z - log_w + math.log(lam)
 
 
 def d2_f(z):
@@ -108,47 +108,83 @@ def f0(Lambda: float, lambda_c: float) -> float:
     return math.log(lambda_c / (1.0 + lambda_c)) + math.log1p(Lambda) - lambda_c * r
 
 
-def _log1p(z):
+def _log(w):
+    """Principal log w = log|w| + i arg w from real functions.
+
+    |w| is a hypot, so it stays in range from 1e-300 to 1e300, where |w|^2
+    would underflow or overflow.  The error is a few ulp of 1 + |log w|, so
+    next to w = 1, where log w is small, _log1p is the accurate one.  Scalars
+    stay in math.
+    """
+    if not isinstance(w, np.ndarray):
+        return complex(math.log(math.hypot(w.real, w.imag)), math.atan2(w.imag, w.real))
+    out = np.empty_like(w)
+    np.log(np.hypot(w.real, w.imag), out=out.real)
+    np.arctan2(w.imag, w.real, out=out.imag)
+    return out
+
+
+def _log1p(z, w=None):
     """log(1 + z) with a relative error of a few ulp also for small |z|.
 
     np.log(1 + z) loses the low bits of z in forming 1 + z, and numpy's
     complex log1p is no better.  The real part is taken as 0.5 log1p(s) with
-    s = x (2 + x) + y^2 = |1 + z|^2 - 1, the imaginary part as atan2(y, 1 + x)
+    s = x (2 + x) + y^2 = |1 + z|^2 - 1, the imaginary part as arg(1 + z)
     (Kahan 1987).  Only where |1 + z|^2 < 1/2, next to the branch point, is
-    1 + z formed directly.  Scalars stay in math.
+    log|1 + z| taken directly.  w is the point 1 + z, for its argument and
+    next to the branch point; a caller that has it exactly passes it, as
+    _z_logs passes z with z - 1.  Formed here, its imaginary part is 0 + y, so
+    a point on the cut takes the upper side, as np.log(1 + z) does.  Scalars
+    stay in math.
     """
+    if w is None:
+        w = 1.0 + z
     x, y = z.real, z.imag
     s = x * (2.0 + x) + y * y
     if not isinstance(z, np.ndarray):
         if s < -0.5:
-            return complex(np.log(1.0 + z))
-        return complex(0.5 * math.log1p(s), math.atan2(y, 1.0 + x))
+            return _log(w)
+        return complex(0.5 * math.log1p(s), math.atan2(w.imag, w.real))
     out = np.empty_like(z)
     np.log1p(np.maximum(s, -0.5), out=out.real)
     out.real *= 0.5
-    np.arctan2(y, 1.0 + x, out=out.imag)
+    np.arctan2(w.imag, w.real, out=out.imag)
     near = s < -0.5
     if near.any():
-        out.real[near] = np.log(np.abs(1.0 + z[near]))
+        out[near] = _log(w[near])
     return out
+
+
+def _z_logs(za):
+    """1 - z, log(1 - z) and log z for complex z.
+
+    log z is _log1p(z - 1), a few ulp also where the contours start, next
+    to z = 1, where z - 1 is exact (Sterbenz).
+    """
+    w = 1.0 - za
+    return w, _log(w), _log1p(za - 1.0, za)
 
 
 def _offset_logs(zeta, lambda_c: float):
     """zeta as complex, log(1 + lambda_c zeta) and log(1 - zeta)."""
-    za = _as_complex(zeta) if isinstance(zeta, np.ndarray) else complex(zeta)
+    za = _complex(zeta)
     return za, _log1p(lambda_c * za), _log1p(-za)
 
 
-def f1(zeta, lambda_c: float, Lambda: float):
+def f1(zeta, lambda_c: float, Lambda: float, sigma=None):
     """Offset phase, analytic near 0 with f1(0) = 0.
 
     f1 = lambda_c zeta [log(1+Lambda) + log(1+lambda_c zeta) - log(1-zeta)]
          + log(1+lambda_c zeta) + lambda_c log(1-zeta)
 
-    Cuts sit on zeta <= -1/lambda_c and zeta >= 1.
+    Cuts sit on zeta <= -1/lambda_c and zeta >= 1.  Given sigma, returns the
+    pair (f1, amp_g) from the same two logarithms.
     """
     za, la, lb = _offset_logs(zeta, lambda_c)
-    return lambda_c * za * (math.log1p(Lambda) + la - lb) + la + lambda_c * lb
+    out = lambda_c * za * (math.log1p(Lambda) + la - lb) + la + lambda_c * lb
+    if sigma is None:
+        return out
+    return out, _amplitude(lb, la, sigma)
 
 
 def d_f1(zeta, lambda_c: float, Lambda: float):
@@ -157,8 +193,20 @@ def d_f1(zeta, lambda_c: float, Lambda: float):
     return lambda_c * (math.log1p(Lambda) + la - lb)
 
 
+def _amplitude(log_w, log_v, sigma: float):
+    """w^(-1/2) v^(sigma-1/2) as exp(-log(w)/2 + (sigma-1/2) log v), from the
+    logs; the factor in v, exactly 1 at sigma = 1/2, is left out there."""
+    e = -0.5 * log_w
+    if sigma != 0.5:
+        e = e + (sigma - 0.5) * log_v
+    out = np.exp(e)
+    return out if isinstance(log_w, np.ndarray) else complex(out)
+
+
 def amp_g(zeta, lambda_c: float, sigma: float):
-    """Transplanted amplitude (1-zeta)^(-1/2) (1+lambda_c zeta)^(sigma-1/2)."""
-    za = _as_complex(zeta)
-    out = (1.0 - za) ** -0.5 * (1.0 + lambda_c * za) ** (sigma - 0.5)
-    return out if isinstance(zeta, np.ndarray) else complex(out)
+    """Transplanted amplitude (1-zeta)^(-1/2) (1+lambda_c zeta)^(sigma-1/2).
+
+    On a cut it takes the upper side, as numpy's powers do.
+    """
+    _za, la, lb = _offset_logs(zeta, lambda_c)
+    return _amplitude(lb, la, sigma)

@@ -22,7 +22,8 @@ t F is too large for double precision, further bisection cannot reach tol.
 Each node is evaluated once, for the integrand and the phase together: the
 integrators take an integrand that returns the pair (values, phase), each
 oracle frame is one callable giving the pair (phase, amplitude), the z-frame
-one from the same two logarithms (phase.big_f with sigma), and a panel is
+and offset-frame ones each from one pair of logarithms taken in real
+arithmetic (phase.big_f and phase.f1 with sigma), and a panel is
 bisected at its centre node (GK15 node 7 is x = 0), so the phase at a new
 panel edge is the one the integrand callback already returned there.  Outside
 the GK15 batches the frame runs only at the initial breaks and on the
@@ -373,7 +374,8 @@ def _oracle(wa, origin, tol, angle=None, end=None):
 
 def _z_frame(p: ProblemParams, sigma: float):
     """The z-frame oracles' (phase, amplitude) callable: t F with the
-    amplitude (1-z)^(-1/2) z^(sigma-1/2), from one pair of logarithms."""
+    amplitude (1-z)^(-1/2) z^(sigma-1/2), both from big_f's log(1-z) and
+    log z."""
 
     def wa(z):
         f, amp = phase_mod.big_f(z, p.lam, sigma)
@@ -428,13 +430,14 @@ def jb2_oracle(p: ProblemParams, k: float, tol: float = 1e-10) -> QuadratureResu
 
 
 def jtilde_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
-    """Offset-frame integral J_tilde = int_0^(inf e^(i phi)) g e^(i t h) dzeta."""
+    """Offset-frame integral J_tilde = int_0^(inf e^(i phi)) g e^(i t h) dzeta,
+    its phase and amplitude g = amp_g from f1's two logarithms."""
     d = derive(p)
     lc = d.lambda_c
 
     def wa(zeta):
-        return (p.t * phase_mod.f1(zeta, lc, d.Lambda) / (1.0 + lc),
-                phase_mod.amp_g(zeta, lc, p.sigma))
+        f, amp = phase_mod.f1(zeta, lc, d.Lambda, p.sigma)
+        return p.t * f / (1.0 + lc), amp
 
     return _oracle(wa, 0.0, tol, angle=d.phi)
 

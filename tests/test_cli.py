@@ -454,6 +454,23 @@ REMOVED = [
 
 
 class TestFlags:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        # the parser is built once per process and reused: one call's flags
+        # do not reach the next
+        real, built = cli.build_parser, []
+
+        def spy():
+            built.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        first = run(capsys, "sweep", "--t", "1e4", "--method", "oracle", "--sigma", "0.7")
+        second = run(capsys, "sweep", "--t", "1e4")
+        assert first[0] == second[0] == 0 and len(built) == 1
+        assert json.loads(second[1])["flags"] == {
+            "delta": 0.5, "format": "json", "sigma": 0.5, "t": 1e4, "tol": 1e-10}
+
     def test_each_subcommand_declares_only_what_it_reads(self):
         subparsers = cli.build_parser()._subparsers._group_actions[0].choices
         declared = {

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from endpoint_uniform import harness
@@ -202,13 +203,27 @@ class TestConfig:
         {"lambda_spec": ("omega", None)},
         {"methods": ["bogus"]},
         {"methods": ["leading", "oracel"]},
-    ], ids=["values-missing", "unknown-method", "one-unknown-method"])
+        {"t_grid": ["1e4"]},
+        {"delta": "0.5"},
+        {"methods": "leading"},
+        {"seed": True},
+        {"m_order": 4.9},
+        {"lambda_spec": ("lambda", ["0.25"])},
+        {"lambda_spec": "critical"},
+    ], ids=["values-missing", "unknown-method", "one-unknown-method", "t-grid-has-a-string",
+            "delta-is-a-string", "methods-a-string", "seed-is-a-bool", "m-order-not-an-integer",
+            "lambda-values-have-a-string", "lambda-spec-not-a-pair"])
     def test_direct_config_refused_like_a_file(self, kw):
-        # the CLI and the demos build SweepConfig directly; a bad kind, a
-        # missing values list or an unknown method is InvalidParam there,
-        # not a ValueError or TypeError out of run_sweep
+        # the CLI and the demos build SweepConfig directly; what a config file
+        # may not hold is InvalidParam there too, not a ValueError or
+        # TypeError out of run_sweep, nor a string read letter by letter
         with pytest.raises(InvalidParam):
-            small_cfg(**kw)
+            run_sweep(small_cfg(**kw))
+
+    def test_direct_config_takes_tuples_and_numpy_numbers(self):
+        cfg = small_cfg(t_grid=(1e4, np.float64(1e5)), seed=np.int64(3),
+                        methods=("leading",), lambda_spec=("lambda", np.array([0.25])))
+        assert len(run_sweep(cfg)) == 2
 
     def test_from_dict_keeps_values_as_given(self):
         cfg = sweep_config_from_dict({"t_grid": [1e4], "tol": 1, "seed": 3})

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from endpoint_uniform import phase
 from endpoint_uniform import (
     BranchViolation,
     ProblemParams,
@@ -170,3 +171,152 @@ def test_exponent_identity_on_grid():
         for Lam in (0.0, 0.5, 2.0):
             p = from_offset(t, 0.5, 0.5, Lam)
             assert exponent_identity_residual(p) <= 1e-9 * t
+
+
+# ---------------------------------------------------------------------------
+# Node logarithms from real functions: edge cases against 50-digit mpmath.
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+SHAPES = ("scalar", "0-d", "array")
+
+
+def _shaped(points, shape):
+    """The points as Python complex scalars, 0-d arrays or one array."""
+    if shape == "array":
+        return [np.array(points)]
+    if shape == "0-d":
+        return [np.array(z) for z in points]
+    return list(points)
+
+
+def _values(out, shape):
+    """Flatten what an evaluator returned for _shaped inputs, checking its type."""
+    if shape == "array":
+        (arr,) = out
+        assert isinstance(arr, np.ndarray) and arr.dtype == complex
+        return list(arr)
+    if shape == "scalar":
+        assert all(type(v) is complex for v in out)
+    return [complex(v) for v in out]
+
+
+def _mp_z_frame(z, lam, sigma):
+    """F and dF/dz with the summed magnitudes of their terms, and the
+    amplitude (1-z)^(-1/2) z^(sigma-1/2), at 50 digits."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z)
+        log_w, log_z, log_lam = mpmath.log(1 - zm), mpmath.log(zm), mpmath.log(lam)
+        terms = ((1 - zm) * log_w, zm * log_z, zm * log_lam)
+        dterms = (log_z, -log_w, log_lam)
+        amp = mpmath.exp(-log_w / 2 + (mpmath.mpf(sigma) - mpmath.mpf(0.5)) * log_z)
+        return (complex(sum(terms)), float(sum(abs(x) for x in terms)),
+                complex(sum(dterms)), float(sum(abs(x) for x in dterms)), complex(amp))
+
+
+def _check_z_frame(points, lam, sigma, shape, check_f=True):
+    args = _shaped(points, shape)
+    pairs = [big_f(z, lam, sigma) for z in args]
+    fs = _values([f for f, _ in pairs], shape)
+    amps = _values([a for _, a in pairs], shape)
+    dfs = _values([d_f(z, lam) for z in args], shape)
+    for z, f, amp, df in zip(points, fs, amps, dfs):
+        f_mp, f_size, df_mp, df_size, amp_mp = _mp_z_frame(z, lam, sigma)
+        assert not check_f or abs(f - f_mp) <= 4 * EPS * f_size, z
+        assert abs(df - df_mp) <= 4 * EPS * df_size, z
+        assert abs(amp - amp_mp) <= 8 * EPS * abs(amp_mp), z
+
+
+def _unit_circle():
+    """e^(i theta) rounded, with Re z moved one ulp either way: |z| = 1 to 1 ulp."""
+    points = []
+    for theta in (1e-12, 1e-8, 1e-4, 0.1, 1.0, 3.0):
+        z = cmath.exp(1j * theta)
+        for x in (np.nextafter(z.real, -2.0), z.real, np.nextafter(z.real, 2.0)):
+            points.append(complex(x, z.imag))
+    return points
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("sigma", [0.5, 0.7, 0.2])
+@pytest.mark.parametrize("lam", [1e-4, 1.0, 30.0])
+def test_z_frame_on_the_unit_circle(shape, sigma, lam):
+    # log z from z - 1, exact there: no loss of the small real part of log z
+    _check_z_frame(_unit_circle(), lam, sigma, shape)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("sigma", [0.5, 0.7])
+def test_z_frame_next_to_the_origin(shape, sigma):
+    # |z|^2 < 1/2: log z falls back to log|z| of z itself, not of 1 + (z - 1),
+    # which dF/dz and the amplitude show.  F is not checked at small |z|: its
+    # term (1-z) log(1-z) ~ -z there cancels, for any evaluator, against the
+    # rounding of 1 - z
+    _check_z_frame([0.3 + 0.2j, -0.5 + 1e-3j], 0.7, sigma, shape)
+    points = [0.01 - 0.01j, 1e-6 + 1e-6j, 1e-12 - 1e-10j]
+    _check_z_frame(points, 0.7, sigma, shape, check_f=False)
+
+
+def test_log1p_fallback_next_to_the_branch_point():
+    # s = |1 + z|^2 - 1 < -1/2: log(1 + z) from 1 + z itself (exact here by
+    # Sterbenz), scalar and array alike
+    zs = [-0.9 + 0.1j, -1.0 + 1e-3j, -0.5 + 0.45j, -1.2 - 0.3j, -1.0 + 1e-200j]
+    got = list(phase._log1p(np.array(zs))) + [phase._log1p(z) for z in zs]
+    for z, value in zip(zs + zs, got):
+        with mpmath.workdps(50):
+            want = mpmath.log(1 + mpmath.mpc(z))
+        assert abs(value - complex(want)) <= 2 * EPS * abs(want), z
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_log_keeps_moduli_from_1e_300_to_1e300(shape):
+    ws = [r * cmath.exp(1j * a) for r in (1e-300, 1e300) for a in (0.3, 2.0, -2.5)]
+    ws += [complex(1e-300, 0.0), complex(0.0, -1e-300)]
+    for w, value in zip(ws, _values([phase._log(w) for w in _shaped(ws, shape)], shape)):
+        with mpmath.workdps(50):
+            want = mpmath.log(mpmath.mpc(w))
+        assert abs(value - complex(want)) <= 2 * EPS * abs(want), w
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("sigma", [0.5, 0.7])
+def test_offset_frame_at_one_minus_zeta_1e_300(shape, sigma):
+    # |1 - zeta| = 1e-300: |1 - zeta|^2 would underflow to 0.  The amplitude
+    # is exp(e) with |e| ~ 345, whose rounding exp turns into ~|e| ulp
+    lc, Lam = 0.25, 0.5
+    zetas = [complex(1.0, 1e-300), complex(1.0, -1e-300)]
+    args = _shaped(zetas, shape)
+    pairs = [f1(z, lc, Lam, sigma) for z in args]
+    fs = _values([f for f, _ in pairs], shape)
+    amps = _values([a for _, a in pairs], shape)
+    alone = _values([amp_g(z, lc, sigma) for z in args], shape)
+    for zeta, f, amp, amp_alone in zip(zetas, fs, amps, alone):
+        f_mp, _df, f_size, _dsize = _mp_offset_terms(zeta, lc, Lam)
+        with mpmath.workdps(50):
+            zm = mpmath.mpc(zeta)
+            want = complex((1 - zm) ** -0.5 * (1 + lc * zm) ** (mpmath.mpf(sigma) - 0.5))
+        assert abs(f - f_mp) <= 8 * EPS * f_size
+        assert amp == amp_alone
+        assert abs(amp - want) <= 8 * EPS * abs(want) * (1.0 + abs(cmath.log(want)))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.7])
+def test_amp_g_takes_numpys_side_of_its_cuts(sigma):
+    # signed zeros on zeta >= 1 and on zeta <= -1/lambda_c: the upper side,
+    # as numpy's powers take it, for scalars and arrays
+    lc = 0.25
+    zetas = [complex(2.0, 0.0), complex(2.0, -0.0), complex(-8.0, 0.0), complex(-8.0, -0.0)]
+    za = np.array(zetas)
+    want = (1.0 - za) ** -0.5 * (1.0 + lc * za) ** (sigma - 0.5)
+    for got in (amp_g(za, lc, sigma), [amp_g(z, lc, sigma) for z in zetas]):
+        for value, expect in zip(got, want):
+            assert abs(value - expect) <= 8 * EPS * abs(expect)
+
+
+def test_z_frame_refuses_either_side_of_its_cuts():
+    for z in (complex(2.0, 0.0), complex(2.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0)):
+        for evaluate in (lambda z: big_f(z, 1.0, 0.7), lambda z: d_f(z, 1.0)):
+            with pytest.raises(BranchViolation):
+                evaluate(z)
+            with pytest.raises(BranchViolation):
+                evaluate(np.array([0.5 + 0.5j, z]))

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -391,8 +392,7 @@ def _run_oracle(piece, p):
 
 def _generic_oracle(piece, p):
     """The same quadrature through the public integrators, with the
-    amplitude and the phase computed apart as numpy powers and phase.big_f,
-    then paired."""
+    amplitude and the phase taken apart from phase.big_f, then paired."""
     k = choose_split(derive(p), 4).k
     sigma = p.sigma
 
@@ -400,7 +400,7 @@ def _generic_oracle(piece, p):
         return p.t * big_f(z, p.lam)
 
     def amp(z):
-        return (1.0 - z) ** -0.5 * z ** (sigma - 0.5)
+        return big_f(z, p.lam, sigma)[1]
 
     def integrand(z):
         wz = w(z)
@@ -426,10 +426,15 @@ def _outcome(res):
             repr(res.truncation_bound), message)
 
 
+# the most nodes of one oracle run checked against mpmath (every n-th node)
+MP_NODES = 300
+
+
 @pytest.mark.parametrize("piece, t, Lam, sigma", FUSED_POINTS)
 def test_fused_evaluator_equals_the_formula_it_replaces(monkeypatch, piece, t, Lam, sigma):
-    # on every node the oracle asks for, one log(1-z) and one log z give
-    # exactly the phase of big_f(z, lam) and the numpy powers of the amplitude
+    # on the nodes the oracle asks for, the pair's phase is exactly
+    # big_f(z, lam), F is good to a few ulp of its largest term and the
+    # amplitude to a few ulp of (1-z)^(-1/2) z^(sigma-1/2), against mpmath
     p = from_offset(t, 0.5, sigma, Lam)
     nodes = []
     fused = phase.big_f
@@ -443,10 +448,20 @@ def test_fused_evaluator_equals_the_formula_it_replaces(monkeypatch, piece, t, L
     _run_oracle(piece, p)
     monkeypatch.undo()
     assert nodes
-    for z in nodes:
-        f, amp = big_f(z, p.lam, sigma)
-        assert np.array_equal(p.t * f, p.t * big_f(z, p.lam))
-        assert np.array_equal(amp, (1.0 - z) ** -0.5 * z ** (sigma - 0.5))
+    z = np.concatenate(nodes)
+    f, amp = big_f(z, p.lam, sigma)
+    assert np.array_equal(f, big_f(z, p.lam))
+    step = math.ceil(len(z) / MP_NODES)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        log_lam, s = mpmath.log(p.lam), mpmath.mpf(sigma) - mpmath.mpf(0.5)
+        for zi, fi, ai in zip(z[::step], f[::step], amp[::step]):
+            zm = mpmath.mpc(zi)
+            log_w, log_z = mpmath.log(1 - zm), mpmath.log(zm)
+            terms = ((1 - zm) * log_w, zm * log_z, zm * log_lam)
+            want = mpmath.exp(-log_w / 2 + s * log_z)
+            assert abs(fi - sum(terms)) <= 4 * eps * sum(abs(x) for x in terms)
+            assert abs(ai - want) <= 8 * eps * abs(want)
 
 
 @pytest.mark.parametrize("piece, t, Lam, sigma", FUSED_POINTS)
