@@ -344,32 +344,51 @@ def _contour_samples(cfg: SweepConfig, n_lam=17, n_k=17, n_r=12):
 
 
 def _scan_contour(cfg: SweepConfig, margins):
-    """One record per (t, lambda, k) sample: the least of margins(z, t, lam, ks,
-    phi) over its radii, evaluated on one (n_k, n_r) array per lambda."""
+    """One record per t: the least of margins(z, t, log_lams, ks, phis) over
+    that t's samples, with its point.
+
+    margins gets every sample of a t as one (n_lam, n_k, n_r) array z and
+    returns an array of that shape.  The record is the one property_scan
+    would keep from a record per (lambda, k) taking the least over its radii
+    (a row holding NaN gives NaN): the first least that is not NaN, or, in
+    the very first t, the first (lambda, k) row if it is NaN, since a NaN
+    first record is reported.
+    """
+    first = True
     for t, lams, ks, r in _contour_samples(cfg):
-        for lam, r_lam in zip(lams, r):
-            lam = float(lam)
-            phi = select_phi(lam)
-            z = (1.0 - ks[:, None]) + r_lam * np.exp(1j * phi)
-            margin = margins(z, t, lam, ks, phi)
-            for k, m_row, r_row, i in zip(ks, margin, r_lam, np.argmin(margin, axis=1)):
-                point = {"t": t, "lambda": lam, "k": float(k), "R": float(r_row[i])}
-                yield float(m_row[i]), point, len(r_row)
+        phis = np.array([select_phi(float(lam)) for lam in lams])
+        log_lams = np.array([math.log(lam) for lam in lams])[:, None, None]
+        rays = np.array([np.exp(1j * phi) for phi in phis])[:, None, None]
+        z = (1.0 - ks[:, None]) + r * rays
+        margin = margins(z, t, log_lams, ks, phis)
+        rows = margin.min(axis=2).ravel()
+        if (first and math.isnan(rows[0])) or np.isnan(rows).all():
+            j = 0
+        else:
+            j = int(np.nanargmin(rows))
+        first = False
+        il, ik = divmod(j, len(ks))
+        ir = np.argmin(margin[il, ik])
+        point = {"t": t, "lambda": float(lams[il]), "k": float(ks[ik]),
+                 "R": float(r[il, ik, ir])}
+        yield float(margin[il, ik, ir]), point, r.size
 
 
 def _scan_im_f(cfg: SweepConfig):
-    def margins(z, t, lam, ks, phi):
-        return np.asarray(phase_mod.big_f(z, lam)).imag
+    # F at lambda = 1, then z log lambda added last, as big_f adds it
+    def margins(z, t, log_lams, ks, phis):
+        return phase_mod.big_f(z, 1.0).imag + z.imag * log_lams
 
     return _scan_contour(cfg, margins)
 
 
 def _scan_phase_bound(cfg: SweepConfig):
-    def margins(z, t, lam, ks, phi):
-        mod = np.abs(np.asarray(phase_mod.d_f(z, lam)))
-        bound = [min(math.pi / 2.0 - phi, math.log(t ** (cfg.delta - 1.0) / k))
-                 for k in ks]
-        return mod - np.array(bound)[:, None]
+    def margins(z, t, log_lams, ks, phis):
+        mod = np.abs(phase_mod.d_f(z, 1.0) + log_lams)
+        p_end = t ** (cfg.delta - 1.0)
+        bound = np.minimum(math.pi / 2.0 - phis[:, None],
+                           np.array([math.log(p_end / k) for k in ks]))
+        return mod - bound[:, :, None]
 
     return _scan_contour(cfg, margins)
 

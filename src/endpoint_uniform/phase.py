@@ -28,6 +28,8 @@ from .errors import BranchViolation, SingularPoint
 
 # Points closer than this to a branch cut are rejected outright.
 CUT_GUARD = 1e-13
+# log sqrt(2): _z_logs takes log(1 - z) as a log1p where log|z| is below minus it
+_LOG_SQRT2 = 0.5 * math.log(2.0)
 
 
 def _as_complex(z):
@@ -40,11 +42,19 @@ def _complex(z):
 
 
 def _check_cuts(z):
-    """Reject z on the cuts (-inf,0] and [1,inf) of F (within CUT_GUARD)."""
-    za = _as_complex(z)
-    on_axis = np.abs(za.imag) < CUT_GUARD
-    if not on_axis.any():  # the common case: a contour off the real axis
+    """Reject z on the cuts (-inf,0] and [1,inf) of F (within CUT_GUARD).
+
+    A contour off the real axis costs one reduction; a scalar stays in math.
+    """
+    if not isinstance(z, np.ndarray):
+        z = complex(z)
+        if abs(z.imag) < CUT_GUARD and (z.real <= CUT_GUARD or z.real >= 1.0 - CUT_GUARD):
+            raise BranchViolation(f"z={z} lies on or within {CUT_GUARD} of a branch cut")
         return
+    za = _as_complex(z)
+    if za.size == 0 or np.abs(za.imag).min() >= CUT_GUARD:
+        return
+    on_axis = np.abs(za.imag) < CUT_GUARD
     zx = za[on_axis] if za.ndim else za
     bad = (zx.real <= CUT_GUARD) | (zx.real >= 1.0 - CUT_GUARD)
     if bad.any():
@@ -146,11 +156,13 @@ def _log1p(z, w=None):
             return _log(w)
         return complex(0.5 * math.log1p(s), math.atan2(w.imag, w.real))
     out = np.empty_like(z)
-    np.log1p(np.maximum(s, -0.5), out=out.real)
+    # one reduction clears the common case, every oracle node of log z
+    clear = s.size == 0 or s.min() >= -0.5
+    np.log1p(s if clear else np.maximum(s, -0.5), out=out.real)
     out.real *= 0.5
     np.arctan2(w.imag, w.real, out=out.imag)
-    near = s < -0.5
-    if near.any():
+    if not clear:
+        near = s < -0.5
         out[near] = _log(w[near])
     return out
 
@@ -159,10 +171,21 @@ def _z_logs(za):
     """1 - z, log(1 - z) and log z for complex z.
 
     log z is _log1p(z - 1), a few ulp also where the contours start, next
-    to z = 1, where z - 1 is exact (Sterbenz).
+    to z = 1, where z - 1 is exact (Sterbenz).  log(1 - z) is _log(1 - z),
+    except where |z|^2 < 1/2: there it is _log1p(-z), which keeps the low
+    bits of a small z that forming 1 - z drops.  The contours keep |z| near
+    1, so one reduction on log|z| passes their nodes by.
     """
     w = 1.0 - za
-    return w, _log(w), _log1p(za - 1.0, za)
+    log_z = _log1p(za - 1.0, za)
+    log_w = _log(w)
+    if not isinstance(w, np.ndarray):
+        if log_z.real < -_LOG_SQRT2:
+            log_w = _log1p(-za, w)
+    elif log_z.size and log_z.real.min() < -_LOG_SQRT2:
+        small = log_z.real < -_LOG_SQRT2
+        log_w[small] = _log1p(-za[small], w[small])
+    return w, log_w, log_z
 
 
 def _offset_logs(zeta, lambda_c: float):

@@ -46,6 +46,8 @@ from .quadrature import _gaussian_frame, integrate_ray, jtilde_oracle, ray_trunc
 _SERIES_TERMS = 32
 # the tolerance of both quadratures in decomposition_residual
 DECOMPOSITION_TOL = 1e-7
+# the length in |u| of one continuation stage of zeta_of_u
+_STAGE = 0.5
 
 
 def _quad(d: DerivedParams):
@@ -118,6 +120,17 @@ def _cubic_tail(lambda_c: float):
     return c, np.polyder(c), np.polyder(c, 2)
 
 
+def _horner(c, x):
+    """The polynomial c (highest degree first) at the array x, by Horner's
+    rule in place: np.polyval's operations in its order, without its
+    temporaries."""
+    y = np.zeros_like(x)
+    for ck in c:
+        y *= x
+        y += ck
+    return y
+
+
 def _near_origin(u, d: DerivedParams):
     """Nonzero points where the map comes from _near_map, not from Newton.
 
@@ -150,16 +163,16 @@ def _near_map(u, d: DerivedParams):
     """
     a, b = _quad(d)
     r0, r1, r2 = _cubic_tail(d.lambda_c)
-    eta = -np.polyval(r0, u) / (b + a * u)
+    eta = -_horner(r0, u) / (b + a * u)
     for _ in range(4):
         zeta = u + eta
-        residual = eta * (b + a * u + 0.5 * a * eta) + np.polyval(r0, zeta)
-        eta = eta - residual / (b + a * zeta + np.polyval(r1, zeta))
+        residual = eta * (b + a * u + 0.5 * a * eta) + _horner(r0, zeta)
+        eta = eta - residual / (b + a * zeta + _horner(r1, zeta))
     zeta = u + eta
-    r1z = np.polyval(r1, zeta)
+    r1z = _horner(r1, zeta)
     f1p = b + a * zeta + r1z
     delta = -(a * eta + r1z) / f1p
-    d2 = -(a * delta * (2.0 + delta) + np.polyval(r2, zeta) * (1.0 + delta) ** 2) / f1p
+    d2 = -(a * delta * (2.0 + delta) + _horner(r2, zeta) * (1.0 + delta) ** 2) / f1p
     return zeta, 1.0 + delta, d2
 
 
@@ -201,10 +214,12 @@ def zeta_of_u(u, d: DerivedParams):
     """Invert the map by Newton on f1(zeta) = rhs(u), seeded along the ray.
 
     u may be a scalar or an array; each element runs its own continuation
-    in |u| (steps of 0.25, which keeps the iteration inside the basin; each
-    stage starts from the previous solution shifted by the identity map) and
-    its own Newton iteration, under masks.  NewtonDivergence is raised if any
-    element fails.  Small |u| is solved by _near_map instead.
+    in |u|, in stages of length at most _STAGE, and its own Newton iteration,
+    under masks.  Each stage starts from the tangent predictor
+    zeta + zeta' (u - u_prev), with zeta' from _zeta_prime at the previous
+    stage, and 1 at the origin (Euler-Newton continuation; Allgower & Georg
+    1990).  NewtonDivergence is raised if any element fails.  Small |u| is
+    solved by _near_map instead.
     """
     flat = _as_flat(u)
     zeta = np.zeros_like(flat)
@@ -213,20 +228,29 @@ def zeta_of_u(u, d: DerivedParams):
         zeta[near] = _near_map(flat[near], d)[0]
     todo = np.flatnonzero((flat != 0.0) & ~near)
     if todo.size:
+        lc, lam = d.lambda_c, d.Lambda
         uu = flat[todo]
-        n_stage = np.maximum(1, np.ceil(np.abs(uu) / 0.25)).astype(int)
+        n_stage = np.maximum(1, np.ceil(np.abs(uu) / _STAGE)).astype(int)
         z = np.zeros_like(uu)
         u_prev = np.zeros_like(uu)
         for stage in range(1, int(n_stage.max()) + 1):
             live = np.flatnonzero(n_stage >= stage)
             ut = uu[live] * (stage / n_stage[live])
-            z[live] = _newton(z[live] + (ut - u_prev[live]), _rhs(ut, d), d, uu[live])
+            zl, ul = z[live], u_prev[live]
+            slope = 1.0 if stage == 1 else _zeta_prime(ul, phase_mod.d_f1(zl, lc, lam), d)
+            z[live] = _newton(zl + slope * (ut - ul), _rhs(ut, d), d, uu[live])
             u_prev[live] = ut
         # one more step: the stopping test is absolute, the derivatives of
         # the map want zeta to the precision of f1 itself
-        res = phase_mod.f1(z, d.lambda_c, d.Lambda) - _rhs(uu, d)
-        zeta[todo] = z - res / phase_mod.d_f1(z, d.lambda_c, d.Lambda)
+        res = phase_mod.f1(z, lc, lam) - _rhs(uu, d)
+        zeta[todo] = z - res / phase_mod.d_f1(z, lc, lam)
     return _shaped(u, zeta)
+
+
+def _zeta_prime(u, f1p, d: DerivedParams):
+    """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c) at u,
+    given f1' at zeta(u): the derivative of f1(zeta(u)) = rhs(u)."""
+    return (math.log1p(d.Lambda) + (1.0 + d.lambda_c) * u) / (f1p / d.lambda_c)
 
 
 def _map(u, d: DerivedParams):
@@ -253,7 +277,7 @@ def _map(u, d: DerivedParams):
     f1p = phase_mod.d_f1(zf, lc, d.Lambda)
     f1pp = lc * (lc / (1.0 + lc * zf) + 1.0 / (1.0 - zf))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = (math.log1p(d.Lambda) + (1.0 + lc) * uf) / (f1p / lc)
+        s1 = _zeta_prime(uf, f1p, d)
         s2 = (_quad(d)[0] - f1pp * s1 * s1) / f1p
     zeta[far], d1[far], d2[far] = zf, s1, s2
     zero = u == 0.0

@@ -303,6 +303,28 @@ def test_config_sweeps_match_their_pinned_csv(capsys, pinned):
         assert _same_number(g["rel_err"], w["rel_err"], 1e-6), (g["rel_err"], w["rel_err"])
 
 
+# `verify --suite all` with the default config, as written before the contour
+# scans reduced each t to one record.
+PINNED_VERIFY = ROOT / "tests" / "data" / "verify_all.json"
+
+
+def test_default_verify_matches_its_pinned_report(capsys):
+    # CovDecomposition's two residuals are both roundoff (~4e-17), so which of
+    # its points is worst may flip; its margin gets 1e-15.  Every other suite
+    # matches exactly
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert code == 0 and err == ""
+    got, want = json.loads(out), json.loads(PINNED_VERIFY.read_text())
+    assert got["pass"] is want["pass"] is True
+    assert [r["suite"] for r in got["reports"]] == [r["suite"] for r in want["reports"]]
+    for g, w in zip(got["reports"], want["reports"]):
+        if w["suite"] == "CovDecomposition":
+            assert g["pass"] == w["pass"]
+            assert abs(g["worst_margin"] - w["worst_margin"]) <= 1e-15
+        else:
+            assert g == w
+
+
 class TestTerms:
     def test_table_dump_matches_library(self, capsys):
         code, out, _ = run(capsys, "terms", "--N", "2")

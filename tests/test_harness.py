@@ -14,11 +14,14 @@ from endpoint_uniform import (
     InvalidParam,
     NonConvergence,
     SweepConfig,
+    big_f,
+    d_f,
     fit_error_slope,
     property_scan,
     rows_to_csv,
     run_all_scans,
     run_sweep,
+    select_phi,
     sweep_config_from_dict,
     write_csv,
 )
@@ -311,6 +314,108 @@ class TestPropertyScans:
         b = property_scan("ImFNonneg", small_cfg(seed=3))
         assert a["worst_margin"] == b["worst_margin"]
         assert a["worst_point"] == b["worst_point"]
+
+
+def record_loop(cfg, margins_of):
+    """property_scan's choice, worst margin, point and count, from one record
+    per (t, lambda, k), each the least margin over its radii (np.argmin: a
+    row holding NaN gives its first NaN), with margins_of(ti, il, z, t, lam,
+    ks, phi) evaluated one lambda at a time: the contour scans before they
+    reduced each t to one record."""
+    worst, worst_point, count = math.inf, None, 0
+    for ti, (t, lams, ks, r) in enumerate(harness._contour_samples(cfg)):
+        for il, (lam, r_lam) in enumerate(zip(lams, r)):
+            lam = float(lam)
+            phi = select_phi(lam)
+            z = (1.0 - ks[:, None]) + r_lam * np.exp(1j * phi)
+            margin = margins_of(ti, il, z, t, lam, ks, phi)
+            for k, m_row, r_row, i in zip(ks, margin, r_lam, np.argmin(margin, axis=1)):
+                count += len(r_row)
+                m = float(m_row[i])
+                if worst_point is None or m < worst:
+                    worst = m
+                    worst_point = {"t": t, "lambda": lam, "k": float(k), "R": float(r_row[i])}
+    return worst, worst_point, count
+
+
+def _im_f_of_lambda(ti, il, z, t, lam, ks, phi):
+    return np.asarray(big_f(z, lam)).imag
+
+
+def _phase_bound_of_lambda(ti, il, z, t, lam, ks, phi):
+    # delta = 0.5, the configs' default
+    bound = [min(math.pi / 2.0 - phi, math.log(t ** (0.5 - 1.0) / k)) for k in ks]
+    return np.abs(np.asarray(d_f(z, lam))) - np.array(bound)[:, None]
+
+
+def _same(report, worst, point, count):
+    got = report["worst_margin"]
+    assert got == worst or (math.isnan(got) and math.isnan(worst))
+    assert report["worst_point"] == point
+    assert report["grid"]["points"] == count
+
+
+@pytest.mark.parametrize("suite, margins_of", [("ImFNonneg", _im_f_of_lambda),
+                                               ("PhaseLowerBound", _phase_bound_of_lambda)],
+                         ids=["ImFNonneg", "PhaseLowerBound"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("t_grid", [[1e4, 1e5, 1e6], [2e3, 3e7, 1e9, 1e10], [1.2e4]],
+                         ids=["desk", "wide", "one-t"])
+def test_contour_scans_equal_the_record_loop(suite, margins_of, seed, t_grid):
+    # one phase call per t, at lambda = 1 with z log lambda added last, and one
+    # record per t: the bits of the per-lambda calls and per-k records
+    cfg = SweepConfig(t_grid=t_grid, seed=seed)
+    _same(property_scan(suite, cfg), *record_loop(cfg, margins_of))
+
+
+NAN = math.nan
+
+
+def _plant(case, arrays):
+    """Write the case's NaNs and minima into the per-t margin arrays."""
+    if case == "nan-first":            # the scan's first record is NaN: reported
+        arrays[0][0, 0, 3] = NAN
+        arrays[0][0, 0, 5] = -9.0
+        arrays[1][4, 4, 4] = -20.0
+    elif case == "nan-first-in-a-later-t":   # skipped as any NaN, not its t
+        arrays[1][0, 0, :] = -9.0
+        arrays[1][0, 0, 6] = NAN
+        arrays[1][5, 5, 5] = -4.0
+    elif case == "nan-in-the-middle":
+        arrays[0][7, 2, :] = -3.0
+        arrays[0][7, 2, 0] = NAN
+        arrays[0][9, 1, 4] = -3.0
+    elif case == "ties":               # the first of equal minima, across t too
+        arrays[0][3, 4, 9] = -2.0
+        arrays[0][3, 4, 5] = -2.0
+        arrays[1][0, 0, 0] = -2.0
+        arrays[2][16, 16, 11] = -2.0
+    elif case == "all-nan-in-a-later-t":
+        arrays[1][:] = NAN
+    elif case == "all-nan-in-the-first-t":
+        arrays[0][:] = NAN
+        arrays[2][1, 1, 1] = -7.0
+
+
+@pytest.mark.parametrize("case", ["nan-first", "nan-first-in-a-later-t", "nan-in-the-middle",
+                                  "ties", "all-nan-in-a-later-t", "all-nan-in-the-first-t"])
+def test_per_t_reduction_keeps_the_record_property_scan_keeps(monkeypatch, case):
+    cfg = SweepConfig(t_grid=[1e4, 1e5, 1e6], seed=5)
+    shape = next(harness._contour_samples(cfg))[3].shape
+    rng = np.random.default_rng(1)
+    # small integers: exact ties everywhere
+    arrays = [rng.integers(0, 6, shape).astype(float) for _ in range(3)]
+    _plant(case, arrays)
+    calls = iter(arrays)
+
+    def margins(z, t, log_lams, ks, phis):
+        assert z.shape == shape
+        return next(calls)
+
+    monkeypatch.setitem(harness._SCANS, "ImFNonneg",
+                        (lambda c: harness._scan_contour(c, margins), -1e-12))
+    want = record_loop(cfg, lambda ti, il, *_: arrays[ti][il])
+    _same(property_scan("ImFNonneg", cfg), *want)
 
 
 @pytest.mark.parametrize("tol", [0, -1e-10, math.inf, math.nan])

@@ -214,7 +214,7 @@ def _mp_z_frame(z, lam, sigma):
                 complex(sum(dterms)), float(sum(abs(x) for x in dterms)), complex(amp))
 
 
-def _check_z_frame(points, lam, sigma, shape, check_f=True):
+def _check_z_frame(points, lam, sigma, shape):
     args = _shaped(points, shape)
     pairs = [big_f(z, lam, sigma) for z in args]
     fs = _values([f for f, _ in pairs], shape)
@@ -222,7 +222,7 @@ def _check_z_frame(points, lam, sigma, shape, check_f=True):
     dfs = _values([d_f(z, lam) for z in args], shape)
     for z, f, amp, df in zip(points, fs, amps, dfs):
         f_mp, f_size, df_mp, df_size, amp_mp = _mp_z_frame(z, lam, sigma)
-        assert not check_f or abs(f - f_mp) <= 4 * EPS * f_size, z
+        assert abs(f - f_mp) <= 4 * EPS * f_size, z
         assert abs(df - df_mp) <= 4 * EPS * df_size, z
         assert abs(amp - amp_mp) <= 8 * EPS * abs(amp_mp), z
 
@@ -249,12 +249,28 @@ def test_z_frame_on_the_unit_circle(shape, sigma, lam):
 @pytest.mark.parametrize("sigma", [0.5, 0.7])
 def test_z_frame_next_to_the_origin(shape, sigma):
     # |z|^2 < 1/2: log z falls back to log|z| of z itself, not of 1 + (z - 1),
-    # which dF/dz and the amplitude show.  F is not checked at small |z|: its
-    # term (1-z) log(1-z) ~ -z there cancels, for any evaluator, against the
-    # rounding of 1 - z
+    # which dF/dz and the amplitude show
     _check_z_frame([0.3 + 0.2j, -0.5 + 1e-3j], 0.7, sigma, shape)
-    points = [0.01 - 0.01j, 1e-6 + 1e-6j, 1e-12 - 1e-10j]
-    _check_z_frame(points, 0.7, sigma, shape, check_f=False)
+
+
+SMALL_Z = [0.01 - 0.01j, 1e-3 + 1e-4j, 1e-6 + 1e-6j, 1e-9 + 1e-8j, 1e-12 - 1e-10j,
+           -1e-7 + 3e-7j, 0.2 + 0.3j, -0.3 - 0.1j]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("lam", [1e-4, 0.7, 30.0])
+def test_z_frame_at_small_z(shape, lam):
+    # (1-z) log(1-z) ~ -z cancels against z log z and z log lambda only to
+    # the accuracy of log(1-z), which log1p(-z) keeps and log of the rounded
+    # 1 - z does not; an array that also holds points next to z = 1 (the
+    # oracle's, which keep log(1-z) from 1 - z) takes log1p only where it must
+    near_one = [1.0 - 1e-3 + 1e-3j, 0.6 + 0.05j]
+    _check_z_frame(SMALL_Z + near_one, lam, 0.7, shape)
+
+
+def test_z_frame_of_an_empty_array():
+    empty = np.array([], dtype=complex)
+    assert big_f(empty, 0.7).shape == d_f(empty, 0.7).shape == (0,)
 
 
 def test_log1p_fallback_next_to_the_branch_point():

@@ -20,7 +20,7 @@ from endpoint_uniform import (
     u_of_zeta,
     zeta_of_u,
 )
-from endpoint_uniform.substitution import _amp_F_prime, _quad
+from endpoint_uniform.substitution import _amp_F_prime, _cubic_tail, _horner, _quad
 from conftest import fit_loglog
 
 RAY = cmath.exp(1j * math.pi / 4)
@@ -247,3 +247,66 @@ def test_round_trip_next_to_the_critical_point():
     for f in (0.3, 0.9, 0.99):
         u = -f * quad_b / quad_a
         assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) < 1e-10
+
+
+def mp_zeta_along_ray(s, radii, dps=30):
+    """zeta(r e^{i pi/4}) at each of the increasing radii, by a 30-digit
+    continuation along the ray from the origin in steps of at most 0.25,
+    each root solve seeded by the previous root shifted by the step in u."""
+    with mpmath.workdps(dps):
+        lc = mpmath.mpf(s.lambda_c)
+        lg = mpmath.log1p(mpmath.mpf(s.Lambda))
+        a, b = lc * (1 + lc), lc * lg
+        ray = mpmath.expjpi(mpmath.mpf(1) / 4)
+
+        def f1(z):
+            return (lc * z * (lg + mpmath.log(1 + lc * z) - mpmath.log(1 - z))
+                    + mpmath.log(1 + lc * z) + lc * mpmath.log(1 - z))
+
+        out, zeta, r_prev, u_prev = [], mpmath.mpc(0), mpmath.mpf(0), mpmath.mpc(0)
+        for r in radii:
+            n = max(1, int(math.ceil((r - r_prev) / 0.25)))
+            for j in range(1, n + 1):
+                u = (r_prev + (mpmath.mpf(r) - r_prev) * j / n) * ray
+                zeta = mpmath.findroot(lambda x: f1(x) - (a / 2 * u * u + b * u),
+                                       zeta + (u - u_prev))
+                u_prev = u
+            r_prev = mpmath.mpf(r)
+            out.append(complex(zeta))
+    return out
+
+
+@pytest.mark.parametrize("t", [50.0, 1e4, 1e8])
+@pytest.mark.parametrize("Lam", [0.0, 0.1, 10.0])
+def test_zeta_of_u_matches_a_30_digit_continuation(t, Lam):
+    # the predictor-corrector stages must land on the root continued from
+    # u = 0, to the precision of f1, on the pi/4 ray out to |u| = 3.5
+    s = derive(from_offset(t, 0.5, 0.5, Lam))
+    radii = np.linspace(0.26, 3.5, 300)[::23]
+    want = mp_zeta_along_ray(s, [float(r) for r in radii])
+    got = zeta_of_u(radii * RAY, s)
+    for r, g, w in zip(radii, got, want):
+        assert abs(g - w) <= 1e-14 * abs(w), (r, g, w)
+
+
+def test_horner_gives_the_bits_of_polyval():
+    rng = np.random.default_rng(7)
+    u = (rng.uniform(-0.3, 0.3, 750) + 1j * rng.uniform(-0.3, 0.3, 750))
+    for lc in (1e-4, 0.07, 0.6):
+        for c in _cubic_tail(lc):
+            got, want = _horner(c, u), np.polyval(c, u)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_tangent_predictor_saves_newton_steps(monkeypatch):
+    # 50 points on the ray to |u| = 2.5 take 5 stages each.  From the tangent
+    # predictor the three batches below take 64 f1 calls; from the identity
+    # shift zeta + du at the same stages they take 76, and at the former
+    # stages of 0.25, 139
+    calls = []
+    f1 = phase.f1
+    monkeypatch.setattr(phase, "f1", lambda *args: calls.append(1) or f1(*args))
+    u = np.linspace(0.3, 2.5, 50) * RAY
+    for t, Lam in ((200.0, 0.0), (200.0, 1.0), (1e6, 0.5)):
+        zeta_of_u(u, derive(from_offset(t, 0.5, 0.5, Lam)))
+    assert len(calls) <= 66
