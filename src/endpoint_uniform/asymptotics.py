@@ -31,7 +31,8 @@ from .errors import (
 )
 from .fresnel import fresnel_segment, fresnel_tail
 from .ibp import jb2_series, rn_bound
-from .params import ProblemParams, choose_split, corollary_split, derive, split_from_a
+from .params import (ProblemParams, Split, choose_split, corollary_split, derive,
+                     endpoint_offset, split_from_a)
 from .quadrature import endpoint_prefactor
 
 OMEGA_THRESHOLD_DEFAULT = 5.0
@@ -55,6 +56,7 @@ class Approximation:
     method: Method
     error_budget: list = field(default_factory=list)  # (label, value>=0) pairs
     regime: Regime = Regime.OMEGA_BOUNDED
+    split: Split | None = None  # the contour split used, for the split routes
 
     def as_dict(self):
         return {
@@ -84,7 +86,7 @@ def exponent_identity_residual(p: ProblemParams) -> float:
     """
     d = derive(p)
     left = p.t * phase_mod.f0(d.Lambda, d.lambda_c) / (1.0 + d.lambda_c)
-    right = phase_mod.t_phase(p.t, p.lam, p.t ** (p.delta - 1.0))
+    right = phase_mod.t_phase(p.t, p.lam, endpoint_offset(p.t, p.delta))
     return abs(left - right)
 
 
@@ -145,7 +147,7 @@ def jb1_main(p: ProblemParams, a: float) -> complex:
         )
     d = derive(p)
     lc = d.lambda_c
-    chi = phase_mod.t_phase(p.t, p.lam, p.t ** (p.delta - 1.0)) - d.omega**2
+    chi = phase_mod.t_phase(p.t, p.lam, endpoint_offset(p.t, p.delta)) - d.omega**2
     w2 = d.omega + a * math.sqrt(lc * p.t / 2.0)
     seg = fresnel_segment(d.omega, w2)
     return cmath.exp(1j * chi) * p.t**-0.5 * math.sqrt(2.0 / (1.0 + lc)) * seg
@@ -163,18 +165,19 @@ def all_orders(p: ProblemParams, m: int, a: float | None = None) -> Approximatio
     if m < 4:
         raise OrderViolation(f"expansion order must be >= 4, got {m}")
     d = derive(p)
-    k, a_used = choose_split(d, m) if a is None else split_from_a(d, a)
-    series_value, _terms, _series_bound = jb2_series(p, k, m - 3)
-    seg = jb1_main(p, a_used)
+    split = choose_split(d, m) if a is None else split_from_a(d, a)
+    series_value, _terms, _series_bound = jb2_series(p, split.k, m - 3)
+    seg = jb1_main(p, split.a)
     budget = [
-        ("R-term", rn_bound(2 * m - 2, p, k)),
-        ("JB1-term", p.t ** (-0.5 + 1.5 * p.delta) * a_used**4),
+        ("R-term", rn_bound(2 * m - 2, p, split.k)),
+        ("JB1-term", p.t ** (-0.5 + 1.5 * p.delta) * split.a**4),
     ]
     return Approximation(
         value=series_value + seg,
         method=Method.ALL_ORDERS,
         error_budget=budget,
         regime=classify_regime(d.omega),
+        split=split,
     )
 
 
@@ -190,17 +193,18 @@ def corollary_leading(p: ProblemParams) -> Approximation:
         raise SigmaUnsupported("corollary form defined for sigma = 1/2 only")
     t = p.t
     d = derive(p)
-    k, a = corollary_split(d)
-    big_d = math.log(1.0 / k - 1.0) + math.log(p.lam)
-    osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, k))
+    split = corollary_split(d)
+    big_d = math.log(1.0 / split.k - 1.0) + math.log(p.lam)
+    osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, split.k))
     term1 = 1j * osc * t ** (-0.5 - p.delta / 2.0) / big_d
-    value = term1 + jb1_main(p, a)
+    value = term1 + jb1_main(p, split.a)
     budget = [("corollary-remainder", t ** (-0.5 - p.delta / 4.0))]
     return Approximation(
         value=value,
         method=Method.COROLLARY_LEADING,
         error_budget=budget,
         regime=classify_regime(d.omega),
+        split=split,
     )
 
 

@@ -38,21 +38,24 @@ FT_ZERO = 0.5 * math.sqrt(math.pi) * _ROT
 FT_FULL_LINE = math.sqrt(math.pi) * _ROT
 
 
-def _weideman_coefficients(n: int = 40):
+WEIDEMAN_N = 40  # the order N of Weideman's approximation
+
+
+def _weideman_coefficients():
     """Coefficients of Weideman's rational approximation, highest degree first.
 
     W(z) ~ 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz)),  Z = (L + iz)/(L - iz),
-    with p of degree n - 1 fitted through a cosine transform of
+    with p of degree WEIDEMAN_N - 1 fitted through a cosine transform of
     exp(-s^2)(L^2 + s^2) sampled at s = L tan(theta/2).
     """
-    m = 2 * n
-    scale = math.sqrt(n / math.sqrt(2.0))
+    m = 2 * WEIDEMAN_N
+    scale = math.sqrt(WEIDEMAN_N / math.sqrt(2.0))
     k = np.arange(-m + 1, m)
     s = scale * np.tan(k * math.pi / (2.0 * m))
     f = np.concatenate([[0.0], np.exp(-s * s) * (scale * scale + s * s)])
     f = np.roll(f, m)  # fftshift
     j = np.arange(2 * m)
-    cos = np.cos(np.outer(np.arange(1, n + 1), j) * (math.pi / m))
+    cos = np.cos(np.outer(np.arange(1, WEIDEMAN_N + 1), j) * (math.pi / m))
     a = (cos @ f) / (2 * m)
     return scale, tuple(float(c) for c in a[::-1])
 
@@ -132,18 +135,10 @@ def fresnel_segment(w1: float, w2: float) -> complex:
     return fresnel_tail(w1) - fresnel_tail(w2)
 
 
-def fresnel_tail_asymptotic(w: float, n_terms: int = 1) -> complex:
-    """Large-w expansion e^{iw^2} (-1/(2iw)) (1 + sum_k (2k-1)!!/(2i w^2)^k).
-
-    n_terms = 1 is the leading term; the remainder is O(w^{-(2 n_terms + 1)}).
-    """
+def fresnel_tail_asymptotic(w: float) -> complex:
+    """Leading large-w term e^{iw^2} (-1/(2iw)) of the tail; the remainder is
+    O(w^-3)."""
     w = float(w)
     if w == 0.0:
         raise ZeroArgument("asymptotic form undefined at w = 0")
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    w2 = w * w
-    for k in range(n_terms):
-        total += term
-        term *= (2 * k + 1) / (2j * w2)
-    return cmath.exp(1j * w2) * (-1.0 / (2j * w)) * total
+    return cmath.exp(1j * (w * w)) * (-1.0 / (2j * w))

@@ -30,10 +30,11 @@ from .params import (
     ProblemParams,
     admissible_lambda_range,
     check_tolerance,
-    choose_split,
     corollary_split,
     critical_lambda,
     derive,
+    endpoint_offset,
+    from_offset,
     from_omega,
     select_phi,
 )
@@ -47,15 +48,6 @@ CSV_HEADER = (
 # the methods eval_method runs; a sweep also runs the oracle itself
 APPROXIMATIONS = ("leading", "large-omega", "all-orders", "corollary")
 METHODS = ("oracle",) + APPROXIMATIONS
-
-SUITES = (
-    "ImFNonneg",
-    "PhaseLowerBound",
-    "SplitConsistency",
-    "FresnelAsym",
-    "CovDecomposition",
-    "ExponentIdentity",
-)
 
 DEFAULT_T_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
 
@@ -164,8 +156,6 @@ class ComparisonRow:
 def _fmt(x) -> str:
     if isinstance(x, str):
         return x
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(x, ".17g")
 
 
@@ -191,11 +181,10 @@ def eval_method(method: str, p: ProblemParams, m_order: int = 4, a=None):
         return asymptotics.leading_order_large_omega(p), "", ""
     if method == "all-orders":
         ap = asymptotics.all_orders(p, m_order, a)
-        if a is None:
-            a = choose_split(derive(p), m_order).a
-        return ap, m_order, a
+        return ap, m_order, ap.split.a
     if method == "corollary":
-        return asymptotics.corollary_leading(p), "", corollary_split(derive(p)).a
+        ap = asymptotics.corollary_leading(p)
+        return ap, "", ap.split.a
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -327,18 +316,23 @@ def fit_error_slope(rows):
 # ---------------------------------------------------------------------------
 
 
-def _contour_samples(cfg: SweepConfig, n_lam=17, n_k=17, n_r=12):
-    """Per t: the lambdas, the split points k and the (n_lam, n_k, n_r) radii R
-    of the sampled points on the ray-piece contour."""
+# the contour scans' samples per t: (lambdas, split points k, radii R)
+SCAN_SHAPE = (17, 17, 12)
+
+
+def _contour_samples(cfg: SweepConfig):
+    """Per t: the lambdas, the split points k and the SCAN_SHAPE radii R of
+    the sampled points on the ray-piece contour."""
+    n_lam, n_k, n_r = SCAN_SHAPE
     rng = np.random.default_rng(cfg.seed)
     for t in cfg.t_grid[:3] if len(cfg.t_grid) > 3 else cfg.t_grid:
-        p_end = t ** (cfg.delta - 1.0)
+        p_end = endpoint_offset(t, cfg.delta)
         lo, hi = admissible_lambda_range(t, cfg.delta)
         lams = np.exp(np.linspace(math.log(lo), math.log(hi), n_lam))
         ks = p_end * np.linspace(0.02, 0.98, n_k)
         r = np.exp(
             np.linspace(math.log(1e-6), math.log(50.0), n_r)
-            + rng.uniform(-0.05, 0.05, (n_lam, n_k, n_r))
+            + rng.uniform(-0.05, 0.05, SCAN_SHAPE)
         )
         yield t, lams, ks, r
 
@@ -385,7 +379,7 @@ def _scan_im_f(cfg: SweepConfig):
 def _scan_phase_bound(cfg: SweepConfig):
     def margins(z, t, log_lams, ks, phis):
         mod = np.abs(phase_mod.d_f(z, 1.0) + log_lams)
-        p_end = t ** (cfg.delta - 1.0)
+        p_end = endpoint_offset(t, cfg.delta)
         bound = np.minimum(math.pi / 2.0 - phis[:, None],
                            np.array([math.log(p_end / k) for k in ks]))
         return mod - bound[:, :, None]
@@ -397,8 +391,7 @@ def _scan_split_consistency(cfg: SweepConfig):
     """|segment piece + ray piece - whole| against 3x the quadrature estimates."""
     for t in cfg.t_grid:
         for Lam in (0.0, 1.0):
-            lam = critical_lambda(t, cfg.delta) * (1.0 + Lam)
-            p = ProblemParams(t=t, delta=cfg.delta, sigma=0.5, lam=lam)
+            p = from_offset(t, cfg.delta, 0.5, Lam)
             k = corollary_split(derive(p)).k
             whole = jb_oracle(p, tol=cfg.tol)
             part1 = jb1_oracle(p, k, tol=cfg.tol)
@@ -433,8 +426,7 @@ def _scan_cov_decomposition(cfg: SweepConfig):
 def _scan_exponent_identity(cfg: SweepConfig):
     for t in cfg.t_grid:
         for Lam in (0.0, 0.5, 1.0, 5.0):
-            lam = critical_lambda(t, cfg.delta) * (1.0 + Lam)
-            p = ProblemParams(t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam)
+            p = from_offset(t, cfg.delta, cfg.sigma, Lam)
             res1 = asymptotics.exponent_identity_residual(p)
             m1 = 1e-9 * (1.0 + t) - res1
             a = corollary_split(derive(p)).a
@@ -455,6 +447,7 @@ _SCANS = {
     "CovDecomposition": (_scan_cov_decomposition, 0.0),
     "ExponentIdentity": (_scan_exponent_identity, 0.0),
 }
+SUITES = tuple(_SCANS)
 
 
 def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:

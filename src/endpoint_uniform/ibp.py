@@ -38,7 +38,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import AssumptionViolated, OrderViolation, SigmaUnsupported, SingularPoint
-from .params import ProblemParams, check_split_point
+from .params import ProblemParams, check_split_point, endpoint_offset
 
 
 def double_factorial(n: int) -> int:
@@ -173,7 +173,7 @@ def rn_bound(N: int, p: ProblemParams, k: float) -> float:
 
 def tj_bound(j: int, p: ProblemParams, a: float) -> float:
     """Magnitude bound (constant 1) for the j-th boundary term, in split width a."""
-    k = p.t ** (p.delta - 1.0) * (1.0 - a)
+    k = endpoint_offset(p.t, p.delta) * (1.0 - a)
     check_split_point(p.t, p.delta, k)
     _check_expansion_assumption(p, k)
     return _term_bound(j, p, a)

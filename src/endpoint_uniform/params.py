@@ -88,9 +88,14 @@ def admissible_lambda_range(t: float, delta: float):
     return critical_lambda(t, delta), t ** (1.0 - delta) - 1.0
 
 
+def endpoint_offset(t: float, delta: float) -> float:
+    """t^(delta-1): the left endpoint 1 - t^(delta-1) lies this far below z = 1."""
+    return t ** (delta - 1.0)
+
+
 def critical_lambda(t: float, delta: float) -> float:
     """lambda_c = t^(delta-1)/(1 - t^(delta-1)), the endpoint-coalescence value."""
-    p = t ** (delta - 1.0)
+    p = endpoint_offset(t, delta)
     return p / (1.0 - p)
 
 
@@ -112,10 +117,8 @@ def select_phi(lam: float) -> float:
 def derive(p: ProblemParams) -> DerivedParams:
     """Compute lambda_c, Lambda, omega and the contour angle for p."""
     lc = critical_lambda(p.t, p.delta)
+    # ProblemParams refuses lam < lc, this same double, so Lambda >= 0
     Lambda = (p.lam - lc) / lc
-    if Lambda < 0.0 and Lambda > -1e-14:
-        # Guard against rounding right at the coalescence point.
-        Lambda = 0.0
     omega = math.sqrt(lc * p.t / 2.0) * math.log1p(Lambda) / (1.0 + lc)
     return DerivedParams(
         t=p.t,
@@ -179,7 +182,7 @@ def split_from_a(d: DerivedParams, a: float) -> Split:
     """Split(k, a) for an explicitly chosen a in (0,1)."""
     if not (0.0 < a < 1.0):
         raise InvalidSplit(f"a must lie in (0,1), got {a}")
-    k = d.t ** (d.delta - 1.0) * (1.0 - a)
+    k = endpoint_offset(d.t, d.delta) * (1.0 - a)
     return Split(k, a)
 
 
@@ -190,7 +193,6 @@ def corollary_split(d: DerivedParams) -> Split:
 
 def check_split_point(t: float, delta: float, k: float):
     """Refuse a split point z = 1-k unless k lies in (0, t^(delta-1))."""
-    if not (0.0 < k < t ** (delta - 1.0)):
-        raise SplitOutOfRange(
-            f"split point k={k} outside (0, t^(delta-1)={t ** (delta - 1.0):.3e})"
-        )
+    end = endpoint_offset(t, delta)
+    if not (0.0 < k < end):
+        raise SplitOutOfRange(f"split point k={k} outside (0, t^(delta-1)={end:.3e})")

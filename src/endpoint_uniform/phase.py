@@ -86,11 +86,10 @@ def t_phase(t: float, lam: float, k: float) -> float:
 
 
 def d_f(z, lam: float):
-    """dF/dz = log z - log(1-z) + log lambda, from big_f's two logarithms."""
+    """dF/dz = log z - log(1-z) + log lambda, from big_f's two logarithms;
+    its singular points z = 0 and z = 1 lie on the cuts, which it refuses."""
     _check_cuts(z)
     za = _complex(z)
-    if np.any(za == 0.0) or np.any(za == 1.0):
-        raise SingularPoint("dF/dz is singular at z = 0 and z = 1")
     _w, log_w, log_z = _z_logs(za)
     return log_z - log_w + math.log(lam)
 

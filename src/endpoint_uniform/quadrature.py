@@ -44,7 +44,8 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import NonConvergence, NumericalError, SigmaUnsupported
-from .params import DerivedParams, ProblemParams, check_split_point, check_tolerance, derive
+from .params import (DerivedParams, ProblemParams, check_split_point, check_tolerance,
+                     derive, endpoint_offset)
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
 # indexed nodes.  Values as tabulated for the classical QUADPACK pair.
@@ -114,6 +115,8 @@ PHASE_ADVANCE_CAP = 2.0 * math.pi
 # refinement.
 FLOOR_RATIO = 0.5
 FLOOR_ROUNDS = 4
+# a ray's initial breaks: r_max halved this many times, down towards 0
+RAY_BREAK_LEVELS = 52
 # the doubling grid r = 2^j that ray_truncation searches
 TRUNCATION_J_LO = -120
 TRUNCATION_J_HI = 40
@@ -164,8 +167,9 @@ def _gk_batch(f, lo, hi):
     return ik, err, absint, wc
 
 
-def _adaptive(f, phase, a, b, tol, breaks=None):
-    """Adaptive GK15 of f over [a, b] (real parameter line).
+def _adaptive(f, phase, breaks, tol):
+    """Adaptive GK15 of f from breaks[0] to breaks[-1] (real parameter line),
+    starting from the panels between consecutive breaks.
 
     f maps parameter arrays to the pair (integrand, complex oscillation
     exponent t*F); phase gives t*F alone and is called once, at the initial
@@ -174,14 +178,12 @@ def _adaptive(f, phase, a, b, tol, breaks=None):
     non-negligible modulus are split regardless of their error estimate.
     Raises NonConvergence at PANEL_CAP panels or at the roundoff floor.
     """
-    if breaks is None:
-        breaks = np.array([a, b])
     lo = np.asarray(breaks[:-1], dtype=float)
     hi = np.asarray(breaks[1:], dtype=float)
     vals, errs, absints, wmid = _gk_batch(f, lo, hi)
     wends = np.asarray(phase(np.concatenate([lo, [hi[-1]]])), dtype=complex)
     wlo, whi = wends[:-1], wends[1:]
-    min_width = 1e-14 * (b - a)
+    min_width = 1e-14 * (hi[-1] - lo[0])
     neglect = 1e-3 * tol
     capped = len(lo) > PANEL_CAP
     prev_err = math.inf
@@ -244,13 +246,13 @@ def _adaptive(f, phase, a, b, tol, breaks=None):
                          result=QuadratureResult(value, err, n, 0.0))
 
 
-def _geometric_breaks(r_max, levels=52):
-    """Panel edges 0, r_max*2^-levels, ..., r_max/2, r_max.
+def _geometric_breaks(r_max):
+    """Panel edges 0, r_max*2^-RAY_BREAK_LEVELS, ..., r_max/2, r_max.
 
     The integrand often lives on a scale many orders below r_max (sharp decay
     of exp(i t F) at large t); plain bisection from one panel can miss it.
     """
-    g = r_max * 2.0 ** (-np.arange(levels, -1, -1.0))
+    g = r_max * 2.0 ** (-np.arange(RAY_BREAK_LEVELS, -1, -1.0))
     return np.concatenate([[0.0], g])
 
 
@@ -281,8 +283,7 @@ def integrate_ray(integrand, phase, contour: RayContour, tol: float):
     """
     check_tolerance(tol)
     f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
-    breaks = _geometric_breaks(contour.r_max)
-    value, err, n = _adaptive(f, ph, 0.0, contour.r_max, tol, breaks=breaks)
+    value, err, n = _adaptive(f, ph, _geometric_breaks(contour.r_max), tol)
     return QuadratureResult(value, err, n, contour.truncation_bound)
 
 
@@ -296,7 +297,7 @@ def integrate_segment(integrand, phase, z_from, z_to, tol: float):
     if length == 0.0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0.0)
     f, ph = _on_line(integrand, phase, z0, dz / length)
-    value, err, n = _adaptive(f, ph, 0.0, length, tol)
+    value, err, n = _adaptive(f, ph, np.array([0.0, length]), tol)
     return QuadratureResult(value, err, n, 0.0)
 
 
@@ -411,7 +412,7 @@ def jb_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
     Contour: the ray 1 - t^(delta-1) + s e^(i phi) with phi = select_phi(lambda),
     truncated by the decay rule.  tol is absolute.
     """
-    z0 = 1.0 - p.t ** (p.delta - 1.0)
+    z0 = 1.0 - endpoint_offset(p.t, p.delta)
     return _oracle(_z_frame(p, p.sigma), z0, tol, angle=derive(p).phi)
 
 
@@ -420,7 +421,7 @@ def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10) -> QuadratureResu
 
     Only sigma = 1/2 (the split analysis drops z^(sigma-1/2)).
     """
-    z0 = 1.0 - p.t ** (p.delta - 1.0)
+    z0 = 1.0 - endpoint_offset(p.t, p.delta)
     return _split_piece(p, k, z0, tol, end=1.0 - k)
 
 

@@ -220,6 +220,11 @@ def zeta_of_u(u, d: DerivedParams):
     stage, and 1 at the origin (Euler-Newton continuation; Allgower & Georg
     1990).  NewtonDivergence is raised if any element fails.  Small |u| is
     solved by _near_map instead.
+
+    Domain: the pi/4 ray, the only ray that decomposition_residual integrates
+    along.  Off it the continued root can run into the cut zeta >= 1 of f1
+    (at +-30 degrees, near |u| = 2.85), and from |u| ~ 2.9 there Newton may
+    land on a root that is not the continued branch, without raising.
     """
     flat = _as_flat(u)
     zeta = np.zeros_like(flat)

@@ -34,7 +34,9 @@ from endpoint_uniform import (
     leading_order_large_omega,
     phase_difference_residual,
     ProblemParams,
+    split_from_a,
 )
+from endpoint_uniform.params import corollary_split
 
 
 class TestRegime:
@@ -266,3 +268,25 @@ class TestSerialisation:
         ap = all_orders(from_offset(3e4, 0.5, 0.5, 0.6), 4)
         d = ap.as_dict()
         assert set(d["error_budget"]) == {"R-term", "JB1-term"}
+
+
+class TestSplitReported:
+    def test_all_orders_reports_its_split(self):
+        p = from_offset(1e8, 0.5, 0.5, 0.6)
+        d = derive(p)
+        assert all_orders(p, 4).split == choose_split(d, 4)
+        assert all_orders(p, 5).split == choose_split(d, 5)
+        assert all_orders(p, 4, a=0.02).split == split_from_a(d, 0.02)
+
+    def test_corollary_reports_its_split(self):
+        p = from_offset(1e6, 0.5, 0.5, 0.5)
+        assert corollary_leading(p).split == corollary_split(derive(p))
+
+    def test_routes_without_a_split_report_none(self):
+        p = from_offset(1e6, 0.5, 0.5, 10.0)
+        assert leading_order(p).split is None
+        assert leading_order_large_omega(p).split is None
+
+    def test_as_dict_leaves_the_split_out(self):
+        d = corollary_leading(from_offset(1e6, 0.5, 0.5, 0.5)).as_dict()
+        assert set(d) == {"re", "im", "method", "regime", "error_budget"}

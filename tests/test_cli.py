@@ -16,15 +16,19 @@ import pytest
 
 from endpoint_uniform import (
     CSV_HEADER,
+    ProblemParams,
     all_orders,
     amn_table,
     choose_split,
     derive,
     from_offset,
+    jb1_oracle,
     jb_oracle,
+    jtilde_oracle,
     leading_order,
+    split_from_a,
 )
-from endpoint_uniform import cli
+from endpoint_uniform import cli, harness
 from endpoint_uniform.cli import main
 
 SCRIPT = "endpoint-uniform"
@@ -572,3 +576,73 @@ class TestTopLevel:
         eps = entry_points(group="console_scripts")
         installed = {ep.name: ep.value for ep in eps}
         assert installed.get(SCRIPT) == _declared_scripts()[SCRIPT]
+
+
+# lambda itself, given by --lambda, at Lambda = 1.5 for t = 1e6
+LAM = 0.0025025025025025025
+
+
+class TestUncoveredPaths:
+    def test_oracle_piece_jtilde(self, capsys):
+        code, out, err = run(capsys, "oracle", "--piece", "jtilde",
+                             "--t", "1e5", "--Lambda", "0.4")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["piece"] == "jtilde"
+        assert payload["result"] == jtilde_oracle(from_offset(1e5, 0.5, 0.5, 0.4)).as_dict()
+
+    def test_lambda_flag_on_eval_oracle_and_compare(self, capsys):
+        p = ProblemParams(t=1e6, delta=0.5, sigma=0.5, lam=LAM)
+        point = ("--t", "1e6", "--lambda", repr(LAM))
+        code, out, _ = run(capsys, "eval", "--method", "leading", *point)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert complex(result["re"], result["im"]) == leading_order(p).value
+        code, out, _ = run(capsys, "oracle", *point)
+        assert code == 0
+        assert json.loads(out)["result"] == jb_oracle(p).as_dict()
+        code, out, _ = run(capsys, "compare", "--method", "leading", *point)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"]["lam"] == LAM
+        result = payload["result"]
+        assert complex(result["approx_re"], result["approx_im"]) == leading_order(p).value
+        assert result["error"] == ""
+
+    def test_sweep_lambda_outside_the_window_is_a_row_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--t", "1e6", "--lambda", "1e9",
+                             "--format", "csv")
+        assert code == 0 and err == ""
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row["error"].startswith("OutOfRange: lambda=1000000000.0 outside")
+        assert row["approx_re"] == "nan"
+
+    def test_a_split_on_oracle_jb1(self, capsys):
+        p = from_offset(1e8, 0.5, 0.5, 0.5)
+        code, out, _ = run(capsys, "oracle", "--piece", "jb1", "--a", "0.02",
+                           "--t", "1e8", "--Lambda", "0.5")
+        assert code == 0
+        k = split_from_a(derive(p), 0.02).k
+        assert json.loads(out)["result"] == jb1_oracle(p, k).as_dict()
+
+    def test_a_split_on_terms(self, capsys):
+        p = from_offset(1e8, 0.5, 0.5, 0.5)
+        code, out, _ = run(capsys, "terms", "--a", "0.02", "--j-max", "2",
+                           "--t", "1e8", "--Lambda", "0.5")
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert series["a"] == 0.02
+        assert series["k"] == split_from_a(derive(p), 0.02).k
+
+    def test_failing_verify_suite_exits_2(self, capsys, monkeypatch):
+        def broken(cfg):
+            yield -1.0, {"planted": True}, 1
+
+        monkeypatch.setitem(harness._SCANS, "FresnelAsym", (broken, 0.0))
+        code, out, err = run(capsys, "verify", "--suite", "all")
+        assert code == 2 and err == ""
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert payload["exit_hint"] == "one or more suites failed"
+        failed = [r["suite"] for r in payload["reports"] if not r["pass"]]
+        assert failed == ["FresnelAsym"]

@@ -15,8 +15,11 @@ from endpoint_uniform import (
     NonConvergence,
     SweepConfig,
     big_f,
+    choose_split,
     d_f,
+    derive,
     fit_error_slope,
+    from_omega,
     property_scan,
     rows_to_csv,
     run_all_scans,
@@ -25,6 +28,7 @@ from endpoint_uniform import (
     sweep_config_from_dict,
     write_csv,
 )
+from endpoint_uniform.params import corollary_split
 
 
 def small_cfg(**kw):
@@ -425,3 +429,25 @@ def test_sweep_config_refuses_bad_tol(tol):
         sweep_config_from_dict({"t_grid": [1e4], "methods": ["oracle"], "tol": tol})
     with pytest.raises(InvalidParam):
         SweepConfig(t_grid=[1e4], tol=tol)
+
+
+class TestEvalMethod:
+    def test_split_columns_are_the_routes_own_split(self):
+        # all-orders and corollary report the split they used; eval_method
+        # passes it on rather than choosing it again
+        p = from_omega(1e8, 0.5, 0.5, 1.0)
+        d = derive(p)
+        _ap, m, a = harness.eval_method("all-orders", p, 5)
+        assert (m, a) == (5, choose_split(d, 5).a)
+        _ap, m, a = harness.eval_method("all-orders", p, 4, a=0.02)
+        assert (m, a) == (4, 0.02)
+        _ap, m, a = harness.eval_method("corollary", p)
+        assert (m, a) == ("", corollary_split(d).a)
+        far = from_omega(3e4, 0.5, 0.5, 6.0)
+        for method in ("leading", "large-omega"):
+            assert harness.eval_method(method, far)[1:] == ("", "")
+
+    def test_suites_are_the_scans_in_order(self):
+        assert SUITES == tuple(harness._SCANS)
+        assert SUITES == ("ImFNonneg", "PhaseLowerBound", "SplitConsistency",
+                          "FresnelAsym", "CovDecomposition", "ExponentIdentity")

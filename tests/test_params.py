@@ -18,6 +18,7 @@ from endpoint_uniform import (
     select_phi,
     split_from_a,
 )
+from endpoint_uniform.params import endpoint_offset
 
 # Derived with an independent arbitrary-precision calculator:
 # sqrt(8/3) * ln 2 / (4/3) at t=16, delta=1/2, lambda=2/3.
@@ -161,3 +162,36 @@ def test_from_omega_round_trip():
 def test_from_offset_round_trip():
     p = from_offset(1e6, 0.5, 0.5, 0.7)
     assert derive(p).Lambda == pytest.approx(0.7, rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_lambda_is_invalid(lam):
+    with pytest.raises(InvalidParam, match="finite"):
+        ProblemParams(t=16.0, delta=0.5, sigma=0.5, lam=lam)
+
+
+@pytest.mark.parametrize("build", [from_offset, from_omega])
+@pytest.mark.parametrize("value", [-1.0, -1e-300])
+def test_negative_offset_or_omega_is_out_of_range(build, value):
+    with pytest.raises(OutOfRange) as exc:
+        build(16.0, 0.5, 0.5, value)
+    assert exc.value.lower == 0.0
+
+
+def test_endpoint_offset_is_the_one_split_and_window_rule():
+    # t^(delta-1) fixes lambda_c, the split point and the split check alike
+    t, delta = 3e4, 0.5
+    end = endpoint_offset(t, delta)
+    assert end == t ** (delta - 1.0)
+    assert critical_lambda(t, delta) == end / (1.0 - end)
+    d = derive(from_offset(t, delta, 0.5, 0.6))
+    assert split_from_a(d, 0.25).k == end * 0.75
+
+
+def test_lambda_at_the_critical_value_gives_offset_zero_exactly():
+    # derive subtracts the same double ProblemParams compares with, so the
+    # offset at the lower end of the window is 0 and never below it
+    for t in (1e4, 3.3e7, 1e14):
+        for delta in (0.3, 0.5, 0.8):
+            lc = critical_lambda(t, delta)
+            assert derive(ProblemParams(t=t, delta=delta, sigma=0.5, lam=lc)).Lambda == 0.0

@@ -62,9 +62,16 @@ def test_second_derivative_value():
 
 
 def test_derivative_singularities():
-    for z in (0.0, 1.0):
-        with pytest.raises((SingularPoint, BranchViolation)):
+    # dF/dz's singular points lie on the cuts, which refuse them first
+    for z in (0.0, 1.0, np.array([0.5 + 1j, 1.0])):
+        with pytest.raises(BranchViolation):
             d_f(z, 1.0)
+
+
+def test_second_derivative_singularities():
+    for z in (0.0, 1.0, np.array([0.5 + 1j, 0.0])):
+        with pytest.raises(SingularPoint):
+            d2_f(z)
 
 
 def test_stationary_point_values():

@@ -179,8 +179,7 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
 
     with pytest.raises(NonConvergence):
         quadrature._adaptive(*quadrature._on_line(unphased, np.zeros_like, 0.0, 1.0),
-                             0.0, 20.0, 1e-10,
-                             breaks=np.linspace(0.0, 20.0, 17))
+                             np.linspace(0.0, 20.0, 17), 1e-10)
     lo, errs = batches[0]
     prev = math.inf
     for child_lo, child_errs in batches[1:]:
@@ -540,3 +539,42 @@ def test_bad_tol_is_invalid_param_at_the_public_entries(entry, tol):
             integrate_ray(_chirp, _square, RayContour(0j, math.pi / 4, 12.0), tol)
         else:
             integrate_segment(_chirp, _square, 0.0, 3.0, tol)
+
+
+def test_gk_batch_refuses_a_non_finite_integrand():
+    def nan_at_half(s):
+        return np.where(s > 0.5, np.nan, 1.0) + 0j, np.zeros_like(s)
+
+    lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    with pytest.raises(NumericalError, match="non-finite") as exc:
+        quadrature._gk_batch(nan_at_half, lo, hi)
+    assert not isinstance(exc.value, NonConvergence)
+    with pytest.raises(NumericalError, match="non-finite"):
+        integrate_segment(nan_at_half, np.zeros_like, 0.0, 1.0, 1e-10)
+
+
+def test_ray_truncation_without_decay_finds_no_radius():
+    # Im w = 0 on the whole ray: no radius meets log(1/tol)
+    def flat(z):
+        return np.zeros_like(z), np.ones_like(z)
+
+    with pytest.raises(NonConvergence, match="no truncation radius"):
+        ray_truncation(flat, 0.0 + 0.0j, math.pi / 4, 1e-10)
+
+
+def test_adaptive_stops_when_every_panel_left_is_at_its_minimum_width():
+    # a jump at 1/3, in the integrand and (by 1e20) in the phase: every round
+    # is phase-forced, so never stuck, and only the panel holding the jump is
+    # bisected, until it is no wider than 1e-14 of the range
+    def jump(s):
+        above = s > 1.0 / 3.0
+        return np.where(above, 1e6, 0.0) + 0j, np.where(above, 1e20, 0.0) + 0j
+
+    with pytest.raises(NonConvergence, match="stalled at") as exc:
+        quadrature._adaptive(jump, lambda s: jump(s)[1], np.array([0.0, 1.0]), 1e-12)
+    res = exc.value.result
+    assert isinstance(res, QuadratureResult)
+    # 1 + one panel per bisection of the jump's panel, far below the cap
+    assert res.panels < 60
+    assert res.abs_error_estimate > 1e-12
+    assert res.value == pytest.approx(2e6 / 3.0, rel=1e-9)

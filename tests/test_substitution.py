@@ -20,7 +20,7 @@ from endpoint_uniform import (
     u_of_zeta,
     zeta_of_u,
 )
-from endpoint_uniform.substitution import _amp_F_prime, _cubic_tail, _horner, _quad
+from endpoint_uniform.substitution import _amp_F_prime, _cubic_tail, _horner, _newton, _quad
 from conftest import fit_loglog
 
 RAY = cmath.exp(1j * math.pi / 4)
@@ -310,3 +310,29 @@ def test_tangent_predictor_saves_newton_steps(monkeypatch):
     for t, Lam in ((200.0, 0.0), (200.0, 1.0), (1e6, 0.5)):
         zeta_of_u(u, derive(from_offset(t, 0.5, 0.5, Lam)))
     assert len(calls) <= 66
+
+
+def test_u_of_zeta_at_the_origin_is_zero(state, state_critical):
+    for s in (state, state_critical):
+        assert u_of_zeta(0.0, s) == 0.0
+
+
+def test_u_of_zeta_picks_the_branch_at_the_degenerate_start(state_critical):
+    # at Lambda = 0 both roots start at 0; the first step picks u ~ zeta
+    assert state_critical.Lambda == 0.0
+    for r in (1e-3, 0.05, 0.3, 1.0):
+        zeta = r * RAY
+        u = u_of_zeta(zeta, state_critical)
+        if r < 0.1:
+            assert abs(u - zeta) <= 5.0 * abs(zeta) ** 2
+        assert abs(zeta_of_u(u, state_critical) - zeta) < 1e-10 * max(1.0, r)
+
+
+def test_newton_stalls_after_50_descending_steps(state, monkeypatch):
+    # each step shrinks the residual by 1e-3 only: it keeps descending, so no
+    # backtrack fails, but it does not converge in 50 iterations
+    monkeypatch.setattr(phase, "f1", lambda zeta, lc, Lam: zeta)
+    monkeypatch.setattr(phase, "d_f1", lambda zeta, lc, Lam: 1e3 * np.ones_like(zeta))
+    u = np.array([0.5 * RAY, 0.7 * RAY])
+    with pytest.raises(NewtonDivergence, match="Newton stalled at u="):
+        _newton(np.zeros(2, dtype=complex), np.array([1.0, 2.0], dtype=complex), state, u)
