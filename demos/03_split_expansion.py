@@ -17,7 +17,6 @@ from endpoint_uniform import (
     jb2_series,
     rn_bound,
     t_term,
-    tj_bound,
 )
 
 
@@ -35,24 +34,24 @@ def main():
 
     print("\nboundary terms of the ray piece:")
     for j in (1, 2, 3, 4):
-        term = t_term(j, p, dd.k)
+        term = t_term(j, p, dd)
         print(f"  j = {j}: |T_j| = {abs(term.value):.3e}   "
               f"printed bound = {term.magnitude_bound:.3e}")
 
-    oracle = jb2_oracle(p, dd.k, tol=1e-12)
+    oracle = jb2_oracle(p, dd, tol=1e-12)
     print(f"\nray piece by quadrature: {oracle.value:.12e}")
     for j_max in (1, 2, 3, 4):
-        value, terms, bound = jb2_series(p, dd.k, j_max)
+        value, terms, bound = jb2_series(p, dd, j_max)
         gap = abs(value - oracle.value)
         print(f"  partial sum j <= {j_max}: gap to quadrature {gap:.3e}")
 
     # the a-priori remainder bounds carry constant 1 straight from the
     # analysis; at this scale they are loose by design, the terms themselves
     # are what converges
-    print(f"\na-priori remainder bound after j=1: {rn_bound(2, p, dd.k):.3e}")
-    print(f"observed j=2 term size:              "
-          f"{abs(t_term(2, p, dd.k).value):.3e}")
-    print(f"tight per-term bound tj_bound(2):    {tj_bound(2, p, dd.a):.3e}")
+    term2 = t_term(2, p, dd)
+    print(f"\na-priori remainder bound after j=1: {rn_bound(2, p, dd):.3e}")
+    print(f"observed j=2 term size:              {abs(term2.value):.3e}")
+    print(f"tight per-term bound of j=2:         {term2.magnitude_bound:.3e}")
 
 
 if __name__ == "__main__":

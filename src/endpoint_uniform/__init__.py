@@ -97,7 +97,6 @@ from .ibp import (
     jb2_series,
     rn_bound,
     t_term,
-    tj_bound,
 )
 from .asymptotics import (
     OMEGA_THRESHOLD_DEFAULT,

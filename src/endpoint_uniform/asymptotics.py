@@ -32,7 +32,7 @@ from .errors import (
 from .fresnel import fresnel_segment, fresnel_tail
 from .ibp import jb2_series, rn_bound
 from .params import (ProblemParams, Split, choose_split, corollary_split, derive,
-                     endpoint_offset, split_from_a)
+                     endpoint_offset)
 from .quadrature import endpoint_prefactor
 
 OMEGA_THRESHOLD_DEFAULT = 5.0
@@ -153,23 +153,25 @@ def jb1_main(p: ProblemParams, a: float) -> complex:
     return cmath.exp(1j * chi) * p.t**-0.5 * math.sqrt(2.0 / (1.0 + lc)) * seg
 
 
-def all_orders(p: ProblemParams, m: int, a: float | None = None) -> Approximation:
+def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approximation:
     """Split-contour expansion of order m >= 4 (sigma = 1/2).
 
     Ray-piece boundary terms j = 1..m-3 plus the segment main term; the
     budget carries the two coefficient-1 remainders (remainder of the
     boundary-term series at depth N = 2m-2, and the segment's a^4 error).
+    The contour splits at split, by default at choose_split's for order m.
     """
     if p.sigma != 0.5:
         raise SigmaUnsupported("all-orders expansion defined for sigma = 1/2 only")
     if m < 4:
         raise OrderViolation(f"expansion order must be >= 4, got {m}")
     d = derive(p)
-    split = choose_split(d, m) if a is None else split_from_a(d, a)
-    series_value, _terms, _series_bound = jb2_series(p, split.k, m - 3)
+    if split is None:
+        split = choose_split(d, m)
+    series_value, _terms, _series_bound = jb2_series(p, split, m - 3)
     seg = jb1_main(p, split.a)
     budget = [
-        ("R-term", rn_bound(2 * m - 2, p, split.k)),
+        ("R-term", rn_bound(2 * m - 2, p, split)),
         ("JB1-term", p.t ** (-0.5 + 1.5 * p.delta) * split.a**4),
     ]
     return Approximation(

@@ -16,7 +16,7 @@ import sys
 from . import harness, ibp
 from .errors import EndpointUniformError, InvalidParam, ParameterError
 from .params import ProblemParams, choose_split, derive, from_offset, split_from_a
-from .quadrature import jb1_oracle, jb2_oracle, jb_oracle, jtilde_oracle
+from .quadrature import DEFAULT_TOL, jb1_oracle, jb2_oracle, jb_oracle, jtilde_oracle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # defaults of the valued flags; sweep applies them itself when it has no config
-_DEFAULTS = {"delta": 0.5, "sigma": 0.5, "tol": 1e-10}
+_DEFAULTS = {"delta": 0.5, "sigma": 0.5, "tol": DEFAULT_TOL}
 
 
 def _add_point(sp, need_t=True):
@@ -48,6 +48,11 @@ def _add_tol(sp):
 
 def _add_order(sp):
     sp.add_argument("--m", type=int, default=None, help="expansion order (>= 4)")
+
+
+def _order(ns) -> int:
+    """--m, or the default expansion order if it was not given."""
+    return harness.DEFAULT_ORDER if ns.m is None else ns.m
 
 
 def _add_split(sp):
@@ -103,8 +108,7 @@ def _split_fields(ns, p: ProblemParams, order_read=False):
     if ns.a is not None:
         _refuse(ns, ("b",) if order_read else ("m", "b"), "the split from --a")
         return split_from_a(d, ns.a)
-    m = ns.m if ns.m is not None else 4
-    return choose_split(d, m, ns.b)
+    return choose_split(d, _order(ns), ns.b)
 
 
 def _emit(payload: dict, ns):
@@ -126,9 +130,8 @@ def _cmd_eval(ns) -> dict:
     if ns.method != "all-orders":
         _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
     p = _build_params(ns)
-    a = _split_fields(ns, p, order_read=True).a if ns.method == "all-orders" else None
-    m = ns.m if ns.m is not None else 4
-    result = harness.eval_method(ns.method, p, m, a)[0]
+    split = _split_fields(ns, p, order_read=True) if ns.method == "all-orders" else None
+    result = harness.eval_method(ns.method, p, _order(ns), split)[0]
     return {"subcommand": "eval", "flags": _echo_flags(ns),
             "result": result.as_dict()}
 
@@ -143,9 +146,9 @@ def _cmd_oracle(ns) -> dict:
     elif piece == "jtilde":
         res = jtilde_oracle(p, tol=ns.tol)
     else:
-        dd = _split_fields(ns, p)
+        split = _split_fields(ns, p)
         fn = jb1_oracle if piece == "jb1" else jb2_oracle
-        res = fn(p, dd.k, tol=ns.tol)
+        res = fn(p, split, tol=ns.tol)
     return {"subcommand": "oracle", "flags": _echo_flags(ns), "piece": piece,
             "result": res.as_dict()}
 
@@ -155,7 +158,7 @@ def _cmd_compare(ns) -> dict:
         t_grid=[ns.t], delta=ns.delta, sigma=ns.sigma,
         lambda_spec=("lambda", [_build_params(ns).lam]),
         methods=[ns.method], tol=ns.tol,
-        m_order=ns.m if ns.m is not None else 4,
+        m_order=_order(ns),
     )
     rows = harness.run_sweep(cfg, raise_errors=True)
     row = rows[0]
@@ -196,7 +199,7 @@ def _cmd_sweep(ns) -> dict:
         cfg = harness.SweepConfig(
             t_grid=[ns.t], delta=ns.delta, sigma=ns.sigma, lambda_spec=spec,
             methods=[ns.method] if ns.method else ["leading"],
-            tol=ns.tol, m_order=ns.m if ns.m is not None else 4,
+            tol=ns.tol, m_order=_order(ns),
         )
     rows = harness.run_sweep(cfg)
     if ns.out and ns.format == "csv":
@@ -218,16 +221,16 @@ def _cmd_terms(ns) -> dict:
         out["table"] = {"level": table.level, "entries": table.as_strings()}
     if ns.t is not None:
         p = _build_params(ns)
-        dd = _split_fields(ns, p)
+        split = _split_fields(ns, p)
         j_max = ns.j_max if ns.j_max is not None else 1
-        value, terms, bound = ibp.jb2_series(p, dd.k, j_max)
+        value, terms, bound = ibp.jb2_series(p, split, j_max)
         out["terms"] = [
             {"j": term.j, "re": term.value.real, "im": term.value.imag,
              "magnitude_bound": term.magnitude_bound}
             for term in terms
         ]
         out["series"] = {"re": value.real, "im": value.imag, "bound": bound,
-                         "k": dd.k, "a": dd.a}
+                         "k": split.k, "a": split.a}
     if "table" not in out and "terms" not in out:
         raise InvalidParam("terms needs --N (table dump) or --t ... (term values)")
     return out

@@ -38,7 +38,7 @@ from .params import (
     from_omega,
     select_phi,
 )
-from .quadrature import jb1_oracle, jb2_oracle, jb_oracle
+from .quadrature import DEFAULT_TOL, jb1_oracle, jb2_oracle, jb_oracle
 
 CSV_HEADER = (
     "t,delta,sigma,lambda,Lambda,omega,method,m,a,approx_re,approx_im,"
@@ -50,6 +50,8 @@ APPROXIMATIONS = ("leading", "large-omega", "all-orders", "corollary")
 METHODS = ("oracle",) + APPROXIMATIONS
 
 DEFAULT_T_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
+# the expansion order of all-orders when none is given
+DEFAULT_ORDER = 4
 
 
 # the type of each scalar field and of methods; a bool is none of them
@@ -81,9 +83,9 @@ class SweepConfig:
     # ("critical", None) | ("lambda", [values]) | ("omega", [values])
     lambda_spec: tuple = ("critical", None)
     methods: list = field(default_factory=lambda: ["leading"])
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     seed: int = 0
-    m_order: int = 4
+    m_order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         _check_numbers("t_grid", self.t_grid)
@@ -171,21 +173,22 @@ def _expected_method_error(approx: complex, budget: float,
     return guess
 
 
-def eval_method(method: str, p: ProblemParams, m_order: int = 4, a=None):
+def eval_method(method: str, p: ProblemParams, m_order: int = DEFAULT_ORDER, split=None):
     """One asymptotic method at p: (approximation, m, a), where m and a are
     the expansion order and split width the method used, "" if it has none.
-    all-orders splits at a, by default at choose_split's width for m_order."""
+    all-orders splits at split (a params.Split), by default at choose_split's
+    for m_order.  An unknown method is InvalidParam."""
     if method == "leading":
         return asymptotics.leading_order(p), "", ""
     if method == "large-omega":
         return asymptotics.leading_order_large_omega(p), "", ""
     if method == "all-orders":
-        ap = asymptotics.all_orders(p, m_order, a)
+        ap = asymptotics.all_orders(p, m_order, split)
         return ap, m_order, ap.split.a
     if method == "corollary":
         ap = asymptotics.corollary_leading(p)
         return ap, "", ap.split.a
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidParam(f"unknown method {method!r}; choose from {APPROXIMATIONS}")
 
 
 def _oracle(memo: dict, p: ProblemParams, tol: float):
@@ -325,7 +328,7 @@ def _contour_samples(cfg: SweepConfig):
     the sampled points on the ray-piece contour."""
     n_lam, n_k, n_r = SCAN_SHAPE
     rng = np.random.default_rng(cfg.seed)
-    for t in cfg.t_grid[:3] if len(cfg.t_grid) > 3 else cfg.t_grid:
+    for t in cfg.t_grid[:3]:
         p_end = endpoint_offset(t, cfg.delta)
         lo, hi = admissible_lambda_range(t, cfg.delta)
         lams = np.exp(np.linspace(math.log(lo), math.log(hi), n_lam))
@@ -392,10 +395,10 @@ def _scan_split_consistency(cfg: SweepConfig):
     for t in cfg.t_grid:
         for Lam in (0.0, 1.0):
             p = from_offset(t, cfg.delta, 0.5, Lam)
-            k = corollary_split(derive(p)).k
+            split = corollary_split(derive(p))
             whole = jb_oracle(p, tol=cfg.tol)
-            part1 = jb1_oracle(p, k, tol=cfg.tol)
-            part2 = jb2_oracle(p, k, tol=cfg.tol)
+            part1 = jb1_oracle(p, split, tol=cfg.tol)
+            part2 = jb2_oracle(p, split, tol=cfg.tol)
             gap = abs(part1.value + part2.value - whole.value)
             est = (
                 whole.abs_error_estimate
@@ -451,9 +454,10 @@ SUITES = tuple(_SCANS)
 
 
 def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:
-    """Run one invariant scan; failures are data, not exceptions."""
+    """Run one invariant scan; failures are data, not exceptions.  An
+    unknown suite is InvalidParam."""
     if suite not in _SCANS:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise InvalidParam(f"unknown suite {suite!r}; choose from {SUITES}")
     if cfg is None:
         cfg = SweepConfig(t_grid=list(DEFAULT_T_GRID))
     scan, threshold = _SCANS[suite]

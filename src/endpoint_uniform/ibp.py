@@ -17,13 +17,16 @@ at factorial speed and floats would contaminate high orders); floats appear
 only at evaluation sites.
 
 The boundary terms of the ray piece follow: the j-th term uses the level-(j-1)
-table evaluated at the split point,
+table evaluated at the split point z = 1-k of a params.Split(k, a),
 
     T_j = k^{-(2j-1)/2} / ((-it)^j D^j)
           * sum A_mn (1-k)^{-m} D^{-n} * e^{i t F(1-k)},
 
 with D the phase derivative at the split.  With j_max terms kept the truncation
-error is the (j_max+1)-st remainder, bounded (constant 1) by rn_bound.
+error is the (j_max+1)-st remainder, bounded (constant 1) by rn_bound.  Both
+the term bounds and the remainder bound are stated in the split width a, and
+every function here takes the Split whole and reads its own a, never one
+recomputed from k.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import AssumptionViolated, OrderViolation, SigmaUnsupported, SingularPoint
-from .params import ProblemParams, check_split_point, endpoint_offset
+from .params import ProblemParams, Split, check_split_point
 
 
 def double_factorial(n: int) -> int:
@@ -116,70 +119,54 @@ def apply_ibp_operator(N: int, z, t: float, lam: float):
     return out if isinstance(z, np.ndarray) else complex(out)
 
 
-def _split_a(p: ProblemParams, k: float) -> float:
-    return 1.0 - k * p.t ** (1.0 - p.delta)
-
-
-def _check_expansion_assumption(p: ProblemParams, k: float) -> float:
+def _check_expansion_assumption(p: ProblemParams, split: Split) -> float:
     """Successive terms shrink iff t k D_-^2 > 1 (with D_- < 1).  Returns D_-."""
-    a = _split_a(p, k)
-    d_minus = -math.log1p(-a)
-    if not (d_minus < 1.0 and p.t * k * d_minus * d_minus > 1.0):
+    d_minus = -math.log1p(-split.a)
+    if not (d_minus < 1.0 and p.t * split.k * d_minus * d_minus > 1.0):
         raise AssumptionViolated(
-            f"split a={a:.3e} (D_-={d_minus:.3e}) outside the expansion's validity window"
+            f"split a={split.a:.3e} (D_-={d_minus:.3e}) outside the expansion's validity window"
         )
     return d_minus
 
 
-def _term_bound(j: int, p: ProblemParams, a: float) -> float:
-    """Magnitude bound (constant 1) for the j-th boundary term at split width a."""
-    return (
-        double_factorial(2 * j - 1)
-        * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
-        * a ** (-(2 * j + 1))
-    )
-
-
-def t_term(j: int, p: ProblemParams, k: float) -> ExpansionTerm:
-    """j-th boundary term of the ray piece, exact closed form (j >= 1)."""
+def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
+    """j-th boundary term of the ray piece, exact closed form (j >= 1), with
+    its magnitude bound (constant 1) in the split width a."""
     if p.sigma != 0.5:
         raise SigmaUnsupported("boundary terms are defined for sigma = 1/2 only")
-    check_split_point(p.t, p.delta, k)
+    check_split_point(p.t, p.delta, split.k)
     if j < 1:
         raise OrderViolation(f"term index must be >= 1, got {j}")
     t = p.t
+    k = split.k
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
     acc = _amn_sum(j - 1, z0, big_d)
     osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, k))
     value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
-    bound = _term_bound(j, p, _split_a(p, k))
+    bound = (
+        double_factorial(2 * j - 1)
+        * t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
+        * split.a ** (-(2 * j + 1))
+    )
     return ExpansionTerm(j=j, value=value, magnitude_bound=bound)
 
 
-def rn_bound(N: int, p: ProblemParams, k: float) -> float:
+def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
     """Magnitude bound (constant 1) for the remainder holding terms j >= N."""
-    check_split_point(p.t, p.delta, k)
-    d_minus = _check_expansion_assumption(p, k)
+    check_split_point(p.t, p.delta, split.k)
+    d_minus = _check_expansion_assumption(p, split)
     t = p.t
     return (
         double_factorial(2 * N - 1)
         * t ** (-N)
         * math.log(t) ** ((2 * N + 1) / 2.0)
         * d_minus ** (-2 * N)
-        * k ** (-(2 * N - 1) / 2.0)
+        * split.k ** (-(2 * N - 1) / 2.0)
     )
 
 
-def tj_bound(j: int, p: ProblemParams, a: float) -> float:
-    """Magnitude bound (constant 1) for the j-th boundary term, in split width a."""
-    k = endpoint_offset(p.t, p.delta) * (1.0 - a)
-    check_split_point(p.t, p.delta, k)
-    _check_expansion_assumption(p, k)
-    return _term_bound(j, p, a)
-
-
-def jb2_series(p: ProblemParams, k: float, j_max: int):
+def jb2_series(p: ProblemParams, split: Split, j_max: int):
     """Partial sum of boundary terms plus its truncation bound.
 
     Returns (value, terms, bound) with bound = rn_bound(j_max + 1): the
@@ -188,10 +175,10 @@ def jb2_series(p: ProblemParams, k: float, j_max: int):
     """
     if p.sigma != 0.5:
         raise SigmaUnsupported("series defined for sigma = 1/2 only")
-    check_split_point(p.t, p.delta, k)
+    check_split_point(p.t, p.delta, split.k)
     if j_max < 0:
         raise OrderViolation(f"j_max must be >= 0, got {j_max}")
-    terms = [t_term(j, p, k) for j in range(1, j_max + 1)]
+    terms = [t_term(j, p, split) for j in range(1, j_max + 1)]
     value = sum((term.value for term in terms), 0.0 + 0.0j)
-    bound = rn_bound(j_max + 1, p, k)
+    bound = rn_bound(j_max + 1, p, split)
     return value, terms, bound

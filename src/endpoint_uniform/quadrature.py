@@ -44,8 +44,8 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import NonConvergence, NumericalError, SigmaUnsupported
-from .params import (DerivedParams, ProblemParams, check_split_point, check_tolerance,
-                     derive, endpoint_offset)
+from .params import (DerivedParams, ProblemParams, Split, check_split_point,
+                     check_tolerance, derive, endpoint_offset)
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
 # indexed nodes.  Values as tabulated for the classical QUADPACK pair.
@@ -104,6 +104,8 @@ _CENTRE = 7
 _WGK_C = _WGK.astype(complex)
 _WG_C = _WG.astype(complex)
 
+# the absolute tolerance of the oracles, sweeps and CLI when none is given
+DEFAULT_TOL = 1e-10
 # the most panels a quadrature refines to; _adaptive reads it at call time
 PANEL_CAP = 20000
 PHASE_ADVANCE_CAP = 2.0 * math.pi
@@ -406,7 +408,7 @@ def _gaussian_frame(d: DerivedParams):
     return wa
 
 
-def jb_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
+def jb_oracle(p: ProblemParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Direct adaptive quadrature of J(t; lambda) from the left endpoint.
 
     Contour: the ray 1 - t^(delta-1) + s e^(i phi) with phi = select_phi(lambda),
@@ -416,21 +418,21 @@ def jb_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
     return _oracle(_z_frame(p, p.sigma), z0, tol, angle=derive(p).phi)
 
 
-def jb1_oracle(p: ProblemParams, k: float, tol: float = 1e-10) -> QuadratureResult:
-    """Real-segment piece: integral over [1 - t^(delta-1), 1 - k].
+def jb1_oracle(p: ProblemParams, split: Split, tol: float = DEFAULT_TOL) -> QuadratureResult:
+    """Real-segment piece: integral over [1 - t^(delta-1), 1 - k] at split.k.
 
     Only sigma = 1/2 (the split analysis drops z^(sigma-1/2)).
     """
     z0 = 1.0 - endpoint_offset(p.t, p.delta)
-    return _split_piece(p, k, z0, tol, end=1.0 - k)
+    return _split_piece(p, split.k, z0, tol, end=1.0 - split.k)
 
 
-def jb2_oracle(p: ProblemParams, k: float, tol: float = 1e-10) -> QuadratureResult:
-    """Ray piece: integral from 1 - k out to infinity at angle select_phi."""
-    return _split_piece(p, k, 1.0 - k, tol, angle=derive(p).phi)
+def jb2_oracle(p: ProblemParams, split: Split, tol: float = DEFAULT_TOL) -> QuadratureResult:
+    """Ray piece: integral from 1 - split.k out to infinity at angle select_phi."""
+    return _split_piece(p, split.k, 1.0 - split.k, tol, angle=derive(p).phi)
 
 
-def jtilde_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
+def jtilde_oracle(p: ProblemParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Offset-frame integral J_tilde = int_0^(inf e^(i phi)) g e^(i t h) dzeta,
     its phase and amplitude g = amp_g from f1's two logarithms."""
     d = derive(p)
@@ -443,7 +445,7 @@ def jtilde_oracle(p: ProblemParams, tol: float = 1e-10) -> QuadratureResult:
     return _oracle(wa, 0.0, tol, angle=d.phi)
 
 
-def phi_oracle(u, d: DerivedParams, tol: float = 1e-10) -> QuadratureResult:
+def phi_oracle(u, d: DerivedParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Direct quadrature of the incomplete Gaussian-phase tail
 
         Phi(u) = int_u^(inf e^(i pi/4)) exp(i (lambda_c t/2)(v^2 + beta v)) dv,

@@ -43,6 +43,7 @@ from endpoint_uniform import (
     property_scan,
     zeta_of_u,
     ProblemParams,
+    Split,
 )
 from conftest import fit_loglog
 
@@ -115,12 +116,12 @@ def test_04_split_exactness():
     for t in np.geomspace(1e4, 1e8, 10):
         t = float(t)
         a = t ** (-7.0 * delta / 16.0)
-        k = t ** (delta - 1.0) * (1.0 - a)
+        split = Split(t ** (delta - 1.0) * (1.0 - a), a)
         for Lam in (0.0, 1.0):
             p = from_offset(t, delta, 0.5, Lam)
             whole = jb_oracle(p, tol=1e-10)
-            p1 = jb1_oracle(p, k, tol=1e-10)
-            p2 = jb2_oracle(p, k, tol=1e-10)
+            p1 = jb1_oracle(p, split, tol=1e-10)
+            p2 = jb2_oracle(p, split, tol=1e-10)
             gap = abs(p1.value + p2.value - whole.value)
             est = (whole.abs_error_estimate + whole.truncation_bound
                    + p1.abs_error_estimate

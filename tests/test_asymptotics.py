@@ -148,7 +148,7 @@ class TestSegmentMain:
         p = from_offset(3e4, 0.5, 0.5, 0.6)
         dd = choose_split(derive(p), 4)
         main = jb1_main(p, dd.a)
-        orc = jb1_oracle(p, dd.k, tol=1e-12)
+        orc = jb1_oracle(p, dd, tol=1e-12)
         budget = p.t ** (-0.5 + 1.5 * p.delta) * dd.a**4
         assert abs(main - orc.value) <= budget
 
@@ -205,7 +205,7 @@ class TestAllOrders:
         p = from_offset(3e4, 0.5, 0.5, 0.6)
         dd = choose_split(derive(p), 4)
         auto = all_orders(p, 4)
-        manual = all_orders(p, 4, a=dd.a)
+        manual = all_orders(p, 4, split=dd)
         assert manual.value == pytest.approx(auto.value, rel=1e-13)
 
 
@@ -276,7 +276,7 @@ class TestSplitReported:
         d = derive(p)
         assert all_orders(p, 4).split == choose_split(d, 4)
         assert all_orders(p, 5).split == choose_split(d, 5)
-        assert all_orders(p, 4, a=0.02).split == split_from_a(d, 0.02)
+        assert all_orders(p, 4, split_from_a(d, 0.02)).split == split_from_a(d, 0.02)
 
     def test_corollary_reports_its_split(self):
         p = from_offset(1e6, 0.5, 0.5, 0.5)

@@ -144,8 +144,8 @@ class TestEval:
         )
         assert code == 0
         p = from_offset(1e6, 0.5, 0.5, 0.5)
-        a = choose_split(derive(p), 4, 0.44).a
-        assert json.loads(out)["result"] == all_orders(p, 4, a).as_dict()
+        split = choose_split(derive(p), 4, 0.44)
+        assert json.loads(out)["result"] == all_orders(p, 4, split).as_dict()
         assert json.loads(out)["result"] != all_orders(p, 4).as_dict()
 
     def test_all_orders_rejects_split_exponent_outside_sandwich(self, capsys):
@@ -622,8 +622,18 @@ class TestUncoveredPaths:
         code, out, _ = run(capsys, "oracle", "--piece", "jb1", "--a", "0.02",
                            "--t", "1e8", "--Lambda", "0.5")
         assert code == 0
-        k = split_from_a(derive(p), 0.02).k
-        assert json.loads(out)["result"] == jb1_oracle(p, k).as_dict()
+        split = split_from_a(derive(p), 0.02)
+        assert json.loads(out)["result"] == jb1_oracle(p, split).as_dict()
+
+    def test_a_split_on_eval_all_orders_keeps_its_width(self, capsys):
+        # the R-term of the split built from --a, not of one whose a was
+        # rebuilt from k
+        p = from_offset(1e8, 0.5, 0.5, 0.5)
+        code, out, _ = run(capsys, "eval", "--method", "all-orders", "--a", "0.02",
+                           "--t", "1e8", "--Lambda", "0.5")
+        assert code == 0
+        expect = all_orders(p, 4, split_from_a(derive(p), 0.02)).as_dict()
+        assert json.loads(out)["result"] == expect
 
     def test_a_split_on_terms(self, capsys):
         p = from_offset(1e8, 0.5, 0.5, 0.5)

@@ -1,11 +1,12 @@
 """Sweep driver, CSV serialisation, slope fits, and the property scans."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from endpoint_uniform import harness
+from endpoint_uniform import harness, quadrature
 from endpoint_uniform import (
     CSV_HEADER,
     SUITES,
@@ -25,6 +26,7 @@ from endpoint_uniform import (
     run_all_scans,
     run_sweep,
     select_phi,
+    split_from_a,
     sweep_config_from_dict,
     write_csv,
 )
@@ -282,8 +284,14 @@ class TestSlopeFit:
 
 class TestPropertyScans:
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             property_scan("NoSuchSuite")
+
+    def test_contour_scans_take_the_first_three_t_of_any_grid(self):
+        grid = [1e4, 1e5, 1e6, 1e7]
+        for t_grid in (grid, tuple(grid), np.array(grid), grid[:2]):
+            ts = [t for t, *_rest in harness._contour_samples(SweepConfig(t_grid=t_grid))]
+            assert ts == grid[:min(3, len(t_grid))]
 
     def test_cov_decomposition_reads_the_config_sigma(self, monkeypatch):
         seen = []
@@ -439,13 +447,27 @@ class TestEvalMethod:
         d = derive(p)
         _ap, m, a = harness.eval_method("all-orders", p, 5)
         assert (m, a) == (5, choose_split(d, 5).a)
-        _ap, m, a = harness.eval_method("all-orders", p, 4, a=0.02)
+        _ap, m, a = harness.eval_method("all-orders", p, 4, split=split_from_a(d, 0.02))
         assert (m, a) == (4, 0.02)
         _ap, m, a = harness.eval_method("corollary", p)
         assert (m, a) == ("", corollary_split(d).a)
         far = from_omega(3e4, 0.5, 0.5, 6.0)
         for method in ("leading", "large-omega"):
             assert harness.eval_method(method, far)[1:] == ("", "")
+
+    def test_unknown_method_is_invalid_param(self):
+        with pytest.raises(InvalidParam, match="unknown method 'oracle'"):
+            harness.eval_method("oracle", from_omega(1e6, 0.5, 0.5, 1.0))
+
+    def test_defaults_are_the_stated_constants(self):
+        p = from_omega(1e6, 0.5, 0.5, 1.0)
+        assert harness.eval_method("all-orders", p)[1] == harness.DEFAULT_ORDER
+        cfg = SweepConfig(t_grid=[1e4])
+        assert (cfg.tol, cfg.m_order) == (quadrature.DEFAULT_TOL, harness.DEFAULT_ORDER)
+        for oracle in (quadrature.jb_oracle, quadrature.jb1_oracle, quadrature.jb2_oracle,
+                       quadrature.jtilde_oracle, quadrature.phi_oracle):
+            tol = inspect.signature(oracle).parameters["tol"].default
+            assert tol is quadrature.DEFAULT_TOL
 
     def test_suites_are_the_scans_in_order(self):
         assert SUITES == tuple(harness._SCANS)

@@ -11,6 +11,7 @@ from endpoint_uniform import (
     RayContour,
     SigmaUnsupported,
     SingularPoint,
+    Split,
     SplitOutOfRange,
     amn_table,
     apply_ibp_operator,
@@ -28,7 +29,6 @@ from endpoint_uniform import (
     rn_bound,
     stationary_point,
     t_term,
-    tj_bound,
 )
 from conftest import fit_loglog
 
@@ -149,38 +149,42 @@ def test_first_boundary_term_closed_form(split_setup):
     k = dd.k
     D = math.log(p.lam * (1 - k) / k)
     expect = 1j * cmath.exp(1j * p.t * big_f(1 - k, p.lam)) / (p.t * math.sqrt(k) * D)
-    term = t_term(1, p, k)
+    term = t_term(1, p, dd)
     assert abs(term.value - expect) < 1e-14 * abs(expect)
     assert term.j == 1
 
 
 def test_boundary_terms_decay(split_setup):
     p, dd = split_setup
-    mags = [abs(t_term(j, p, dd.k).value) for j in (1, 2, 3, 4)]
+    mags = [abs(t_term(j, p, dd).value) for j in (1, 2, 3, 4)]
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
 def test_boundary_term_magnitude_bounds(split_setup):
+    # the bound is (2j-1)!! t^(-1/2-(2j+1)delta/2) a^(-(2j+1)) in the split's
+    # own width a, to the last bit
     p, dd = split_setup
     for j in (1, 2, 3):
-        term = t_term(j, p, dd.k)
-        assert term.magnitude_bound == pytest.approx(tj_bound(j, p, dd.a), rel=1e-13)
+        term = t_term(j, p, dd)
+        assert term.magnitude_bound == (double_factorial(2 * j - 1)
+                                        * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
+                                        * dd.a ** (-(2 * j + 1)))
         assert abs(term.value) <= 10.0 * term.magnitude_bound
 
 
 def test_term_guards(split_setup):
     p, dd = split_setup
     with pytest.raises(OrderViolation):
-        t_term(0, p, dd.k)
+        t_term(0, p, dd)
     with pytest.raises(OrderViolation):
-        jb2_series(p, dd.k, -1)
+        jb2_series(p, dd, -1)
     bad_sigma = ProblemParams(t=p.t, delta=p.delta, sigma=0.75, lam=p.lam)
     with pytest.raises(SigmaUnsupported):
-        t_term(1, bad_sigma, dd.k)
+        t_term(1, bad_sigma, dd)
     with pytest.raises(SplitOutOfRange):
-        t_term(1, p, p.t ** (p.delta - 1.0) * 1.01)
+        t_term(1, p, Split(p.t ** (p.delta - 1.0) * 1.01, dd.a))
     with pytest.raises(SplitOutOfRange):
-        t_term(1, p, 0.0)
+        t_term(1, p, Split(0.0, dd.a))
 
 
 def test_expansion_assumption_gate():
@@ -188,10 +192,10 @@ def test_expansion_assumption_gate():
     # bound needs; the term values themselves stay computable
     t = 3e4
     p = from_offset(t, 0.5, 0.5, 0.6)
-    k_wide = t ** -0.5 * (1.0 - 0.75)
+    wide = Split(t ** -0.5 * (1.0 - 0.75), 0.75)
     with pytest.raises(AssumptionViolated):
-        rn_bound(1, p, k_wide)
-    t_term(1, p, k_wide)
+        rn_bound(1, p, wide)
+    t_term(1, p, wide)
 
 
 def test_one_step_remainder_reconstructs_ray_integral(split_setup):
@@ -200,8 +204,8 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
     p, dd = split_setup
     k = dd.k
     d = derive(p)
-    whole = jb2_oracle(p, k, tol=1e-12)
-    term = t_term(1, p, k)
+    whole = jb2_oracle(p, dd, tol=1e-12)
+    term = t_term(1, p, dd)
 
     def w(z):
         return p.t * big_f(z, p.lam)
@@ -219,20 +223,20 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
 
 def test_series_approaches_ray_integral(split_setup):
     p, dd = split_setup
-    whole = jb2_oracle(p, dd.k, tol=1e-12)
-    value, terms, bound = jb2_series(p, dd.k, 4)
+    whole = jb2_oracle(p, dd, tol=1e-12)
+    value, terms, bound = jb2_series(p, dd, 4)
     assert [t.j for t in terms] == [1, 2, 3, 4]
     assert value == sum(t.value for t in terms)
     diff = abs(value - whole.value)
     assert diff <= 10.0 * abs(terms[-1].value)
-    assert bound == pytest.approx(rn_bound(5, p, dd.k), rel=1e-13)
+    assert bound == pytest.approx(rn_bound(5, p, dd), rel=1e-13)
     assert diff <= bound
 
 
 def test_series_single_term_bound_indexing(split_setup):
     p, dd = split_setup
-    _, _, bound = jb2_series(p, dd.k, 1)
-    assert bound == pytest.approx(rn_bound(2, p, dd.k), rel=1e-13)
+    _, _, bound = jb2_series(p, dd, 1)
+    assert bound == pytest.approx(rn_bound(2, p, dd), rel=1e-13)
 
 
 def test_remainder_bound_formula():
@@ -244,17 +248,36 @@ def test_remainder_bound_formula():
     expect = (double_factorial(2 * N - 1) * t ** -N
               * math.log(t) ** ((2 * N + 1) / 2)
               * (-math.log1p(-dd.a)) ** (-2 * N) * dd.k ** (-(2 * N - 1) / 2))
-    assert rn_bound(N, p, dd.k) == pytest.approx(expect, rel=1e-12)
+    assert rn_bound(N, p, dd) == pytest.approx(expect, rel=1e-12)
+
+
+def test_remainder_bound_reads_the_splits_own_width():
+    # D_- = -log1p(-a) of the split's a, to the last bit, at points where
+    # the width rebuilt from k, 1 - k t^(1-delta), is another double
+    from endpoint_uniform import choose_split
+    rebuilt_differs = 0
+    for t in (1e4, 1e6, 1e8, 1e10):
+        for Lam in (0.0, 0.5, 10.0):
+            p = from_offset(t, 0.5, 0.5, Lam)
+            dd = choose_split(derive(p), 4)
+            rebuilt_differs += 1.0 - dd.k * t ** (1.0 - p.delta) != dd.a
+            N = 6
+            expect = (double_factorial(2 * N - 1) * t ** -N
+                      * math.log(t) ** ((2 * N + 1) / 2.0)
+                      * (-math.log1p(-dd.a)) ** (-2 * N) * dd.k ** (-(2 * N - 1) / 2.0))
+            assert rn_bound(N, p, dd) == expect
+    assert rebuilt_differs > 0
 
 
 def test_successive_term_bound_ratio_identity():
-    # tj_bound(j+1)/tj_bound(j) = (2j+1) t^-delta a^-2 exactly
+    # bound(j+1)/bound(j) = (2j+1) t^-delta a^-2 exactly
     from endpoint_uniform import choose_split
     for t in (1e4, 1e6, 1e8):
         p = from_offset(t, 0.5, 0.5, 0.6)
         dd = choose_split(derive(p), 4)
         for j in (1, 2, 3):
-            ratio = tj_bound(j + 1, p, dd.a) / tj_bound(j, p, dd.a)
+            ratio = (t_term(j + 1, p, dd).magnitude_bound
+                     / t_term(j, p, dd).magnitude_bound)
             expect = (2 * j + 1) * t ** -p.delta * dd.a ** -2.0
             assert ratio == pytest.approx(expect, rel=1e-12)
 
@@ -276,7 +299,7 @@ def test_table_feeds_term_values(split_setup):
         return (k ** (-(2 * j - 1) / 2) / ((-1j * p.t) ** j * D ** j)) * acc * osc
 
     clean = assemble(table)
-    assert abs(clean - t_term(j, p, k).value) < 1e-13 * abs(clean)
+    assert abs(clean - t_term(j, p, dd).value) < 1e-13 * abs(clean)
     corrupted = dict(table)
     corrupted[(1, 1)] = table[(1, 1)] * Fraction(101, 100)
     assert abs(assemble(corrupted) - clean) > 1e-4 * abs(clean)

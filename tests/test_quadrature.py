@@ -18,6 +18,7 @@ from endpoint_uniform import (
     QuadratureResult,
     RayContour,
     SigmaUnsupported,
+    Split,
     SplitOutOfRange,
     big_f,
     choose_split,
@@ -228,7 +229,7 @@ def test_near_floor_calls_still_converge(piece, t, Lam, tol):
         res = jb_oracle(p, tol=tol)
     else:
         oracle = jb1_oracle if piece == "jb1" else jb2_oracle
-        res = oracle(p, choose_split(derive(p), 4).k, tol=tol)
+        res = oracle(p, choose_split(derive(p), 4), tol=tol)
     assert res.abs_error_estimate <= tol * 1.0000001
 
 
@@ -243,18 +244,20 @@ def test_phase_forced_rise_then_convergence():
     # jb1 starts from one panel; its error estimate rises from 1.7e-5 to
     # 5.1e-5 over phase-forced rounds and then converges
     p = from_offset(1e8, 0.5, 0.5, 10.0)
-    assert jb1_oracle(p, choose_split(derive(p), 4).k).panels == 128
+    assert jb1_oracle(p, choose_split(derive(p), 4)).panels == 128
 
 
 def test_nonfinite_integrand_rejected():
+    # NaN wherever Re z > 0.5: GK15 nodes of the first batch fall there, so
+    # integrate_ray stops at the batch's non-finite check, not at its floor
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 2.0)
 
     def bad(z):
-        out = np.asarray(1.0 / (z - (0.5 + 0.5j) * math.sqrt(2) / 2), dtype=complex)
-        return out, np.zeros_like(z)
+        return np.where(z.real > 0.5, np.nan, 1.0) + 0j, np.zeros_like(z)
 
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="non-finite") as exc:
         integrate_ray(bad, np.zeros_like, contour, tol=1e-10)
+    assert not isinstance(exc.value, NonConvergence)
 
 
 def test_ray_truncation_linear_decay():
@@ -314,10 +317,10 @@ def test_frame_change_prefactor_identity():
 def test_split_pieces_sum_to_whole():
     for t, Lam in ((1e4, 0.0), (1e5, 0.8)):
         p = from_offset(t, 0.5, 0.5, Lam)
-        k = 0.5 * t ** -0.5
+        split = Split(0.5 * t ** -0.5, 0.5)
         whole = jb_oracle(p, tol=1e-11)
-        part1 = jb1_oracle(p, k, tol=1e-11)
-        part2 = jb2_oracle(p, k, tol=1e-11)
+        part1 = jb1_oracle(p, split, tol=1e-11)
+        part2 = jb2_oracle(p, split, tol=1e-11)
         gap = abs(part1.value + part2.value - whole.value)
         est = (whole.abs_error_estimate + part1.abs_error_estimate
                + part2.abs_error_estimate + whole.truncation_bound
@@ -329,9 +332,9 @@ def test_split_pieces_require_half_sigma():
     p = ProblemParams(t=1e4, delta=0.5, sigma=0.75,
                       lam=critical_lambda(1e4, 0.5))
     with pytest.raises(SigmaUnsupported):
-        jb1_oracle(p, 1e-3)
+        jb1_oracle(p, Split(1e-3, 0.9))
     with pytest.raises(SigmaUnsupported):
-        jb2_oracle(p, 1e-3)
+        jb2_oracle(p, Split(1e-3, 0.9))
 
 
 def test_split_point_range_enforced():
@@ -342,7 +345,7 @@ def test_split_point_range_enforced():
     for oracle in (jb1_oracle, jb2_oracle):
         for bad_k in (0.0, 1e4 ** -0.5, 0.5):
             with pytest.raises(SplitOutOfRange):
-                oracle(p, bad_k)
+                oracle(p, Split(bad_k, 0.5))
 
 
 def test_oracle_deterministic():
@@ -380,11 +383,11 @@ FUSED_POINTS = [("whole", 1e6, 0.5, 0.5), ("whole", 1e12, 0.0, 0.5),
 
 def _run_oracle(piece, p):
     """The oracle's result, or its NonConvergence (message and partial result)."""
-    k = choose_split(derive(p), 4).k
+    split = choose_split(derive(p), 4)
     try:
         if piece == "whole":
             return jb_oracle(p)
-        return (jb1_oracle if piece == "jb1" else jb2_oracle)(p, k)
+        return (jb1_oracle if piece == "jb1" else jb2_oracle)(p, split)
     except NonConvergence as exc:
         return exc
 
@@ -514,14 +517,14 @@ BAD_SETTINGS = {"tol-zero": {"tol": 0.0}, "tol-negative": {"tol": -1.0},
 @pytest.mark.parametrize("kwargs", list(BAD_SETTINGS.values()), ids=list(BAD_SETTINGS))
 def test_bad_tol_or_panel_cap_is_invalid_param(piece, kwargs):
     p = from_offset(1e6, 0.5, 0.5, 0.5)
-    k = choose_split(derive(p), 4).k
+    split = choose_split(derive(p), 4)
     with pytest.raises(InvalidParam):
         if piece == "whole":
             jb_oracle(p, **kwargs)
         elif piece == "jtilde":
             jtilde_oracle(p, **kwargs)
         else:
-            (jb1_oracle if piece == "jb1" else jb2_oracle)(p, k, **kwargs)
+            (jb1_oracle if piece == "jb1" else jb2_oracle)(p, split, **kwargs)
 
 
 BAD_TOLS = {"zero": 0.0, "negative": -1.0, "inf": math.inf, "nan": math.nan}
