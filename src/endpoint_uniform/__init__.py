@@ -28,7 +28,6 @@ from .errors import (
     OutOfRange,
     ParameterError,
     RegimeMismatch,
-    RootSelectionFailure,
     SigmaUnsupported,
     SingularPoint,
     SplitOutOfRange,

@@ -55,6 +55,11 @@ def _order(ns) -> int:
     return harness.DEFAULT_ORDER if ns.m is None else ns.m
 
 
+def _j_max(ns) -> int:
+    """--j-max, or the one boundary term that terms keeps if it was not given."""
+    return 1 if ns.j_max is None else ns.j_max
+
+
 def _add_split(sp):
     _add_order(sp)
     sp.add_argument("--b", type=float, default=None, help="split exponent")
@@ -222,8 +227,7 @@ def _cmd_terms(ns) -> dict:
     if ns.t is not None:
         p = _build_params(ns)
         split = _split_fields(ns, p)
-        j_max = ns.j_max if ns.j_max is not None else 1
-        value, terms, bound = ibp.jb2_series(p, split, j_max)
+        value, terms, bound = ibp.jb2_series(p, split, _j_max(ns))
         out["terms"] = [
             {"j": term.j, "re": term.value.real, "im": term.value.imag,
              "magnitude_bound": term.magnitude_bound}

@@ -2,6 +2,10 @@
 
 Every error raised on a documented failure path derives from EndpointUniformError,
 so callers (and the CLI) can separate parameter problems from numerical ones.
+A NumericalError marks a computation that could not deliver a finite,
+converged value for valid inputs (the quadrature, the Newton inversion
+zeta_of_u, a phase on a cut or pole); the closed-form forward map u_of_zeta
+has no failure mode of its own.
 """
 
 
@@ -86,13 +90,6 @@ class NonConvergence(NumericalError):
 
 class NewtonDivergence(NumericalError):
     """Newton inversion of the phase map failed to meet its residual target."""
-
-
-class RootSelectionFailure(NumericalError):
-    """Could not track a continuous quadratic root along the contour.
-
-    Reaching this indicates a bug or an off-contour query, not a tuning issue.
-    """
 
 
 class DegenerateData(NumericalError):

@@ -176,8 +176,12 @@ def _expected_method_error(approx: complex, budget: float,
 def eval_method(method: str, p: ProblemParams, m_order: int = DEFAULT_ORDER, split=None):
     """One asymptotic method at p: (approximation, m, a), where m and a are
     the expansion order and split width the method used, "" if it has none.
-    all-orders splits at split (a params.Split), by default at choose_split's
-    for m_order.  An unknown method is InvalidParam."""
+    Only all-orders reads m_order and split: it splits at split (a
+    params.Split), by default at choose_split's for m_order.  Any other
+    method given a split, or an unknown method, is InvalidParam; every
+    method accepts m_order, as a sweep passes its own to every row."""
+    if split is not None and method != "all-orders":
+        raise InvalidParam(f"{method} reads no split; only all-orders does")
     if method == "leading":
         return asymptotics.leading_order(p), "", ""
     if method == "large-omega":
@@ -345,27 +349,16 @@ def _scan_contour(cfg: SweepConfig, margins):
     that t's samples, with its point.
 
     margins gets every sample of a t as one (n_lam, n_k, n_r) array z and
-    returns an array of that shape.  The record is the one property_scan
-    would keep from a record per (lambda, k) taking the least over its radii
-    (a row holding NaN gives NaN): the first least that is not NaN, or, in
-    the very first t, the first (lambda, k) row if it is NaN, since a NaN
-    first record is reported.
+    returns an array of that shape.  The record is np.argmin's sample: the
+    first NaN, or else the first least margin, in (lambda, k, R) order.
     """
-    first = True
     for t, lams, ks, r in _contour_samples(cfg):
         phis = np.array([select_phi(float(lam)) for lam in lams])
         log_lams = np.array([math.log(lam) for lam in lams])[:, None, None]
         rays = np.array([np.exp(1j * phi) for phi in phis])[:, None, None]
         z = (1.0 - ks[:, None]) + r * rays
         margin = margins(z, t, log_lams, ks, phis)
-        rows = margin.min(axis=2).ravel()
-        if (first and math.isnan(rows[0])) or np.isnan(rows).all():
-            j = 0
-        else:
-            j = int(np.nanargmin(rows))
-        first = False
-        il, ik = divmod(j, len(ks))
-        ir = np.argmin(margin[il, ik])
+        il, ik, ir = np.unravel_index(np.argmin(margin), margin.shape)
         point = {"t": t, "lambda": float(lams[il]), "k": float(ks[ik]),
                  "R": float(r[il, ik, ir])}
         yield float(margin[il, ik, ir]), point, r.size
@@ -464,8 +457,9 @@ def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:
     worst, worst_point, count = math.inf, None, 0
     for margin, point, n in scan(cfg):
         count += n
-        # the first record always counts, so a NaN there is reported
-        if worst_point is None or margin < worst:
+        # the first NaN record is kept, or else the first least one
+        first_nan = math.isnan(margin) and not math.isnan(worst)
+        if worst_point is None or margin < worst or first_nan:
             worst, worst_point = margin, point
     return {
         "suite": suite,

@@ -5,11 +5,13 @@ The variable u is defined implicitly by
     (lambda_c/2)(1+lambda_c) u^2 + lambda_c log(1+Lambda) u = f1(zeta),
 
 which maps the curved phase f1 onto an exact quadratic; u ~ zeta near 0.  The
-integral then decomposes as Jtilde = F(0) Phi(0) + int_0^{inf e^{i pi/4}}
-F'(u) Phi(u) du with F(u) = g(zeta(u)) dzeta/du, F(0) = 1, and Phi an
-incomplete Gaussian-phase tail with closed form through the Fresnel tail.
-decomposition_residual checks that identity end to end against direct
-quadrature.
+forward map u_of_zeta is the root of that quadratic in closed form, free of
+cancellation, on the domain its docstring states; the inverse zeta_of_u is
+solved by Newton.  The integral then decomposes as
+Jtilde = F(0) Phi(0) + int_0^{inf e^{i pi/4}} F'(u) Phi(u) du with
+F(u) = g(zeta(u)) dzeta/du, F(0) = 1, and Phi an incomplete Gaussian-phase
+tail with closed form through the Fresnel tail.  decomposition_residual checks
+that identity end to end against direct quadrature.
 
 zeta_of_u, amp_F and phi_closed take scalars or arrays.  The inversion runs
 its continuation stages and its Newton iterations per element under masks,
@@ -35,7 +37,7 @@ import math
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import NewtonDivergence, RootSelectionFailure
+from .errors import NewtonDivergence
 from .fresnel import fresnel_tail_general
 from .params import DerivedParams, derive, from_offset
 from .quadrature import _gaussian_frame, integrate_ray, jtilde_oracle, ray_truncation
@@ -61,40 +63,24 @@ def _rhs(u, d: DerivedParams):
 
 
 def u_of_zeta(zeta, d: DerivedParams) -> complex:
-    """Solve the quadratic for u, picking the root continuous from u(0)=0.
+    """Solve the quadratic (a/2) u^2 + b u = f1(zeta) for u, in closed form.
 
-    The two roots are u = (-B +- sqrt(B^2 + 2 A f1))/A.  The branch is fixed
-    by marching out from zeta = 0: the square root is tracked continuously
-    from its value +B there, which selects u ~ zeta.  With B=0 (Lambda=0) the first
-    marching step disambiguates by closeness to zeta itself.
+    The root taken is the one with a u + b = +sqrt(b^2 + 2 a f1), the
+    principal square root, written as u = 2 f1 / (b + sqrt(b^2 + 2 a f1)) so
+    that nothing cancels at small f1; it is 0 where f1 = 0.
+
+    Domain: that root is the one continued from u(0) = 0 wherever a u + b
+    stays in the right half-plane.  This holds near u = 0, on the pi/4 ray
+    in u, where a u + b = b + a |u| e^{i pi/4} with b >= 0 (the only ray that
+    zeta_of_u and decomposition_residual use), and on the real segment right
+    of the critical point u = -b/a.  Elsewhere the other root may be the
+    continued one, and it is not returned.
     """
-    zeta = complex(zeta)
-    a_coef, b_coef = _quad(d)
-    if zeta == 0.0:
+    a, b = _quad(d)
+    f = complex(phase_mod.f1(complex(zeta), d.lambda_c, d.Lambda))
+    if f == 0.0:
         return 0.0 + 0.0j
-    steps = max(16, int(8 * abs(zeta) * (1.0 + d.lambda_c)))
-    r_prev = complex(b_coef)
-    u = 0.0 + 0.0j
-    for j in range(1, steps + 1):
-        zj = zeta * (j / steps)
-        disc = b_coef * b_coef + 2.0 * a_coef * phase_mod.f1(zj, d.lambda_c, d.Lambda)
-        root = cmath.sqrt(disc)
-        cand = (root, -root)
-        if abs(r_prev) > 0.0:
-            d1 = abs(cand[0] - r_prev)
-            d2 = abs(cand[1] - r_prev)
-            if abs(root) > 0.0 and abs(d1 - d2) <= 1e-12 * max(d1, d2):
-                # roots collided: continuity cannot decide the branch
-                raise RootSelectionFailure(
-                    f"ambiguous root at step {j}/{steps} for zeta={zeta}"
-                )
-            r = cand[0] if d1 <= d2 else cand[1]
-        else:
-            # degenerate start: choose the root whose u is nearest zeta
-            r = min(cand, key=lambda c: abs((-b_coef + c) / a_coef - zj))
-        r_prev = r
-        u = (-b_coef + r) / a_coef
-    return u
+    return 2.0 * f / (b + cmath.sqrt(b * b + 2.0 * a * f))
 
 
 def _as_flat(u):

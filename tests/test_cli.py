@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import sys
 from importlib.metadata import (
     EntryPoint,
@@ -28,7 +29,7 @@ from endpoint_uniform import (
     leading_order,
     split_from_a,
 )
-from endpoint_uniform import cli, harness
+from endpoint_uniform import cli, harness, phase
 from endpoint_uniform.cli import main
 
 SCRIPT = "endpoint-uniform"
@@ -347,6 +348,13 @@ class TestTerms:
         assert [term["j"] for term in payload["terms"]] == [1, 2]
         assert {"re", "im", "bound", "k", "a"} == set(payload["series"])
 
+    def test_one_term_without_j_max(self, capsys):
+        code, out, _ = run(capsys, "terms", "--t", "3e4", "--Lambda", "0.6")
+        assert code == 0
+        payload = json.loads(out)
+        assert [term["j"] for term in payload["terms"]] == [1]
+        assert "j_max" not in payload["flags"]
+
     def test_needs_something(self, capsys):
         code, _, err = run(capsys, "terms")
         assert code == 1
@@ -656,3 +664,25 @@ class TestUncoveredPaths:
         assert payload["exit_hint"] == "one or more suites failed"
         failed = [r["suite"] for r in payload["reports"] if not r["pass"]]
         assert failed == ["FresnelAsym"]
+
+    @pytest.mark.parametrize("call, at", [(0, (0, 0, 0)), (0, (5, 5, 5)),
+                                          (1, (5, 5, 5)), (2, (-1, -1, -1))])
+    def test_a_nan_margin_anywhere_exits_2(self, capsys, monkeypatch, call, at):
+        # one NaN in the ImF margins of one t, in any t and at any sample
+        calls = []
+        big_f = phase.big_f
+
+        def planted(z, lam):
+            out = big_f(z, lam)
+            if len(calls) == call:
+                out[at] = complex(math.nan, math.nan)
+            calls.append(z.shape)
+            return out
+
+        monkeypatch.setattr(phase, "big_f", planted)
+        code, out, err = run(capsys, "verify", "--suite", "ImFNonneg")
+        assert code == 2 and err == ""
+        assert len(calls) == 3
+        report = json.loads(out)["reports"][0]
+        assert report["pass"] is False
+        assert math.isnan(report["worst_margin"])

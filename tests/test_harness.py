@@ -20,6 +20,7 @@ from endpoint_uniform import (
     d_f,
     derive,
     fit_error_slope,
+    from_offset,
     from_omega,
     property_scan,
     rows_to_csv,
@@ -333,7 +334,8 @@ def record_loop(cfg, margins_of):
     per (t, lambda, k), each the least margin over its radii (np.argmin: a
     row holding NaN gives its first NaN), with margins_of(ti, il, z, t, lam,
     ks, phi) evaluated one lambda at a time: the contour scans before they
-    reduced each t to one record."""
+    reduced each t to one record.  The first NaN record is kept, or else the
+    first least one."""
     worst, worst_point, count = math.inf, None, 0
     for ti, (t, lams, ks, r) in enumerate(harness._contour_samples(cfg)):
         for il, (lam, r_lam) in enumerate(zip(lams, r)):
@@ -344,7 +346,8 @@ def record_loop(cfg, margins_of):
             for k, m_row, r_row, i in zip(ks, margin, r_lam, np.argmin(margin, axis=1)):
                 count += len(r_row)
                 m = float(m_row[i])
-                if worst_point is None or m < worst:
+                first_nan = math.isnan(m) and not math.isnan(worst)
+                if worst_point is None or m < worst or first_nan:
                     worst = m
                     worst_point = {"t": t, "lambda": lam, "k": float(k), "R": float(r_row[i])}
     return worst, worst_point, count
@@ -389,7 +392,7 @@ def _plant(case, arrays):
         arrays[0][0, 0, 3] = NAN
         arrays[0][0, 0, 5] = -9.0
         arrays[1][4, 4, 4] = -20.0
-    elif case == "nan-first-in-a-later-t":   # skipped as any NaN, not its t
+    elif case == "nan-first-in-a-later-t":   # reported, as any NaN is
         arrays[1][0, 0, :] = -9.0
         arrays[1][0, 0, 6] = NAN
         arrays[1][5, 5, 5] = -4.0
@@ -454,6 +457,17 @@ class TestEvalMethod:
         far = from_omega(3e4, 0.5, 0.5, 6.0)
         for method in ("leading", "large-omega"):
             assert harness.eval_method(method, far)[1:] == ("", "")
+
+    def test_a_split_is_refused_where_it_is_not_read(self):
+        # refused, not dropped: corollary at t = 1e8, Lambda = 0.5 would keep
+        # its own width 0.0178 given 0.02; m_order stays accepted everywhere
+        p = from_offset(1e8, 0.5, 0.5, 0.5)
+        split = split_from_a(derive(p), 0.02)
+        for method in ("leading", "large-omega", "corollary"):
+            with pytest.raises(InvalidParam, match=f"{method} reads no split"):
+                harness.eval_method(method, p, 7, split)
+        for method in ("leading", "corollary"):
+            assert harness.eval_method(method, p, 7)[1] == ""
 
     def test_unknown_method_is_invalid_param(self):
         with pytest.raises(InvalidParam, match="unknown method 'oracle'"):

@@ -8,7 +8,6 @@ import pytest
 from endpoint_uniform import phase
 from endpoint_uniform import (
     NewtonDivergence,
-    RootSelectionFailure,
     amp_F,
     amp_g,
     decomposition_residual,
@@ -53,13 +52,15 @@ def test_round_trip_along_ray(state):
         assert abs(back - u) < 1e-10 * max(1.0, abs(u))
 
 
-def test_ambiguous_root_is_refused(state, monkeypatch):
-    # f1 = -b^2/a makes the discriminant -b^2: both roots +-i b are as far from
-    # the root b tracked from zeta = 0, so continuity cannot pick one
-    quad_a, quad_b = _quad(state)
-    monkeypatch.setattr(phase, "f1", lambda zeta, lc, Lam: -quad_b * quad_b / quad_a)
-    with pytest.raises(RootSelectionFailure, match="ambiguous root at step 1/"):
-        u_of_zeta(0.3 * RAY, state)
+@pytest.mark.parametrize("t", [50.0, 200.0, 1e4, 1e8])
+@pytest.mark.parametrize("Lam", [0.1, 0.5, 10.0])
+def test_round_trip_along_ray_to_the_last_bits(t, Lam):
+    # u = 2 f1 / (b + sqrt(b^2 + 2 a f1)) does not cancel: the subtraction
+    # (-b + sqrt(...)) / a lost 1.7e-8 relative at |u| = 1e-8, Lambda = 10
+    s = derive(from_offset(t, 0.5, 0.5, Lam))
+    for r in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0):
+        u = r * RAY
+        assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) <= 1e-13 * r, r
 
 
 def test_round_trip_other_direction(state):
