@@ -2,9 +2,13 @@
 
 Everything here is about checking the asymptotic formulas against the direct
 quadrature oracle and against each other.  Output is deterministic: grids are
-fixed by the config, randomness is seeded, a sweep runs its rows one after
+fixed by the config, the contour scans jitter sample j by the Kronecker
+sequence 0.1 (frac(c + j (sqrt 5 - 1)/2) - 0.5) from a start c that the seed
+fixes in integer arithmetic (_scan_jitter), a sweep runs its rows one after
 another in grid order, and CSV serialization zeroes the wall-clock column by
-default so identical configs give identical bytes.
+default so identical configs give identical bytes.  The jitter depends only
+on IEEE arithmetic, not on a numpy random stream that a release may change,
+so a pinned verify report stays reproducible across numpy versions.
 
 A sweep runs the oracle once per grid point and tolerance: the method rows of
 a point share each quadrature, and a failed one gives each row that needs it
@@ -29,6 +33,8 @@ from .fresnel import fresnel_tail, fresnel_tail_asymptotic
 from .params import (
     ProblemParams,
     admissible_lambda_range,
+    check_delta,
+    check_t,
     check_tolerance,
     corollary_split,
     critical_lambda,
@@ -75,7 +81,8 @@ def _check_numbers(name: str, values):
 @dataclass
 class SweepConfig:
     """A sweep's grid and settings, refused with InvalidParam unless
-    run_sweep can run it, whether built directly or read from a file."""
+    run_sweep and the scans can run it, whether built directly or read from
+    a file: every t finite and > 1, delta in (0, 1), as ProblemParams asks."""
 
     t_grid: list
     delta: float = 0.5
@@ -93,6 +100,9 @@ class SweepConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise InvalidParam(f"{key} must be {name}, got {value!r}")
+        for t in self.t_grid:
+            check_t(t)
+        check_delta(self.delta)
         if not isinstance(self.lambda_spec, tuple) or len(self.lambda_spec) != 2:
             raise InvalidParam(f"lambda_spec must be a (kind, values) pair, "
                                f"got {self.lambda_spec!r}")
@@ -291,7 +301,8 @@ def write_csv(rows, path):
 
 
 def fit_error_slope(rows):
-    """Least-squares slope of log(abs_err) against log(t)."""
+    """Least-squares slope, and r^2, of log(abs_err) against log(t);
+    DegenerateData with fewer than 3 usable rows, or all of them at one t."""
     xs, ys = [], []
     for r in rows:
         if r.error:
@@ -308,14 +319,26 @@ def fit_error_slope(rows):
         raise DegenerateData(
             f"need >= 3 usable rows for a slope fit, have {len(xs)}"
         )
-    xs = np.array(xs)
-    ys = np.array(ys)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    slope, intercept = _line_fit(xs, ys)
+    y_mean = math.fsum(ys) / len(ys)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(r2)
+    return slope, r2
+
+
+def _line_fit(xs, ys):
+    """Least-squares (slope, intercept) of the line through the points
+    (xs, ys), in closed form from centred sums; DegenerateData unless x
+    varies."""
+    if len(set(xs)) < 2:
+        raise DegenerateData(f"x does not vary: no line fits {len(xs)} points at one x")
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
+             / math.fsum(dx * dx for dx in dxs))
+    return slope, y_mean - slope * x_mean
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +348,37 @@ def fit_error_slope(rows):
 
 # the contour scans' samples per t: (lambdas, split points k, radii R)
 SCAN_SHAPE = (17, 17, 12)
+# the golden-ratio step (sqrt 5 - 1)/2 of the scan jitter, and the same step
+# in 32-bit fixed point (2654435769, odd)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_32 = round(2**32 * _GOLDEN)
+
+
+def _scan_jitter(seed: int, i: int):
+    """The log-radius jitter of the i-th t's SCAN_SHAPE samples, in
+    [-0.05, 0.05): sample j, in C order, gets 0.1 (frac(c + j _GOLDEN) - 0.5),
+    a Kronecker sequence.  Its start c = frac((seed + i N) _GOLDEN), N samples
+    per t, is taken in 32-bit fixed point, so any integer seed gives one, and
+    seeds below 2^32 give different ones (an odd multiplier is a bijection
+    mod 2^32)."""
+    n = math.prod(SCAN_SHAPE)
+    c = ((int(seed) + i * n) * _GOLDEN_32 % 2**32) / 2.0**32
+    j = np.arange(n, dtype=float).reshape(SCAN_SHAPE)
+    return 0.1 * ((c + j * _GOLDEN) % 1.0 - 0.5)
 
 
 def _contour_samples(cfg: SweepConfig):
     """Per t: the lambdas, the split points k and the SCAN_SHAPE radii R of
     the sampled points on the ray-piece contour."""
     n_lam, n_k, n_r = SCAN_SHAPE
-    rng = np.random.default_rng(cfg.seed)
-    for t in cfg.t_grid[:3]:
+    for i, t in enumerate(cfg.t_grid[:3]):
         p_end = endpoint_offset(t, cfg.delta)
         lo, hi = admissible_lambda_range(t, cfg.delta)
         lams = np.exp(np.linspace(math.log(lo), math.log(hi), n_lam))
         ks = p_end * np.linspace(0.02, 0.98, n_k)
         r = np.exp(
             np.linspace(math.log(1e-6), math.log(50.0), n_r)
-            + rng.uniform(-0.05, 0.05, SCAN_SHAPE)
+            + _scan_jitter(cfg.seed, i)
         )
         yield t, lams, ks, r
 
@@ -408,7 +447,7 @@ def _scan_fresnel_asym(cfg: SweepConfig):
     errs = np.array(
         [abs(fresnel_tail(w) - fresnel_tail_asymptotic(w)) for w in ws]
     )
-    slope, _r2 = np.polyfit(np.log(ws), np.log(errs), 1)
+    slope, _intercept = _line_fit(np.log(ws), np.log(errs))
     margin = 0.15 - abs(slope + 3.0)
     yield float(margin), {"slope": float(slope), "targets": list(ws)}, len(ws)
 
@@ -448,7 +487,8 @@ SUITES = tuple(_SCANS)
 
 def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:
     """Run one invariant scan; failures are data, not exceptions.  An
-    unknown suite is InvalidParam."""
+    unknown suite, or a config that gives the scan no point to check, is
+    InvalidParam."""
     if suite not in _SCANS:
         raise InvalidParam(f"unknown suite {suite!r}; choose from {SUITES}")
     if cfg is None:
@@ -461,6 +501,8 @@ def property_scan(suite: str, cfg: SweepConfig | None = None) -> dict:
         first_nan = math.isnan(margin) and not math.isnan(worst)
         if worst_point is None or margin < worst or first_nan:
             worst, worst_point = margin, point
+    if count == 0:
+        raise InvalidParam(f"{suite} has no points to check: its t_grid is empty")
     return {
         "suite": suite,
         "grid": {"points": count, "t_grid": list(cfg.t_grid), "delta": cfg.delta,

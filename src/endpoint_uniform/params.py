@@ -37,10 +37,8 @@ class ProblemParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.t > 1.0) or not math.isfinite(self.t):
-            raise InvalidParam(f"t must be finite and > 1, got {self.t}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidParam(f"delta must lie in (0,1), got {self.delta}")
+        check_t(self.t)
+        check_delta(self.delta)
         if not (0.5 <= self.sigma < 1.0):
             raise InvalidParam(f"sigma must lie in [1/2,1), got {self.sigma}")
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
@@ -75,6 +73,18 @@ class Split(NamedTuple):
 
     k: float
     a: float
+
+
+def check_t(t: float):
+    """Refuse a large parameter t that is not finite and > 1."""
+    if not (t > 1.0) or not math.isfinite(t):
+        raise InvalidParam(f"t must be finite and > 1, got {t}")
+
+
+def check_delta(delta: float):
+    """Refuse an endpoint exponent delta outside (0, 1)."""
+    if not (0.0 < delta < 1.0):
+        raise InvalidParam(f"delta must lie in (0,1), got {delta}")
 
 
 def check_tolerance(tol: float):

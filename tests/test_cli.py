@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from importlib.metadata import (
     EntryPoint,
@@ -13,6 +15,8 @@ from importlib.metadata import (
 )
 from pathlib import Path
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from endpoint_uniform import (
@@ -27,6 +31,7 @@ from endpoint_uniform import (
     jb_oracle,
     jtilde_oracle,
     leading_order,
+    select_phi,
     split_from_a,
 )
 from endpoint_uniform import cli, harness, phase
@@ -308,8 +313,8 @@ def test_config_sweeps_match_their_pinned_csv(capsys, pinned):
         assert _same_number(g["rel_err"], w["rel_err"], 1e-6), (g["rel_err"], w["rel_err"])
 
 
-# `verify --suite all` with the default config, as written before the contour
-# scans reduced each t to one record.
+# `verify --suite all` with the default config.  Its contour-scan records are
+# checked against mpmath below, not only against this program's own output.
 PINNED_VERIFY = ROOT / "tests" / "data" / "verify_all.json"
 
 
@@ -328,6 +333,58 @@ def test_default_verify_matches_its_pinned_report(capsys):
             assert abs(g["worst_margin"] - w["worst_margin"]) <= 1e-15
         else:
             assert g == w
+
+
+def _pinned_worst(suite):
+    reports = json.loads(PINNED_VERIFY.read_text())["reports"]
+    (rep,) = [r for r in reports if r["suite"] == suite]
+    return rep["worst_margin"], rep["worst_point"], rep["grid"]["delta"]
+
+
+def _pinned_z(point):
+    # the sample point in doubles, formed as the scan forms it
+    phi = select_phi(point["lambda"])
+    return complex((1.0 - point["k"]) + point["R"] * np.exp(1j * phi)), phi
+
+
+def test_pinned_im_f_margin_matches_mpmath():
+    # Im F(z; lambda) at the pinned worst sample, F = (1-z) log(1-z) + z log z
+    # + z log lambda, at 30 digits
+    margin, point, _delta = _pinned_worst("ImFNonneg")
+    z, _phi = _pinned_z(point)
+    with mp.workdps(30):
+        zm = mp.mpc(z)
+        f = (1 - zm) * mp.log(1 - zm) + zm * mp.log(zm) + zm * mp.log(mp.mpf(point["lambda"]))
+        assert abs(margin - f.imag) <= 1e-9 * abs(f.imag)
+
+
+def test_pinned_phase_bound_margin_matches_mpmath():
+    # |F'(z; lambda)| - min(pi/2 - phi, log(t^(delta-1)/k)), with F' = log z
+    # - log(1-z) + log lambda, at 30 digits
+    margin, point, delta = _pinned_worst("PhaseLowerBound")
+    z, phi = _pinned_z(point)
+    with mp.workdps(30):
+        zm = mp.mpc(z)
+        d_f = mp.log(zm) - mp.log(1 - zm) + mp.log(mp.mpf(point["lambda"]))
+        p_end = mp.mpf(point["t"]) ** (mp.mpf(delta) - 1)
+        bound = min(mp.pi / 2 - mp.mpf(phi), mp.log(p_end / mp.mpf(point["k"])))
+        want = abs(d_f) - bound
+        assert abs(margin - want) <= 1e-9 * abs(want)
+
+
+def test_verify_loads_no_numpy_random():
+    # the scan jitter and the slope fits need neither numpy.random (+5.7 MB
+    # of hashlib, OpenSSL and Cython runtime) nor LAPACK
+    code = ("import contextlib, io, sys\n"
+            "from endpoint_uniform import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--suite', 'all'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0 []"
 
 
 class TestTerms:
@@ -409,6 +466,12 @@ BAD_CONFIGS = {
     "seed-is-a-float": '{"t_grid": [1e4], "seed": 1.0}',
     "sigma-is-a-bool": '{"t_grid": [1e4], "sigma": true}',
     "methods-not-a-list": '{"t_grid": [1e4], "methods": "leading"}',
+    # no row or contour scan can run these: they ended in a ZeroDivisionError
+    # (t = 1, delta = 1) or a math domain error (t < 1, delta > 1) traceback
+    "t-grid-at-one": '{"t_grid": [1.0]}',
+    "t-grid-below-one": '{"t_grid": [0.5]}',
+    "delta-one": '{"t_grid": [1e4], "delta": 1.0}',
+    "delta-above-one": '{"t_grid": [1e4], "delta": 1.5}',
 }
 
 
@@ -424,6 +487,17 @@ class TestConfigFiles:
         code, out, err = run(capsys, *subcommand, "--config", str(path))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InvalidParam"
+
+    def test_verify_with_no_t_is_parameter_error(self, capsys, tmp_path):
+        # the contour scans, SplitConsistency and ExponentIdentity would check
+        # nothing and pass with worst margin Infinity
+        path = tmp_path / "cfg.json"
+        path.write_text('{"t_grid": []}')
+        code, out, err = run(capsys, "verify", "--config", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "InvalidParam",
+                                   "message": "ImFNonneg has no points to check: "
+                                              "its t_grid is empty"}
 
 
 # A tolerance that is not finite and > 0 is refused before any quadrature

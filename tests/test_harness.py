@@ -31,6 +31,7 @@ from endpoint_uniform import (
     sweep_config_from_dict,
     write_csv,
 )
+from endpoint_uniform.fresnel import fresnel_tail, fresnel_tail_asymptotic
 from endpoint_uniform.params import corollary_split
 
 
@@ -235,6 +236,26 @@ class TestConfig:
                         methods=("leading",), lambda_spec=("lambda", np.array([0.25])))
         assert len(run_sweep(cfg)) == 2
 
+    @pytest.mark.parametrize("kw", [
+        {"t_grid": [1.0]},
+        {"t_grid": [1e4, 0.5]},
+        {"t_grid": [math.inf]},
+        {"t_grid": [math.nan]},
+        {"delta": 1.0},
+        {"delta": 1.5},
+        {"delta": 0.0},
+        {"delta": math.nan},
+    ], ids=["t-one", "t-below-one", "t-inf", "t-nan", "delta-one", "delta-above-one",
+            "delta-zero", "delta-nan"])
+    def test_config_no_row_or_scan_can_run_is_refused(self, kw):
+        # the rules of ProblemParams, checked up front: otherwise critical_lambda
+        # divides by zero at t = 1 or delta = 1, and the contour scans take
+        # the log of a negative lambda_c below t = 1 or above delta = 1
+        with pytest.raises(InvalidParam, match="t must be|delta must"):
+            small_cfg(**kw)
+        with pytest.raises(InvalidParam, match="t must be|delta must"):
+            sweep_config_from_dict({"t_grid": [1e4], **kw})
+
     def test_from_dict_keeps_values_as_given(self):
         cfg = sweep_config_from_dict({"t_grid": [1e4], "tol": 1, "seed": 3})
         assert cfg.tol == 1 and isinstance(cfg.tol, int)
@@ -273,6 +294,41 @@ class TestSlopeFit:
             r.abs_err = 2.0 * r.t**-0.75
         slope, _ = fit_error_slope(rows)
         assert slope == pytest.approx(-0.75, abs=1e-10)
+
+    def test_one_t_is_degenerate(self):
+        # every row at one t: no slope to fit, not a RankWarning and slope -0.337
+        rows = self.synthetic_rows(-0.75)
+        for i, r in enumerate(rows):
+            r.t = 1e6
+            r.abs_err = 1e-9 * (1 + i)
+        with pytest.raises(DegenerateData, match="does not vary"):
+            fit_error_slope(rows)
+
+    @pytest.mark.parametrize("slope", [-0.75, -0.5, 1.25])
+    def test_line_fit_matches_polyfit_on_synthetic_rows(self, slope):
+        rows = self.synthetic_rows(slope)
+        for i, r in enumerate(rows):
+            r.abs_err *= 1.0 + 0.1 * (-1) ** i   # off the line, so r^2 < 1
+        xs = [math.log(r.t) for r in rows]
+        ys = [math.log(r.abs_err) for r in rows]
+        got = harness._line_fit(xs, ys)
+        want = np.polyfit(xs, ys, 1)
+        assert got == pytest.approx(tuple(want), rel=1e-12)
+        assert fit_error_slope(rows)[0] == pytest.approx(want[0], rel=1e-12)
+
+    def test_line_fit_matches_polyfit_on_the_fresnel_data(self):
+        ws = np.array([5.0, 10.0, 20.0, 40.0])
+        errs = np.array([abs(fresnel_tail(w) - fresnel_tail_asymptotic(w)) for w in ws])
+        want = np.polyfit(np.log(ws), np.log(errs), 1)
+        got = harness._line_fit(np.log(ws), np.log(errs))
+        assert got == pytest.approx(tuple(want), rel=1e-12)
+        rep = property_scan("FresnelAsym", small_cfg())
+        assert rep["worst_point"]["slope"] == got[0]
+
+    @pytest.mark.parametrize("xs", [[2.0, 2.0, 2.0], [1.0], []], ids=["constant", "one", "none"])
+    def test_line_fit_needs_x_to_vary(self, xs):
+        with pytest.raises(DegenerateData, match="does not vary"):
+            harness._line_fit(xs, [1.0] * len(xs))
 
     def test_error_rows_are_skipped(self):
         rows = self.synthetic_rows(-0.75)
@@ -327,6 +383,63 @@ class TestPropertyScans:
         b = property_scan("ImFNonneg", small_cfg(seed=3))
         assert a["worst_margin"] == b["worst_margin"]
         assert a["worst_point"] == b["worst_point"]
+
+    @pytest.mark.parametrize("suite", ["ImFNonneg", "PhaseLowerBound", "SplitConsistency",
+                                       "ExponentIdentity"])
+    def test_a_scan_with_no_points_is_refused(self, suite):
+        # an empty t_grid leaves these four nothing to check: refused, not
+        # passed with worst margin inf over 0 points
+        with pytest.raises(InvalidParam, match=f"{suite} has no points"):
+            property_scan(suite, small_cfg(t_grid=[]))
+
+    @pytest.mark.parametrize("suite", ["FresnelAsym", "CovDecomposition"])
+    def test_scans_off_the_t_grid_run_on_an_empty_one(self, suite):
+        assert property_scan(suite, small_cfg(t_grid=[]))["pass"] is True
+
+
+def _radii(seed):
+    cfg = SweepConfig(t_grid=[1e4, 1e5, 1e6], seed=seed)
+    return [r for *_rest, r in harness._contour_samples(cfg)]
+
+
+class TestScanJitter:
+    def test_same_seed_same_radii(self):
+        for a, b in zip(_radii(3), _radii(3)):
+            assert np.array_equal(a, b)
+
+    def test_other_seed_other_radii(self):
+        for a, b in zip(_radii(0), _radii(1)):
+            assert a.shape == b.shape == harness.SCAN_SHAPE
+            assert not np.any(a == b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, -1, 2**32 - 1, 2**64 + 1, np.int64(-5)])
+    def test_any_integer_seed_gives_a_bounded_jitter(self, seed):
+        # numpy's SeedSequence refused seed -1; the Kronecker start takes any integer
+        for i in range(3):
+            jitter = harness._scan_jitter(seed, i)
+            assert jitter.shape == harness.SCAN_SHAPE
+            assert np.all(np.abs(jitter) <= 0.05)
+        base = np.linspace(math.log(1e-6), math.log(50.0), harness.SCAN_SHAPE[2])
+        for r in _radii(seed):
+            assert np.all(np.abs(np.log(r) - base) <= 0.05 + 1e-12)
+        assert property_scan("ImFNonneg", small_cfg(seed=seed))["pass"] is True
+
+    def test_the_kronecker_rule(self):
+        # sample j steps the start by j (sqrt 5 - 1)/2; seed 0's first t
+        # starts at 0, and each t continues the sequence of the one before
+        n = math.prod(harness.SCAN_SHAPE)
+        j = np.arange(n).reshape(harness.SCAN_SHAPE)
+        want = 0.1 * ((j * harness._GOLDEN) % 1.0 - 0.5)
+        assert np.array_equal(harness._scan_jitter(0, 0), want)
+        assert harness._scan_jitter(0, 1)[0, 0, 0] == harness._scan_jitter(n, 0)[0, 0, 0]
+        frac = harness._scan_jitter(0, 1).ravel() / 0.1 + 0.5
+        assert np.allclose(np.diff(frac) % 1.0, harness._GOLDEN, atol=1e-9)
+
+    def test_seeds_below_2_32_start_apart(self):
+        assert harness._GOLDEN_32 == 0x9E3779B9 and harness._GOLDEN_32 % 2 == 1
+        seeds = list(range(2000)) + [2**32 - 1 - s for s in range(2000)]
+        starts = {harness._scan_jitter(s, 0)[0, 0, 0] for s in seeds}
+        assert len(starts) == len(seeds)
 
 
 def record_loop(cfg, margins_of):
