@@ -53,6 +53,7 @@ from .phase import (
     d2_f,
     d_f,
     d_f1,
+    endpoint_prefactor,
     f0,
     f1,
     stationary_point,
@@ -69,7 +70,6 @@ from .quadrature import (
     PANEL_CAP,
     QuadratureResult,
     RayContour,
-    endpoint_prefactor,
     integrate_ray,
     integrate_segment,
     jb1_oracle,

@@ -23,17 +23,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import phase as phase_mod
-from .errors import (
-    AssumptionViolated,
-    OrderViolation,
-    RegimeMismatch,
-    SigmaUnsupported,
-)
+from .errors import AssumptionViolated, OrderViolation, RegimeMismatch
 from .fresnel import fresnel_segment, fresnel_tail
 from .ibp import jb2_series, rn_bound
-from .params import (ProblemParams, Split, choose_split, corollary_split, derive,
-                     endpoint_offset)
-from .quadrature import endpoint_prefactor
+from .params import (ProblemParams, Split, check_half_sigma, choose_split,
+                     corollary_split, derive, endpoint_offset)
 
 OMEGA_THRESHOLD_DEFAULT = 5.0
 
@@ -73,16 +67,15 @@ def classify_regime(omega: float) -> Regime:
 
 
 def exponent_identity_residual(p: ProblemParams) -> float:
-    """Gap between the two equivalent oscillation exponents.
+    """Gap between the two equivalent forms of the endpoint exponent.
 
-    The offset-frame leading term carries exp(i t f0/(1+lambda_c) - i omega^2)
-    and the endpoint-frame one exp(i t F(1-t^(delta-1)) - i omega^2); the
-    -omega^2 is common, so equivalence reduces to
+    endpoint_prefactor takes it through t_phase at the left endpoint; the
+    offset frame writes it through f0, read only here, so the identity
 
         t f0/(1+lambda_c) = t F(1-t^(delta-1); lambda)
 
-    which holds as an algebraic identity.  Returns the absolute residual,
-    expected at the 1e-16 * t rounding floor.
+    is checked on the exponent the routes use.  Returns the absolute
+    residual, expected at the 1e-16 * t rounding floor.
     """
     d = derive(p)
     left = p.t * phase_mod.f0(d.Lambda, d.lambda_c) / (1.0 + d.lambda_c)
@@ -91,17 +84,14 @@ def exponent_identity_residual(p: ProblemParams) -> float:
 
 
 def leading_order(p: ProblemParams) -> Approximation:
-    """Uniform leading term, any sigma in [1/2, 1), any admissible offset.
-
-    Computed once, from the offset-frame prefactor.  The equivalent endpoint
-    form (the exponent written through F at the left endpoint) is not
-    evaluated here: the ExponentIdentity scan checks its exponent, and the
-    tests its modulus.
+    """Uniform leading term, any sigma in [1/2, 1), any admissible offset:
+    endpoint_prefactor * e^(-i omega^2) * sqrt(2/(lambda_c t)) times the
+    Fresnel tail from omega.
     """
     d = derive(p)
     ft = fresnel_tail(d.omega)
     scale = math.sqrt(2.0 / (d.lambda_c * p.t))
-    value = endpoint_prefactor(d) * cmath.exp(-1j * d.omega**2) * scale * ft
+    value = phase_mod.endpoint_prefactor(d) * cmath.exp(-1j * d.omega**2) * scale * ft
     return Approximation(
         value=value,
         method=Method.LEADING_ORDER,
@@ -119,7 +109,7 @@ def leading_order_large_omega(p: ProblemParams) -> Approximation:
         )
     lc = d.lambda_c
     scale = math.sqrt(2.0 / (lc * p.t))
-    pref = endpoint_prefactor(d)
+    pref = phase_mod.endpoint_prefactor(d)
     value = pref * scale * (-1.0 / (2j * d.omega))
     budget = [("omega-cubed", abs(pref) * scale / d.omega**3)]
     return Approximation(
@@ -131,14 +121,15 @@ def leading_order_large_omega(p: ProblemParams) -> Approximation:
 
 
 def jb1_main(p: ProblemParams, a: float) -> complex:
-    """First-order form of the segment piece (sigma = 1/2).
+    """First-order form of the segment piece (sigma = 1/2): leading_order's
+    factors, with the Fresnel integral over the segment's image, from omega
+    to omega + a sqrt(lambda_c t/2), in place of the tail.
 
     Valid when t^(-delta/2) << a << t^(-delta/3); enforced with margin
     factors of 10 on each side, since at desk scale the strict inequalities
     leave no admissible width.
     """
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("segment main term defined for sigma = 1/2 only")
+    check_half_sigma(p.sigma, "jb1_main")
     lo = p.t ** (-p.delta / 2.0)
     hi = p.t ** (-p.delta / 3.0)
     if not (lo / 10.0 < a < 10.0 * hi):
@@ -146,11 +137,10 @@ def jb1_main(p: ProblemParams, a: float) -> complex:
             f"a={a:.3e} outside ({lo:.3e}/10, 10*{hi:.3e})"
         )
     d = derive(p)
-    lc = d.lambda_c
-    chi = phase_mod.t_phase(p.t, p.lam, endpoint_offset(p.t, p.delta)) - d.omega**2
-    w2 = d.omega + a * math.sqrt(lc * p.t / 2.0)
+    scale = math.sqrt(2.0 / (d.lambda_c * p.t))
+    w2 = d.omega + a * math.sqrt(d.lambda_c * p.t / 2.0)
     seg = fresnel_segment(d.omega, w2)
-    return cmath.exp(1j * chi) * p.t**-0.5 * math.sqrt(2.0 / (1.0 + lc)) * seg
+    return phase_mod.endpoint_prefactor(d) * cmath.exp(-1j * d.omega**2) * scale * seg
 
 
 def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approximation:
@@ -161,8 +151,7 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
     boundary-term series at depth N = 2m-2, and the segment's a^4 error).
     The contour splits at split, by default at choose_split's for order m.
     """
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("all-orders expansion defined for sigma = 1/2 only")
+    check_half_sigma(p.sigma, "all_orders")
     if m < 4:
         raise OrderViolation(f"expansion order must be >= 4, got {m}")
     d = derive(p)
@@ -191,8 +180,7 @@ def corollary_leading(p: ProblemParams) -> Approximation:
     delta = 1/2 the measured abs_err/budget is 0.76 at t=1e4, 1.02 at 1e6,
     1.16 at 1e7 and 1.31 at 1e8, so the error exceeds it from t ~ 1e6 on.
     """
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("corollary form defined for sigma = 1/2 only")
+    check_half_sigma(p.sigma, "corollary_leading")
     t = p.t
     d = derive(p)
     split = corollary_split(d)

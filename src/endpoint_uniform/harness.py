@@ -34,6 +34,8 @@ from .params import (
     ProblemParams,
     admissible_lambda_range,
     check_delta,
+    check_lambda_window,
+    check_sigma,
     check_t,
     check_tolerance,
     corollary_split,
@@ -82,7 +84,8 @@ def _check_numbers(name: str, values):
 class SweepConfig:
     """A sweep's grid and settings, refused with InvalidParam unless
     run_sweep and the scans can run it, whether built directly or read from
-    a file: every t finite and > 1, delta in (0, 1), as ProblemParams asks."""
+    a file: every t finite and > 1, delta in (0, 1) and sigma in [1/2, 1),
+    as ProblemParams asks, and a non-empty lambda window at every t."""
 
     t_grid: list
     delta: float = 0.5
@@ -100,9 +103,11 @@ class SweepConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, types):
                 raise InvalidParam(f"{key} must be {name}, got {value!r}")
+        check_delta(self.delta)
         for t in self.t_grid:
             check_t(t)
-        check_delta(self.delta)
+            check_lambda_window(t, self.delta)
+        check_sigma(self.sigma)
         if not isinstance(self.lambda_spec, tuple) or len(self.lambda_spec) != 2:
             raise InvalidParam(f"lambda_spec must be a (kind, values) pair, "
                                f"got {self.lambda_spec!r}")
@@ -156,8 +161,8 @@ class ComparisonRow:
     method: str
     m: object = ""
     a: object = ""
-    approx: complex = complex("nan")
-    oracle: complex = complex("nan")
+    approx: complex = complex(math.nan, math.nan)
+    oracle: complex = complex(math.nan, math.nan)
     abs_err: float = float("nan")
     rel_err: float = float("nan")
     budget: float = float("nan")

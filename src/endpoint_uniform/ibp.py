@@ -40,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import AssumptionViolated, OrderViolation, SigmaUnsupported, SingularPoint
-from .params import ProblemParams, Split, check_split_point
+from .errors import AssumptionViolated, OrderViolation, SingularPoint
+from .params import ProblemParams, Split, check_half_sigma, check_split_point
 
 
 def double_factorial(n: int) -> int:
@@ -132,8 +132,7 @@ def _check_expansion_assumption(p: ProblemParams, split: Split) -> float:
 def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
     """j-th boundary term of the ray piece, exact closed form (j >= 1), with
     its magnitude bound (constant 1) in the split width a."""
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("boundary terms are defined for sigma = 1/2 only")
+    check_half_sigma(p.sigma, "t_term")
     check_split_point(p.t, p.delta, split.k)
     if j < 1:
         raise OrderViolation(f"term index must be >= 1, got {j}")
@@ -173,8 +172,7 @@ def jb2_series(p: ProblemParams, split: Split, j_max: int):
     remainder after j_max kept terms contains everything from index
     j_max + 1 on.
     """
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("series defined for sigma = 1/2 only")
+    check_half_sigma(p.sigma, "jb2_series")
     check_split_point(p.t, p.delta, split.k)
     if j_max < 0:
         raise OrderViolation(f"j_max must be >= 0, got {j_max}")

@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParam, InvalidSplit, OutOfRange, SplitOutOfRange
+from .errors import (InvalidParam, InvalidSplit, OutOfRange, SigmaUnsupported,
+                     SplitOutOfRange)
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -39,8 +40,7 @@ class ProblemParams:
     def __post_init__(self):
         check_t(self.t)
         check_delta(self.delta)
-        if not (0.5 <= self.sigma < 1.0):
-            raise InvalidParam(f"sigma must lie in [1/2,1), got {self.sigma}")
+        check_sigma(self.sigma)
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise InvalidParam(f"lambda must be finite and > 0, got {self.lam}")
         lo, hi = admissible_lambda_range(self.t, self.delta)
@@ -85,6 +85,20 @@ def check_delta(delta: float):
     """Refuse an endpoint exponent delta outside (0, 1)."""
     if not (0.0 < delta < 1.0):
         raise InvalidParam(f"delta must lie in (0,1), got {delta}")
+
+
+def check_sigma(sigma: float):
+    """Refuse an amplitude exponent sigma outside [1/2, 1)."""
+    if not (0.5 <= sigma < 1.0):
+        raise InvalidParam(f"sigma must lie in [1/2,1), got {sigma}")
+
+
+def check_lambda_window(t: float, delta: float):
+    """Refuse a (t, delta) whose admissible lambda window is empty."""
+    lo, hi = admissible_lambda_range(t, delta)
+    if not (lo <= hi):
+        raise InvalidParam(f"t={t}, delta={delta} admit no lambda: "
+                           f"lambda_c={lo:.4g} exceeds t^(1-delta) - 1 = {hi:.4g}")
 
 
 def check_tolerance(tol: float):
@@ -206,3 +220,10 @@ def check_split_point(t: float, delta: float, k: float):
     end = endpoint_offset(t, delta)
     if not (0.0 < k < end):
         raise SplitOutOfRange(f"split point k={k} outside (0, t^(delta-1)={end:.3e})")
+
+
+def check_half_sigma(sigma: float, route: str):
+    """Refuse sigma != 1/2 on a split route, which is defined there only."""
+    if sigma != 0.5:
+        raise SigmaUnsupported(f"{route} is defined for sigma = 1/2 only, "
+                               f"got sigma={sigma}")

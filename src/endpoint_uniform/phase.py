@@ -20,11 +20,13 @@ the transplanted amplitude, normalised to 1 at zeta = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import BranchViolation, SingularPoint
+from .params import DerivedParams, endpoint_offset
 
 # Points closer than this to a branch cut are rejected outright.
 CUT_GUARD = 1e-13
@@ -83,6 +85,20 @@ def big_f(z, lam: float, sigma=None):
 def t_phase(t: float, lam: float, k: float) -> float:
     """The real t-sized phase t Re F(1-k; lambda) at the point z = 1-k."""
     return t * big_f(1.0 - k, lam).real
+
+
+def endpoint_prefactor(d: DerivedParams) -> complex:
+    """Factor relating the offset-frame integral to the original one:
+
+    J = (lambda_c/(1+lambda_c))^(1/2) (1+lambda_c)^(1/2-sigma)
+        * exp(i t F(1 - t^(delta-1); lambda)) * J_tilde
+
+    The exponent is t_phase at the left endpoint, the one place the routes
+    form it; it equals t f0/(1+lambda_c) by the ExponentIdentity identity.
+    """
+    lc = d.lambda_c
+    mod = math.sqrt(lc / (1.0 + lc)) * (1.0 + lc) ** (0.5 - d.sigma)
+    return mod * cmath.exp(1j * t_phase(d.t, d.lam, endpoint_offset(d.t, d.delta)))
 
 
 def d_f(z, lam: float):

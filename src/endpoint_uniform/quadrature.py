@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import NonConvergence, NumericalError, SigmaUnsupported
-from .params import (DerivedParams, ProblemParams, Split, check_split_point,
-                     check_tolerance, derive, endpoint_offset)
+from .errors import NonConvergence, NumericalError
+from .params import (DerivedParams, ProblemParams, Split, check_half_sigma,
+                     check_split_point, check_tolerance, derive, endpoint_offset)
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
 # indexed nodes.  Values as tabulated for the classical QUADPACK pair.
@@ -344,18 +344,6 @@ def ray_truncation(phase_amp, origin, angle, tol):
 # ---------------------------------------------------------------------------
 
 
-def endpoint_prefactor(d: DerivedParams) -> complex:
-    """Factor relating the offset-frame integral to the original one:
-
-    J = (lambda_c/(1+lambda_c))^(1/2) (1+lambda_c)^(1/2-sigma)
-        * exp(i t f0/(1+lambda_c)) * J_tilde
-    """
-    lc = d.lambda_c
-    mod = math.sqrt(lc / (1.0 + lc)) * (1.0 + lc) ** (0.5 - d.sigma)
-    ph = d.t * phase_mod.f0(d.Lambda, lc) / (1.0 + lc)
-    return mod * cmath.exp(1j * ph)
-
-
 def _oracle(wa, origin, tol, angle=None, end=None):
     """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
     or else along the ray at angle, truncated by the decay rule.  wa(z) gives
@@ -389,8 +377,7 @@ def _z_frame(p: ProblemParams, sigma: float):
 
 def _split_piece(p: ProblemParams, k: float, origin, tol, **contour):
     """A piece of the split contour: amplitude (1-z)^(-1/2), sigma = 1/2 only."""
-    if p.sigma != 0.5:
-        raise SigmaUnsupported("split pieces are defined for sigma = 1/2 only")
+    check_half_sigma(p.sigma, "a split piece")
     check_split_point(p.t, p.delta, k)
     return _oracle(_z_frame(p, 0.5), origin, tol, **contour)
 

@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,6 +25,7 @@ from endpoint_uniform import (
     derive,
     endpoint_prefactor,
     exponent_identity_residual,
+    fresnel_segment,
     fresnel_tail,
     from_offset,
     from_omega,
@@ -37,6 +39,27 @@ from endpoint_uniform import (
     split_from_a,
 )
 from endpoint_uniform.params import corollary_split
+
+EPS = 2.0**-52
+
+
+def _jb1_main_mp(p, a):
+    """jb1_main's formula at 40 digits from the double inputs t, delta,
+    lambda and a: (value, |t F(1 - t^(delta-1); lambda)|)."""
+    with mp.workdps(40):
+        t, lam, a = mp.mpf(p.t), mp.mpf(p.lam), mp.mpf(a)
+        k = t ** (mp.mpf(p.delta) - 1)
+        lc = k / (1 - k)
+        omega = mp.sqrt(lc * t / 2) * mp.log(lam / lc) / (1 + lc)
+        phase = t * (k * mp.log(k) + (1 - k) * mp.log((1 - k) * lam))
+        rot = mp.expjpi(mp.mpf(1) / 4)
+
+        def tail(w):
+            return mp.sqrt(mp.pi) / 2 * rot * mp.erfc(w / rot)
+
+        seg = tail(omega) - tail(omega + a * mp.sqrt(lc * t / 2))
+        value = mp.sqrt(2 / (t * (1 + lc))) * mp.expj(phase - omega**2) * seg
+        return complex(value), float(abs(phase))
 
 
 class TestRegime:
@@ -151,6 +174,28 @@ class TestSegmentMain:
         orc = jb1_oracle(p, dd, tol=1e-12)
         budget = p.t ** (-0.5 + 1.5 * p.delta) * dd.a**4
         assert abs(main - orc.value) <= budget
+
+    @pytest.mark.parametrize("t", [1e6, 1e8])
+    @pytest.mark.parametrize("Lam", [0.0, 0.05])
+    def test_reads_leading_orders_factors_over_the_segment(self, t, Lam):
+        # one prefactor: the ratio carries no second form of the t-sized
+        # exponent, whose two forms differ by up to ~1e-6 rad at t = 1e8
+        p = from_offset(t, 0.5, 0.5, Lam)
+        d = derive(p)
+        a = corollary_split(d).a
+        w2 = d.omega + a * math.sqrt(d.lambda_c * t / 2.0)
+        expect = (cmath.exp(-1j * d.omega**2) * math.sqrt(2.0 / (d.lambda_c * t))
+                  * fresnel_segment(d.omega, w2))
+        assert abs(jb1_main(p, a) / endpoint_prefactor(d) / expect - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("t", [1e6, 1e8, 3.3e8])
+    @pytest.mark.parametrize("Lam", [0.0, 0.05, 0.5])
+    def test_at_the_phase_rounding_floor(self, t, Lam):
+        # the double inputs carry the t-sized phase to eps |phase| rad, no better
+        p = from_offset(t, 0.5, 0.5, Lam)
+        a = corollary_split(derive(p)).a
+        ref, phase = _jb1_main_mp(p, a)
+        assert abs(jb1_main(p, a) - ref) <= 2.0 * EPS * phase * abs(ref)
 
     def test_window_guards(self):
         p = from_offset(3e4, 0.5, 0.5, 0.6)

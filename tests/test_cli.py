@@ -472,6 +472,9 @@ BAD_CONFIGS = {
     "t-grid-below-one": '{"t_grid": [0.5]}',
     "delta-one": '{"t_grid": [1e4], "delta": 1.0}',
     "delta-above-one": '{"t_grid": [1e4], "delta": 1.5}',
+    # every row and scan point would be OutOfRange (window [10.37, 0.096])
+    "empty-lambda-window": '{"t_grid": [1e4], "delta": 0.99, "methods": ["leading", "oracle"]}',
+    "sigma-above-one": '{"t_grid": [1e4], "sigma": 1.5, "methods": ["leading", "oracle"]}',
 }
 
 

@@ -113,6 +113,17 @@ class TestSweep:
         line = rows_to_csv(rows).splitlines()[1]
         assert "nan" in line and "RegimeMismatch" in line
 
+    def test_error_row_is_nan_in_both_parts(self):
+        # omega = 0.5 is below the large-omega threshold: RegimeMismatch
+        rows = run_sweep(small_cfg(t_grid=[1e4], lambda_spec=("omega", [0.5]),
+                                   methods=["large-omega"]))
+        (r,) = rows
+        assert r.error.startswith("RegimeMismatch")
+        for z in (r.approx, r.oracle):
+            assert math.isnan(z.real) and math.isnan(z.imag)
+        cells = rows_to_csv(rows).splitlines()[1].split(",")
+        assert cells[9:13] == ["nan"] * 4
+
     def test_empty_grid_gives_no_rows(self):
         assert run_sweep(small_cfg(t_grid=[])) == []
 
@@ -255,6 +266,23 @@ class TestConfig:
             small_cfg(**kw)
         with pytest.raises(InvalidParam, match="t must be|delta must"):
             sweep_config_from_dict({"t_grid": [1e4], **kw})
+
+    def test_config_with_no_admissible_lambda_is_refused(self):
+        # t^(1-delta) < 2 leaves [lambda_c, t^(1-delta) - 1] empty, and every
+        # row and scan point would be OutOfRange
+        with pytest.raises(InvalidParam, match=r"t=10000.0, delta=0.99 admit no lambda"):
+            small_cfg(t_grid=[1e4], delta=0.99)
+        with pytest.raises(InvalidParam, match=r"t=3.9, delta=0.5 admit no lambda"):
+            sweep_config_from_dict({"t_grid": [1e4, 3.9]})
+        # at t = 4, delta = 1/2 the window is the one point lambda = 1
+        assert small_cfg(t_grid=[4.0]).lambda_values(4.0) == [1.0]
+
+    @pytest.mark.parametrize("sigma", [0.25, 1.0, 1.5, math.nan])
+    def test_config_sigma_outside_half_to_one_is_refused(self, sigma):
+        with pytest.raises(InvalidParam, match="sigma must lie in"):
+            small_cfg(sigma=sigma)
+        with pytest.raises(InvalidParam, match="sigma must lie in"):
+            sweep_config_from_dict({"t_grid": [1e4], "sigma": sigma})
 
     def test_from_dict_keeps_values_as_given(self):
         cfg = sweep_config_from_dict({"t_grid": [1e4], "tol": 1, "seed": 3})

@@ -181,6 +181,8 @@ def test_term_guards(split_setup):
     bad_sigma = ProblemParams(t=p.t, delta=p.delta, sigma=0.75, lam=p.lam)
     with pytest.raises(SigmaUnsupported):
         t_term(1, bad_sigma, dd)
+    with pytest.raises(SigmaUnsupported):
+        jb2_series(bad_sigma, dd, 0)
     with pytest.raises(SplitOutOfRange):
         t_term(1, p, Split(p.t ** (p.delta - 1.0) * 1.01, dd.a))
     with pytest.raises(SplitOutOfRange):
