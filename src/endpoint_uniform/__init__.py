@@ -50,13 +50,11 @@ from .params import (
 from .phase import (
     amp_g,
     big_f,
-    d2_f,
     d_f,
     d_f1,
     endpoint_prefactor,
     f0,
     f1,
-    stationary_point,
 )
 from .fresnel import (
     FT_FULL_LINE,

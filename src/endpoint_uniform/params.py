@@ -41,9 +41,9 @@ class ProblemParams:
         check_t(self.t)
         check_delta(self.delta)
         check_sigma(self.sigma)
+        lo, hi = check_lambda_window(self.t, self.delta)
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
             raise InvalidParam(f"lambda must be finite and > 0, got {self.lam}")
-        lo, hi = admissible_lambda_range(self.t, self.delta)
         # Closed interval: both endpoints are admissible.
         if not (lo <= self.lam <= hi):
             raise OutOfRange(
@@ -94,11 +94,12 @@ def check_sigma(sigma: float):
 
 
 def check_lambda_window(t: float, delta: float):
-    """Refuse a (t, delta) whose admissible lambda window is empty."""
+    """Refuse a (t, delta) whose admissible lambda window is empty; return it."""
     lo, hi = admissible_lambda_range(t, delta)
     if not (lo <= hi):
         raise InvalidParam(f"t={t}, delta={delta} admit no lambda: "
                            f"lambda_c={lo:.4g} exceeds t^(1-delta) - 1 = {hi:.4g}")
+    return lo, hi
 
 
 def check_tolerance(tol: float):

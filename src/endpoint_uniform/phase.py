@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import BranchViolation, SingularPoint
+from .errors import BranchViolation
 from .params import DerivedParams, endpoint_offset
 
 # Points closer than this to a branch cut are rejected outright.
@@ -110,20 +110,6 @@ def d_f(z, lam: float):
     return log_z - log_w + math.log(lam)
 
 
-def d2_f(z):
-    """d2F/dz2 = 1/(z(1-z))."""
-    za = _as_complex(z)
-    if np.any(za == 0.0) or np.any(za == 1.0):
-        raise SingularPoint("d2F/dz2 is singular at z = 0 and z = 1")
-    out = 1.0 / (za * (1.0 - za))
-    return out if isinstance(z, np.ndarray) else complex(out)
-
-
-def stationary_point(lam: float) -> float:
-    """Root of dF/dz: z = 1/(1+lambda)."""
-    return 1.0 / (1.0 + lam)
-
-
 def f0(Lambda: float, lambda_c: float) -> float:
     """Endpoint value of the phase in the offset frame (real).
 
@@ -204,9 +190,76 @@ def _z_logs(za):
 
 
 def _offset_logs(zeta, lambda_c: float):
-    """zeta as complex, log(1 + lambda_c zeta) and log(1 - zeta)."""
+    """The pair y = (lambda_c zeta, -zeta) and log(1 + y), for complex zeta.
+
+    For an array zeta the pair is stacked on a new first axis, so that one
+    _log1p takes both logarithms; either way each unpacks as two.
+    """
     za = _complex(zeta)
-    return za, _log1p(lambda_c * za), _log1p(-za)
+    y = (lambda_c * za, -za)
+    if isinstance(za, np.ndarray):
+        y = np.array(y)
+        return y, _log1p(y)
+    return y, (_log1p(y[0]), _log1p(y[1]))
+
+
+# T(v) = 1/3 + v/5 + v^2/7 + ... as the 14th convergent of Gauss's continued
+# fraction T(v) = 1/(3 - v - 4v/(5 - 9v/(7 - 16v/(9 - ...)))): the integer
+# coefficients of its numerator and denominator, a pair per power of v,
+# lowest first.  On |v| <= 1/4, where _wlogw takes it, it is within 4 eps of
+# T (by mpmath); T is a Stieltjes function, so its poles lie on v > 1.
+_ATANH_TAIL_PAIRS = (
+    (145568097675, 436704293025),
+    (-439716046770, -1581170716125),
+    (507456603225, 2283913256625),
+    (-278866087500, -1674869721525),
+    (73775401245, 655383804075),
+    (-8264610690, -131076760815),
+    (260504447, 11497961475),
+    (0, -289864575),
+)
+_ATANH_TAIL = np.array(_ATANH_TAIL_PAIRS, dtype=complex).T
+
+
+def _wlogw(y, log1p_y):
+    """w log w - (w - 1) at w = 1 + y, given log1p_y = log(1 + y).
+
+    Formed as (1 + y) log1p_y - y it cancels down to y^2/2 at small |y|.
+    Where |s| <= 1/2 for s = y/(2 + y), that is |y - 2/3| <= 4/3, it is
+    instead, from log(1 + y) = 2 atanh(s) and 1 + y = (1 + s)/(1 - s),
+
+        y s [1 + (1 + s) s T(s^2)],  T(v) = 1/3 + v/5 + v^2/7 + ... ,
+
+    whose terms do not cancel.  Scalars stay in math.
+    """
+    if not isinstance(y, np.ndarray):
+        if abs(y - 2.0 / 3.0) <= 4.0 / 3.0:
+            return _wlogw_near(y)
+        return (1.0 + y) * log1p_y - y
+    out = (1.0 + y) * log1p_y - y
+    near = np.abs(y - 2.0 / 3.0) <= 4.0 / 3.0
+    out[near] = _wlogw_near(y[near])
+    return out
+
+
+def _wlogw_near(y):
+    """_wlogw's series form, for a scalar or a 1-d array y."""
+    s = y / (2.0 + y)
+    v = s * s
+    if isinstance(v, np.ndarray):
+        # v^0 .. v^7 by doubling, then both polynomials of T in one product
+        powers = np.ones((_ATANH_TAIL.shape[1], v.size), dtype=complex)
+        vk, k = v, 1
+        while k < len(powers):
+            np.multiply(powers[:k], vk, out=powers[k:2 * k])
+            vk, k = vk * vk, 2 * k
+        num, den = _ATANH_TAIL @ powers
+    else:
+        num = den = 0.0
+        for a, b in reversed(_ATANH_TAIL_PAIRS):
+            num, den = num * v + a, den * v + b
+    q = y * s
+    return q + q * (s + v) * (num / den)
 
 
 def f1(zeta, lambda_c: float, Lambda: float, sigma=None):
@@ -214,20 +267,27 @@ def f1(zeta, lambda_c: float, Lambda: float, sigma=None):
 
     f1 = lambda_c zeta [log(1+Lambda) + log(1+lambda_c zeta) - log(1-zeta)]
          + log(1+lambda_c zeta) + lambda_c log(1-zeta)
+       = lambda_c zeta log(1+Lambda) + h(lambda_c zeta) + lambda_c h(-zeta)
 
-    Cuts sit on zeta <= -1/lambda_c and zeta >= 1.  Given sigma, returns the
-    pair (f1, amp_g) from the same two logarithms.
+    with h(y) = (1+y) log(1+y) - y = _wlogw.  The first form cancels its
+    terms down to lambda_c (1+lambda_c) zeta^2/2 at small zeta and Lambda;
+    the second adds three terms that do not, so f1 keeps a few ulp at small
+    zeta for every Lambda >= 0.  Cuts sit on zeta <= -1/lambda_c and
+    zeta >= 1.  Given sigma, returns the pair (f1, amp_g) from the same two
+    logarithms.
     """
-    za, la, lb = _offset_logs(zeta, lambda_c)
-    out = lambda_c * za * (math.log1p(Lambda) + la - lb) + la + lambda_c * lb
+    y, logs = _offset_logs(zeta, lambda_c)
+    hx, hz = _wlogw(y, logs) if isinstance(y, np.ndarray) else map(_wlogw, y, logs)
+    out = y[0] * math.log1p(Lambda) + hx + lambda_c * hz
     if sigma is None:
         return out
+    la, lb = logs
     return out, _amplitude(lb, la, sigma)
 
 
 def d_f1(zeta, lambda_c: float, Lambda: float):
     """df1/dzeta = lambda_c [log(1+Lambda) + log(1+lambda_c zeta) - log(1-zeta)]."""
-    _za, la, lb = _offset_logs(zeta, lambda_c)
+    _y, (la, lb) = _offset_logs(zeta, lambda_c)
     return lambda_c * (math.log1p(Lambda) + la - lb)
 
 
@@ -246,5 +306,5 @@ def amp_g(zeta, lambda_c: float, sigma: float):
 
     On a cut it takes the upper side, as numpy's powers do.
     """
-    _za, la, lb = _offset_logs(zeta, lambda_c)
+    _y, (la, lb) = _offset_logs(zeta, lambda_c)
     return _amplitude(lb, la, sigma)

@@ -109,6 +109,16 @@ class TestEval:
         assert msg["error"] == "InvalidParam"
         assert "lambda" in msg["message"].lower()
 
+    @pytest.mark.parametrize("flags", [("--t", "3.9"), ("--t", "1e4", "--delta", "0.99")],
+                             ids=["t-3.9", "delta-0.99"])
+    def test_empty_lambda_window_is_parameter_error(self, capsys, flags):
+        # t^(1-delta) < 2 leaves the window [lambda_c, t^(1-delta) - 1] empty
+        code, out, err = run(capsys, "eval", *flags, "--Lambda", "0", "--method", "leading")
+        assert code == 1 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "InvalidParam"
+        assert "admit no lambda" in msg["message"]
+
     def test_conflicting_lambda_flags(self, capsys):
         code, _, err = run(
             capsys, "eval", "--t", "1e5", "--lambda", "0.01",

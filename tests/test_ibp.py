@@ -27,7 +27,6 @@ from endpoint_uniform import (
     ProblemParams,
     ray_truncation,
     rn_bound,
-    stationary_point,
     t_term,
 )
 from conftest import fit_loglog
@@ -130,7 +129,7 @@ class TestOperator:
         assert np.allclose(batch, singles, rtol=1e-14)
 
     def test_stationary_point_is_singular(self):
-        z = stationary_point(self.LAM)
+        z = 1.0 / (1.0 + self.LAM)  # the root of dF/dz
         with pytest.raises(SingularPoint):
             apply_ibp_operator(1, complex(z, 0.0) + 1e-14j, self.T, self.LAM)
 

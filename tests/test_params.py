@@ -51,6 +51,16 @@ def test_lambda_below_admissible_range_rejected():
         ProblemParams(t=16.0, delta=0.5, sigma=0.5, lam=lo * 0.999)
 
 
+@pytest.mark.parametrize("t, delta", [(3.9, 0.5), (1e4, 0.99)])
+def test_empty_lambda_window_is_invalid_param(t, delta):
+    # t^(1-delta) < 2: lambda_c exceeds t^(1-delta) - 1, so no lambda, not
+    # even lambda_c itself, is admissible
+    with pytest.raises(InvalidParam, match="admit no lambda"):
+        ProblemParams(t=t, delta=delta, sigma=0.5, lam=critical_lambda(t, delta))
+    with pytest.raises(InvalidParam, match="admit no lambda"):
+        from_offset(t, delta, 0.5, 0.0)
+
+
 def test_boundary_lambda_accepted_closed_interval():
     lo, hi = admissible_lambda_range(16.0, 0.5)
     for lam in (lo, hi):

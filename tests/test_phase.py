@@ -9,11 +9,9 @@ from endpoint_uniform import phase
 from endpoint_uniform import (
     BranchViolation,
     ProblemParams,
-    SingularPoint,
     amp_g,
     big_f,
     critical_lambda,
-    d2_f,
     d_f,
     d_f1,
     derive,
@@ -21,7 +19,6 @@ from endpoint_uniform import (
     f0,
     f1,
     from_offset,
-    stationary_point,
 )
 from conftest import fit_loglog
 
@@ -57,10 +54,6 @@ def test_phase_derivative_zeros():
     assert abs(d_f(0.25, 3.0)) < 1e-14
 
 
-def test_second_derivative_value():
-    assert d2_f(0.5) == pytest.approx(4.0, rel=1e-14)
-
-
 def test_derivative_singularities():
     # dF/dz's singular points lie on the cuts, which refuse them first
     for z in (0.0, 1.0, np.array([0.5 + 1j, 1.0])):
@@ -68,23 +61,13 @@ def test_derivative_singularities():
             d_f(z, 1.0)
 
 
-def test_second_derivative_singularities():
-    for z in (0.0, 1.0, np.array([0.5 + 1j, 0.0])):
-        with pytest.raises(SingularPoint):
-            d2_f(z)
-
-
-def test_stationary_point_values():
-    assert stationary_point(1.0) == pytest.approx(0.5, rel=1e-15)
-    assert stationary_point(3.0) == pytest.approx(0.25, rel=1e-15)
-    lc = critical_lambda(16.0, 0.5)
-    assert stationary_point(lc) == pytest.approx(1.0 - 16.0 ** -0.5, rel=1e-14)
-
-
 def test_stationary_point_kills_derivative_on_grid():
+    # dF/dz vanishes at z = 1/(1+lambda), which meets the left endpoint
+    # 1 - t^(delta-1) at lambda = lambda_c
     for lam in np.geomspace(0.05, 20.0, 25):
-        z = stationary_point(lam)
-        assert abs(d_f(z, lam)) < 1e-12
+        assert abs(d_f(1.0 / (1.0 + lam), lam)) < 1e-12
+    lc = critical_lambda(16.0, 0.5)
+    assert 1.0 / (1.0 + lc) == pytest.approx(1.0 - 16.0 ** -0.5, rel=1e-14)
 
 
 def test_f0_zero_offset_formula():
@@ -166,7 +149,8 @@ def test_second_derivative_finite_difference_order():
     hs = [1e-4, 1e-5]
     errs_per_h = []
     for h in hs:
-        errs = [abs((d_f(z + h, 0.7) - d_f(z - h, 0.7)) / (2 * h) - d2_f(z))
+        # d2F/dz2 = 1/(z(1-z))
+        errs = [abs((d_f(z + h, 0.7) - d_f(z - h, 0.7)) / (2 * h) - 1.0 / (z * (1.0 - z)))
                 for z in zs]
         errs_per_h.append(max(errs))
     slope = fit_loglog(hs, errs_per_h)[0]
@@ -343,3 +327,73 @@ def test_z_frame_refuses_either_side_of_its_cuts():
                 evaluate(z)
             with pytest.raises(BranchViolation):
                 evaluate(np.array([0.5 + 0.5j, z]))
+
+
+# ---------------------------------------------------------------------------
+# f1 at small zeta: no cancellation of its linear terms.
+# ---------------------------------------------------------------------------
+
+def _mp_f1_relative_error(value, zeta, lc, Lam):
+    """|value - f1| / |f1|, with f1 at 50 digits."""
+    with mpmath.workdps(50):
+        z, lc = mpmath.mpc(zeta), mpmath.mpf(lc)
+        la, lb = mpmath.log(1 + lc * z), mpmath.log(1 - z)
+        f = lc * z * (mpmath.log1p(mpmath.mpf(Lam)) + la - lb) + la + lc * lb
+        return float(abs(mpmath.mpc(value) - f) / abs(f))
+
+
+@pytest.mark.parametrize("lc", [1e-2, 1e-4, 1e-7])
+@pytest.mark.parametrize("Lam", [0.0, 1e-6, 0.5])
+def test_f1_to_4_eps_of_itself_on_the_ray(lc, Lam):
+    # log(1 + lc zeta) + lc log(1 - zeta) cancels its linear terms down to
+    # -lc (1+lc) zeta^2/2, which is all of f1 at Lambda = 0: f1 must not take
+    # its value from that sum
+    zetas = [r * cmath.exp(1j * math.pi / 4)
+             for r in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5)]
+    got = list(f1(np.array(zetas), lc, Lam)) + [f1(z, lc, Lam) for z in zetas]
+    for zeta, value in zip(zetas + zetas, got):
+        assert _mp_f1_relative_error(value, zeta, lc, Lam) <= 4 * EPS, zeta
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_wlogw_on_either_side_of_its_series_disk(shape):
+    # (1+y) log(1+y) - y: the series inside |y - 2/3| <= 4/3, the direct
+    # form outside, both to a few ulp; an array mixes the two
+    ys = [1e-9 + 2e-9j, -0.6 + 0.1j, -0.7 + 0.1j, 1.9 - 0.4j, 2.1 + 0.0j,
+          1e3 - 5e2j, -0.3 - 1.2j, -0.4 - 1.3j]
+    args = _shaped(ys, shape)
+    got = _values([phase._wlogw(y, phase._log1p(y)) for y in args], shape)
+    for y, value in zip(ys, got):
+        with mpmath.workdps(50):
+            w = 1 + mpmath.mpc(y)
+            want = w * mpmath.log(w) - (w - 1)
+            assert abs(mpmath.mpc(value) - want) <= 4 * EPS * abs(want), y
+
+
+def test_atanh_tail_is_the_14th_convergent():
+    # T(v) = 1/(b1 + a2/(b2 + a3/(b3 + ...))) with b1 = 3 - v, a_k = -k^2 v
+    # and b_k = 2k + 1: numerator and denominator by the convergents'
+    # recurrence P_k = b_k P_(k-1) + a_k P_(k-2), in integer arithmetic
+    def plus(p, q):
+        out = [0] * max(len(p), len(q))
+        for c in (p, q):
+            for i, ci in enumerate(c):
+                out[i] += ci
+        return out
+
+    def times(f, p):
+        out = [0] * (len(f) + len(p) - 1)
+        for i, fi in enumerate(f):
+            for j, pj in enumerate(p):
+                out[i + j] += fi * pj
+        return out
+
+    num, num_prev, den, den_prev = [0], [1], [1], [0]
+    for k in range(1, 15):
+        b, a = ([3, -1], [1]) if k == 1 else ([2 * k + 1], [0, -k * k])
+        num, num_prev = plus(times(b, num), times(a, num_prev)), num
+        den, den_prev = plus(times(b, den), times(a, den_prev)), den
+    g = math.gcd(*num, *den)
+    want = [[c // g for c in num] + [0] * (len(den) - len(num)), [c // g for c in den]]
+    assert [list(pair) for pair in zip(*want)] == [list(p) for p in phase._ATANH_TAIL_PAIRS]
+    assert (phase._ATANH_TAIL == np.array(want)).all()

@@ -53,14 +53,15 @@ def test_round_trip_along_ray(state):
 
 
 @pytest.mark.parametrize("t", [50.0, 200.0, 1e4, 1e8])
-@pytest.mark.parametrize("Lam", [0.1, 0.5, 10.0])
+@pytest.mark.parametrize("Lam", [0.0, 0.1, 0.5, 10.0])
 def test_round_trip_along_ray_to_the_last_bits(t, Lam):
     # u = 2 f1 / (b + sqrt(b^2 + 2 a f1)) does not cancel: the subtraction
-    # (-b + sqrt(...)) / a lost 1.7e-8 relative at |u| = 1e-8, Lambda = 10
+    # (-b + sqrt(...)) / a lost 1.7e-8 relative at |u| = 1e-8, Lambda = 10.
+    # At Lambda = 0 the round trip is only as good as f1 at small zeta
     s = derive(from_offset(t, 0.5, 0.5, Lam))
     for r in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0):
         u = r * RAY
-        assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) <= 1e-13 * r, r
+        assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) <= 1e-15 * r, r
 
 
 def test_round_trip_other_direction(state):
