@@ -10,10 +10,11 @@ default so identical configs give identical bytes.  The jitter depends only
 on IEEE arithmetic, not on a numpy random stream that a release may change,
 so a pinned verify report stays reproducible across numpy versions.
 
-A sweep runs the oracle once per grid point and tolerance: the method rows of
-a point share each quadrature, and a failed one gives each row that needs it
-the same error.  So with deterministic=False the runtime_ms of the first row
-that needs a quadrature includes it, and the later rows do not.
+A sweep runs the oracle at most once per grid point, at the config's tol: the
+rows of a point compare against the one quadrature that its oracle row
+reports, and a failed one gives each row that needs it the same error.  So
+with deterministic=False the runtime_ms of the first row that needs the
+quadrature includes it, and the later rows do not.
 """
 
 from __future__ import annotations
@@ -176,18 +177,6 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _expected_method_error(approx: complex, budget: float,
-                           p: ProblemParams) -> float:
-    """Scale used only to tighten the oracle tolerance, not reported."""
-    mag = abs(approx)
-    if not math.isfinite(mag) or mag == 0.0:
-        mag = p.t**-0.5
-    guess = mag * p.t ** (-p.delta / 2.0)
-    if math.isfinite(budget) and budget > 0.0:
-        guess = min(guess, budget)
-    return guess
-
-
 def eval_method(method: str, p: ProblemParams, m_order: int = DEFAULT_ORDER, split=None):
     """One asymptotic method at p: (approximation, m, a), where m and a are
     the expansion order and split width the method used, "" if it has none.
@@ -210,15 +199,15 @@ def eval_method(method: str, p: ProblemParams, m_order: int = DEFAULT_ORDER, spl
     raise InvalidParam(f"unknown method {method!r}; choose from {APPROXIMATIONS}")
 
 
-def _oracle(memo: dict, p: ProblemParams, tol: float):
-    """jb_oracle(p, tol) once per tolerance at this point: memo keeps the
-    result, or the typed error, which is raised again for every row."""
-    if tol not in memo:
+def _oracle(memo: list, p: ProblemParams, tol: float):
+    """jb_oracle(p, tol) once at this point: memo keeps the result, or the
+    typed error, which is raised again for every row."""
+    if not memo:
         try:
-            memo[tol] = jb_oracle(p, tol=tol)
+            memo.append(jb_oracle(p, tol=tol))
         except EndpointUniformError as exc:
-            memo[tol] = exc
-    res = memo[tol]
+            memo.append(exc)
+    res = memo[0]
     if isinstance(res, EndpointUniformError):
         raise res
     return res
@@ -249,9 +238,7 @@ def _run_point(cfg, t, lam, method, memo, raise_errors=False):
             # leading_order has no budget, and its column stays nan
             if ap.error_budget:
                 row.budget = sum(v for _k, v in ap.error_budget)
-            expected = _expected_method_error(ap.value, row.budget, p)
-            oracle_tol = max(1e-13, min(cfg.tol, 1e-3 * expected))
-            res = _oracle(memo, p, oracle_tol)
+            res = _oracle(memo, p, cfg.tol)
             row.oracle = res.value
             row.abs_err = abs(ap.value - res.value)
             if abs(res.value) > 0.0:
@@ -268,14 +255,14 @@ def run_sweep(cfg: SweepConfig, raise_errors: bool = False) -> list:
     """Cross product of (t grid) x (lambda spec) x (methods), one row each,
     in that order.
 
-    The rows of a point share its oracle quadratures, one per tolerance.  A
+    The rows of a point share its one oracle quadrature, at cfg.tol.  A
     row's failure lands in its error column and the sweep goes on; with
     raise_errors the typed error is raised instead.
     """
     rows = []
     for t in cfg.t_grid:
         for lam in cfg.lambda_values(t):
-            memo = {}
+            memo = []
             for method in cfg.methods:
                 rows.append(_run_point(cfg, t, lam, method, memo, raise_errors))
     return rows

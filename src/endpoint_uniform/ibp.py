@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import phase as phase_mod
-from .errors import AssumptionViolated, OrderViolation, SingularPoint
+from .errors import AssumptionViolated, NumericalError, OrderViolation, SingularPoint
 from .params import ProblemParams, Split, check_half_sigma, check_split_point
 
 
@@ -140,14 +140,17 @@ def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
     k = split.k
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
-    acc = _amn_sum(j - 1, z0, big_d)
     osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, k))
-    value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
-    bound = (
-        double_factorial(2 * j - 1)
-        * t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
-        * split.a ** (-(2 * j + 1))
-    )
+    try:
+        acc = _amn_sum(j - 1, z0, big_d)
+        value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
+        bound = (
+            double_factorial(2 * j - 1)
+            * t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
+            * split.a ** (-(2 * j + 1))
+        )
+    except OverflowError:
+        raise NumericalError(f"term j={j} overflows a double at t={t:.6g}") from None
     return ExpansionTerm(j=j, value=value, magnitude_bound=bound)
 
 
@@ -156,13 +159,17 @@ def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
     check_split_point(p.t, p.delta, split.k)
     d_minus = _check_expansion_assumption(p, split)
     t = p.t
-    return (
-        double_factorial(2 * N - 1)
-        * t ** (-N)
-        * math.log(t) ** ((2 * N + 1) / 2.0)
-        * d_minus ** (-2 * N)
-        * split.k ** (-(2 * N - 1) / 2.0)
-    )
+    try:
+        return (
+            double_factorial(2 * N - 1)
+            * t ** (-N)
+            * math.log(t) ** ((2 * N + 1) / 2.0)
+            * d_minus ** (-2 * N)
+            * split.k ** (-(2 * N - 1) / 2.0)
+        )
+    except OverflowError:
+        raise NumericalError(f"remainder bound at order N={N} overflows a double "
+                             f"at t={t:.6g}") from None
 
 
 def jb2_series(p: ProblemParams, split: Split, j_max: int):

@@ -9,7 +9,10 @@ decay of exp(i t F).  Panels are 15-point Gauss-Kronrod with the embedded
   * panel error above its share of the tolerance (ordinary adaptivity);
   * the complex phase t F advancing by more than 2*pi across a panel that
     still contributes (oscillation/decay resolution; without it a panel much
-    wider than the decay scale can look converged while missing everything).
+    wider than the decay scale can look converged while missing everything),
+    unless the advance lies within the rounding noise of t F itself
+    (PHASE_NOISE |t F|), which passes 2*pi once |t F| exceeds about 7e15,
+    as it does on the oracle's rays from t ~ 1e15.
 
 An error-driven round (one with no phase-forced split) is stuck when it fails
 to halve the summed error estimate.  A stuck round bisects worst-first, as
@@ -109,6 +112,9 @@ DEFAULT_TOL = 1e-10
 # the most panels a quadrature refines to; _adaptive reads it at call time
 PANEL_CAP = 20000
 PHASE_ADVANCE_CAP = 2.0 * math.pi
+# a phase advance up to this multiple of the phase's modulus is rounding
+# noise (about eps |t F| per evaluation) and forces no split
+PHASE_NOISE = 4.0 * np.finfo(float).eps
 # Roundoff floor, after the roundoff test of QUADPACK dqagse (Piessens et al.
 # 1983): an error-driven round (one with no phase-forced split) is stuck when
 # the summed error estimate is still FLOOR_RATIO or more of its value a round
@@ -177,7 +183,8 @@ def _adaptive(f, phase, breaks, tol):
     exponent t*F); phase gives t*F alone and is called once, at the initial
     breaks.  A panel is bisected at its centre node, where f has already
     given t*F.  Panels with more than 2*pi of phase advance and a
-    non-negligible modulus are split regardless of their error estimate.
+    non-negligible modulus are split regardless of their error estimate,
+    unless that advance is within the phase's rounding noise.
     Raises NonConvergence at PANEL_CAP panels or at the roundoff floor.
     """
     lo = np.asarray(breaks[:-1], dtype=float)
@@ -194,7 +201,9 @@ def _adaptive(f, phase, breaks, tol):
     for _ in range(200):
         n = len(lo)
         total_err = float(errs.sum())
-        must = (np.abs(whi - wlo) > PHASE_ADVANCE_CAP) & (absints > neglect)
+        adv = np.abs(whi - wlo)
+        must = ((adv > PHASE_ADVANCE_CAP) & (absints > neglect)
+                & (adv > PHASE_NOISE * np.maximum(np.abs(wlo), np.abs(whi))))
         forced = bool(must.any())
         if total_err <= tol and not forced:
             break

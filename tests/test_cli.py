@@ -172,6 +172,17 @@ class TestEval:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InvalidSplit"
 
+    def test_overflowing_order_is_numerical_error(self, capsys):
+        # the remainder bound at order 2m - 2 = 78 does not fit in a double
+        code, out, err = run(
+            capsys, "eval", "--t", "1e8", "--Lambda", "0.5",
+            "--method", "all-orders", "--m", "40",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "NumericalError",
+            "message": "remainder bound at order N=78 overflows a double at t=1e+08"}
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"
         code, out, _ = run(
@@ -237,6 +248,16 @@ class TestCompare:
         assert code == 1
         assert json.loads(err)["error"] == name
 
+    @pytest.mark.parametrize("Lam", ["0", "0.5", "10"])
+    @pytest.mark.parametrize("method", ["leading", "all-orders", "corollary"])
+    def test_converges_at_t_1e10(self, capsys, method, Lam):
+        # each row compares with the oracle at --tol, which the z-frame
+        # oracle meets here, not at a tolerance below its phase floor
+        code, out, err = run(capsys, "compare", "--t", "1e10", "--Lambda", Lam,
+                             "--method", method)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["error"] == ""
+
 
 class TestSweep:
     def test_csv_out_file(self, capsys, tmp_path):
@@ -274,6 +295,17 @@ class TestSweep:
         lines = out.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
+
+    def test_overflowing_order_fails_only_its_rows(self, capsys, tmp_path):
+        cfg = {"t_grid": [1e4, 1e8], "methods": ["leading", "all-orders"], "m_order": 40}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg_path), "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["method"], r["error"].split(":")[0]) for r in rows] == [
+            ("leading", ""), ("all-orders", ""),
+            ("leading", ""), ("all-orders", "NumericalError")]
 
     def test_needs_t_or_config(self, capsys):
         code, _, err = run(capsys, "sweep")
@@ -435,6 +467,13 @@ class TestTerms:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "OrderViolation"
 
+    def test_overflowing_term_is_numerical_error(self, capsys):
+        code, out, err = run(capsys, "terms", "--t", "1e8", "--Lambda", "0.5",
+                             "--j-max", "50")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "NumericalError",
+                                   "message": "term j=39 overflows a double at t=1e+08"}
+
 
 class TestVerify:
     def test_single_suite(self, capsys):
@@ -485,6 +524,8 @@ BAD_CONFIGS = {
     # every row and scan point would be OutOfRange (window [10.37, 0.096])
     "empty-lambda-window": '{"t_grid": [1e4], "delta": 0.99, "methods": ["leading", "oracle"]}',
     "sigma-above-one": '{"t_grid": [1e4], "sigma": 1.5, "methods": ["leading", "oracle"]}',
+    "config-is-a-list": '[1e4]',
+    "config-is-null": 'null',
 }
 
 

@@ -170,18 +170,27 @@ def count_oracle(monkeypatch, raises=None):
 
 
 class TestSharedOracle:
-    def test_one_quadrature_per_point_and_tolerance(self, monkeypatch):
+    def test_one_quadrature_per_point(self, monkeypatch):
         calls = count_oracle(monkeypatch)
         cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=ALL_ROUTES, tol=1e-10)
         rows = run_sweep(cfg)
         assert len(rows) == 2 * 2 * 4
-        assert len(calls) == len(set(calls))
-        assert {(r.t, r.lam) for r in rows} == {call[:2] for call in calls}
+        assert sorted(calls) == sorted({(r.t, r.lam, cfg.tol) for r in rows})
+
+    def test_every_route_compares_with_the_oracle_row(self, monkeypatch):
+        # every route compares with the value of the oracle row, from the
+        # point's one quadrature at cfg.tol
+        calls = count_oracle(monkeypatch)
+        cfg = small_cfg(t_grid=[1e8], lambda_spec=("omega", [8.0]), methods=ALL_ROUTES,
+                        tol=1e-10)
+        rows = run_sweep(cfg)
+        assert [call[2] for call in calls] == [cfg.tol]
+        assert not any(r.error for r in rows)
+        assert {r.oracle for r in rows} == {rows[0].approx}
 
     def test_failed_quadrature_runs_once_and_fails_every_row(self, monkeypatch):
-        # at tol 1e-13 every route asks the oracle for the same tolerance
         calls = count_oracle(monkeypatch, raises=NonConvergence("panel cap reached"))
-        rows = run_sweep(small_cfg(t_grid=[1e4], methods=ALL_ROUTES, tol=1e-13))
+        rows = run_sweep(small_cfg(t_grid=[1e4], methods=ALL_ROUTES))
         assert len(calls) == 1
         assert [r.error for r in rows] == ["NonConvergence: panel cap reached"] * 4
 
