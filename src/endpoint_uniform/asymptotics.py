@@ -185,7 +185,7 @@ def corollary_leading(p: ProblemParams) -> Approximation:
     d = derive(p)
     split = corollary_split(d)
     big_d = math.log(1.0 / split.k - 1.0) + math.log(p.lam)
-    osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, split.k))
+    osc = phase_mod.split_oscillation(d, split)
     term1 = 1j * osc * t ** (-0.5 - p.delta / 2.0) / big_d
     value = term1 + jb1_main(p, split.a)
     budget = [("corollary-remainder", t ** (-0.5 - p.delta / 4.0))]
@@ -205,16 +205,15 @@ def phase_difference_residual(p: ProblemParams, a: float) -> float:
 
         t^d a log(lambda/lambda_c) + t^d (1-a) log(1-a) + (t - t^d(1-a)) log(1+a lambda_c)
 
-    (t^d = t^delta); subtracting the modelled t^d a log(lambda/lambda_c)
+    (t^d = t^delta), the phase that phase.split_oscillation forms;
+    subtracting the modelled t^d a log(lambda/lambda_c)
     + a^2 t^d (1+lambda_c)/2 leaves an O(a^3 t^delta) remainder.  The exact
-    form avoids the catastrophic cancellation of differencing two ~t-sized
-    phases in doubles.
+    form, the last two terms of which are phase.split_phase_tail, avoids the
+    catastrophic cancellation of differencing two ~t-sized phases in doubles.
     """
     d = derive(p)
     td = p.t**p.delta
     lc = d.lambda_c
-    exact_tail = td * (1.0 - a) * math.log1p(-a) + (
-        p.t - td * (1.0 - a)
-    ) * math.log1p(a * lc)
+    exact_tail = phase_mod.split_phase_tail(d, a)
     model_tail = 0.5 * a * a * td * (1.0 + lc)
     return abs(exact_tail - model_tail)

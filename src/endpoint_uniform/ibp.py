@@ -22,7 +22,10 @@ table evaluated at the split point z = 1-k of a params.Split(k, a),
     T_j = k^{-(2j-1)/2} / ((-it)^j D^j)
           * sum A_mn (1-k)^{-m} D^{-n} * e^{i t F(1-k)},
 
-with D the phase derivative at the split.  With j_max terms kept the truncation
+with D the phase derivative at the split and e^{i t F(1-k)} from
+phase.split_oscillation: the endpoint's oscillation times that of the
+collapsed phase difference, so the term keeps no t-sized phase of its own.
+With j_max terms kept the truncation
 error is the (j_max+1)-st remainder, bounded (constant 1) by rn_bound.  Both
 the term bounds and the remainder bound are stated in the split width a, and
 every function here takes the Split whole and reads its own a, never one
@@ -31,7 +34,6 @@ recomputed from k.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import AssumptionViolated, NumericalError, OrderViolation, SingularPoint
-from .params import ProblemParams, Split, check_half_sigma, check_split_point
+from .params import ProblemParams, Split, check_half_sigma, check_split_point, derive
 
 
 def double_factorial(n: int) -> int:
@@ -73,8 +75,17 @@ class ExpansionTerm:
     magnitude_bound: float
 
 
+# The highest level amn_table builds; above it a level is refused before
+# anything is built.  Build time grows about as N^3.5, since the exact
+# rationals lengthen with every level: levels 60, 100 and 150 took 0.6, 3.6
+# and 12 s on a 2-CPU host.  Every level that the tests, demos and README
+# use (at most 38) lies below it.
+MAX_TABLE_LEVEL = 60
+
+
 @lru_cache(maxsize=None)
 def _amn_entries(level: int):
+    """The level's entries, from those of the level below (cached)."""
     if level == 0:
         return ((0, 0, Fraction(1)),)
     acc: dict = {}
@@ -90,10 +101,16 @@ def _amn_entries(level: int):
 
 
 def amn_table(N: int) -> CoefficientTable:
-    """Exact coefficient table at level N (level 0 is the identity table)."""
-    if N < 0:
-        raise OrderViolation(f"table level must be >= 0, got {N}")
-    return CoefficientTable(level=N, entries=_amn_entries(N))
+    """Exact coefficient table at level N (level 0 is the identity table).
+
+    The levels are built bottom-up in a loop, so each finds the one below
+    cached and none recurses deeper than one level.
+    """
+    if not 0 <= N <= MAX_TABLE_LEVEL:
+        raise OrderViolation(f"table level must lie in [0, {MAX_TABLE_LEVEL}], got {N}")
+    for level in range(N + 1):
+        entries = _amn_entries(level)
+    return CoefficientTable(level=N, entries=entries)
 
 
 def _amn_sum(N: int, z, d):
@@ -140,7 +157,7 @@ def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
     k = split.k
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
-    osc = cmath.exp(1j * phase_mod.t_phase(t, p.lam, k))
+    osc = phase_mod.split_oscillation(derive(p), split)
     try:
         acc = _amn_sum(j - 1, z0, big_d)
         value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import BranchViolation
-from .params import DerivedParams, endpoint_offset
+from .params import DerivedParams, Split, endpoint_offset
 
 # Points closer than this to a branch cut are rejected outright.
 CUT_GUARD = 1e-13
@@ -87,18 +87,51 @@ def t_phase(t: float, lam: float, k: float) -> float:
     return t * big_f(1.0 - k, lam).real
 
 
+def _endpoint_oscillation(d: DerivedParams) -> complex:
+    """exp(i t F(1 - t^(delta-1); lambda)), from t_phase at the left endpoint:
+    the one place the routes form a t-sized phase."""
+    return cmath.exp(1j * t_phase(d.t, d.lam, endpoint_offset(d.t, d.delta)))
+
+
 def endpoint_prefactor(d: DerivedParams) -> complex:
     """Factor relating the offset-frame integral to the original one:
 
     J = (lambda_c/(1+lambda_c))^(1/2) (1+lambda_c)^(1/2-sigma)
         * exp(i t F(1 - t^(delta-1); lambda)) * J_tilde
 
-    The exponent is t_phase at the left endpoint, the one place the routes
-    form it; it equals t f0/(1+lambda_c) by the ExponentIdentity identity.
+    The exponent is t_phase at the left endpoint; it equals
+    t f0/(1+lambda_c) by the ExponentIdentity identity.
     """
     lc = d.lambda_c
     mod = math.sqrt(lc / (1.0 + lc)) * (1.0 + lc) ** (0.5 - d.sigma)
-    return mod * cmath.exp(1j * t_phase(d.t, d.lam, endpoint_offset(d.t, d.delta)))
+    return mod * _endpoint_oscillation(d)
+
+
+def split_phase_tail(d: DerivedParams, a: float) -> float:
+    """The a-only part of the split point's phase relative to the endpoint,
+
+        t^d (1-a) log(1-a) + (t - t^d (1-a)) log(1 + a lambda_c),
+
+    with t^d = t^delta; it is O(a^2 t^delta), from terms of size a t^delta.
+    """
+    td = d.t**d.delta
+    lc = d.lambda_c
+    return td * (1.0 - a) * math.log1p(-a) + (d.t - td * (1.0 - a)) * math.log1p(a * lc)
+
+
+def split_oscillation(d: DerivedParams, split: Split) -> complex:
+    """exp(i t F(1-k; lambda)) at the split point z = 1-k of split.
+
+    The endpoint's oscillation, shared with endpoint_prefactor, times
+    exp(i Delta): for k = t^(delta-1) (1-a) the phase difference
+    Delta = t (F(1-k) - F(1-t^(delta-1))) collapses algebraically to
+    t^d a log(1+Lambda) + split_phase_tail(d, a), from the split's own a.
+    Delta is O(t^delta a log(1+Lambda)), not t-sized, so the value divided
+    by endpoint_prefactor keeps no rounding of a second t-sized phase.
+    """
+    a = split.a
+    delta_phase = d.t**d.delta * a * math.log1p(d.Lambda) + split_phase_tail(d, a)
+    return _endpoint_oscillation(d) * cmath.exp(1j * delta_phase)
 
 
 def d_f(z, lam: float):

@@ -32,6 +32,7 @@ from endpoint_uniform import (
     jb1_main,
     jb1_oracle,
     jb_oracle,
+    jtilde_oracle,
     leading_order,
     leading_order_large_omega,
     phase_difference_residual,
@@ -282,6 +283,25 @@ class TestCorollary:
     def test_method_tag(self):
         ap = corollary_leading(from_offset(1e6, 0.5, 0.5, 0.5))
         assert ap.method is Method.COROLLARY_LEADING
+
+
+class TestSplitRoutesInTheOffsetFrame:
+    """Divided by endpoint_prefactor, the split routes carry no t-sized phase
+    of their own, so their error against jtilde_oracle falls with t."""
+
+    @pytest.mark.parametrize("Lam", (0.5, 10.0))
+    def test_error_against_jtilde_oracle_falls_with_t(self, Lam):
+        errs = {"corollary": [], "all-orders": []}
+        for t in (1e10, 1e12, 1e14):
+            p = from_offset(t, 0.5, 0.5, Lam)
+            pref = endpoint_prefactor(derive(p))
+            jt = jtilde_oracle(p, tol=1e-13).value
+            for name, ap in (("corollary", corollary_leading(p)),
+                             ("all-orders", all_orders(p, 4))):
+                errs[name].append(abs(ap.value / pref - jt) / abs(jt))
+        for name, (e10, e12, e14) in errs.items():
+            assert e10 > e12 > e14, (name, errs[name])
+            assert e14 <= 1.3e-3, (name, errs[name])
 
 
 class TestPhaseResidual:

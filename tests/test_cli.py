@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib.metadata import (
     EntryPoint,
     PackageNotFoundError,
@@ -36,6 +37,7 @@ from endpoint_uniform import (
 )
 from endpoint_uniform import cli, harness, phase
 from endpoint_uniform.cli import main
+from endpoint_uniform.ibp import MAX_TABLE_LEVEL
 
 SCRIPT = "endpoint-uniform"
 ROOT = Path(__file__).resolve().parents[1]
@@ -466,6 +468,16 @@ class TestTerms:
         code, out, err = run(capsys, "terms", *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "OrderViolation"
+
+    @pytest.mark.parametrize("level", ["100000000", "300"])
+    def test_table_level_above_the_cap_is_refused_at_once(self, capsys, level):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "terms", "--N", level)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "OrderViolation",
+            "message": f"table level must lie in [0, {MAX_TABLE_LEVEL}], got {level}"}
 
     def test_overflowing_term_is_numerical_error(self, capsys):
         code, out, err = run(capsys, "terms", "--t", "1e8", "--Lambda", "0.5",

@@ -1,10 +1,13 @@
-import cmath
+import inspect
 import math
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from endpoint_uniform.ibp import MAX_TABLE_LEVEL, _amn_entries
 from endpoint_uniform import (
     AssumptionViolated,
     OrderViolation,
@@ -93,6 +96,26 @@ class TestCoefficientTables:
         with pytest.raises(OrderViolation):
             amn_table(-1)
 
+    def test_level_above_the_cap_refused_before_building(self):
+        built = _amn_entries.cache_info().currsize
+        with pytest.raises(OrderViolation, match=f"\\[0, {MAX_TABLE_LEVEL}\\], got 100000000"):
+            amn_table(100_000_000)
+        with pytest.raises(OrderViolation):
+            amn_table(MAX_TABLE_LEVEL + 1)
+        assert _amn_entries.cache_info().currsize == built
+
+    def test_levels_built_in_a_loop(self):
+        # from an empty cache, level 30 needs no more than a few frames of
+        # recursion, where a level-by-level recursion would need 30
+        _amn_entries.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 20)
+        try:
+            table = amn_table(30)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert table.level == 30 and _amn_entries.cache_info().currsize == 31
+
 
 class TestOperator:
     T, LAM = 5e3, 0.02
@@ -143,13 +166,32 @@ def split_setup():
     return p, dd
 
 
+EPS = 2.0**-52
+
+
+def _term_mp(j, p, k, table):
+    """T_j = k^(-(2j-1)/2) / ((-it)^j D^j) sum A_mn (1-k)^(-m) D^(-n) e^(i t F(1-k))
+    at 30 digits from the doubles t, lambda and k, for the table {(m, n): A_mn}.
+
+    Returns the value and the phase floor 64 eps |t F(1-k)|, the relative
+    error that no double rounding of exp(i t F(1-k)) can beat.
+    """
+    with mp.workdps(30):
+        t, lam, k = mp.mpf(p.t), mp.mpf(p.lam), mp.mpf(k)
+        phase = t * (k * mp.log(k) + (1 - k) * mp.log((1 - k) * lam))
+        D = mp.log(lam * (1 - k) / k)
+        acc = mp.fsum(mp.mpf(val.numerator) / val.denominator * (1 - k) ** (-m) * D ** (-n)
+                      for (m, n), val in table.items())
+        value = k ** (-mp.mpf(2 * j - 1) / 2) / ((-1j * t) ** j * D**j) * acc * mp.expj(phase)
+        return complex(value), 64 * EPS * float(abs(phase))
+
+
 def test_first_boundary_term_closed_form(split_setup):
+    # at j = 1 the table is A_00 = 1, so T_1 = i e^(i t F(1-k)) / (t sqrt(k) D)
     p, dd = split_setup
-    k = dd.k
-    D = math.log(p.lam * (1 - k) / k)
-    expect = 1j * cmath.exp(1j * p.t * big_f(1 - k, p.lam)) / (p.t * math.sqrt(k) * D)
+    expect, floor = _term_mp(1, p, dd.k, {(0, 0): Fraction(1)})
     term = t_term(1, p, dd)
-    assert abs(term.value - expect) < 1e-14 * abs(expect)
+    assert abs(term.value - expect) < floor * abs(expect)
     assert term.j == 1
 
 
@@ -287,20 +329,10 @@ def test_table_feeds_term_values(split_setup):
     # recomputing T_2 with one corrupted coefficient must move the value;
     # guards that the tables actually drive the computation
     p, dd = split_setup
-    k = dd.k
-    D = math.log(p.lam * (1 - k) / k)
-    osc = cmath.exp(1j * p.t * complex(big_f(1 - k, p.lam)).real)
     j = 2
     table = amn_table(j - 1).as_dict()
-
-    def assemble(entries):
-        acc = 0.0 + 0.0j
-        for (m, n), val in entries.items():
-            acc += float(val) * (1 - k) ** (-m) * D ** (-n)
-        return (k ** (-(2 * j - 1) / 2) / ((-1j * p.t) ** j * D ** j)) * acc * osc
-
-    clean = assemble(table)
-    assert abs(clean - t_term(j, p, dd).value) < 1e-13 * abs(clean)
+    clean, floor = _term_mp(j, p, dd.k, table)
+    assert abs(clean - t_term(j, p, dd).value) < floor * abs(clean)
     corrupted = dict(table)
     corrupted[(1, 1)] = table[(1, 1)] * Fraction(101, 100)
-    assert abs(assemble(corrupted) - clean) > 1e-4 * abs(clean)
+    assert abs(_term_mp(j, p, dd.k, corrupted)[0] - clean) > 1e-4 * abs(clean)

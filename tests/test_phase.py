@@ -9,8 +9,10 @@ from endpoint_uniform import phase
 from endpoint_uniform import (
     BranchViolation,
     ProblemParams,
+    Split,
     amp_g,
     big_f,
+    choose_split,
     critical_lambda,
     d_f,
     d_f1,
@@ -19,7 +21,9 @@ from endpoint_uniform import (
     f0,
     f1,
     from_offset,
+    split_from_a,
 )
+from endpoint_uniform.params import corollary_split, endpoint_offset
 from conftest import fit_loglog
 
 # 50-digit arbitrary-precision evaluation of the phase at z=0.75+0.25i,
@@ -162,6 +166,44 @@ def test_exponent_identity_on_grid():
         for Lam in (0.0, 0.5, 2.0):
             p = from_offset(t, 0.5, 0.5, Lam)
             assert exponent_identity_residual(p) <= 1e-9 * t
+
+
+def _mp_split_phases(d, a):
+    """t F(1-k; lambda) at the split k = e (1-a) and at the endpoint k = e, at
+    40 digits from the doubles t, lambda, a and e = endpoint_offset."""
+    with mpmath.workdps(40):
+        t, lam = mpmath.mpf(d.t), mpmath.mpf(d.lam)
+        e = mpmath.mpf(endpoint_offset(d.t, d.delta))
+
+        def t_f(k):
+            return t * (k * mpmath.log(k) + (1 - k) * mpmath.log((1 - k) * lam))
+
+        return t_f(e * (1 - mpmath.mpf(a))), t_f(e)
+
+
+@pytest.mark.parametrize("t", (1e4, 1e8, 1e12, 1e14))
+@pytest.mark.parametrize("Lam", (0.0, 0.5, 10.0))
+def test_split_oscillation_is_the_endpoints_times_the_collapsed_difference(t, Lam):
+    d = derive(from_offset(t, 0.5, 0.5, Lam))
+    for split in (corollary_split(d), choose_split(d, 8), split_from_a(d, 0.1)):
+        at_split, at_end = _mp_split_phases(d, split.a)
+        osc = phase.split_oscillation(d, split)
+        # the whole value: no double rounding of the t-sized phase beats this
+        assert abs(osc - complex(mpmath.expj(at_split))) <= 64 * EPS * float(abs(at_split))
+        # relative to the endpoint: only the collapsed terms' rounding is left
+        td, a, lc = d.t**d.delta, split.a, d.lambda_c
+        terms = (td * a * math.log1p(Lam), td * (1 - a) * math.log1p(-a),
+                 (d.t - td * (1 - a)) * math.log1p(a * lc))
+        ratio = osc / phase._endpoint_oscillation(d)
+        with mpmath.workdps(40):
+            exact = complex(mpmath.expj(at_split - at_end))
+        assert abs(ratio - exact) <= 64 * EPS * (sum(map(abs, terms)) + 1.0)
+
+
+def test_split_oscillation_at_zero_width_is_the_endpoints():
+    d = derive(from_offset(1e14, 0.5, 0.5, 0.5))
+    end = Split(endpoint_offset(d.t, d.delta), 0.0)
+    assert phase.split_oscillation(d, end) == phase._endpoint_oscillation(d)
 
 
 # ---------------------------------------------------------------------------
