@@ -25,7 +25,7 @@ from enum import Enum
 from . import phase as phase_mod
 from .errors import AssumptionViolated, OrderViolation, RegimeMismatch
 from .fresnel import fresnel_segment, fresnel_tail
-from .ibp import jb2_series, rn_bound
+from .ibp import MAX_TABLE_LEVEL, jb2_series, rn_bound
 from .params import (ProblemParams, Split, check_half_sigma, choose_split,
                      corollary_split, derive, endpoint_offset)
 
@@ -144,7 +144,7 @@ def jb1_main(p: ProblemParams, a: float) -> complex:
 
 
 def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approximation:
-    """Split-contour expansion of order m >= 4 (sigma = 1/2).
+    """Split-contour expansion of order 4 <= m <= MAX_TABLE_LEVEL + 4 (sigma = 1/2).
 
     Ray-piece boundary terms j = 1..m-3 plus the segment main term; the
     budget carries the two coefficient-1 remainders (remainder of the
@@ -152,12 +152,13 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
     The contour splits at split, by default at choose_split's for order m.
     """
     check_half_sigma(p.sigma, "all_orders")
-    if m < 4:
-        raise OrderViolation(f"expansion order must be >= 4, got {m}")
+    # term m-3 reads the level-(m-4) table
+    if not 4 <= m <= MAX_TABLE_LEVEL + 4:
+        raise OrderViolation(f"expansion order m must lie in [4, {MAX_TABLE_LEVEL + 4}], got {m}")
     d = derive(p)
     if split is None:
         split = choose_split(d, m)
-    series_value, _terms, _series_bound = jb2_series(p, split, m - 3)
+    series_value, _terms, _series_bound = jb2_series(p, split, m - 3, d)
     seg = jb1_main(p, split.a)
     budget = [
         ("R-term", rn_bound(2 * m - 2, p, split)),

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import AssumptionViolated, NumericalError, OrderViolation, SingularPoint
-from .params import ProblemParams, Split, check_half_sigma, check_split_point, derive
+from .params import (DerivedParams, ProblemParams, Split, check_half_sigma, check_split_point,
+                     derive)
 
 
 def double_factorial(n: int) -> int:
@@ -153,11 +154,15 @@ def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
     check_split_point(p.t, p.delta, split.k)
     if j < 1:
         raise OrderViolation(f"term index must be >= 1, got {j}")
+    return _term(j, p, split, phase_mod.split_oscillation(derive(p), split))
+
+
+def _term(j: int, p: ProblemParams, split: Split, osc: complex) -> ExpansionTerm:
+    """t_term's term, given osc = phase.split_oscillation at the split."""
     t = p.t
     k = split.k
     z0 = 1.0 - k
     big_d = complex(phase_mod.d_f(z0, p.lam))
-    osc = phase_mod.split_oscillation(derive(p), split)
     try:
         acc = _amn_sum(j - 1, z0, big_d)
         value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
@@ -189,18 +194,22 @@ def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
                              f"at t={t:.6g}") from None
 
 
-def jb2_series(p: ProblemParams, split: Split, j_max: int):
+def jb2_series(p: ProblemParams, split: Split, j_max: int, d: DerivedParams | None = None):
     """Partial sum of boundary terms plus its truncation bound.
 
     Returns (value, terms, bound) with bound = rn_bound(j_max + 1): the
     remainder after j_max kept terms contains everything from index
-    j_max + 1 on.
+    j_max + 1 on.  d is derive(p), derived here unless the caller holds it;
+    the split point's oscillation is formed once for all the terms.  Term j
+    reads the level-(j-1) table, so j_max above MAX_TABLE_LEVEL + 1 is
+    refused before any term is formed.
     """
     check_half_sigma(p.sigma, "jb2_series")
     check_split_point(p.t, p.delta, split.k)
-    if j_max < 0:
-        raise OrderViolation(f"j_max must be >= 0, got {j_max}")
-    terms = [t_term(j, p, split) for j in range(1, j_max + 1)]
+    if not 0 <= j_max <= MAX_TABLE_LEVEL + 1:
+        raise OrderViolation(f"j_max must lie in [0, {MAX_TABLE_LEVEL + 1}], got {j_max}")
+    osc = phase_mod.split_oscillation(derive(p) if d is None else d, split)
+    terms = [_term(j, p, split, osc) for j in range(1, j_max + 1)]
     value = sum((term.value for term in terms), 0.0 + 0.0j)
     bound = rn_bound(j_max + 1, p, split)
     return value, terms, bound

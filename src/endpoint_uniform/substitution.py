@@ -7,22 +7,22 @@ The variable u is defined implicitly by
 which maps the curved phase f1 onto an exact quadratic; u ~ zeta near 0.  The
 forward map u_of_zeta is the root of that quadratic in closed form, free of
 cancellation, on the domain its docstring states; the inverse zeta_of_u is
-solved by Newton.  The integral then decomposes as
+Newton on that forward map, from zeta = u.  The integral then decomposes as
 Jtilde = F(0) Phi(0) + int_0^{inf e^{i pi/4}} F'(u) Phi(u) du with
 F(u) = g(zeta(u)) dzeta/du, F(0) = 1, and Phi an incomplete Gaussian-phase
 tail with closed form through the Fresnel tail.  decomposition_residual checks
 that identity end to end against direct quadrature.
 
 zeta_of_u, amp_F and phi_closed take scalars or arrays.  The inversion runs
-its continuation stages and its Newton iterations per element under masks,
-so one GK15 batch of the ray quadrature costs one call.  F' comes from
-differentiating the defining relation, not from differences:
+its Newton iteration per element under masks, so one GK15 batch of the ray
+quadrature costs one call.  F' comes from differentiating the defining
+relation, not from differences:
 
     F' = g'(zeta) zeta'^2 + g(zeta) zeta'',
     zeta'' = (lambda_c (1+lambda_c) - f1''(zeta) zeta'^2) / f1'(zeta).
 
 Near the origin f1'(zeta) ~ lambda_c (log(1+Lambda) + (1+lambda_c) zeta) is
-small, and at or near Lambda = 0 both the Newton residual and these forms
+small, and at or near Lambda = 0 both the Newton step and these forms
 cancel catastrophically.  For small |u| the map and its derivatives are
 therefore solved for zeta - u from the Taylor series of f1 (_near_map),
 uniformly in Lambda >= 0.
@@ -48,18 +48,11 @@ from .quadrature import _gaussian_frame, integrate_ray, jtilde_oracle, ray_trunc
 _SERIES_TERMS = 32
 # the tolerance of both quadratures in decomposition_residual
 DECOMPOSITION_TOL = 1e-7
-# the length in |u| of one continuation stage of zeta_of_u
-_STAGE = 0.5
 
 
 def _quad(d: DerivedParams):
     """Coefficients (a, b) of the quadratic (a/2) u^2 + b u that f1 maps onto."""
     return d.lambda_c * (1.0 + d.lambda_c), d.lambda_c * math.log1p(d.Lambda)
-
-
-def _rhs(u, d: DerivedParams):
-    a, b = _quad(d)
-    return 0.5 * a * u * u + b * u
 
 
 def u_of_zeta(zeta, d: DerivedParams) -> complex:
@@ -162,55 +155,50 @@ def _near_map(u, d: DerivedParams):
     return zeta, 1.0 + delta, d2
 
 
-def _newton(zeta, rhs, d: DerivedParams, u):
-    """Newton with backtracking on f1(zeta) = rhs, elementwise under masks."""
-    lc, lam = d.lambda_c, d.Lambda
-    tol = 1e-13 * (1.0 + np.abs(rhs))
-    res = phase_mod.f1(zeta, lc, lam) - rhs
-    for iteration in range(51):
-        live = np.flatnonzero(~(np.abs(res) < tol))
+def _newton(u, d: DerivedParams):
+    """Newton on the forward map U(zeta) = u from zeta = u, under masks.
+
+    U is u_of_zeta's root 2 f1 / (b + r), r = sqrt(b^2 + 2 a f1) = a U + b,
+    so dU/dzeta = f1'(zeta) / r and the step is zeta <- zeta - (U - u) r / f1'.
+    An element stops once |U(zeta) - u| <= 1e-13 |u|, after taking that step,
+    which brings zeta to the precision of f1 itself (the derivatives of the
+    map want no less).  NewtonDivergence is raised after 50 steps.
+    """
+    a, b = _quad(d)
+    zeta = u.copy()
+    live = np.arange(u.size)
+    for _ in range(50):
+        z, ul = zeta[live], u[live]
+        f = phase_mod.f1(z, d.lambda_c, d.Lambda)
+        root = np.sqrt(b * b + 2.0 * a * f)
+        res = 2.0 * f / (b + root) - ul
+        zeta[live] = z - res * root / phase_mod.d_f1(z, d.lambda_c, d.Lambda)
+        # a nan residual never passes, so it too ends in NewtonDivergence
+        going = ~(np.abs(res) <= 1e-13 * np.abs(ul))
+        live, res = live[going], res[going]
         if live.size == 0:
             return zeta
-        if iteration == 50:
-            i = live[0]
-            raise NewtonDivergence(f"Newton stalled at u={u[i]}, residual {abs(res[i]):.3e}")
-        z, r, target = zeta[live], res[live], rhs[live]
-        dz = r / phase_mod.d_f1(z, lc, lam)
-        step = np.ones(live.size)
-        trial = z - dz
-        tres = phase_mod.f1(trial, lc, lam) - target
-        for _ in range(29):
-            back = np.flatnonzero(~(np.abs(tres) < np.abs(r)))
-            if back.size == 0:
-                break
-            step[back] *= 0.5
-            trial[back] = z[back] - step[back] * dz[back]
-            tres[back] = phase_mod.f1(trial[back], lc, lam) - target[back]
-        stuck = ~(np.abs(tres) < np.abs(r))
-        if np.any(stuck):
-            i = int(np.argmax(stuck))
-            raise NewtonDivergence(
-                f"no descent direction at u={u[live[i]]}, residual {abs(r[i]):.3e}"
-            )
-        zeta[live] = trial
-        res[live] = tres
+    raise NewtonDivergence(f"Newton stalled at u={u[live[0]]}, residual {abs(res[0]):.3e}")
 
 
 def zeta_of_u(u, d: DerivedParams):
-    """Invert the map by Newton on f1(zeta) = rhs(u), seeded along the ray.
+    """Invert the map by Newton on the forward map u_of_zeta, from zeta = u.
 
-    u may be a scalar or an array; each element runs its own continuation
-    in |u|, in stages of length at most _STAGE, and its own Newton iteration,
-    under masks.  Each stage starts from the tangent predictor
-    zeta + zeta' (u - u_prev), with zeta' from _zeta_prime at the previous
-    stage, and 1 at the origin (Euler-Newton continuation; Allgower & Georg
-    1990).  NewtonDivergence is raised if any element fails.  Small |u| is
-    solved by _near_map instead.
+    u may be a scalar or an array; NewtonDivergence is raised if any element
+    fails.  Small |u| is solved by _near_map instead: there f1'(zeta) is
+    tiny and, at Lambda = 0, the forward map is 0/0 once f1 underflows.
 
-    Domain: the pi/4 ray, the only ray that decomposition_residual integrates
-    along.  Off it the continued root can run into the cut zeta >= 1 of f1
-    (at +-30 degrees, near |u| = 2.85), and from |u| ~ 2.9 there Newton may
-    land on a root that is not the continued branch, without raising.
+    Domain: the pi/4 ray, the only ray that decomposition_residual
+    integrates along; every ray it integrates ends by |u| = 4.  Further out
+    the continued root meets the cut zeta >= 1 of f1, at |u| = 5.35
+    (t = 50, Lambda = 0), 5.0 (t = 200, Lambda = 0), 5.25 (t = 200,
+    Lambda = 0.5) and 8.65 (t = 1e4, Lambda = 10); there Newton reaches a
+    root across the real axis from u, or none, and raises.  At t = 1e8
+    (Lambda = 0 and 0.5) it raises from |u| ~ 4.8.  On the negative axis
+    the map has a critical point at u = -b/a; past it there is no root, and
+    next to it Newton zigzags across the fold (at t = 200, Lambda = 0.1,
+    u = -f b/a converges up to f = 0.991, in 45 steps at f = 0.99, and not
+    in 50 from f ~ 0.9913): both raise.
     """
     flat = _as_flat(u)
     zeta = np.zeros_like(flat)
@@ -219,29 +207,20 @@ def zeta_of_u(u, d: DerivedParams):
         zeta[near] = _near_map(flat[near], d)[0]
     todo = np.flatnonzero((flat != 0.0) & ~near)
     if todo.size:
-        lc, lam = d.lambda_c, d.Lambda
         uu = flat[todo]
-        n_stage = np.maximum(1, np.ceil(np.abs(uu) / _STAGE)).astype(int)
-        z = np.zeros_like(uu)
-        u_prev = np.zeros_like(uu)
-        for stage in range(1, int(n_stage.max()) + 1):
-            live = np.flatnonzero(n_stage >= stage)
-            ut = uu[live] * (stage / n_stage[live])
-            zl, ul = z[live], u_prev[live]
-            slope = 1.0 if stage == 1 else _zeta_prime(ul, phase_mod.d_f1(zl, lc, lam), d)
-            z[live] = _newton(zl + slope * (ut - ul), _rhs(ut, d), d, uu[live])
-            u_prev[live] = ut
-        # one more step: the stopping test is absolute, the derivatives of
-        # the map want zeta to the precision of f1 itself
-        res = phase_mod.f1(z, lc, lam) - _rhs(uu, d)
-        zeta[todo] = z - res / phase_mod.d_f1(z, lc, lam)
+        z = _newton(uu, d)
+        # For Re u >= 0 the quadratic rhs(s u) = s^2 (a/2) u^2 + s b u has
+        # Im = s^2 (a/2) Im(u^2) + s b Im u of the sign of Im u for
+        # 0 < s <= 1 (at Re u = b = 0 it is 0, but then rhs < 0 <= f1 on the
+        # real axis), and f1 is real on (-1/lambda_c, 1), so the root
+        # continued from 0 along s u never crosses the real axis.  A root on
+        # the other side solves the equation but is off the continued branch.
+        across = (uu.real >= 0.0) & (z.imag * uu.imag < 0.0)
+        if across.any():
+            raise NewtonDivergence(f"Newton reached zeta={z[across][0]} at u={uu[across][0]}, "
+                                   "across the real axis from u: a root off the branch")
+        zeta[todo] = z
     return _shaped(u, zeta)
-
-
-def _zeta_prime(u, f1p, d: DerivedParams):
-    """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c) at u,
-    given f1' at zeta(u): the derivative of f1(zeta(u)) = rhs(u)."""
-    return (math.log1p(d.Lambda) + (1.0 + d.lambda_c) * u) / (f1p / d.lambda_c)
 
 
 def _map(u, d: DerivedParams):
@@ -268,7 +247,7 @@ def _map(u, d: DerivedParams):
     f1p = phase_mod.d_f1(zf, lc, d.Lambda)
     f1pp = lc * (lc / (1.0 + lc * zf) + 1.0 / (1.0 - zf))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = _zeta_prime(uf, f1p, d)
+        s1 = (math.log1p(d.Lambda) + (1.0 + lc) * uf) / (f1p / lc)
         s2 = (_quad(d)[0] - f1pp * s1 * s1) / f1p
     zeta[far], d1[far], d2[far] = zf, s1, s2
     zero = u == 0.0

@@ -35,7 +35,7 @@ from endpoint_uniform import (
     select_phi,
     split_from_a,
 )
-from endpoint_uniform import cli, harness, phase
+from endpoint_uniform import cli, harness, ibp, phase
 from endpoint_uniform.cli import main
 from endpoint_uniform.ibp import MAX_TABLE_LEVEL
 
@@ -93,6 +93,17 @@ class TestEval:
         assert flags["m"] == 5
         assert flags["delta"] == 0.5
         assert "func" not in flags
+
+    def test_order_above_the_table_cap_is_refused_by_name(self, capsys, monkeypatch):
+        # term m-3 reads the level-(m-4) table, so m = MAX_TABLE_LEVEL + 4 is
+        # the last order; above it no term is formed
+        monkeypatch.setattr(ibp, "_amn_sum", lambda *args: pytest.fail("term formed"))
+        code, out, err = run(capsys, "eval", "--method", "all-orders", "--m", "100",
+                             "--t", "1e4", "--Lambda", "0.5")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "OrderViolation",
+            "message": f"expansion order m must lie in [4, {MAX_TABLE_LEVEL + 4}], got 100"}
 
     def test_oracle_method_is_refused(self, capsys):
         # the direct quadrature runs as oracle --piece whole
@@ -478,6 +489,17 @@ class TestTerms:
         assert json.loads(err) == {
             "error": "OrderViolation",
             "message": f"table level must lie in [0, {MAX_TABLE_LEVEL}], got {level}"}
+
+    def test_j_max_above_the_table_cap_is_refused_by_name(self, capsys, monkeypatch):
+        # term j reads the level-(j-1) table, so j_max = MAX_TABLE_LEVEL + 1
+        # is the last; above it no term is formed
+        monkeypatch.setattr(ibp, "_amn_sum", lambda *args: pytest.fail("term formed"))
+        code, out, err = run(capsys, "terms", "--t", "1e4", "--Lambda", "0.5",
+                             "--j-max", "100")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "OrderViolation",
+            "message": f"j_max must lie in [0, {MAX_TABLE_LEVEL + 1}], got 100"}
 
     def test_overflowing_term_is_numerical_error(self, capsys):
         code, out, err = run(capsys, "terms", "--t", "1e8", "--Lambda", "0.5",

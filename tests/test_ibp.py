@@ -282,6 +282,24 @@ def test_series_single_term_bound_indexing(split_setup):
     assert bound == pytest.approx(rn_bound(2, p, dd), rel=1e-13)
 
 
+def test_series_derives_its_point_once(split_setup, monkeypatch):
+    # the series forms the split point's oscillation once for all its terms,
+    # from derive(p) or from the derived point its caller hands it, and the
+    # terms keep the bits of t_term's
+    from endpoint_uniform import all_orders, ibp
+    p, dd = split_setup
+    want = [t_term(j, p, dd) for j in (1, 2, 3, 4)]
+    calls = []
+    monkeypatch.setattr(ibp, "derive", lambda q: calls.append(q) or derive(q))
+    _, terms, _ = jb2_series(p, dd, 4)
+    assert terms == want and len(calls) == 1
+    calls.clear()
+    _, terms, _ = jb2_series(p, dd, 4, derive(p))
+    assert terms == want and not calls
+    all_orders(p, 7)
+    assert not calls
+
+
 def test_remainder_bound_formula():
     t = 3e4
     p = from_offset(t, 0.5, 0.5, 0.6)

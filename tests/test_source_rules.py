@@ -1,0 +1,52 @@
+"""Rules on the package's source, checked on its syntax trees.
+
+The closed-form routes in asymptotics.py import nothing from the oracle
+module, and only phase.py forms a t-sized phase: outside it, t_phase is called
+only by the exponent-identity check.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "endpoint_uniform"
+
+
+def _imports_quadrature(node):
+    if isinstance(node, ast.ImportFrom):
+        return ("quadrature" in (node.module or "").split(".")
+                or any(a.name == "quadrature" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any("quadrature" in a.name.split(".") for a in node.names)
+    return False
+
+
+def _t_phase_calls():
+    """(file, enclosing top-level name, line) of each t_phase call outside
+    phase.py."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "phase.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                f = getattr(node, "func", None)
+                name = getattr(f, "attr", None) or getattr(f, "id", None)
+                if isinstance(node, ast.Call) and name == "t_phase":
+                    calls.append((path.name, owner, node.lineno))
+    return calls
+
+
+def test_closed_form_routes_import_nothing_from_the_oracle_module():
+    tree = ast.parse((SRC / "asymptotics.py").read_text())
+    lines = [n.lineno for n in ast.walk(tree) if _imports_quadrature(n)]
+    assert not lines, f"asymptotics.py imports from quadrature at line(s) {lines}"
+
+
+def test_only_phase_forms_a_t_sized_phase():
+    calls = _t_phase_calls()
+    allowed = {("asymptotics.py", "exponent_identity_residual")}
+    stray = [c for c in calls if c[:2] not in allowed]
+    assert not stray, f"t_phase called outside phase.py at {stray}"
+    # the walk sees calls at all: the one allowed call is found
+    assert {c[:2] for c in calls} == allowed

@@ -19,7 +19,7 @@ from endpoint_uniform import (
     u_of_zeta,
     zeta_of_u,
 )
-from endpoint_uniform.substitution import _amp_F_prime, _cubic_tail, _horner, _newton, _quad
+from endpoint_uniform.substitution import _amp_F_prime, _cubic_tail, _horner, _quad
 from conftest import fit_loglog
 
 RAY = cmath.exp(1j * math.pi / 4)
@@ -52,16 +52,34 @@ def test_round_trip_along_ray(state):
         assert abs(back - u) < 1e-10 * max(1.0, abs(u))
 
 
-@pytest.mark.parametrize("t", [50.0, 200.0, 1e4, 1e8])
+@pytest.mark.parametrize("t", [50.0, 200.0, 1e4, 1e8, 1e12, 1e14])
 @pytest.mark.parametrize("Lam", [0.0, 0.1, 0.5, 10.0])
 def test_round_trip_along_ray_to_the_last_bits(t, Lam):
     # u = 2 f1 / (b + sqrt(b^2 + 2 a f1)) does not cancel: the subtraction
     # (-b + sqrt(...)) / a lost 1.7e-8 relative at |u| = 1e-8, Lambda = 10.
-    # At Lambda = 0 the round trip is only as good as f1 at small zeta
+    # At Lambda = 0 the round trip is only as good as f1 at small zeta.
+    # Newton on the forward map stops relative to |u|: an absolute 1e-13
+    # stop on f1 lost 2.4e-13 at t = 1e12, r = 0.26 and 1.2e-11 at t = 1e14,
+    # r = 0.4, where f1 ~ lambda_c u^2 is far below 1
     s = derive(from_offset(t, 0.5, 0.5, Lam))
-    for r in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0):
+    for r in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.26, 0.3, 0.4, 0.5, 1.0, 2.0):
         u = r * RAY
         assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) <= 1e-15 * r, r
+
+
+@pytest.mark.parametrize("t", [200.0, 1e14])
+@pytest.mark.parametrize("Lam", [0.0, 0.5])
+def test_round_trip_on_the_real_segment(t, Lam):
+    # right of the origin the continued root is real, up to zeta = 1 at
+    # u = u_of_zeta(1); past u = 1 Newton starts on the cut of f1 and comes
+    # back to the real root with an imaginary part of rounding size, which
+    # is no root across the real axis
+    s = derive(from_offset(t, 0.5, 0.5, Lam))
+    u = np.linspace(0.01, u_of_zeta(1.0 - 1e-9, s).real, 40)
+    zeta = zeta_of_u(u, s)
+    assert np.all(np.abs(zeta.imag) <= 1e-15)
+    for x, z in zip(u, zeta):
+        assert abs(u_of_zeta(z, s) - x) <= 1e-15 * x, x
 
 
 def test_round_trip_other_direction(state):
@@ -232,7 +250,7 @@ def test_array_calls_equal_scalar_calls(Lam):
 
 
 def test_array_path_raises_when_one_element_diverges(state):
-    # no root continues to u = 3 on the real axis: Newton finds no descent
+    # no root continues to u = 3 on the real axis: Newton does not converge
     u = np.array([0.1 * RAY, 0.5 * RAY, 3.0])
     with pytest.raises(NewtonDivergence, match=r"u=\(3\+0j\)"):
         zeta_of_u(u, state)
@@ -243,12 +261,35 @@ def test_array_path_raises_when_one_element_diverges(state):
 
 def test_round_trip_next_to_the_critical_point():
     # u -> -b/a on the negative axis is where f1'(zeta) vanishes; the
-    # near-origin solve must leave such points to the Newton continuation
+    # near-origin solve must leave such points to Newton.  From zeta = u
+    # Newton zigzags across the fold there: f = 0.99 takes 45 of its 50
+    # steps (the same 45 for f and Lambda moved by up to 3e-12 relative)
     s = derive(from_offset(200.0, 0.5, 0.5, 0.1))
     quad_a, quad_b = _quad(s)
     for f in (0.3, 0.9, 0.99):
         u = -f * quad_b / quad_a
         assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) < 1e-10
+
+
+@pytest.mark.parametrize("f", [1.001, 1.1])
+def test_no_root_past_the_critical_point(f):
+    # on the real axis a U + b = sqrt(b^2 + 2 a f1) >= 0, so u < -b/a has no
+    # root: the call raises rather than return a zeta that maps elsewhere
+    s = derive(from_offset(200.0, 0.5, 0.5, 0.1))
+    quad_a, quad_b = _quad(s)
+    with pytest.raises(NewtonDivergence, match="Newton stalled"):
+        zeta_of_u(-f * quad_b / quad_a, s)
+
+
+def test_a_root_across_the_real_axis_is_refused(state_critical):
+    # at t = 200, Lambda = 0 the continued root meets the cut zeta >= 1 at
+    # |u| = 5.0 (30-digit continuation); Newton from zeta = u then reaches
+    # the root -4.34 - 6.43i, which solves the quadratic but lies across the
+    # real axis from u, so it is off the continued branch
+    with pytest.raises(NewtonDivergence, match="across the real axis"):
+        zeta_of_u(5.1 * RAY, state_critical)
+    with pytest.raises(NewtonDivergence, match="across the real axis"):
+        zeta_of_u(np.array([0.5, 5.1]) * RAY, state_critical)
 
 
 def mp_zeta_along_ray(s, radii, dps=30):
@@ -281,10 +322,11 @@ def mp_zeta_along_ray(s, radii, dps=30):
 @pytest.mark.parametrize("t", [50.0, 1e4, 1e8])
 @pytest.mark.parametrize("Lam", [0.0, 0.1, 10.0])
 def test_zeta_of_u_matches_a_30_digit_continuation(t, Lam):
-    # the predictor-corrector stages must land on the root continued from
-    # u = 0, to the precision of f1, on the pi/4 ray out to |u| = 3.5
+    # Newton from zeta = u must land on the root continued from u = 0, to
+    # the precision of f1, on the pi/4 ray out to |u| = 4, the largest end
+    # of a ray that decomposition_residual integrates (t = 50, Lambda = 0)
     s = derive(from_offset(t, 0.5, 0.5, Lam))
-    radii = np.linspace(0.26, 3.5, 300)[::23]
+    radii = np.linspace(0.26, 4.0, 300)[::23]
     want = mp_zeta_along_ray(s, [float(r) for r in radii])
     got = zeta_of_u(radii * RAY, s)
     for r, g, w in zip(radii, got, want):
@@ -300,18 +342,16 @@ def test_horner_gives_the_bits_of_polyval():
             assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
 
-def test_tangent_predictor_saves_newton_steps(monkeypatch):
-    # 50 points on the ray to |u| = 2.5 take 5 stages each.  From the tangent
-    # predictor the three batches below take 64 f1 calls; from the identity
-    # shift zeta + du at the same stages they take 76, and at the former
-    # stages of 0.25, 139
+def test_newton_from_zeta_equal_u_is_cheap(monkeypatch):
+    # 50 points on the ray to |u| = 2.5 in three batches: Newton on the
+    # forward map from zeta = u takes 15 f1 calls, one per step of a batch
     calls = []
     f1 = phase.f1
     monkeypatch.setattr(phase, "f1", lambda *args: calls.append(1) or f1(*args))
     u = np.linspace(0.3, 2.5, 50) * RAY
     for t, Lam in ((200.0, 0.0), (200.0, 1.0), (1e6, 0.5)):
         zeta_of_u(u, derive(from_offset(t, 0.5, 0.5, Lam)))
-    assert len(calls) <= 66
+    assert len(calls) <= 16
 
 
 def test_u_of_zeta_at_the_origin_is_zero(state, state_critical):
@@ -331,10 +371,15 @@ def test_u_of_zeta_picks_the_branch_at_the_degenerate_start(state_critical):
 
 
 def test_newton_stalls_after_50_descending_steps(state, monkeypatch):
-    # each step shrinks the residual by 1e-3 only: it keeps descending, so no
-    # backtrack fails, but it does not converge in 50 iterations
-    monkeypatch.setattr(phase, "f1", lambda zeta, lc, Lam: zeta)
-    monkeypatch.setattr(phase, "d_f1", lambda zeta, lc, Lam: 1e3 * np.ones_like(zeta))
+    # with f1 = rhs(zeta - 0.1) the forward map is U(zeta) = zeta - 0.1, and
+    # a derivative 1e3 too large shrinks each step, and the residual, by
+    # 1e-3 only: it does not converge in 50 steps
+    quad_a, quad_b = _quad(state)
+    shift = lambda zeta: zeta - 0.1
+    monkeypatch.setattr(phase, "f1", lambda zeta, lc, Lam:
+                        shift(zeta) * (quad_b + 0.5 * quad_a * shift(zeta)))
+    monkeypatch.setattr(phase, "d_f1", lambda zeta, lc, Lam:
+                        1e3 * (quad_b + quad_a * shift(zeta)))
     u = np.array([0.5 * RAY, 0.7 * RAY])
-    with pytest.raises(NewtonDivergence, match="Newton stalled at u="):
-        _newton(np.zeros(2, dtype=complex), np.array([1.0, 2.0], dtype=complex), state, u)
+    with pytest.raises(NewtonDivergence, match=r"Newton stalled at u=.*residual 9\.5"):
+        zeta_of_u(u, state)
