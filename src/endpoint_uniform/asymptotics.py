@@ -26,7 +26,7 @@ from . import phase as phase_mod
 from .errors import AssumptionViolated, OrderViolation, RegimeMismatch
 from .fresnel import fresnel_segment, fresnel_tail
 from .ibp import MAX_TABLE_LEVEL, jb2_series, rn_bound
-from .params import (ProblemParams, Split, check_half_sigma, choose_split,
+from .params import (DerivedParams, ProblemParams, Split, check_half_sigma, choose_split,
                      corollary_split, derive, endpoint_offset)
 
 OMEGA_THRESHOLD_DEFAULT = 5.0
@@ -120,10 +120,11 @@ def leading_order_large_omega(p: ProblemParams) -> Approximation:
     )
 
 
-def jb1_main(p: ProblemParams, a: float) -> complex:
+def jb1_main(p: ProblemParams, a: float, d: DerivedParams | None = None) -> complex:
     """First-order form of the segment piece (sigma = 1/2): leading_order's
     factors, with the Fresnel integral over the segment's image, from omega
-    to omega + a sqrt(lambda_c t/2), in place of the tail.
+    to omega + a sqrt(lambda_c t/2), in place of the tail.  d is derive(p),
+    derived here unless the caller holds it.
 
     Valid when t^(-delta/2) << a << t^(-delta/3); enforced with margin
     factors of 10 on each side, since at desk scale the strict inequalities
@@ -136,7 +137,8 @@ def jb1_main(p: ProblemParams, a: float) -> complex:
         raise AssumptionViolated(
             f"a={a:.3e} outside ({lo:.3e}/10, 10*{hi:.3e})"
         )
-    d = derive(p)
+    if d is None:
+        d = derive(p)
     scale = math.sqrt(2.0 / (d.lambda_c * p.t))
     w2 = d.omega + a * math.sqrt(d.lambda_c * p.t / 2.0)
     seg = fresnel_segment(d.omega, w2)
@@ -159,7 +161,7 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
     if split is None:
         split = choose_split(d, m)
     series_value, _terms, _series_bound = jb2_series(p, split, m - 3, d)
-    seg = jb1_main(p, split.a)
+    seg = jb1_main(p, split.a, d)
     budget = [
         ("R-term", rn_bound(2 * m - 2, p, split)),
         ("JB1-term", p.t ** (-0.5 + 1.5 * p.delta) * split.a**4),
@@ -185,10 +187,10 @@ def corollary_leading(p: ProblemParams) -> Approximation:
     t = p.t
     d = derive(p)
     split = corollary_split(d)
-    big_d = math.log(1.0 / split.k - 1.0) + math.log(p.lam)
+    big_d = phase_mod.split_derivative(d, split)
     osc = phase_mod.split_oscillation(d, split)
     term1 = 1j * osc * t ** (-0.5 - p.delta / 2.0) / big_d
-    value = term1 + jb1_main(p, split.a)
+    value = term1 + jb1_main(p, split.a, d)
     budget = [("corollary-remainder", t ** (-0.5 - p.delta / 4.0))]
     return Approximation(
         value=value,

@@ -22,9 +22,10 @@ table evaluated at the split point z = 1-k of a params.Split(k, a),
     T_j = k^{-(2j-1)/2} / ((-it)^j D^j)
           * sum A_mn (1-k)^{-m} D^{-n} * e^{i t F(1-k)},
 
-with D the phase derivative at the split and e^{i t F(1-k)} from
-phase.split_oscillation: the endpoint's oscillation times that of the
-collapsed phase difference, so the term keeps no t-sized phase of its own.
+with D = F'(1-k) from phase.split_derivative, which reads no rounded 1-k,
+and e^{i t F(1-k)} from phase.split_oscillation: the endpoint's oscillation
+times that of the collapsed phase difference, so the term keeps no t-sized
+phase of its own.
 With j_max terms kept the truncation
 error is the (j_max+1)-st remainder, bounded (constant 1) by rn_bound.  Both
 the term bounds and the remainder bound are stated in the split width a, and
@@ -154,15 +155,19 @@ def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
     check_split_point(p.t, p.delta, split.k)
     if j < 1:
         raise OrderViolation(f"term index must be >= 1, got {j}")
-    return _term(j, p, split, phase_mod.split_oscillation(derive(p), split))
+    return _term(j, p, split, *_split_factors(derive(p), split))
 
 
-def _term(j: int, p: ProblemParams, split: Split, osc: complex) -> ExpansionTerm:
-    """t_term's term, given osc = phase.split_oscillation at the split."""
+def _split_factors(d: DerivedParams, split: Split):
+    """The split point's oscillation and phase derivative D, shared by its terms."""
+    return phase_mod.split_oscillation(d, split), phase_mod.split_derivative(d, split)
+
+
+def _term(j: int, p: ProblemParams, split: Split, osc: complex, big_d: float) -> ExpansionTerm:
+    """t_term's term, given _split_factors at the split."""
     t = p.t
     k = split.k
     z0 = 1.0 - k
-    big_d = complex(phase_mod.d_f(z0, p.lam))
     try:
         acc = _amn_sum(j - 1, z0, big_d)
         value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
@@ -177,18 +182,21 @@ def _term(j: int, p: ProblemParams, split: Split, osc: complex) -> ExpansionTerm
 
 
 def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
-    """Magnitude bound (constant 1) for the remainder holding terms j >= N."""
+    """Magnitude bound (constant 1) for the remainder holding terms j >= N,
+
+        (2N-1)!! t^(-N) log(t)^(N+1/2) D_-^(-2N) k^(-(N-1/2)),
+
+    summed in logs, so that no factor under- or overflows where the bound
+    itself is a double; a bound above the doubles raises NumericalError.
+    """
     check_split_point(p.t, p.delta, split.k)
     d_minus = _check_expansion_assumption(p, split)
     t = p.t
+    log_bound = (math.log(double_factorial(2 * N - 1)) - N * math.log(t)
+                 + (N + 0.5) * math.log(math.log(t)) - 2 * N * math.log(d_minus)
+                 - (N - 0.5) * math.log(split.k))
     try:
-        return (
-            double_factorial(2 * N - 1)
-            * t ** (-N)
-            * math.log(t) ** ((2 * N + 1) / 2.0)
-            * d_minus ** (-2 * N)
-            * split.k ** (-(2 * N - 1) / 2.0)
-        )
+        return math.exp(log_bound)
     except OverflowError:
         raise NumericalError(f"remainder bound at order N={N} overflows a double "
                              f"at t={t:.6g}") from None
@@ -200,7 +208,7 @@ def jb2_series(p: ProblemParams, split: Split, j_max: int, d: DerivedParams | No
     Returns (value, terms, bound) with bound = rn_bound(j_max + 1): the
     remainder after j_max kept terms contains everything from index
     j_max + 1 on.  d is derive(p), derived here unless the caller holds it;
-    the split point's oscillation is formed once for all the terms.  Term j
+    the split point's oscillation and D are formed once for all the terms.  Term j
     reads the level-(j-1) table, so j_max above MAX_TABLE_LEVEL + 1 is
     refused before any term is formed.
     """
@@ -208,8 +216,8 @@ def jb2_series(p: ProblemParams, split: Split, j_max: int, d: DerivedParams | No
     check_split_point(p.t, p.delta, split.k)
     if not 0 <= j_max <= MAX_TABLE_LEVEL + 1:
         raise OrderViolation(f"j_max must lie in [0, {MAX_TABLE_LEVEL + 1}], got {j_max}")
-    osc = phase_mod.split_oscillation(derive(p) if d is None else d, split)
-    terms = [_term(j, p, split, osc) for j in range(1, j_max + 1)]
+    factors = _split_factors(derive(p) if d is None else d, split)
+    terms = [_term(j, p, split, *factors) for j in range(1, j_max + 1)]
     value = sum((term.value for term in terms), 0.0 + 0.0j)
     bound = rn_bound(j_max + 1, p, split)
     return value, terms, bound

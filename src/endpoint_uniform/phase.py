@@ -3,8 +3,9 @@
     F(z; lambda) = (1-z) log(1-z) + z log z + z log lambda
 
 with principal logarithms, so F is analytic on C minus the cuts (-inf, 0] and
-[1, inf).  All evaluators here accept scalars or numpy arrays of complex z;
-those of F refuse points on (or within 1e-13 of) a cut rather than silently
+[1, inf).  The evaluators compute on complex arrays only; one wrapper,
+_on_arrays, gives the public ones a Python complex for a Python number.
+Those of F refuse points on (or within 1e-13 of) a cut rather than silently
 picking a side.  Every logarithm is taken from real functions (log, log1p,
 atan2 and a hypot), never through numpy's complex log or power, which are
 slower per node, most of all at |z| near 1, where the oracle nodes sit.
@@ -21,6 +22,7 @@ the transplanted amplitude, normalised to 1 at zeta = 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -34,38 +36,35 @@ CUT_GUARD = 1e-13
 _LOG_SQRT2 = 0.5 * math.log(2.0)
 
 
-def _as_complex(z):
-    return np.asarray(z, dtype=complex)
+def _on_arrays(evaluate):
+    """evaluate(z, ...) on complex arrays of at least one dimension, as the
+    public evaluator: a Python number in gives a Python complex out (each of
+    a pair), a 0-d array a 0-d array, any other array its own shape."""
+    @functools.wraps(evaluate)
+    def public(z, *args, **kwargs):
+        za = np.asarray(z, dtype=complex)
+        out = evaluate(za.reshape(za.shape or (1,)), *args, **kwargs)
+        array = isinstance(z, np.ndarray)
+        vals = [v.reshape(za.shape) if array else complex(v[0])
+                for v in (out if isinstance(out, tuple) else (out,))]
+        return tuple(vals) if isinstance(out, tuple) else vals[0]
+    return public
 
 
-def _complex(z):
-    """z as a complex array, or a scalar as a Python complex (kept in math)."""
-    return _as_complex(z) if isinstance(z, np.ndarray) else complex(z)
-
-
-def _check_cuts(z):
-    """Reject z on the cuts (-inf,0] and [1,inf) of F (within CUT_GUARD).
-
-    A contour off the real axis costs one reduction; a scalar stays in math.
-    """
-    if not isinstance(z, np.ndarray):
-        z = complex(z)
-        if abs(z.imag) < CUT_GUARD and (z.real <= CUT_GUARD or z.real >= 1.0 - CUT_GUARD):
-            raise BranchViolation(f"z={z} lies on or within {CUT_GUARD} of a branch cut")
-        return
-    za = _as_complex(z)
+def _check_cuts(za):
+    """Reject z on the cuts (-inf,0] and [1,inf) of F (within CUT_GUARD); a
+    contour off the real axis costs one reduction."""
     if za.size == 0 or np.abs(za.imag).min() >= CUT_GUARD:
         return
-    on_axis = np.abs(za.imag) < CUT_GUARD
-    zx = za[on_axis] if za.ndim else za
+    zx = za[np.abs(za.imag) < CUT_GUARD]
     bad = (zx.real <= CUT_GUARD) | (zx.real >= 1.0 - CUT_GUARD)
     if bad.any():
-        zb = zx[bad].ravel()[0] if za.ndim else za
-        raise BranchViolation(f"z={zb} lies on or within {CUT_GUARD} of a branch cut")
+        raise BranchViolation(f"z={zx[bad][0]} lies on or within {CUT_GUARD} of a branch cut")
 
 
+@_on_arrays
 def big_f(z, lam: float, sigma=None):
-    """F(z; lambda) with principal logs.  Scalar in, scalar out; arrays pass through.
+    """F(z; lambda) with principal logs.
 
     Given sigma, returns the pair (F, amplitude): the amplitude
     (1-z)^(-1/2) z^(sigma-1/2) of the integral, as one exp of the same two
@@ -74,17 +73,27 @@ def big_f(z, lam: float, sigma=None):
     there.
     """
     _check_cuts(z)
-    za = _complex(z)
-    w, log_w, log_z = _z_logs(za)
-    out = w * log_w + za * log_z + za * math.log(lam)
-    if sigma is None:
-        return out
-    return out, _amplitude(log_w, log_z, sigma)
+    w, log_w, log_z = _z_logs(z)
+    out = w * log_w + z * log_z + z * math.log(lam)
+    return out if sigma is None else (out, _amplitude(log_w, log_z, sigma))
+
+
+def _real_log1p(x: float, w: float) -> float:
+    """_log1p at a real x with w = 1 + x > 0, in the same operations."""
+    s = x * (2.0 + x)
+    return 0.5 * math.log1p(s) if s >= -0.5 else math.log(w)
 
 
 def t_phase(t: float, lam: float, k: float) -> float:
-    """The real t-sized phase t Re F(1-k; lambda) at the point z = 1-k."""
-    return t * big_f(1.0 - k, lam).real
+    """The real t-sized phase t F(z; lambda) at the real point z = 1-k, in
+    big_f's logarithms, branch tests and order of operations: the same bits."""
+    z = 1.0 - k
+    if z <= CUT_GUARD or z >= 1.0 - CUT_GUARD:
+        raise BranchViolation(f"z={z} lies on or within {CUT_GUARD} of a branch cut")
+    w = 1.0 - z
+    log_z = _real_log1p(z - 1.0, z)
+    log_w = math.log(w) if log_z >= -_LOG_SQRT2 else _real_log1p(-z, w)
+    return t * (w * log_w + z * log_z + z * math.log(lam))
 
 
 def _endpoint_oscillation(d: DerivedParams) -> complex:
@@ -109,21 +118,17 @@ def endpoint_prefactor(d: DerivedParams) -> complex:
 
 def split_phase_tail(d: DerivedParams, a: float) -> float:
     """The a-only part of the split point's phase relative to the endpoint,
-
-        t^d (1-a) log(1-a) + (t - t^d (1-a)) log(1 + a lambda_c),
-
-    with t^d = t^delta; it is O(a^2 t^delta), from terms of size a t^delta.
-    """
+    t^d (1-a) log(1-a) + (t - t^d (1-a)) log(1 + a lambda_c) with t^d = t^delta:
+    O(a^2 t^delta), from terms of size a t^delta."""
     td = d.t**d.delta
     lc = d.lambda_c
     return td * (1.0 - a) * math.log1p(-a) + (d.t - td * (1.0 - a)) * math.log1p(a * lc)
 
 
 def split_oscillation(d: DerivedParams, split: Split) -> complex:
-    """exp(i t F(1-k; lambda)) at the split point z = 1-k of split.
-
-    The endpoint's oscillation, shared with endpoint_prefactor, times
-    exp(i Delta): for k = t^(delta-1) (1-a) the phase difference
+    """exp(i t F(1-k; lambda)) at the split point z = 1-k of split: the
+    endpoint's oscillation, shared with endpoint_prefactor, times
+    exp(i Delta).  For k = t^(delta-1) (1-a) the phase difference
     Delta = t (F(1-k) - F(1-t^(delta-1))) collapses algebraically to
     t^d a log(1+Lambda) + split_phase_tail(d, a), from the split's own a.
     Delta is O(t^delta a log(1+Lambda)), not t-sized, so the value divided
@@ -134,20 +139,27 @@ def split_oscillation(d: DerivedParams, split: Split) -> complex:
     return _endpoint_oscillation(d) * cmath.exp(1j * delta_phase)
 
 
+def split_derivative(d: DerivedParams, split: Split) -> float:
+    """D = F'(1-k; lambda) = log((1-k)/k) + log lambda at the split point, as
+    log1p(Lambda) + log1p((e-k)/k) + log1p(-k) - log1p(-e), e = t^(delta-1),
+    from lambda = lambda_c (1+Lambda) and lambda_c = e/(1-e).  e - k is exact
+    for a <= 1/2 (Sterbenz), and no term reads the rounded point 1-k."""
+    e, k = endpoint_offset(d.t, d.delta), split.k
+    return math.log1p(d.Lambda) + math.log1p((e - k) / k) + math.log1p(-k) - math.log1p(-e)
+
+
+@_on_arrays
 def d_f(z, lam: float):
     """dF/dz = log z - log(1-z) + log lambda, from big_f's two logarithms;
     its singular points z = 0 and z = 1 lie on the cuts, which it refuses."""
     _check_cuts(z)
-    za = _complex(z)
-    _w, log_w, log_z = _z_logs(za)
+    _w, log_w, log_z = _z_logs(z)
     return log_z - log_w + math.log(lam)
 
 
 def f0(Lambda: float, lambda_c: float) -> float:
-    """Endpoint value of the phase in the offset frame (real).
-
-    f0 = log(lambda_c (1+Lambda)/(1+lambda_c)) - lambda_c log((1+lambda_c)/lambda_c)
-    """
+    """Endpoint value of the phase in the offset frame (real): f0 =
+    log(lambda_c (1+Lambda)/(1+lambda_c)) - lambda_c log((1+lambda_c)/lambda_c)."""
     r = math.log((1.0 + lambda_c) / lambda_c)
     return math.log(lambda_c / (1.0 + lambda_c)) + math.log1p(Lambda) - lambda_c * r
 
@@ -157,11 +169,8 @@ def _log(w):
 
     |w| is a hypot, so it stays in range from 1e-300 to 1e300, where |w|^2
     would underflow or overflow.  The error is a few ulp of 1 + |log w|, so
-    next to w = 1, where log w is small, _log1p is the accurate one.  Scalars
-    stay in math.
+    next to w = 1, where log w is small, _log1p is the accurate one.
     """
-    if not isinstance(w, np.ndarray):
-        return complex(math.log(math.hypot(w.real, w.imag)), math.atan2(w.imag, w.real))
     out = np.empty_like(w)
     np.log(np.hypot(w.real, w.imag), out=out.real)
     np.arctan2(w.imag, w.real, out=out.imag)
@@ -178,17 +187,12 @@ def _log1p(z, w=None):
     log|1 + z| taken directly.  w is the point 1 + z, for its argument and
     next to the branch point; a caller that has it exactly passes it, as
     _z_logs passes z with z - 1.  Formed here, its imaginary part is 0 + y, so
-    a point on the cut takes the upper side, as np.log(1 + z) does.  Scalars
-    stay in math.
+    a point on the cut takes the upper side, as np.log(1 + z) does.
     """
     if w is None:
         w = 1.0 + z
     x, y = z.real, z.imag
     s = x * (2.0 + x) + y * y
-    if not isinstance(z, np.ndarray):
-        if s < -0.5:
-            return _log(w)
-        return complex(0.5 * math.log1p(s), math.atan2(w.imag, w.real))
     out = np.empty_like(z)
     # one reduction clears the common case, every oracle node of log z
     clear = s.size == 0 or s.min() >= -0.5
@@ -202,7 +206,7 @@ def _log1p(z, w=None):
 
 
 def _z_logs(za):
-    """1 - z, log(1 - z) and log z for complex z.
+    """1 - z, log(1 - z) and log z for a complex array z.
 
     log z is _log1p(z - 1), a few ulp also where the contours start, next
     to z = 1, where z - 1 is exact (Sterbenz).  log(1 - z) is _log(1 - z),
@@ -213,27 +217,19 @@ def _z_logs(za):
     w = 1.0 - za
     log_z = _log1p(za - 1.0, za)
     log_w = _log(w)
-    if not isinstance(w, np.ndarray):
-        if log_z.real < -_LOG_SQRT2:
-            log_w = _log1p(-za, w)
-    elif log_z.size and log_z.real.min() < -_LOG_SQRT2:
+    if log_z.size and log_z.real.min() < -_LOG_SQRT2:
         small = log_z.real < -_LOG_SQRT2
         log_w[small] = _log1p(-za[small], w[small])
     return w, log_w, log_z
 
 
 def _offset_logs(zeta, lambda_c: float):
-    """The pair y = (lambda_c zeta, -zeta) and log(1 + y), for complex zeta.
-
-    For an array zeta the pair is stacked on a new first axis, so that one
-    _log1p takes both logarithms; either way each unpacks as two.
+    """The pair y = (lambda_c zeta, -zeta) and log(1 + y), for a complex array
+    zeta, stacked on a new first axis so that one _log1p takes both
+    logarithms; each unpacks as two.
     """
-    za = _complex(zeta)
-    y = (lambda_c * za, -za)
-    if isinstance(za, np.ndarray):
-        y = np.array(y)
-        return y, _log1p(y)
-    return y, (_log1p(y[0]), _log1p(y[1]))
+    y = np.array((lambda_c * zeta, -zeta))
+    return y, _log1p(y)
 
 
 # T(v) = 1/3 + v/5 + v^2/7 + ... as the 14th convergent of Gauss's continued
@@ -263,38 +259,26 @@ def _wlogw(y, log1p_y):
 
         y s [1 + (1 + s) s T(s^2)],  T(v) = 1/3 + v/5 + v^2/7 + ... ,
 
-    whose terms do not cancel.  Scalars stay in math.
+    whose terms do not cancel.
     """
-    if not isinstance(y, np.ndarray):
-        if abs(y - 2.0 / 3.0) <= 4.0 / 3.0:
-            return _wlogw_near(y)
-        return (1.0 + y) * log1p_y - y
     out = (1.0 + y) * log1p_y - y
     near = np.abs(y - 2.0 / 3.0) <= 4.0 / 3.0
-    out[near] = _wlogw_near(y[near])
+    yn = y[near]
+    s = yn / (2.0 + yn)
+    v = s * s
+    # v^0 .. v^7 by doubling, then both polynomials of T in one product
+    powers = np.ones((_ATANH_TAIL.shape[1], v.size), dtype=complex)
+    vk, k = v, 1
+    while k < len(powers):
+        np.multiply(powers[:k], vk, out=powers[k:2 * k])
+        vk, k = vk * vk, 2 * k
+    num, den = _ATANH_TAIL @ powers
+    q = yn * s
+    out[near] = q + q * (s + v) * (num / den)
     return out
 
 
-def _wlogw_near(y):
-    """_wlogw's series form, for a scalar or a 1-d array y."""
-    s = y / (2.0 + y)
-    v = s * s
-    if isinstance(v, np.ndarray):
-        # v^0 .. v^7 by doubling, then both polynomials of T in one product
-        powers = np.ones((_ATANH_TAIL.shape[1], v.size), dtype=complex)
-        vk, k = v, 1
-        while k < len(powers):
-            np.multiply(powers[:k], vk, out=powers[k:2 * k])
-            vk, k = vk * vk, 2 * k
-        num, den = _ATANH_TAIL @ powers
-    else:
-        num = den = 0.0
-        for a, b in reversed(_ATANH_TAIL_PAIRS):
-            num, den = num * v + a, den * v + b
-    q = y * s
-    return q + q * (s + v) * (num / den)
-
-
+@_on_arrays
 def f1(zeta, lambda_c: float, Lambda: float, sigma=None):
     """Offset phase, analytic near 0 with f1(0) = 0.
 
@@ -310,14 +294,12 @@ def f1(zeta, lambda_c: float, Lambda: float, sigma=None):
     logarithms.
     """
     y, logs = _offset_logs(zeta, lambda_c)
-    hx, hz = _wlogw(y, logs) if isinstance(y, np.ndarray) else map(_wlogw, y, logs)
+    hx, hz = _wlogw(y, logs)
     out = y[0] * math.log1p(Lambda) + hx + lambda_c * hz
-    if sigma is None:
-        return out
-    la, lb = logs
-    return out, _amplitude(lb, la, sigma)
+    return out if sigma is None else (out, _amplitude(logs[1], logs[0], sigma))
 
 
+@_on_arrays
 def d_f1(zeta, lambda_c: float, Lambda: float):
     """df1/dzeta = lambda_c [log(1+Lambda) + log(1+lambda_c zeta) - log(1-zeta)]."""
     _y, (la, lb) = _offset_logs(zeta, lambda_c)
@@ -330,10 +312,10 @@ def _amplitude(log_w, log_v, sigma: float):
     e = -0.5 * log_w
     if sigma != 0.5:
         e = e + (sigma - 0.5) * log_v
-    out = np.exp(e)
-    return out if isinstance(log_w, np.ndarray) else complex(out)
+    return np.exp(e)
 
 
+@_on_arrays
 def amp_g(zeta, lambda_c: float, sigma: float):
     """Transplanted amplitude (1-zeta)^(-1/2) (1+lambda_c zeta)^(sigma-1/2).
 

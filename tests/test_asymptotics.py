@@ -213,6 +213,24 @@ class TestSegmentMain:
         with pytest.raises(SigmaUnsupported):
             jb1_main(p, 0.1)
 
+    def test_split_routes_derive_their_point_once(self, monkeypatch):
+        # jb1_main takes the derived point that its caller holds, as
+        # jb2_series does, and returns the same bits as when it derives it
+        from endpoint_uniform import asymptotics, ibp
+        p = from_offset(1e6, 0.5, 0.5, 0.5)
+        a = corollary_split(derive(p)).a
+        want = [all_orders(p, 6), corollary_leading(p), jb1_main(p, a)]
+        calls = []
+        for module in (asymptotics, ibp):
+            monkeypatch.setattr(module, "derive", lambda q: calls.append(q) or derive(q))
+        got = []
+        for route in (lambda: all_orders(p, 6), lambda: corollary_leading(p),
+                      lambda: jb1_main(p, a), lambda: jb1_main(p, a, derive(p))):
+            calls.clear()
+            got.append(route())
+            assert len(calls) == (0 if len(got) == 4 else 1)
+        assert got == want + [want[2]]
+
 
 class TestAllOrders:
     def test_order_guard(self):

@@ -186,15 +186,26 @@ class TestEval:
         assert json.loads(err)["error"] == "InvalidSplit"
 
     def test_overflowing_order_is_numerical_error(self, capsys):
-        # the remainder bound at order 2m - 2 = 78 does not fit in a double
+        # the remainder bound at order 2m - 2 = 126 is about 1e367
         code, out, err = run(
-            capsys, "eval", "--t", "1e8", "--Lambda", "0.5",
-            "--method", "all-orders", "--m", "40",
+            capsys, "eval", "--t", "1e4", "--Lambda", "0.5",
+            "--method", "all-orders", "--m", "64",
         )
         assert code == 2 and out == ""
         assert json.loads(err) == {
             "error": "NumericalError",
-            "message": "remainder bound at order N=78 overflows a double at t=1e+08"}
+            "message": "remainder bound at order N=126 overflows a double at t=10000"}
+
+    def test_high_order_reports_its_remainder_bound(self, capsys):
+        # at order 2m - 2 = 94 the bound is about 1.9e261: t^-94 alone
+        # underflows, and the bound must not come out as 0
+        code, out, _ = run(
+            capsys, "eval", "--t", "1e4", "--Lambda", "0.5",
+            "--method", "all-orders", "--m", "48",
+        )
+        assert code == 0
+        bound = json.loads(out)["result"]["error_budget"]["R-term"]
+        assert bound == pytest.approx(1.9030671238819798e261, rel=1e-12)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"
@@ -310,7 +321,8 @@ class TestSweep:
         assert len(lines) == 2
 
     def test_overflowing_order_fails_only_its_rows(self, capsys, tmp_path):
-        cfg = {"t_grid": [1e4, 1e8], "methods": ["leading", "all-orders"], "m_order": 40}
+        # the remainder bound at order 2m - 2 = 104 fits at t = 1e4, not at 1e6
+        cfg = {"t_grid": [1e4, 1e6], "methods": ["leading", "all-orders"], "m_order": 53}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code, out, _ = run(capsys, "sweep", "--config", str(cfg_path), "--format", "csv")

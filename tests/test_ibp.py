@@ -312,6 +312,13 @@ def test_remainder_bound_formula():
     assert rn_bound(N, p, dd) == pytest.approx(expect, rel=1e-12)
 
 
+def _log_bound(N, t, d_minus, k):
+    """rn_bound's sum of logs, in its order of operations."""
+    return math.exp(math.log(double_factorial(2 * N - 1)) - N * math.log(t)
+                    + (N + 0.5) * math.log(math.log(t)) - 2 * N * math.log(d_minus)
+                    - (N - 0.5) * math.log(k))
+
+
 def test_remainder_bound_reads_the_splits_own_width():
     # D_- = -log1p(-a) of the split's a, to the last bit, at points where
     # the width rebuilt from k, 1 - k t^(1-delta), is another double
@@ -322,12 +329,45 @@ def test_remainder_bound_reads_the_splits_own_width():
             p = from_offset(t, 0.5, 0.5, Lam)
             dd = choose_split(derive(p), 4)
             rebuilt_differs += 1.0 - dd.k * t ** (1.0 - p.delta) != dd.a
-            N = 6
-            expect = (double_factorial(2 * N - 1) * t ** -N
-                      * math.log(t) ** ((2 * N + 1) / 2.0)
-                      * (-math.log1p(-dd.a)) ** (-2 * N) * dd.k ** (-(2 * N - 1) / 2.0))
-            assert rn_bound(N, p, dd) == expect
+            assert rn_bound(6, p, dd) == _log_bound(6, t, -math.log1p(-dd.a), dd.k)
     assert rebuilt_differs > 0
+
+
+def test_remainder_bound_keeps_its_product_values_at_low_orders():
+    # summed in logs, the bound of orders m = 4..8 (N = 2m - 2) is the
+    # product of its factors to 1e-12
+    from endpoint_uniform import choose_split
+    for t in (1e4, 1e6, 1e8, 1e10):
+        for Lam in (0.0, 0.5, 10.0):
+            p = from_offset(t, 0.5, 0.5, Lam)
+            for m in range(4, 9):
+                dd = choose_split(derive(p), m)
+                N = 2 * m - 2
+                product = (double_factorial(2 * N - 1) * t ** -N
+                           * math.log(t) ** ((2 * N + 1) / 2.0) * (-math.log1p(-dd.a)) ** (-2 * N)
+                           * dd.k ** (-(2 * N - 1) / 2.0))
+                assert rn_bound(N, p, dd) == pytest.approx(product, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [48, 64])
+def test_remainder_bound_at_high_order(m):
+    # N = 2m - 2: t^-N underflows at both orders.  The bound is ~1.9e261 at
+    # m = 48 and ~1e367 at m = 64, which no double holds
+    from endpoint_uniform import NumericalError, choose_split
+    p = from_offset(1e4, 0.5, 0.5, 0.5)
+    dd = choose_split(derive(p), m)
+    N = 2 * m - 2
+    assert p.t ** -N == 0.0
+    with mp.workdps(30):
+        t, k, d_minus = mp.mpf(p.t), mp.mpf(dd.k), -mp.log1p(-mp.mpf(dd.a))
+        want = (mp.mpf(double_factorial(2 * N - 1)) * t ** -N * mp.log(t) ** (N + mp.mpf(0.5))
+                * d_minus ** (-2 * N) * k ** -(N - mp.mpf(0.5)))
+    if m == 48:
+        assert rn_bound(N, p, dd) == pytest.approx(float(want), rel=1e-12)
+    else:
+        assert want > 1e308
+        with pytest.raises(NumericalError, match="N=126 overflows"):
+            rn_bound(N, p, dd)
 
 
 def test_successive_term_bound_ratio_identity():

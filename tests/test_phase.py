@@ -231,6 +231,8 @@ def _values(out, shape):
         return list(arr)
     if shape == "scalar":
         assert all(type(v) is complex for v in out)
+    else:
+        assert all(isinstance(v, np.ndarray) and v.shape == () for v in out)
     return [complex(v) for v in out]
 
 
@@ -308,16 +310,16 @@ def test_z_frame_of_an_empty_array():
 
 def test_log1p_fallback_next_to_the_branch_point():
     # s = |1 + z|^2 - 1 < -1/2: log(1 + z) from 1 + z itself (exact here by
-    # Sterbenz), scalar and array alike
+    # Sterbenz), one array and 0-d arrays alike
     zs = [-0.9 + 0.1j, -1.0 + 1e-3j, -0.5 + 0.45j, -1.2 - 0.3j, -1.0 + 1e-200j]
-    got = list(phase._log1p(np.array(zs))) + [phase._log1p(z) for z in zs]
+    got = list(phase._log1p(np.array(zs))) + [phase._log1p(np.array(z)) for z in zs]
     for z, value in zip(zs + zs, got):
         with mpmath.workdps(50):
             want = mpmath.log(1 + mpmath.mpc(z))
         assert abs(value - complex(want)) <= 2 * EPS * abs(want), z
 
 
-@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("shape", ["0-d", "array"])
 def test_log_keeps_moduli_from_1e_300_to_1e300(shape):
     ws = [r * cmath.exp(1j * a) for r in (1e-300, 1e300) for a in (0.3, 2.0, -2.5)]
     ws += [complex(1e-300, 0.0), complex(0.0, -1e-300)]
@@ -397,14 +399,15 @@ def test_f1_to_4_eps_of_itself_on_the_ray(lc, Lam):
         assert _mp_f1_relative_error(value, zeta, lc, Lam) <= 4 * EPS, zeta
 
 
-@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("shape", ["1-element", "array"])
 def test_wlogw_on_either_side_of_its_series_disk(shape):
     # (1+y) log(1+y) - y: the series inside |y - 2/3| <= 4/3, the direct
-    # form outside, both to a few ulp; an array mixes the two
+    # form outside, both to a few ulp; an array mixes the two.  A point
+    # alone comes as the one-element array that a scalar's f1 hands it
     ys = [1e-9 + 2e-9j, -0.6 + 0.1j, -0.7 + 0.1j, 1.9 - 0.4j, 2.1 + 0.0j,
           1e3 - 5e2j, -0.3 - 1.2j, -0.4 - 1.3j]
-    args = _shaped(ys, shape)
-    got = _values([phase._wlogw(y, phase._log1p(y)) for y in args], shape)
+    args = [np.array(ys)] if shape == "array" else [np.array([y]) for y in ys]
+    got = np.concatenate([phase._wlogw(y, phase._log1p(y)) for y in args])
     for y, value in zip(ys, got):
         with mpmath.workdps(50):
             w = 1 + mpmath.mpc(y)
@@ -439,3 +442,107 @@ def test_atanh_tail_is_the_14th_convergent():
     want = [[c // g for c in num] + [0] * (len(den) - len(num)), [c // g for c in den]]
     assert [list(pair) for pair in zip(*want)] == [list(p) for p in phase._ATANH_TAIL_PAIRS]
     assert (phase._ATANH_TAIL == np.array(want)).all()
+
+
+# ---------------------------------------------------------------------------
+# One array path: scalars, 0-d arrays and arrays take the same operations.
+# ---------------------------------------------------------------------------
+
+PUBLIC_EVALUATORS = {
+    "big_f": lambda z: big_f(z, 0.7),
+    "big_f-sigma": lambda z: big_f(z, 0.7, 0.7),
+    "d_f": lambda z: d_f(z, 0.7),
+    "f1": lambda z: f1(z, 0.01, 0.5),
+    "f1-sigma": lambda z: f1(z, 0.01, 0.5, 0.7),
+    "d_f1": lambda z: d_f1(z, 0.01, 0.5),
+    "amp_g": lambda z: amp_g(z, 0.01, 0.7),
+}
+# both frames' series and direct branches, next to z = 1 and next to 0
+ONE_PATH_POINTS = [0.3 + 0.2j, 1.0 - 1e-3 + 1e-3j, 1e-9 + 1e-8j, -0.5 + 1e-3j,
+                   0.75 + 0.25j, 0.7 - 0.1j, 2.0 + 1.0j, 1e-5 - 1e-5j]
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_EVALUATORS))
+def test_every_public_evaluator_gives_each_shape_the_same_bits(name):
+    evaluate = PUBLIC_EVALUATORS[name]
+    pair = name.endswith("sigma")
+    by_shape = {}
+    for shape in SHAPES:
+        out = [evaluate(z) for z in _shaped(ONE_PATH_POINTS, shape)]
+        parts = list(zip(*out)) if pair else [out]
+        by_shape[shape] = [_values(list(part), shape) for part in parts]
+    assert by_shape["scalar"] == by_shape["0-d"] == by_shape["array"]
+    # an array keeps its shape, 2-d included
+    grid = np.array(ONE_PATH_POINTS).reshape(2, 4)
+    out = evaluate(grid)
+    for part, flat in zip(out if pair else [out], by_shape["array"]):
+        assert part.shape == (2, 4) and list(part.ravel()) == flat
+
+
+def test_t_phase_is_big_fs_real_part_to_the_last_bit():
+    # the closed form at the real point z = 1-k keeps big_f's operations
+    points = 0
+    for t in (1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e15):
+        for delta in (0.3, 0.5, 0.7):
+            for Lam in (0.0, 1e-6, 0.5, 10.0):
+                d = derive(from_offset(t, delta, 0.5, Lam))
+                for k in (endpoint_offset(t, delta), corollary_split(d).k,
+                          choose_split(d, 8).k):
+                    want = t * big_f(np.array([1.0 - k]), d.lam)[0].real
+                    assert phase.t_phase(t, d.lam, k) == want, (t, delta, Lam, k)
+                    points += 1
+    assert points == 252
+    # big_f's cut test, and its log1p branch for log(1 - z) at |z|^2 < 1/2
+    for k in (0.0, 1e-14, 1.0, 1.5):
+        with pytest.raises(BranchViolation):
+            phase.t_phase(1e4, 0.7, k)
+    for k in (0.4, 0.8, 0.99):
+        assert phase.t_phase(3.0, 0.7, k) == 3.0 * big_f(np.array([1.0 - k]), 0.7)[0].real
+
+
+def _mp_split_derivative(d, split):
+    """F'(1-k; lambda) at 50 digits, at the program's own e = t^(delta-1),
+    Lambda and k: lambda = lambda_c (1+Lambda) with lambda_c = e/(1-e)."""
+    with mpmath.workdps(50):
+        e, k = mpmath.mpf(endpoint_offset(d.t, d.delta)), mpmath.mpf(split.k)
+        return (mpmath.log1p(mpmath.mpf(d.Lambda)) + mpmath.log(e / (1 - e))
+                + mpmath.log((1 - k) / k))
+
+
+def test_split_derivative_to_4_eps_on_the_window():
+    # log(1/k - 1) + log(lambda) and F' at the rounded point 1-k lose up to
+    # 6.6e-11 and 2.4e-5 relative on this grid
+    points = 0
+    for t in (1e4, 1e5, 1e6, 1e7, 1e8, 1e10, 1e12, 1e14):
+        for Lam in (0.0, 1e-6, 0.5, 1.0, 10.0):
+            for delta in (0.3, 0.5, 0.7):
+                d = derive(from_offset(t, delta, 0.5, Lam))
+                for split in (corollary_split(d), choose_split(d, 4), choose_split(d, 8)):
+                    want = _mp_split_derivative(d, split)
+                    got = phase.split_derivative(d, split)
+                    assert abs(got - want) <= 4 * EPS * abs(want), (t, Lam, delta, split)
+                    points += 1
+    assert points == 360
+
+
+def test_split_routes_take_d_from_split_derivative(monkeypatch):
+    # the terms and the corollary read D from the split's own numbers and
+    # pass no point to the z-frame evaluators
+    from endpoint_uniform import all_orders, corollary_leading, t_term
+
+    def refuse(*args):
+        raise AssertionError("z-frame evaluator called")
+
+    calls = []
+    read = phase.split_derivative
+    monkeypatch.setattr(phase, "d_f", refuse)
+    monkeypatch.setattr(phase, "big_f", refuse)
+    monkeypatch.setattr(phase, "split_derivative", lambda d, s: calls.append(s) or read(d, s))
+    p = from_offset(1e6, 0.5, 0.5, 0.5)
+    split = choose_split(derive(p), 6)
+    all_orders(p, 6, split)
+    assert calls == [split]
+    corollary_leading(p)
+    assert calls[1:] == [corollary_split(derive(p))]
+    t_term(2, p, split)
+    assert len(calls) == 3

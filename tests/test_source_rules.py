@@ -2,7 +2,9 @@
 
 The closed-form routes in asymptotics.py import nothing from the oracle
 module, and only phase.py forms a t-sized phase: outside it, t_phase is called
-only by the exponent-identity check.
+only by the exponent-identity check.  phase.py computes on arrays only: its
+one test for a numpy array is the wrapper that serves the public evaluators
+a Python number.
 """
 
 import ast
@@ -50,3 +52,23 @@ def test_only_phase_forms_a_t_sized_phase():
     assert not stray, f"t_phase called outside phase.py at {stray}"
     # the walk sees calls at all: the one allowed call is found
     assert {c[:2] for c in calls} == allowed
+
+
+def _ndarray_tests(tree):
+    """(enclosing function, line) of each isinstance(..., np.ndarray) call."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2 and ast.unparse(node.args[1]) == "np.ndarray"):
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_phase_has_one_array_path():
+    found = _ndarray_tests(ast.parse((SRC / "phase.py").read_text()))
+    assert [owner for owner, _line in found] == ["_on_arrays"], (
+        f"phase.py tests for a numpy array outside its public wrapper at {found}")
+    # the walk sees such a test at all, nested in an expression
+    probe = "def f(z):\n    return 1 if isinstance(z, np.ndarray) else 0\n"
+    assert _ndarray_tests(ast.parse(probe)) == [("f", 2)]
