@@ -158,7 +158,7 @@ def d_f(z, lam: float):
 
 
 def f0(Lambda: float, lambda_c: float) -> float:
-    """Endpoint value of the phase in the offset frame (real): f0 =
+    """Endpoint value of the phase in the offset frame (real),
     log(lambda_c (1+Lambda)/(1+lambda_c)) - lambda_c log((1+lambda_c)/lambda_c)."""
     r = math.log((1.0 + lambda_c) / lambda_c)
     return math.log(lambda_c / (1.0 + lambda_c)) + math.log1p(Lambda) - lambda_c * r
