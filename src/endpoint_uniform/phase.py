@@ -37,15 +37,16 @@ _LOG_SQRT2 = 0.5 * math.log(2.0)
 
 
 def _on_arrays(evaluate):
-    """evaluate(z, ...) on complex arrays of at least one dimension, as the
-    public evaluator: a Python number in gives a Python complex out (each of
-    a pair), a 0-d array a 0-d array, any other array its own shape."""
+    """evaluate(z, ...) on complex arrays of one or more dimensions as a public
+    evaluator: an array passes through; a Python number or a 0-d array goes in
+    as one point and comes out as a Python complex or a 0-d array (each of a pair)."""
     @functools.wraps(evaluate)
     def public(z, *args, **kwargs):
-        za = np.asarray(z, dtype=complex)
-        out = evaluate(za.reshape(za.shape or (1,)), *args, **kwargs)
         array = isinstance(z, np.ndarray)
-        vals = [v.reshape(za.shape) if array else complex(v[0])
+        if array and z.ndim:
+            return evaluate(np.asarray(z, dtype=complex), *args, **kwargs)
+        out = evaluate(np.array([complex(z)]), *args, **kwargs)
+        vals = [v.reshape(()) if array else complex(v[0])
                 for v in (out if isinstance(out, tuple) else (out,))]
         return tuple(vals) if isinstance(out, tuple) else vals[0]
     return public
@@ -189,8 +190,7 @@ def _log1p(z, w=None):
     _z_logs passes z with z - 1.  Formed here, its imaginary part is 0 + y, so
     a point on the cut takes the upper side, as np.log(1 + z) does.
     """
-    if w is None:
-        w = 1.0 + z
+    w = 1.0 + z if w is None else w
     x, y = z.real, z.imag
     s = x * (2.0 + x) + y * y
     out = np.empty_like(z)

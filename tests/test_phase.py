@@ -477,6 +477,9 @@ def test_every_public_evaluator_gives_each_shape_the_same_bits(name):
     out = evaluate(grid)
     for part, flat in zip(out if pair else [out], by_shape["array"]):
         assert part.shape == (2, 4) and list(part.ravel()) == flat
+    # a list is neither a number nor an array: refused, not read as its first point
+    with pytest.raises(TypeError):
+        evaluate(ONE_PATH_POINTS)
 
 
 def test_t_phase_is_big_fs_real_part_to_the_last_bit():
