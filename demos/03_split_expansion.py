@@ -29,27 +29,28 @@ def main():
 
     t = 3e4
     p = from_offset(t, 0.5, 0.5, 0.6)
-    dd = choose_split(derive(p), 4)
+    d = derive(p)
+    dd = choose_split(d, 4)
     print(f"\nsplit at a = {dd.a:.4e} (k = {dd.k:.4e}) for t = {t:.0e}")
 
     print("\nboundary terms of the ray piece:")
     for j in (1, 2, 3, 4):
-        term = t_term(j, p, dd)
+        term = t_term(j, d, dd)
         print(f"  j = {j}: |T_j| = {abs(term.value):.3e}   "
               f"printed bound = {term.magnitude_bound:.3e}")
 
     oracle = jb2_oracle(p, dd, tol=1e-12)
     print(f"\nray piece by quadrature: {oracle.value:.12e}")
     for j_max in (1, 2, 3, 4):
-        value, terms, bound = jb2_series(p, dd, j_max)
+        value, terms, bound = jb2_series(d, dd, j_max)
         gap = abs(value - oracle.value)
         print(f"  partial sum j <= {j_max}: gap to quadrature {gap:.3e}")
 
     # the a-priori remainder bounds carry constant 1 straight from the
     # analysis; at this scale they are loose by design, the terms themselves
     # are what converges
-    term2 = t_term(2, p, dd)
-    print(f"\na-priori remainder bound after j=1: {rn_bound(2, p, dd):.3e}")
+    term2 = t_term(2, d, dd)
+    print(f"\na-priori remainder bound after j=1: {rn_bound(2, d, dd):.3e}")
     print(f"observed j=2 term size:              {abs(term2.value):.3e}")
     print(f"tight per-term bound of j=2:         {term2.magnitude_bound:.3e}")
 

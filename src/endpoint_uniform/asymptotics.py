@@ -11,8 +11,11 @@ Four routes to the integral's large-t behaviour:
   * corollary_leading: the concrete two-term leading form with the split
     width pinned at a = t^(-7 delta/16).
 
-Every route reports a coefficient-1 error budget; fitted constants belong to
-the verification harness, never to the returned values.
+Error budgets: leading_order states none; leading_order_large_omega and
+all_orders state their remainders with coefficient 1; corollary_leading
+states the remainder's order with coefficient 1, an estimate rather than a
+bound.  Fitted constants belong to the verification harness, never to the
+returned values.
 """
 
 from __future__ import annotations
@@ -120,27 +123,24 @@ def leading_order_large_omega(p: ProblemParams) -> Approximation:
     )
 
 
-def jb1_main(p: ProblemParams, a: float, d: DerivedParams | None = None) -> complex:
+def jb1_main(d: DerivedParams, a: float) -> complex:
     """First-order form of the segment piece (sigma = 1/2): leading_order's
     factors, with the Fresnel integral over the segment's image, from omega
-    to omega + a sqrt(lambda_c t/2), in place of the tail.  d is derive(p),
-    derived here unless the caller holds it.
+    to omega + a sqrt(lambda_c t/2), in place of the tail.
 
     Valid when t^(-delta/2) << a << t^(-delta/3); enforced with margin
     factors of 10 on each side, since at desk scale the strict inequalities
     leave no admissible width.
     """
-    check_half_sigma(p.sigma, "jb1_main")
-    lo = p.t ** (-p.delta / 2.0)
-    hi = p.t ** (-p.delta / 3.0)
+    check_half_sigma(d.sigma, "jb1_main")
+    lo = d.t ** (-d.delta / 2.0)
+    hi = d.t ** (-d.delta / 3.0)
     if not (lo / 10.0 < a < 10.0 * hi):
         raise AssumptionViolated(
             f"a={a:.3e} outside ({lo:.3e}/10, 10*{hi:.3e})"
         )
-    if d is None:
-        d = derive(p)
-    scale = math.sqrt(2.0 / (d.lambda_c * p.t))
-    w2 = d.omega + a * math.sqrt(d.lambda_c * p.t / 2.0)
+    scale = math.sqrt(2.0 / (d.lambda_c * d.t))
+    w2 = d.omega + a * math.sqrt(d.lambda_c * d.t / 2.0)
     seg = fresnel_segment(d.omega, w2)
     return phase_mod.endpoint_prefactor(d) * cmath.exp(-1j * d.omega**2) * scale * seg
 
@@ -160,10 +160,10 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
     d = derive(p)
     if split is None:
         split = choose_split(d, m)
-    series_value, _terms, _series_bound = jb2_series(p, split, m - 3, d)
-    seg = jb1_main(p, split.a, d)
+    series_value, _terms, _series_bound = jb2_series(d, split, m - 3)
+    seg = jb1_main(d, split.a)
     budget = [
-        ("R-term", rn_bound(2 * m - 2, p, split)),
+        ("R-term", rn_bound(2 * m - 2, d, split)),
         ("JB1-term", p.t ** (-0.5 + 1.5 * p.delta) * split.a**4),
     ]
     return Approximation(
@@ -178,7 +178,7 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
 def corollary_leading(p: ProblemParams) -> Approximation:
     """Two-term concrete leading form at the balanced split a = t^(-7 delta/16).
 
-    The "corollary-remainder" budget t^(-1/2-delta/4) is the remainder's order
+    The "corollary-estimate" budget t^(-1/2-delta/4) is the remainder's order
     with coefficient 1, an estimate rather than a bound.  At omega = 0 and
     delta = 1/2 the measured abs_err/budget is 0.76 at t=1e4, 1.02 at 1e6,
     1.16 at 1e7 and 1.31 at 1e8, so the error exceeds it from t ~ 1e6 on.
@@ -190,8 +190,8 @@ def corollary_leading(p: ProblemParams) -> Approximation:
     big_d = phase_mod.split_derivative(d, split)
     osc = phase_mod.split_oscillation(d, split)
     term1 = 1j * osc * t ** (-0.5 - p.delta / 2.0) / big_d
-    value = term1 + jb1_main(p, split.a, d)
-    budget = [("corollary-remainder", t ** (-0.5 - p.delta / 4.0))]
+    value = term1 + jb1_main(d, split.a)
+    budget = [("corollary-estimate", t ** (-0.5 - p.delta / 4.0))]
     return Approximation(
         value=value,
         method=Method.COROLLARY_LEADING,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import harness, ibp
 from .errors import EndpointUniformError, InvalidParam, ParameterError
-from .params import ProblemParams, choose_split, derive, from_offset, split_from_a
+from .params import DerivedParams, ProblemParams, choose_split, derive, from_offset, split_from_a
 from .quadrature import DEFAULT_TOL, jb1_oracle, jb2_oracle, jb_oracle, jtilde_oracle
 
 
@@ -106,10 +107,9 @@ def _refuse(ns, keys, reader: str):
         raise InvalidParam(f"{reader} reads no {names}")
 
 
-def _split_fields(ns, p: ProblemParams, order_read=False):
+def _split_fields(ns, d: DerivedParams, order_read=False):
     """The split from --a, or else from --m and --b; order_read says whether
     the caller reads --m as the expansion order even when --a is given."""
-    d = derive(p)
     if ns.a is not None:
         _refuse(ns, ("b",) if order_read else ("m", "b"), "the split from --a")
         return split_from_a(d, ns.a)
@@ -135,7 +135,7 @@ def _cmd_eval(ns) -> dict:
     if ns.method != "all-orders":
         _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
     p = _build_params(ns)
-    split = _split_fields(ns, p, order_read=True) if ns.method == "all-orders" else None
+    split = _split_fields(ns, derive(p), order_read=True) if ns.method == "all-orders" else None
     result = harness.eval_method(ns.method, p, _order(ns), split)[0]
     return {"subcommand": "eval", "flags": _echo_flags(ns),
             "result": result.as_dict()}
@@ -151,7 +151,7 @@ def _cmd_oracle(ns) -> dict:
     elif piece == "jtilde":
         res = jtilde_oracle(p, tol=ns.tol)
     else:
-        split = _split_fields(ns, p)
+        split = _split_fields(ns, derive(p))
         fn = jb1_oracle if piece == "jb1" else jb2_oracle
         res = fn(p, split, tol=ns.tol)
     return {"subcommand": "oracle", "flags": _echo_flags(ns), "piece": piece,
@@ -174,7 +174,8 @@ def _cmd_compare(ns) -> dict:
             "approx_re": row.approx.real, "approx_im": row.approx.imag,
             "oracle_re": row.oracle.real, "oracle_im": row.oracle.imag,
             "abs_err": row.abs_err, "rel_err": row.rel_err,
-            "budget": row.budget, "error": row.error,
+            # JSON has no NaN: a route that states no budget gives null
+            "budget": None if math.isnan(row.budget) else row.budget, "error": row.error,
         },
         "rows_csv": harness.rows_to_csv(rows),
     }
@@ -225,9 +226,9 @@ def _cmd_terms(ns) -> dict:
         table = ibp.amn_table(ns.N)
         out["table"] = {"level": table.level, "entries": table.as_strings()}
     if ns.t is not None:
-        p = _build_params(ns)
-        split = _split_fields(ns, p)
-        value, terms, bound = ibp.jb2_series(p, split, _j_max(ns))
+        d = derive(_build_params(ns))
+        split = _split_fields(ns, d)
+        value, terms, bound = ibp.jb2_series(d, split, _j_max(ns))
         out["terms"] = [
             {"j": term.j, "re": term.value.real, "im": term.value.imag,
              "magnitude_bound": term.magnitude_bound}

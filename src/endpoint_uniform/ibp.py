@@ -3,9 +3,10 @@
 The N-fold application of (d/dz)(-1/(i t dF/dz)) to the square-root amplitude
 has the closed form
 
-    (1-z)^{-(2N+1)/2} / ((-it)^N (dF/dz)^N) * sum_{m,n} A_mn z^{-m} (dF/dz)^{-n}
+    w^{-1/2} (-i t w dF/dz)^{-N} * sum_{m,n} A_mn z^{-m} (dF/dz)^{-n},  w = 1-z,
 
-with exact dyadic-rational coefficients A_mn.  One level feeds the next:
+with exact dyadic-rational coefficients A_mn; the powers are grouped so that
+no factor leaves the doubles unless the value does.  One level feeds the next:
 entry (m, n) at level N-1 contributes
 
     (N + m - 1/2)  ->  (m, n)
@@ -16,25 +17,27 @@ at level N.  Tables are built in exact rational arithmetic (the values grow
 at factorial speed and floats would contaminate high orders); floats appear
 only at evaluation sites.
 
-The boundary terms of the ray piece follow: the j-th term uses the level-(j-1)
-table evaluated at the split point z = 1-k of a params.Split(k, a),
+The boundary terms of the ray piece follow: the j-th term is the level-(j-1)
+closed form at the split point z = 1-k of a params.Split(k, a), with w = k
+exactly, divided by -i t D and times e^{i t F(1-k)},
 
-    T_j = k^{-(2j-1)/2} / ((-it)^j D^j)
-          * sum A_mn (1-k)^{-m} D^{-n} * e^{i t F(1-k)},
+    T_j = k^{-1/2} (-i t k D)^{-(j-1)} sum A_mn (1-k)^{-m} D^{-n}
+          / (-i t D) * e^{i t F(1-k)},
 
 with D = F'(1-k) from phase.split_derivative, which reads no rounded 1-k,
 and e^{i t F(1-k)} from phase.split_oscillation: the endpoint's oscillation
 times that of the collapsed phase difference, so the term keeps no t-sized
-phase of its own.
-With j_max terms kept the truncation
-error is the (j_max+1)-st remainder, bounded (constant 1) by rn_bound.  Both
-the term bounds and the remainder bound are stated in the split width a, and
-every function here takes the Split whole and reads its own a, never one
-recomputed from k.
+phase of its own.  With j_max terms kept the truncation error is the
+(j_max+1)-st remainder, bounded (constant 1) by rn_bound.  The term bounds
+and the remainder bound are stated in the split width a and summed in logs,
+so a NumericalError means the term or bound itself is not a double.  Every
+function here takes the derived point and the Split whole, and reads the
+split's own a, never one recomputed from k.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,8 +47,7 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import AssumptionViolated, NumericalError, OrderViolation, SingularPoint
-from .params import (DerivedParams, ProblemParams, Split, check_half_sigma, check_split_point,
-                     derive)
+from .params import DerivedParams, Split, check_half_sigma, check_split_point
 
 
 def double_factorial(n: int) -> int:
@@ -115,12 +117,13 @@ def amn_table(N: int) -> CoefficientTable:
     return CoefficientTable(level=N, entries=entries)
 
 
-def _amn_sum(N: int, z, d):
-    """sum over the level-N table of A_mn z^(-m) d^(-n), with d = dF/dz at z."""
+def _operator(N: int, w, z, d, t: float):
+    """The level-N closed form w^(-1/2) (-i t w d)^(-N) sum A_mn z^(-m) d^(-n)
+    at z, with w = 1-z and d = dF/dz there."""
     acc = 0.0 + 0.0j
     for m, n, a in amn_table(N).entries:
         acc = acc + float(a) * z ** (-m) * d ** (-n)
-    return acc
+    return w ** -0.5 * (1j / (t * w * d)) ** N * acc
 
 
 def apply_ibp_operator(N: int, z, t: float, lam: float):
@@ -132,56 +135,52 @@ def apply_ibp_operator(N: int, z, t: float, lam: float):
     d = phase_mod.d_f(za, lam)
     if np.any(np.abs(d) < 1e-12):
         raise SingularPoint("dF/dz ~ 0 on the evaluation locus")
-    acc = _amn_sum(N, za, d)
-    pref = (1.0 - za) ** (-(2 * N + 1) / 2.0) / ((-1j * t) ** N * d**N)
-    out = pref * acc
+    out = _operator(N, 1.0 - za, za, d, t)
     return out if isinstance(z, np.ndarray) else complex(out)
 
 
-def _check_expansion_assumption(p: ProblemParams, split: Split) -> float:
+def _check_expansion_assumption(d: DerivedParams, split: Split) -> float:
     """Successive terms shrink iff t k D_-^2 > 1 (with D_- < 1).  Returns D_-."""
     d_minus = -math.log1p(-split.a)
-    if not (d_minus < 1.0 and p.t * split.k * d_minus * d_minus > 1.0):
+    if not (d_minus < 1.0 and d.t * split.k * d_minus * d_minus > 1.0):
         raise AssumptionViolated(
             f"split a={split.a:.3e} (D_-={d_minus:.3e}) outside the expansion's validity window"
         )
     return d_minus
 
 
-def t_term(j: int, p: ProblemParams, split: Split) -> ExpansionTerm:
+def t_term(j: int, d: DerivedParams, split: Split) -> ExpansionTerm:
     """j-th boundary term of the ray piece, exact closed form (j >= 1), with
     its magnitude bound (constant 1) in the split width a."""
-    check_half_sigma(p.sigma, "t_term")
-    check_split_point(p.t, p.delta, split.k)
+    check_half_sigma(d.sigma, "t_term")
+    check_split_point(d.t, d.delta, split.k)
     if j < 1:
         raise OrderViolation(f"term index must be >= 1, got {j}")
-    return _term(j, p, split, *_split_factors(derive(p), split))
+    return _terms(d, split, [j])[0]
 
 
-def _split_factors(d: DerivedParams, split: Split):
-    """The split point's oscillation and phase derivative D, shared by its terms."""
-    return phase_mod.split_oscillation(d, split), phase_mod.split_derivative(d, split)
+def _terms(d: DerivedParams, split: Split, js) -> list:
+    """The terms j in js, with the split point's oscillation and D formed once:
+    the level-(j-1) closed form at w = k divided by -i t D, times the
+    oscillation, and the bound (2j-1)!! t^(-1/2-(2j+1)delta/2) a^(-(2j+1))."""
+    t, k = d.t, split.k
+    osc, big_d = phase_mod.split_oscillation(d, split), phase_mod.split_derivative(d, split)
+    terms = []
+    for j in js:
+        log_bound = (math.log(double_factorial(2 * j - 1))
+                     - (0.5 + (2 * j + 1) * d.delta / 2.0) * math.log(t)
+                     - (2 * j + 1) * math.log(split.a))
+        try:
+            value = _operator(j - 1, k, 1.0 - k, big_d, t) / (-1j * t * big_d) * osc
+            if not cmath.isfinite(value):
+                raise OverflowError
+            terms.append(ExpansionTerm(j=j, value=value, magnitude_bound=math.exp(log_bound)))
+        except OverflowError:
+            raise NumericalError(f"term j={j} overflows a double at t={t:.6g}") from None
+    return terms
 
 
-def _term(j: int, p: ProblemParams, split: Split, osc: complex, big_d: float) -> ExpansionTerm:
-    """t_term's term, given _split_factors at the split."""
-    t = p.t
-    k = split.k
-    z0 = 1.0 - k
-    try:
-        acc = _amn_sum(j - 1, z0, big_d)
-        value = k ** (-(2 * j - 1) / 2.0) / ((-1j * t) ** j * big_d**j) * acc * osc
-        bound = (
-            double_factorial(2 * j - 1)
-            * t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
-            * split.a ** (-(2 * j + 1))
-        )
-    except OverflowError:
-        raise NumericalError(f"term j={j} overflows a double at t={t:.6g}") from None
-    return ExpansionTerm(j=j, value=value, magnitude_bound=bound)
-
-
-def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
+def rn_bound(N: int, d: DerivedParams, split: Split) -> float:
     """Magnitude bound (constant 1) for the remainder holding terms j >= N,
 
         (2N-1)!! t^(-N) log(t)^(N+1/2) D_-^(-2N) k^(-(N-1/2)),
@@ -189,9 +188,9 @@ def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
     summed in logs, so that no factor under- or overflows where the bound
     itself is a double; a bound above the doubles raises NumericalError.
     """
-    check_split_point(p.t, p.delta, split.k)
-    d_minus = _check_expansion_assumption(p, split)
-    t = p.t
+    check_split_point(d.t, d.delta, split.k)
+    d_minus = _check_expansion_assumption(d, split)
+    t = d.t
     log_bound = (math.log(double_factorial(2 * N - 1)) - N * math.log(t)
                  + (N + 0.5) * math.log(math.log(t)) - 2 * N * math.log(d_minus)
                  - (N - 0.5) * math.log(split.k))
@@ -202,22 +201,20 @@ def rn_bound(N: int, p: ProblemParams, split: Split) -> float:
                              f"at t={t:.6g}") from None
 
 
-def jb2_series(p: ProblemParams, split: Split, j_max: int, d: DerivedParams | None = None):
+def jb2_series(d: DerivedParams, split: Split, j_max: int):
     """Partial sum of boundary terms plus its truncation bound.
 
     Returns (value, terms, bound) with bound = rn_bound(j_max + 1): the
     remainder after j_max kept terms contains everything from index
-    j_max + 1 on.  d is derive(p), derived here unless the caller holds it;
-    the split point's oscillation and D are formed once for all the terms.  Term j
-    reads the level-(j-1) table, so j_max above MAX_TABLE_LEVEL + 1 is
-    refused before any term is formed.
+    j_max + 1 on.  The split point's oscillation and D are formed once for
+    all the terms.  Term j reads the level-(j-1) table, so j_max above
+    MAX_TABLE_LEVEL + 1 is refused before any term is formed.
     """
-    check_half_sigma(p.sigma, "jb2_series")
-    check_split_point(p.t, p.delta, split.k)
+    check_half_sigma(d.sigma, "jb2_series")
+    check_split_point(d.t, d.delta, split.k)
     if not 0 <= j_max <= MAX_TABLE_LEVEL + 1:
         raise OrderViolation(f"j_max must lie in [0, {MAX_TABLE_LEVEL + 1}], got {j_max}")
-    factors = _split_factors(derive(p) if d is None else d, split)
-    terms = [_term(j, p, split, *factors) for j in range(1, j_max + 1)]
+    terms = _terms(d, split, range(1, j_max + 1))
     value = sum((term.value for term in terms), 0.0 + 0.0j)
-    bound = rn_bound(j_max + 1, p, split)
+    bound = rn_bound(j_max + 1, d, split)
     return value, terms, bound

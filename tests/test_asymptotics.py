@@ -14,6 +14,7 @@ from endpoint_uniform import (
     Approximation,
     AssumptionViolated,
     Method,
+    NumericalError,
     OrderViolation,
     Regime,
     RegimeMismatch,
@@ -170,8 +171,9 @@ class TestLargeOmega:
 class TestSegmentMain:
     def test_matches_direct_quadrature_within_budget(self):
         p = from_offset(3e4, 0.5, 0.5, 0.6)
-        dd = choose_split(derive(p), 4)
-        main = jb1_main(p, dd.a)
+        d = derive(p)
+        dd = choose_split(d, 4)
+        main = jb1_main(d, dd.a)
         orc = jb1_oracle(p, dd, tol=1e-12)
         budget = p.t ** (-0.5 + 1.5 * p.delta) * dd.a**4
         assert abs(main - orc.value) <= budget
@@ -187,49 +189,48 @@ class TestSegmentMain:
         w2 = d.omega + a * math.sqrt(d.lambda_c * t / 2.0)
         expect = (cmath.exp(-1j * d.omega**2) * math.sqrt(2.0 / (d.lambda_c * t))
                   * fresnel_segment(d.omega, w2))
-        assert abs(jb1_main(p, a) / endpoint_prefactor(d) / expect - 1.0) < 1e-14
+        assert abs(jb1_main(d, a) / endpoint_prefactor(d) / expect - 1.0) < 1e-14
 
     @pytest.mark.parametrize("t", [1e6, 1e8, 3.3e8])
     @pytest.mark.parametrize("Lam", [0.0, 0.05, 0.5])
     def test_at_the_phase_rounding_floor(self, t, Lam):
         # the double inputs carry the t-sized phase to eps |phase| rad, no better
         p = from_offset(t, 0.5, 0.5, Lam)
-        a = corollary_split(derive(p)).a
+        d = derive(p)
+        a = corollary_split(d).a
         ref, phase = _jb1_main_mp(p, a)
-        assert abs(jb1_main(p, a) - ref) <= 2.0 * EPS * phase * abs(ref)
+        assert abs(jb1_main(d, a) - ref) <= 2.0 * EPS * phase * abs(ref)
 
     def test_window_guards(self):
-        p = from_offset(3e4, 0.5, 0.5, 0.6)
-        lo = p.t ** (-p.delta / 2.0)
-        hi = p.t ** (-p.delta / 3.0)
+        d = derive(from_offset(3e4, 0.5, 0.5, 0.6))
+        lo = d.t ** (-d.delta / 2.0)
+        hi = d.t ** (-d.delta / 3.0)
         with pytest.raises(AssumptionViolated):
-            jb1_main(p, lo / 20.0)
+            jb1_main(d, lo / 20.0)
         with pytest.raises(AssumptionViolated):
-            jb1_main(p, hi * 20.0)
+            jb1_main(d, hi * 20.0)
 
     def test_sigma_guard(self):
         p = ProblemParams(t=3e4, delta=0.5, sigma=0.75,
                           lam=from_offset(3e4, 0.5, 0.5, 0.6).lam)
         with pytest.raises(SigmaUnsupported):
-            jb1_main(p, 0.1)
+            jb1_main(derive(p), 0.1)
 
     def test_split_routes_derive_their_point_once(self, monkeypatch):
-        # jb1_main takes the derived point that its caller holds, as
-        # jb2_series does, and returns the same bits as when it derives it
+        # all_orders and corollary_leading derive the point once and hand it
+        # to jb1_main and the ray terms, which derive none
         from endpoint_uniform import asymptotics, ibp
         p = from_offset(1e6, 0.5, 0.5, 0.5)
-        a = corollary_split(derive(p)).a
-        want = [all_orders(p, 6), corollary_leading(p), jb1_main(p, a)]
+        d = derive(p)
+        a = corollary_split(d).a
         calls = []
-        for module in (asymptotics, ibp):
-            monkeypatch.setattr(module, "derive", lambda q: calls.append(q) or derive(q))
-        got = []
-        for route in (lambda: all_orders(p, 6), lambda: corollary_leading(p),
-                      lambda: jb1_main(p, a), lambda: jb1_main(p, a, derive(p))):
+        monkeypatch.setattr(asymptotics, "derive", lambda q: calls.append(q) or derive(q))
+        for route, derived in ((lambda: all_orders(p, 6), 1), (lambda: corollary_leading(p), 1),
+                               (lambda: jb1_main(d, a), 0)):
             calls.clear()
-            got.append(route())
-            assert len(calls) == (0 if len(got) == 4 else 1)
-        assert got == want + [want[2]]
+            route()
+            assert len(calls) == derived
+        assert not hasattr(ibp, "derive")
 
 
 class TestAllOrders:
@@ -265,6 +266,16 @@ class TestAllOrders:
         e6 = abs(all_orders(p, 6).value - w)
         assert e6 < e4
 
+    @pytest.mark.parametrize("t, first", [(1e8, 52), (1e12, 50)])
+    def test_only_the_remainder_bound_overflows(self, t, first):
+        # every term of these orders is a double; the first order that
+        # fails is the one whose remainder bound (N = 2m - 2) is not
+        p = from_offset(t, 0.5, 0.5, 0.5)
+        assert cmath.isfinite(all_orders(p, first - 1).value)
+        with pytest.raises(NumericalError,
+                           match=f"remainder bound at order N={2 * first - 2} overflows"):
+            all_orders(p, first)
+
     def test_explicit_split_width_accepted(self):
         p = from_offset(3e4, 0.5, 0.5, 0.6)
         dd = choose_split(derive(p), 4)
@@ -278,7 +289,7 @@ class TestCorollary:
         p = from_offset(1e6, 0.5, 0.5, 0.5)
         ap = corollary_leading(p)
         (label, val), = ap.error_budget
-        assert label == "corollary-remainder"
+        assert label == "corollary-estimate"
         assert val == pytest.approx(p.t ** (-0.5 - p.delta / 4.0), rel=1e-14)
 
     def test_sigma_guard(self):

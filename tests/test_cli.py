@@ -97,7 +97,7 @@ class TestEval:
     def test_order_above_the_table_cap_is_refused_by_name(self, capsys, monkeypatch):
         # term m-3 reads the level-(m-4) table, so m = MAX_TABLE_LEVEL + 4 is
         # the last order; above it no term is formed
-        monkeypatch.setattr(ibp, "_amn_sum", lambda *args: pytest.fail("term formed"))
+        monkeypatch.setattr(ibp, "_operator", lambda *args: pytest.fail("term formed"))
         code, out, err = run(capsys, "eval", "--method", "all-orders", "--m", "100",
                              "--t", "1e4", "--Lambda", "0.5")
         assert code == 1 and out == ""
@@ -281,6 +281,33 @@ class TestCompare:
                              "--method", method)
         assert code == 0 and err == ""
         assert json.loads(out)["result"]["error"] == ""
+
+    def test_no_budget_is_null_in_json_and_nan_in_csv(self, capsys):
+        argv = ("compare", "--t", "1e6", "--Lambda", "0.5", "--method", "leading")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["result"]["budget"] is None
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        row, = csv.DictReader(io.StringIO(out))
+        assert code == 0 and row["budget"] == "nan"
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--method", "leading"), ("eval", "--method", "all-orders"),
+    ("eval", "--method", "corollary"), ("oracle",),
+    ("compare", "--method", "leading"), ("compare", "--method", "large-omega"),
+    ("compare", "--method", "all-orders"), ("compare", "--method", "corollary"),
+    ("terms", "--j-max", "3"),
+], ids=" ".join)
+def test_json_output_has_no_nan_or_infinity(capsys, argv):
+    # RFC 8259 has no NaN or Infinity; verify keeps its NaN margin, which
+    # test_a_nan_margin_anywhere_exits_2 pins
+    code, out, _ = run(capsys, *argv, "--t", "1e6", "--Lambda", "0.5")
+    assert code == 0
+    json.loads(out, parse_constant=_refuse_constant)
 
 
 class TestSweep:
@@ -505,7 +532,7 @@ class TestTerms:
     def test_j_max_above_the_table_cap_is_refused_by_name(self, capsys, monkeypatch):
         # term j reads the level-(j-1) table, so j_max = MAX_TABLE_LEVEL + 1
         # is the last; above it no term is formed
-        monkeypatch.setattr(ibp, "_amn_sum", lambda *args: pytest.fail("term formed"))
+        monkeypatch.setattr(ibp, "_operator", lambda *args: pytest.fail("term formed"))
         code, out, err = run(capsys, "terms", "--t", "1e4", "--Lambda", "0.5",
                              "--j-max", "100")
         assert code == 1 and out == ""
@@ -513,12 +540,15 @@ class TestTerms:
             "error": "OrderViolation",
             "message": f"j_max must lie in [0, {MAX_TABLE_LEVEL + 1}], got 100"}
 
-    def test_overflowing_term_is_numerical_error(self, capsys):
-        code, out, err = run(capsys, "terms", "--t", "1e8", "--Lambda", "0.5",
-                             "--j-max", "50")
-        assert code == 2 and out == ""
-        assert json.loads(err) == {"error": "NumericalError",
-                                   "message": "term j=39 overflows a double at t=1e+08"}
+    def test_terms_whose_factors_overflow_are_formed(self, capsys):
+        # t^j leaves the doubles from j = 39 at t = 1e8; the terms do not
+        code, out, _ = run(capsys, "terms", "--t", "1e8", "--Lambda", "0.5",
+                           "--j-max", "50")
+        assert code == 0
+        terms = json.loads(out)["terms"]
+        assert [term["j"] for term in terms] == list(range(1, 51))
+        assert all(math.isfinite(term["re"]) and math.isfinite(term["im"]) for term in terms)
+        assert 0.0 < abs(complex(terms[38]["re"], terms[38]["im"])) < 1e-70
 
 
 class TestVerify:

@@ -162,93 +162,105 @@ def split_setup():
     t = 3e4
     p = from_offset(t, 0.5, 0.5, 0.6)
     from endpoint_uniform import choose_split
-    dd = choose_split(derive(p), 4)
-    return p, dd
+    d = derive(p)
+    return p, d, choose_split(d, 4)
 
 
 EPS = 2.0**-52
 
 
+def _amplitude_mp(j, p, k, table):
+    """T_j without its oscillation, k^(-(2j-1)/2) / ((-it)^j D^j)
+    sum A_mn (1-k)^(-m) D^(-n), at 40 digits from the doubles t, lambda and k,
+    for the table {(m, n): A_mn}."""
+    with mp.workdps(40):
+        t, lam, k = mp.mpf(p.t), mp.mpf(p.lam), mp.mpf(k)
+        D = mp.log(lam * (1 - k) / k)
+        acc = mp.fsum(mp.mpf(val.numerator) / val.denominator * (1 - k) ** (-m) * D ** (-n)
+                      for (m, n), val in table.items())
+        return k ** (-mp.mpf(2 * j - 1) / 2) / ((-1j * t) ** j * D**j) * acc
+
+
 def _term_mp(j, p, k, table):
-    """T_j = k^(-(2j-1)/2) / ((-it)^j D^j) sum A_mn (1-k)^(-m) D^(-n) e^(i t F(1-k))
-    at 30 digits from the doubles t, lambda and k, for the table {(m, n): A_mn}.
+    """T_j = _amplitude_mp * e^(i t F(1-k)) at 40 digits.
 
     Returns the value and the phase floor 64 eps |t F(1-k)|, the relative
     error that no double rounding of exp(i t F(1-k)) can beat.
     """
-    with mp.workdps(30):
-        t, lam, k = mp.mpf(p.t), mp.mpf(p.lam), mp.mpf(k)
-        phase = t * (k * mp.log(k) + (1 - k) * mp.log((1 - k) * lam))
-        D = mp.log(lam * (1 - k) / k)
-        acc = mp.fsum(mp.mpf(val.numerator) / val.denominator * (1 - k) ** (-m) * D ** (-n)
-                      for (m, n), val in table.items())
-        value = k ** (-mp.mpf(2 * j - 1) / 2) / ((-1j * t) ** j * D**j) * acc * mp.expj(phase)
+    with mp.workdps(40):
+        t, lam, k_mp = mp.mpf(p.t), mp.mpf(p.lam), mp.mpf(k)
+        phase = t * (k_mp * mp.log(k_mp) + (1 - k_mp) * mp.log((1 - k_mp) * lam))
+        value = _amplitude_mp(j, p, k, table) * mp.expj(phase)
         return complex(value), 64 * EPS * float(abs(phase))
 
 
 def test_first_boundary_term_closed_form(split_setup):
     # at j = 1 the table is A_00 = 1, so T_1 = i e^(i t F(1-k)) / (t sqrt(k) D)
-    p, dd = split_setup
+    p, d, dd = split_setup
     expect, floor = _term_mp(1, p, dd.k, {(0, 0): Fraction(1)})
-    term = t_term(1, p, dd)
+    term = t_term(1, d, dd)
     assert abs(term.value - expect) < floor * abs(expect)
     assert term.j == 1
 
 
 def test_boundary_terms_decay(split_setup):
-    p, dd = split_setup
-    mags = [abs(t_term(j, p, dd).value) for j in (1, 2, 3, 4)]
+    _p, d, dd = split_setup
+    mags = [abs(t_term(j, d, dd).value) for j in (1, 2, 3, 4)]
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
 
 def test_boundary_term_magnitude_bounds(split_setup):
     # the bound is (2j-1)!! t^(-1/2-(2j+1)delta/2) a^(-(2j+1)) in the split's
-    # own width a, to the last bit
-    p, dd = split_setup
+    # own width a, summed in logs to the last bit, and the product of its
+    # factors to 1e-14
+    p, d, dd = split_setup
     for j in (1, 2, 3):
-        term = t_term(j, p, dd)
-        assert term.magnitude_bound == (double_factorial(2 * j - 1)
-                                        * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
-                                        * dd.a ** (-(2 * j + 1)))
+        term = t_term(j, d, dd)
+        assert term.magnitude_bound == math.exp(
+            math.log(double_factorial(2 * j - 1))
+            - (0.5 + (2 * j + 1) * p.delta / 2.0) * math.log(p.t)
+            - (2 * j + 1) * math.log(dd.a))
+        assert term.magnitude_bound == pytest.approx(
+            double_factorial(2 * j - 1) * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
+            * dd.a ** (-(2 * j + 1)), rel=1e-14)
         assert abs(term.value) <= 10.0 * term.magnitude_bound
 
 
 def test_term_guards(split_setup):
-    p, dd = split_setup
+    p, d, dd = split_setup
     with pytest.raises(OrderViolation):
-        t_term(0, p, dd)
+        t_term(0, d, dd)
     with pytest.raises(OrderViolation):
-        jb2_series(p, dd, -1)
-    bad_sigma = ProblemParams(t=p.t, delta=p.delta, sigma=0.75, lam=p.lam)
+        jb2_series(d, dd, -1)
+    bad_sigma = derive(ProblemParams(t=p.t, delta=p.delta, sigma=0.75, lam=p.lam))
     with pytest.raises(SigmaUnsupported):
         t_term(1, bad_sigma, dd)
     with pytest.raises(SigmaUnsupported):
         jb2_series(bad_sigma, dd, 0)
     with pytest.raises(SplitOutOfRange):
-        t_term(1, p, Split(p.t ** (p.delta - 1.0) * 1.01, dd.a))
+        t_term(1, d, Split(p.t ** (p.delta - 1.0) * 1.01, dd.a))
     with pytest.raises(SplitOutOfRange):
-        t_term(1, p, Split(0.0, dd.a))
+        t_term(1, d, Split(0.0, dd.a))
 
 
 def test_expansion_assumption_gate():
     # a wide split (a close to 1) violates D_minus < 1, which the remainder
     # bound needs; the term values themselves stay computable
     t = 3e4
-    p = from_offset(t, 0.5, 0.5, 0.6)
+    d = derive(from_offset(t, 0.5, 0.5, 0.6))
     wide = Split(t ** -0.5 * (1.0 - 0.75), 0.75)
     with pytest.raises(AssumptionViolated):
-        rn_bound(1, p, wide)
-    t_term(1, p, wide)
+        rn_bound(1, d, wide)
+    t_term(1, d, wide)
 
 
 def test_one_step_remainder_reconstructs_ray_integral(split_setup):
     # after a single integration by parts the ray piece must equal the
     # boundary term plus the integral of the order-1 operator image
-    p, dd = split_setup
+    p, d, dd = split_setup
     k = dd.k
-    d = derive(p)
     whole = jb2_oracle(p, dd, tol=1e-12)
-    term = t_term(1, p, dd)
+    term = t_term(1, d, dd)
 
     def w(z):
         return p.t * big_f(z, p.lam)
@@ -265,51 +277,49 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
 
 
 def test_series_approaches_ray_integral(split_setup):
-    p, dd = split_setup
+    p, d, dd = split_setup
     whole = jb2_oracle(p, dd, tol=1e-12)
-    value, terms, bound = jb2_series(p, dd, 4)
+    value, terms, bound = jb2_series(d, dd, 4)
     assert [t.j for t in terms] == [1, 2, 3, 4]
     assert value == sum(t.value for t in terms)
     diff = abs(value - whole.value)
     assert diff <= 10.0 * abs(terms[-1].value)
-    assert bound == pytest.approx(rn_bound(5, p, dd), rel=1e-13)
+    assert bound == pytest.approx(rn_bound(5, d, dd), rel=1e-13)
     assert diff <= bound
 
 
 def test_series_single_term_bound_indexing(split_setup):
-    p, dd = split_setup
-    _, _, bound = jb2_series(p, dd, 1)
-    assert bound == pytest.approx(rn_bound(2, p, dd), rel=1e-13)
+    _p, d, dd = split_setup
+    _, _, bound = jb2_series(d, dd, 1)
+    assert bound == pytest.approx(rn_bound(2, d, dd), rel=1e-13)
 
 
 def test_series_derives_its_point_once(split_setup, monkeypatch):
-    # the series forms the split point's oscillation once for all its terms,
-    # from derive(p) or from the derived point its caller hands it, and the
-    # terms keep the bits of t_term's
-    from endpoint_uniform import all_orders, ibp
-    p, dd = split_setup
-    want = [t_term(j, p, dd) for j in (1, 2, 3, 4)]
+    # the series reads the derived point that its caller holds (ibp derives
+    # none) and forms the split point's oscillation once for all its terms,
+    # which keep the bits of t_term's
+    from endpoint_uniform import ibp, phase
+    _p, d, dd = split_setup
+    want = [t_term(j, d, dd) for j in (1, 2, 3, 4)]
     calls = []
-    monkeypatch.setattr(ibp, "derive", lambda q: calls.append(q) or derive(q))
-    _, terms, _ = jb2_series(p, dd, 4)
-    assert terms == want and len(calls) == 1
-    calls.clear()
-    _, terms, _ = jb2_series(p, dd, 4, derive(p))
-    assert terms == want and not calls
-    all_orders(p, 7)
-    assert not calls
+    read = phase.split_oscillation
+    monkeypatch.setattr(phase, "split_oscillation", lambda q, s: calls.append(q) or read(q, s))
+    _, terms, _ = jb2_series(d, dd, 4)
+    assert terms == want and calls == [d]
+    assert not hasattr(ibp, "derive")
 
 
 def test_remainder_bound_formula():
     t = 3e4
     p = from_offset(t, 0.5, 0.5, 0.6)
     from endpoint_uniform import choose_split
-    dd = choose_split(derive(p), 4)
+    d = derive(p)
+    dd = choose_split(d, 4)
     N = 3
     expect = (double_factorial(2 * N - 1) * t ** -N
               * math.log(t) ** ((2 * N + 1) / 2)
               * (-math.log1p(-dd.a)) ** (-2 * N) * dd.k ** (-(2 * N - 1) / 2))
-    assert rn_bound(N, p, dd) == pytest.approx(expect, rel=1e-12)
+    assert rn_bound(N, d, dd) == pytest.approx(expect, rel=1e-12)
 
 
 def _log_bound(N, t, d_minus, k):
@@ -327,9 +337,10 @@ def test_remainder_bound_reads_the_splits_own_width():
     for t in (1e4, 1e6, 1e8, 1e10):
         for Lam in (0.0, 0.5, 10.0):
             p = from_offset(t, 0.5, 0.5, Lam)
-            dd = choose_split(derive(p), 4)
+            d = derive(p)
+            dd = choose_split(d, 4)
             rebuilt_differs += 1.0 - dd.k * t ** (1.0 - p.delta) != dd.a
-            assert rn_bound(6, p, dd) == _log_bound(6, t, -math.log1p(-dd.a), dd.k)
+            assert rn_bound(6, d, dd) == _log_bound(6, t, -math.log1p(-dd.a), dd.k)
     assert rebuilt_differs > 0
 
 
@@ -341,12 +352,13 @@ def test_remainder_bound_keeps_its_product_values_at_low_orders():
         for Lam in (0.0, 0.5, 10.0):
             p = from_offset(t, 0.5, 0.5, Lam)
             for m in range(4, 9):
-                dd = choose_split(derive(p), m)
+                d = derive(p)
+                dd = choose_split(d, m)
                 N = 2 * m - 2
                 product = (double_factorial(2 * N - 1) * t ** -N
                            * math.log(t) ** ((2 * N + 1) / 2.0) * (-math.log1p(-dd.a)) ** (-2 * N)
                            * dd.k ** (-(2 * N - 1) / 2.0))
-                assert rn_bound(N, p, dd) == pytest.approx(product, rel=1e-12)
+                assert rn_bound(N, d, dd) == pytest.approx(product, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [48, 64])
@@ -355,7 +367,8 @@ def test_remainder_bound_at_high_order(m):
     # m = 48 and ~1e367 at m = 64, which no double holds
     from endpoint_uniform import NumericalError, choose_split
     p = from_offset(1e4, 0.5, 0.5, 0.5)
-    dd = choose_split(derive(p), m)
+    d = derive(p)
+    dd = choose_split(d, m)
     N = 2 * m - 2
     assert p.t ** -N == 0.0
     with mp.workdps(30):
@@ -363,11 +376,11 @@ def test_remainder_bound_at_high_order(m):
         want = (mp.mpf(double_factorial(2 * N - 1)) * t ** -N * mp.log(t) ** (N + mp.mpf(0.5))
                 * d_minus ** (-2 * N) * k ** -(N - mp.mpf(0.5)))
     if m == 48:
-        assert rn_bound(N, p, dd) == pytest.approx(float(want), rel=1e-12)
+        assert rn_bound(N, d, dd) == pytest.approx(float(want), rel=1e-12)
     else:
         assert want > 1e308
         with pytest.raises(NumericalError, match="N=126 overflows"):
-            rn_bound(N, p, dd)
+            rn_bound(N, d, dd)
 
 
 def test_successive_term_bound_ratio_identity():
@@ -375,10 +388,11 @@ def test_successive_term_bound_ratio_identity():
     from endpoint_uniform import choose_split
     for t in (1e4, 1e6, 1e8):
         p = from_offset(t, 0.5, 0.5, 0.6)
-        dd = choose_split(derive(p), 4)
+        d = derive(p)
+        dd = choose_split(d, 4)
         for j in (1, 2, 3):
-            ratio = (t_term(j + 1, p, dd).magnitude_bound
-                     / t_term(j, p, dd).magnitude_bound)
+            ratio = (t_term(j + 1, d, dd).magnitude_bound
+                     / t_term(j, d, dd).magnitude_bound)
             expect = (2 * j + 1) * t ** -p.delta * dd.a ** -2.0
             assert ratio == pytest.approx(expect, rel=1e-12)
 
@@ -386,11 +400,40 @@ def test_successive_term_bound_ratio_identity():
 def test_table_feeds_term_values(split_setup):
     # recomputing T_2 with one corrupted coefficient must move the value;
     # guards that the tables actually drive the computation
-    p, dd = split_setup
+    p, d, dd = split_setup
     j = 2
     table = amn_table(j - 1).as_dict()
     clean, floor = _term_mp(j, p, dd.k, table)
-    assert abs(clean - t_term(j, p, dd).value) < floor * abs(clean)
+    assert abs(clean - t_term(j, d, dd).value) < floor * abs(clean)
     corrupted = dict(table)
     corrupted[(1, 1)] = table[(1, 1)] * Fraction(101, 100)
     assert abs(_term_mp(j, p, dd.k, corrupted)[0] - clean) > 1e-4 * abs(clean)
+
+
+@pytest.mark.parametrize("t", [1e4, 1e8, 1e12])
+def test_high_order_terms_match_40_digits(t):
+    # at the split of m = 64 each factor of the scaled closed form stays in
+    # the doubles, where (-i t)^j alone reaches 1e468 at t = 1e12, j = 39:
+    # the term without its oscillation is within 1e-6 of its 40-digit value.
+    # Above j ~ 40 the table sum itself cancels, so the pin stops at 39
+    from endpoint_uniform import choose_split, phase
+    p = from_offset(t, 0.5, 0.5, 0.5)
+    d = derive(p)
+    split = choose_split(d, 64)
+    osc = phase.split_oscillation(d, split)
+    for j in (1, 10, 20, 30, 39):
+        want = _amplitude_mp(j, p, split.k, amn_table(j - 1).as_dict())
+        got = t_term(j, d, split).value / osc
+        assert abs(got - want) <= 1e-6 * abs(want), j
+
+
+def test_term_that_fits_a_double_is_formed():
+    # t^39 = 1e312 is no double at t = 1e8, but term 39 of the m = 50 split
+    # is about 1.7e-76, and comes out within 1e-6 of its 40-digit value
+    from endpoint_uniform import choose_split
+    p = from_offset(1e8, 0.5, 0.5, 0.5)
+    d = derive(p)
+    split = choose_split(d, 50)
+    want, _floor = _term_mp(39, p, split.k, amn_table(38).as_dict())
+    assert 39 * math.log10(p.t) > 308 and abs(want) == pytest.approx(1.7e-76, rel=0.02)
+    assert abs(t_term(39, d, split).value - want) <= 1e-6 * abs(want)

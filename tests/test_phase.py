@@ -553,5 +553,5 @@ def test_split_routes_take_d_from_split_derivative(monkeypatch):
     assert calls == [split]
     corollary_leading(p)
     assert calls[1:] == [corollary_split(derive(p))]
-    t_term(2, p, split)
+    t_term(2, derive(p), split)
     assert len(calls) == 3

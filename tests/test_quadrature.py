@@ -144,7 +144,7 @@ def test_oracle_converges_at_t_1e11_lambda_0():
     assert abs(res.value - complex(float(re_ref), float(im_ref))) <= 10 * 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 4-5: the GK15 estimate misses the "
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 3: the GK15 estimate misses the "
                    "z-frame phase floor, so this point converges 2.2e-10 off with an "
                    "estimate of 9.8e-11")
 def test_oracle_error_at_t_1e11_lambda_0_is_within_its_estimate():
