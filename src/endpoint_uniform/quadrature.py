@@ -22,16 +22,16 @@ Refinement stops with NonConvergence at PANEL_CAP panels, or earlier at the
 roundoff floor: when FLOOR_ROUNDS stuck rounds come in a row, as they do once
 t F is too large for double precision, further bisection cannot reach tol.
 
-Each node is evaluated once, for the integrand and the phase together: the
-integrators take an integrand that returns the pair (values, phase), each
-oracle frame is one callable giving the pair (phase, amplitude), the z-frame
-and offset-frame ones each from one pair of logarithms taken in real
-arithmetic (phase.big_f and phase.f1 with sigma), and a panel is
-bisected at its centre node (GK15 node 7 is x = 0), so the phase at a new
-panel edge is the one the integrand callback already returned there.  Outside
-the GK15 batches the frame runs only at the initial breaks and on the
-truncation grid.  A truncated ray (ray_truncation's RayContour) carries the
-bound on its discarded tail, and integrate_ray reports it.
+Each node is evaluated once, for the amplitude and the phase together: the
+integrators and ray_truncation take one frame, a callable giving the pair
+(phase w, amplitude) of the integrand amp e^(i w), the z-frame and
+offset-frame ones each from one pair of logarithms taken in real arithmetic
+(phase.big_f and phase.f1 with sigma).  _on_line alone forms e^(i w), at the
+GK15 nodes, and a panel is bisected at its centre node (GK15 node 7 is
+x = 0), so the phase at a new panel edge is the one the frame already gave
+there.  Outside the GK15 batches the frame runs only at the initial breaks
+and on the truncation grid.  A truncated ray (ray_truncation's RayContour)
+carries the bound on its discarded tail, and integrate_ray reports it.
 
 Panel evaluation is batched through numpy, and the final sum runs over panels
 sorted by position, so results are reproducible run to run.
@@ -267,55 +267,55 @@ def _geometric_breaks(r_max):
     return np.concatenate([[0.0], g])
 
 
-def _on_line(integrand, phase, z0, rot):
-    """Pull integrand and phase back to the line z0 + s*rot: f(s) gives the
-    pair (values * dz/ds, phase) at the nodes, ph(s) the phase at the breaks."""
+def _on_line(frame, z0, rot):
+    """Pull frame back to the line z0 + s*rot: f(s) gives the pair
+    (amp e^(i w) dz/ds, w) at the nodes, ph(s) the phase w at the breaks."""
 
     def f(s):
-        y, w = integrand(z0 + s * rot)
-        return y * rot, w
+        w, amp = frame(z0 + s * rot)
+        return amp * np.exp(1j * w) * rot, w
 
     def ph(s):
-        return phase(z0 + s * rot)
+        return frame(z0 + s * rot)[0]
 
     return f, ph
 
 
-def integrate_ray(integrand, phase, contour: RayContour, tol: float):
-    """Integrate along contour.origin + s e^(i angle), s in [0, contour.r_max].
+def integrate_ray(frame, contour: RayContour, tol: float):
+    """Integrate amp e^(i w) along contour.origin + s e^(i angle), s in
+    [0, contour.r_max].
 
-    integrand maps numpy arrays of complex z to the pair (values, phase t F),
-    and phase gives t F alone, at the initial breaks; a zero phase
-    (np.zeros_like) forces no split.  tol is an absolute tolerance on the
-    value; the per-panel error estimates must sum below it.  The result
-    reports contour.truncation_bound.  Raises InvalidParam unless tol is
-    finite and > 0, and NonConvergence (with the partial result attached) at
-    PANEL_CAP panels or at the roundoff floor.
+    frame maps numpy arrays of complex z to the pair (w, amp), w the phase
+    t F, as for ray_truncation; a zero phase forces no split.  tol is an
+    absolute tolerance on the value; the per-panel error estimates must sum
+    below it.  The result reports contour.truncation_bound.  Raises
+    InvalidParam unless tol is finite and > 0, and NonConvergence (with the
+    partial result attached) at PANEL_CAP panels or at the roundoff floor.
     """
     check_tolerance(tol)
-    f, ph = _on_line(integrand, phase, contour.origin, cmath.exp(1j * contour.angle))
+    f, ph = _on_line(frame, contour.origin, cmath.exp(1j * contour.angle))
     value, err, n = _adaptive(f, ph, _geometric_breaks(contour.r_max), tol)
     return QuadratureResult(value, err, n, contour.truncation_bound)
 
 
-def integrate_segment(integrand, phase, z_from, z_to, tol: float):
-    """Integrate along the straight segment from z_from to z_to (integrand,
-    phase and tol as for integrate_ray)."""
+def integrate_segment(frame, z_from, z_to, tol: float):
+    """Integrate along the straight segment from z_from to z_to (frame and
+    tol as for integrate_ray)."""
     check_tolerance(tol)
     z0 = complex(z_from)
     dz = complex(z_to) - z0
     length = abs(dz)
     if length == 0.0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0.0)
-    f, ph = _on_line(integrand, phase, z0, dz / length)
+    f, ph = _on_line(frame, z0, dz / length)
     value, err, n = _adaptive(f, ph, np.array([0.0, length]), tol)
     return QuadratureResult(value, err, n, 0.0)
 
 
-def ray_truncation(phase_amp, origin, angle, tol):
+def ray_truncation(frame, origin, angle, tol):
     """Truncation radius by the decay rule, searched on a doubling grid.
 
-    phase_amp maps numpy arrays of complex z to the pair (t F, amplitude).
+    frame maps numpy arrays of complex z to the pair (t F, amplitude).
     Picks the smallest r = 2^j, TRUNCATION_J_LO <= j <= TRUNCATION_J_HI, with
 
         Im[t F(z(r))] >= log(1/tol) + log(1 + r * A(r)),
@@ -330,13 +330,13 @@ def ray_truncation(phase_amp, origin, angle, tol):
     r = 2.0 ** np.arange(TRUNCATION_J_LO, TRUNCATION_J_HI + 1, dtype=float)
     z = origin + r * rot
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w, a = phase_amp(z)
+        w, a = frame(z)
         imw = np.asarray(w, dtype=complex).imag
         amp = np.abs(np.asarray(a, dtype=complex))
     amp = np.where(np.isfinite(amp), amp, 0.0)
     imw = np.where(np.isfinite(imw), imw, np.inf)
     ampmax = np.maximum.accumulate(amp)
-    need = math.log(1.0 / tol) + np.log1p(r * ampmax)
+    need = -math.log(tol) + np.log1p(r * ampmax)
     ok = imw >= need
     if not np.any(ok):
         raise NonConvergence("no truncation radius found: phase decay too slow")
@@ -353,23 +353,13 @@ def ray_truncation(phase_amp, origin, angle, tol):
 # ---------------------------------------------------------------------------
 
 
-def _oracle(wa, origin, tol, angle=None, end=None):
-    """Quadrature of amp(z) exp(i w(z)) from origin: along the segment to end,
-    or else along the ray at angle, truncated by the decay rule.  wa(z) gives
-    the pair (w(z), amp(z)): at the nodes, on the truncation grid, and at the
-    initial breaks, whose phase is wa(breaks)[0].  ray_truncation and the
-    integrators refuse a bad tol."""
-
-    def f(z):
-        wz, amp = wa(z)
-        return amp * np.exp(1j * wz), wz
-
-    def phase(z):
-        return wa(z)[0]
-
+def _oracle(frame, origin, tol, angle=None, end=None):
+    """Quadrature of the frame's amp(z) exp(i w(z)) from origin: along the
+    segment to end, or else along the ray at angle, truncated by the decay
+    rule.  ray_truncation and the integrators refuse a bad tol."""
     if end is not None:
-        return integrate_segment(f, phase, origin, end, tol)
-    return integrate_ray(f, phase, ray_truncation(wa, origin, angle, tol), tol)
+        return integrate_segment(frame, origin, end, tol)
+    return integrate_ray(frame, ray_truncation(frame, origin, angle, tol), tol)
 
 
 def _z_frame(p: ProblemParams, sigma: float):

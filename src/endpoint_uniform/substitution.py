@@ -301,19 +301,21 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     """|Jtilde - F(0) Phi(0) - int F'(u) Phi(u) du| over the pi/4 ray.
 
     The direct Jtilde quadrature and the ray quadrature of F' Phi each carry
-    the tolerance DECOMPOSITION_TOL; Phi is closed form.  The integrand
+    the tolerance DECOMPOSITION_TOL; Phi is closed form.  The ray quadrature
+    takes the zero-phase frame (0, F' Phi), F' Phi decaying by itself, and
     evaluates each GK15 batch with one map solve (zeta, zeta' and zeta'')
-    and one Fresnel-tail call, and has zero phase: F' Phi decays by itself.
+    and one Fresnel-tail call; the integrator also runs the frame once at
+    the initial breaks, for their (zero) phase.
     """
     p = from_offset(t, delta, sigma, Lambda)
     d = derive(p)
     direct = jtilde_oracle(p, tol=DECOMPOSITION_TOL).value
 
-    def integrand(v):
-        return _amp_F_prime(v, d, sigma) * phi_closed(v, d), np.zeros_like(v)
+    def frame(v):
+        return np.zeros_like(v), _amp_F_prime(v, d, sigma) * phi_closed(v, d)
 
     ray = ray_truncation(_gaussian_frame(d), 0.0 + 0.0j, math.pi / 4.0, DECOMPOSITION_TOL)
-    tail = integrate_ray(integrand, np.zeros_like, ray, DECOMPOSITION_TOL)
+    tail = integrate_ray(frame, ray, DECOMPOSITION_TOL)
     # boundary term F(0) Phi(0) of the integration by parts; F(0) = 1
     recomposed = amp_F(0.0, d, sigma) * phi_closed(0.0, d) + tail.value
     return abs(direct - recomposed)

@@ -258,21 +258,14 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
     # after a single integration by parts the ray piece must equal the
     # boundary term plus the integral of the order-1 operator image
     p, d, dd = split_setup
-    k = dd.k
     whole = jb2_oracle(p, dd, tol=1e-12)
     term = t_term(1, d, dd)
 
-    def w(z):
-        return p.t * big_f(z, p.lam)
+    def frame(z):
+        return p.t * big_f(z, p.lam), apply_ibp_operator(1, z, p.t, p.lam)
 
-    def integrand(z):
-        wz = w(z)
-        return apply_ibp_operator(1, z, p.t, p.lam) * np.exp(1j * wz), wz
-
-    z0 = 1.0 - k
-    ray = ray_truncation(
-        lambda z: (w(z), apply_ibp_operator(1, z, p.t, p.lam)), z0, d.phi, 1e-12)
-    rem = integrate_ray(integrand, w, ray, 1e-12)
+    ray = ray_truncation(frame, 1.0 - dd.k, d.phi, 1e-12)
+    rem = integrate_ray(frame, ray, 1e-12)
     assert abs(whole.value - term.value - rem.value) < 1e-10
 
 

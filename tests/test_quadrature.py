@@ -33,6 +33,7 @@ from endpoint_uniform import (
     jb2_oracle,
     jb_oracle,
     jtilde_oracle,
+    phi_oracle,
     ray_truncation,
 )
 
@@ -48,18 +49,15 @@ HARD_REFERENCES = json.loads(
     .read_text())
 
 
-def _square(z):
-    return z * z
-
-
 def _chirp(z):
-    """The pair (e^(i z^2), z^2) the integrators take."""
-    return np.exp(1j * z * z), z * z
+    """The frame (z^2, 1) of e^(i z^2): the pair (phase, amplitude) the
+    integrators take."""
+    return z * z, np.ones_like(z)
 
 
 def test_ray_gaussian_phase_matches_fresnel():
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
-    res = integrate_ray(_chirp, _square, contour, tol=1e-12)
+    res = integrate_ray(_chirp, contour, tol=1e-12)
     assert abs(res.value - FT_ZERO) < 1e-12
     assert res.abs_error_estimate <= 1e-12 * 1.01
     assert res.panels > 0
@@ -68,18 +66,17 @@ def test_ray_gaussian_phase_matches_fresnel():
 def test_ray_linear_amplitude_closed_form():
     # integral of z e^{iz^2} over the pi/4 ray equals i/2
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
-    res = integrate_ray(lambda z: (z * np.exp(1j * z * z), z * z), _square, contour,
-                        tol=1e-12)
+    res = integrate_ray(lambda z: (z * z, z), contour, tol=1e-12)
     assert abs(res.value - 0.5j) < 1e-12
 
 
 def test_segment_matches_fresnel_segment():
-    res = integrate_segment(_chirp, _square, 1.0, 3.0, tol=1e-12)
+    res = integrate_segment(_chirp, 1.0, 3.0, tol=1e-12)
     assert abs(res.value - fresnel_segment(1.0, 3.0)) < 1e-11
 
 
 def test_zero_length_segment():
-    res = integrate_segment(_chirp, _square, 2.0, 2.0, tol=1e-12)
+    res = integrate_segment(_chirp, 2.0, 2.0, tol=1e-12)
     assert res.value == 0.0
     assert res.panels == 0
 
@@ -88,8 +85,7 @@ def test_panel_cap_raises_with_partial_result(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_CAP", 8)
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 12.0)
     with pytest.raises(NonConvergence) as exc:
-        integrate_ray(lambda z: (np.exp(1j * 4000 * z * z), 4000 * z * z),
-                      lambda z: 4000 * z * z, contour, tol=1e-13)
+        integrate_ray(lambda z: (4000 * z * z, np.ones_like(z)), contour, tol=1e-13)
     partial = exc.value.result
     assert isinstance(partial, QuadratureResult)
     assert math.isfinite(partial.value.real)
@@ -108,13 +104,13 @@ def test_panel_cap_is_not_passed(monkeypatch, t):
 
 
 def test_panel_cap_with_only_phase_splits_left_is_not_converged(monkeypatch):
-    # a constant integrand has no quadrature error, but 4000 s^2 advances far
-    # more than 2 pi per panel: stopping at the cap must still raise
+    # the amplitude cancels the oscillation, so the integrand is the constant
+    # 1 (to rounding) and has no quadrature error, but the phase 4000 s^2
+    # advances far more than 2 pi per panel: stopping at the cap must raise
     monkeypatch.setattr(quadrature, "PANEL_CAP", 300)
     contour = RayContour(0.0 + 0.0j, 0.0, 12.0)
     with pytest.raises(NonConvergence) as exc:
-        integrate_ray(lambda z: (np.ones_like(z), 4000 * z * z),
-                      lambda z: 4000 * z * z, contour, tol=1e-3)
+        integrate_ray(lambda z: (4000 * z * z, np.exp(-4000j * z * z)), contour, tol=1e-3)
     assert exc.value.result.abs_error_estimate <= 1e-3
     assert exc.value.result.panels <= 300
 
@@ -164,13 +160,15 @@ def _pseudo_noise(z):
 
 
 def _noisy_chirp(z):
-    return np.exp(1j * z * z) + 1e-9 * _pseudo_noise(z), z * z
+    """The chirp frame with 1e-9 of noise on its amplitude."""
+    return z * z, 1.0 + 1e-9 * _pseudo_noise(z)
 
 
 def test_noisy_segment_stops_at_its_error_floor():
-    # 1e-9 of noise floors the summed error estimate near 2.6e-9 > tol
+    # 1e-9 of noise floors the summed error estimate between 1e-9 and 3e-9,
+    # above tol
     with pytest.raises(NonConvergence) as exc:
-        integrate_segment(_noisy_chirp, _square, 0.0, 20.0, tol=1e-10)
+        integrate_segment(_noisy_chirp, 0.0, 20.0, tol=1e-10)
     assert exc.value.result.panels < 1500
     assert "error floor" in str(exc.value)
 
@@ -180,7 +178,7 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
     # phase every round is error-driven, so the first round whose summed error
     # did not halve is stuck, and it must bisect only the fewest largest-error
     # panels that together hold half of that error (from 16 panels the chirp
-    # converges to the noise floor, and that round comes at 509 panels)
+    # converges to the noise floor, and that round comes at 512 panels)
     batches = []
     gk_batch = quadrature._gk_batch
 
@@ -191,10 +189,12 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gk_batch", spy)
     def unphased(z):
-        return _noisy_chirp(z)[0], np.zeros_like(z)
+        # the same integrand, all of it in the amplitude
+        w, amp = _noisy_chirp(z)
+        return np.zeros_like(z), amp * np.exp(1j * w)
 
     with pytest.raises(NonConvergence):
-        quadrature._adaptive(*quadrature._on_line(unphased, np.zeros_like, 0.0, 1.0),
+        quadrature._adaptive(*quadrature._on_line(unphased, 0.0, 1.0),
                              np.linspace(0.0, 20.0, 17), 1e-10)
     lo, errs = batches[0]
     prev = math.inf
@@ -222,7 +222,7 @@ def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
 def test_phase_forced_rounds_do_not_count_toward_the_floor():
     # the same integrand without the noise: from one panel, the first rounds
     # split on phase advance while the error estimate stays between 4 and 7
-    res = integrate_segment(_chirp, _square, 0.0, 20.0, tol=1e-10)
+    res = integrate_segment(_chirp, 0.0, 20.0, tol=1e-10)
     assert abs(res.value - fresnel_segment(0.0, 20.0)) < 1e-12
     assert res.abs_error_estimate <= 1e-10
 
@@ -268,10 +268,10 @@ def test_nonfinite_integrand_rejected():
     contour = RayContour(0.0 + 0.0j, math.pi / 4, 2.0)
 
     def bad(z):
-        return np.where(z.real > 0.5, np.nan, 1.0) + 0j, np.zeros_like(z)
+        return np.zeros_like(z), np.where(z.real > 0.5, np.nan, 1.0) + 0j
 
     with pytest.raises(NumericalError, match="non-finite") as exc:
-        integrate_ray(bad, np.zeros_like, contour, tol=1e-10)
+        integrate_ray(bad, contour, tol=1e-10)
     assert not isinstance(exc.value, NonConvergence)
 
 
@@ -410,38 +410,45 @@ FUSED_POINTS = [("whole", 1e6, 0.5, 0.5), ("whole", 1e12, 0.0, 0.5),
 
 def _run_oracle(piece, p):
     """The oracle's result, or its NonConvergence (message and partial result)."""
-    split = choose_split(derive(p), 4)
+    d = derive(p)
     try:
         if piece == "whole":
             return jb_oracle(p)
-        return (jb1_oracle if piece == "jb1" else jb2_oracle)(p, split)
+        if piece == "jtilde":
+            return jtilde_oracle(p)
+        if piece == "phi":
+            return phi_oracle(0.0, d)
+        return (jb1_oracle if piece == "jb1" else jb2_oracle)(p, choose_split(d, 4))
     except NonConvergence as exc:
         return exc
 
 
 def _generic_oracle(piece, p):
-    """The same quadrature through the public integrators, with the
-    amplitude and the phase taken apart from phase.big_f, then paired."""
-    k = choose_split(derive(p), 4).k
-    sigma = p.sigma
+    """The same quadrature through the public integrators, on a frame whose
+    phase and amplitude come from separate calls: big_f alone and with sigma
+    (z frame), f1 and amp_g (offset frame), or the Gaussian phase written
+    out with a unit amplitude (phi)."""
+    d = derive(p)
+    k = choose_split(d, 4).k
+    lc = d.lambda_c
+    half = 0.5 * lc * d.t
+    beta = 2.0 * math.log1p(d.Lambda) / (1.0 + lc)
 
-    def w(z):
-        return p.t * big_f(z, p.lam)
-
-    def amp(z):
-        return big_f(z, p.lam, sigma)[1]
-
-    def integrand(z):
-        wz = w(z)
-        return amp(z) * np.exp(1j * wz), wz
+    def frame(z):
+        if piece == "jtilde":
+            return (p.t * phase.f1(z, lc, d.Lambda) / (1.0 + lc),
+                    phase.amp_g(z, lc, p.sigma))
+        if piece == "phi":
+            return half * (z * z + beta * z), np.ones_like(z)
+        return p.t * big_f(z, p.lam), big_f(z, p.lam, p.sigma)[1]
 
     z0 = 1.0 - p.t ** (p.delta - 1.0)
     try:
         if piece == "jb1":
-            return integrate_segment(integrand, w, z0, 1.0 - k, 1e-10)
-        origin = z0 if piece == "whole" else 1.0 - k
-        ray = ray_truncation(lambda z: (w(z), amp(z)), origin, derive(p).phi, 1e-10)
-        return integrate_ray(integrand, w, ray, 1e-10)
+            return integrate_segment(frame, z0, 1.0 - k, 1e-10)
+        origin, angle = {"whole": (z0, d.phi), "jb2": (1.0 - k, d.phi),
+                         "jtilde": (0.0, d.phi), "phi": (0j, math.pi / 4.0)}[piece]
+        return integrate_ray(frame, ray_truncation(frame, origin, angle, 1e-10), 1e-10)
     except NonConvergence as exc:
         return exc
 
@@ -493,9 +500,12 @@ def test_fused_evaluator_equals_the_formula_it_replaces(monkeypatch, piece, t, L
             assert abs(ai - want) <= 8 * eps * abs(want)
 
 
-@pytest.mark.parametrize("piece, t, Lam, sigma", FUSED_POINTS)
+@pytest.mark.parametrize("piece, t, Lam, sigma", FUSED_POINTS + [
+    ("jtilde", 1e6, 0.5, 0.5), ("jtilde", 1e10, 3.0, 0.7), ("jtilde", 1e12, 0.0, 0.5),
+    ("phi", 1e6, 0.5, 0.5), ("phi", 1e12, 10.0, 0.5)])
 def test_z_frame_oracles_match_the_generic_path(piece, t, Lam, sigma):
-    # value, error estimate, panels, truncation bound and failure message
+    # value, error estimate, panels, truncation bound and failure message;
+    # the offset-frame and Gaussian-phase oracles are held to it too
     p = from_offset(t, 0.5, sigma, Lam)
     assert _outcome(_run_oracle(piece, p)) == _outcome(_generic_oracle(piece, p))
 
@@ -504,7 +514,8 @@ def test_bisection_point_is_the_centre_node():
     assert quadrature._XGK[quadrature._CENTRE] == 0.0
     lo, hi = np.array([0.1, 1.0 / 3.0]), np.array([0.7, 2.0])
     mid = 0.5 * (lo + hi)
-    _ik, _err, _abs, wc = quadrature._gk_batch(lambda s: (np.cos(s), s * s), lo, hi)
+    f, _ph = quadrature._on_line(_chirp, 0.0, 1.0)
+    _ik, _err, _abs, wc = quadrature._gk_batch(f, lo, hi)
     assert np.array_equal(wc, mid * mid)
 
 
@@ -566,21 +577,22 @@ def test_bad_tol_is_invalid_param_at_the_public_entries(entry, tol):
         if entry == "ray_truncation":
             ray_truncation(lambda z: (1j * np.abs(z), np.ones_like(z)), 0j, math.pi / 2, tol)
         elif entry == "integrate_ray":
-            integrate_ray(_chirp, _square, RayContour(0j, math.pi / 4, 12.0), tol)
+            integrate_ray(_chirp, RayContour(0j, math.pi / 4, 12.0), tol)
         else:
-            integrate_segment(_chirp, _square, 0.0, 3.0, tol)
+            integrate_segment(_chirp, 0.0, 3.0, tol)
 
 
 def test_gk_batch_refuses_a_non_finite_integrand():
-    def nan_at_half(s):
-        return np.where(s > 0.5, np.nan, 1.0) + 0j, np.zeros_like(s)
+    def nan_at_half(z):
+        return np.zeros_like(z), np.where(z.real > 0.5, np.nan, 1.0) + 0j
 
     lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+    f, _ph = quadrature._on_line(nan_at_half, 0.0, 1.0)
     with pytest.raises(NumericalError, match="non-finite") as exc:
-        quadrature._gk_batch(nan_at_half, lo, hi)
+        quadrature._gk_batch(f, lo, hi)
     assert not isinstance(exc.value, NonConvergence)
     with pytest.raises(NumericalError, match="non-finite"):
-        integrate_segment(nan_at_half, np.zeros_like, 0.0, 1.0, 1e-10)
+        integrate_segment(nan_at_half, 0.0, 1.0, 1e-10)
 
 
 def test_ray_truncation_without_decay_finds_no_radius():
@@ -592,19 +604,29 @@ def test_ray_truncation_without_decay_finds_no_radius():
         ray_truncation(flat, 0.0 + 0.0j, math.pi / 4, 1e-10)
 
 
+def test_ray_truncation_takes_a_subnormal_tol():
+    # log(1/tol) overflows to inf below tol ~ 5.6e-309, which left no radius
+    # on the grid; -log(tol) stays finite down to the least subnormal
+    p = from_offset(1e4, 0.5, 0.5, 0.5)
+    frame, z0 = quadrature._z_frame(p, p.sigma), 1.0 - p.t ** (p.delta - 1.0)
+    ray = ray_truncation(frame, z0, derive(p).phi, 1e-310)
+    assert math.isfinite(ray.r_max)
+    assert ray.r_max >= ray_truncation(frame, z0, derive(p).phi, 1e-300).r_max
+
+
 def test_adaptive_stops_when_every_panel_left_is_at_its_minimum_width():
-    # a jump at 1/3, in the integrand and (by 1e20) in the phase: every round
+    # a jump at 1/3, in the amplitude and (by 1e20) in the phase: every round
     # is phase-forced, so never stuck, and only the panel holding the jump is
     # bisected, until it is no wider than 1e-14 of the range
-    def jump(s):
-        above = s > 1.0 / 3.0
-        return np.where(above, 1e6, 0.0) + 0j, np.where(above, 1e20, 0.0) + 0j
+    def jump(z):
+        above = z.real > 1.0 / 3.0
+        return np.where(above, 1e20, 0.0) + 0j, np.where(above, 1e6, 0.0) + 0j
 
     with pytest.raises(NonConvergence, match="stalled at") as exc:
-        quadrature._adaptive(jump, lambda s: jump(s)[1], np.array([0.0, 1.0]), 1e-12)
+        quadrature._adaptive(*quadrature._on_line(jump, 0.0, 1.0), np.array([0.0, 1.0]), 1e-12)
     res = exc.value.result
     assert isinstance(res, QuadratureResult)
     # 1 + one panel per bisection of the jump's panel, far below the cap
     assert res.panels < 60
     assert res.abs_error_estimate > 1e-12
-    assert res.value == pytest.approx(2e6 / 3.0, rel=1e-9)
+    assert res.value == pytest.approx(2e6 / 3.0 * cmath.exp(1e20j), rel=1e-9)

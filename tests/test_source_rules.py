@@ -4,7 +4,8 @@ The closed-form routes in asymptotics.py import nothing from the oracle
 module, and only phase.py forms a t-sized phase: outside it, t_phase is called
 only by the exponent-identity check.  phase.py computes on arrays only: its
 one test for a numpy array is the wrapper that serves the public evaluators
-a Python number.
+a Python number.  The contour integrals take one frame, the pair (phase,
+amplitude): only quadrature._on_line turns a phase into an oscillation.
 """
 
 import ast
@@ -72,3 +73,32 @@ def test_phase_has_one_array_path():
     # the walk sees such a test at all, nested in an expression
     probe = "def f(z):\n    return 1 if isinstance(z, np.ndarray) else 0\n"
     assert _ndarray_tests(ast.parse(probe)) == [("f", 2)]
+
+
+def _is_imaginary(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+
+
+def _oscillations(tree):
+    """(enclosing top-level name, line) of each np.exp(1j * ...) call, the
+    imaginary constant on either side of the product."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp"
+                    and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+                    and isinstance(node.args[0].op, ast.Mult)
+                    and (_is_imaginary(node.args[0].left)
+                         or _is_imaginary(node.args[0].right))):
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_only_on_line_forms_the_oscillation_of_a_frame():
+    found = [(name, owner, line) for name in ("quadrature.py", "substitution.py")
+             for owner, line in _oscillations(ast.parse((SRC / name).read_text()))]
+    assert [(name, owner) for name, owner, _line in found] == [("quadrature.py", "_on_line")], (
+        f"np.exp(1j * ...) formed outside quadrature._on_line at {found}")
+    # the walk sees such a call at all, nested in a closure, either way round
+    probe = "def f(w):\n    def g(z):\n        return np.exp(w * 1j)\n    return g\n"
+    assert _oscillations(ast.parse(probe)) == [("f", 3)]
