@@ -18,9 +18,12 @@ e^{i w^2} adds the floor eps |w^2| that the rounding of w^2 puts on its
 phase, which no double evaluation at a double w can remove.  FT(0) is
 returned as the exact constant FT_ZERO.
 
-fresnel_tail_general takes a scalar or an array; the scalar path is a plain
-cmath Horner loop (a few microseconds), the array path the same recurrence
-in numpy.  A tail too large for a double raises NumericalError.
+Two paths share those operations.  fresnel_tail, at a real w >= 0, is the
+scalar cmath path that the closed-form routes take (a few microseconds).
+fresnel_tail_general, at a complex w, is the array path, the same
+recurrence in numpy: it takes a number or an array of any shape through
+phase's one wrapper, and gives a Python complex for a number.  A tail too
+large for a double raises NumericalError.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 import numpy as np
 
 from .errors import NegativeArgument, NumericalError, OrderViolation, ZeroArgument
+from .phase import _on_arrays
 
 _ROT = cmath.exp(1j * math.pi / 4.0)
 # FT(0) = (sqrt(pi)/2) e^{i pi/4}; full-line integral is twice this.
@@ -75,13 +79,12 @@ def _faddeeva(z):
 
 
 def _tail(w: complex) -> complex:
+    """FT at a w with Re w + Im w >= 0, in cmath."""
     if w == 0.0:
         return FT_ZERO
-    if w.real + w.imag < 0.0:
-        return FT_FULL_LINE - _tail(-w)
     x, y = w.real, w.imag
     try:
-        # i w^2 = -2xy + i (x - y)(x + y), formed the same way in _tail_array
+        # i w^2 = -2xy + i (x - y)(x + y), formed as fresnel_tail_general forms it
         value = FT_ZERO * cmath.exp(complex(-2.0 * x * y, (x - y) * (x + y))) \
             * _faddeeva(_ROT * w)
     except OverflowError:
@@ -89,20 +92,6 @@ def _tail(w: complex) -> complex:
     if not cmath.isfinite(value):
         raise NumericalError(f"Fresnel tail is not a finite double at w={w}")
     return value
-
-
-def _tail_array(w):
-    flip = w.real + w.imag < 0.0
-    v = np.where(flip, -w, w)
-    x, y = v.real, v.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = FT_ZERO * np.exp(-2.0 * x * y + 1j * ((x - y) * (x + y))) \
-            * _faddeeva(_ROT * v)
-    if not np.all(np.isfinite(out)):
-        bad = w[~np.isfinite(out)].ravel()[0]
-        raise NumericalError(f"Fresnel tail is not a finite double at w={bad}")
-    out = np.where(flip, FT_FULL_LINE - out, out)
-    return np.where(w == 0.0, FT_ZERO, out)
 
 
 def fresnel_tail(w: float) -> complex:
@@ -113,11 +102,20 @@ def fresnel_tail(w: float) -> complex:
     return _tail(complex(w))
 
 
+@_on_arrays
 def fresnel_tail_general(w):
-    """Tail from a complex lower limit (Phi on the pi/4 ray); arrays elementwise."""
-    if isinstance(w, np.ndarray):
-        return _tail_array(w.astype(complex))
-    return _tail(complex(w))
+    """Tail from a complex lower limit (Phi on the pi/4 ray), elementwise."""
+    flip = w.real + w.imag < 0.0
+    v = np.where(flip, -w, w)
+    x, y = v.real, v.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = FT_ZERO * np.exp(-2.0 * x * y + 1j * ((x - y) * (x + y))) \
+            * _faddeeva(_ROT * v)
+    if not np.all(np.isfinite(out)):
+        bad = w[~np.isfinite(out)][0]
+        raise NumericalError(f"Fresnel tail is not a finite double at w={bad}")
+    out = np.where(flip, FT_FULL_LINE - out, out)
+    return np.where(w == 0.0, FT_ZERO, out)
 
 
 def fresnel_segment(w1: float, w2: float) -> complex:

@@ -129,14 +129,15 @@ def _operator(N: int, w, z, d, t: float):
 def apply_ibp_operator(N: int, z, t: float, lam: float):
     """Closed form of the N-fold operator applied to (1-z)^(-1/2).
 
-    Scalar or array z; raises SingularPoint if dF/dz vanishes on the locus.
+    z is a number or an array of any shape: phase.d_f serves both, a number
+    in Python complex arithmetic and an array in numpy's; a list is refused
+    with TypeError.  Raises SingularPoint if dF/dz vanishes on the locus.
     """
-    za = np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
-    d = phase_mod.d_f(za, lam)
+    z = z + 0j
+    d = phase_mod.d_f(z, lam)
     if np.any(np.abs(d) < 1e-12):
         raise SingularPoint("dF/dz ~ 0 on the evaluation locus")
-    out = _operator(N, 1.0 - za, za, d, t)
-    return out if isinstance(z, np.ndarray) else complex(out)
+    return _operator(N, 1.0 - z, z, d, t)
 
 
 def _check_expansion_assumption(d: DerivedParams, split: Split) -> float:

@@ -323,7 +323,8 @@ def ray_truncation(frame, origin, angle, tol):
     A(r) the running max of the amplitude modulus on the grid, so the
     discarded tail is bounded (to leading order) by tol, which must be
     finite and > 0 (else InvalidParam).  Returns the ray truncated at that
-    radius, carrying the bound.
+    radius, carrying the bound.  A phase or amplitude on the grid that is
+    not finite raises NumericalError naming the first such radius.
     """
     check_tolerance(tol)
     rot = cmath.exp(1j * angle)
@@ -331,20 +332,18 @@ def ray_truncation(frame, origin, angle, tol):
     z = origin + r * rot
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w, a = frame(z)
-        imw = np.asarray(w, dtype=complex).imag
+        w = np.asarray(w, dtype=complex)
         amp = np.abs(np.asarray(a, dtype=complex))
-    amp = np.where(np.isfinite(amp), amp, 0.0)
-    imw = np.where(np.isfinite(imw), imw, np.inf)
+    bad = ~(np.isfinite(w) & np.isfinite(amp))
+    if bad.any():
+        raise NumericalError(f"frame is not finite at r={r[bad][0]:.6g} on the truncation grid")
     ampmax = np.maximum.accumulate(amp)
     need = -math.log(tol) + np.log1p(r * ampmax)
-    ok = imw >= need
+    ok = w.imag >= need
     if not np.any(ok):
         raise NonConvergence("no truncation radius found: phase decay too slow")
     i = int(np.argmax(ok))
-    with np.errstate(over="ignore"):
-        bound = float(np.exp(-imw[i]) * (1.0 + r[i] * ampmax[i]))
-    if not math.isfinite(bound):
-        bound = 0.0
+    bound = float(np.exp(-w.imag[i]) * (1.0 + r[i] * ampmax[i]))
     return RayContour(origin, angle, float(r[i]), bound)
 
 

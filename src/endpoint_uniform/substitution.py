@@ -13,7 +13,10 @@ F(u) = g(zeta(u)) dzeta/du, F(0) = 1, and Phi an incomplete Gaussian-phase
 tail with closed form through the Fresnel tail.  decomposition_residual checks
 that identity end to end against direct quadrature.
 
-zeta_of_u, amp_F and phi_closed take scalars or arrays.  The inversion runs
+Every public evaluator here (u_of_zeta, zeta_of_u, dzeta_du, amp_F and
+phi_closed) takes a number or an array of any shape through phase's one
+wrapper, _on_arrays: a number comes out a Python complex with the bits of a
+one-point array, and a list is refused with TypeError.  The inversion runs
 its Newton iteration per element under masks, so one GK15 batch of the ray
 quadrature costs one call.  F' comes from differentiating the defining
 relation, not from differences:
@@ -55,12 +58,24 @@ def _quad(d: DerivedParams):
     return d.lambda_c * (1.0 + d.lambda_c), d.lambda_c * math.log1p(d.Lambda)
 
 
-def u_of_zeta(zeta, d: DerivedParams) -> complex:
+def _root(f, d: DerivedParams):
+    """u = 2 f / (b + r) and r = sqrt(b^2 + 2 a f) = a u + b, from f1 values f:
+    the quadratic's root free of cancellation at small f, and u = 0 where
+    f = 0 (at Lambda = 0, where b = 0, that is no 0/0)."""
+    a, b = _quad(d)
+    r = np.sqrt(b * b + 2.0 * a * f)
+    return 2.0 * f / np.where(f == 0.0, 1.0, b + r), r
+
+
+@phase_mod._on_arrays
+def u_of_zeta(zeta, d: DerivedParams):
     """Solve the quadratic (a/2) u^2 + b u = f1(zeta) for u, in closed form.
 
     The root taken is the one with a u + b = +sqrt(b^2 + 2 a f1), the
     principal square root, written as u = 2 f1 / (b + sqrt(b^2 + 2 a f1)) so
-    that nothing cancels at small f1; it is 0 where f1 = 0.
+    that nothing cancels at small f1; it is 0 where f1 = 0, also at
+    Lambda = 0, where b = 0.  Newton in zeta_of_u takes the same root from
+    the same helper, _root.
 
     Domain: that root is the one continued from u(0) = 0 wherever a u + b
     stays in the right half-plane.  This holds near u = 0, on the pi/4 ray
@@ -69,20 +84,7 @@ def u_of_zeta(zeta, d: DerivedParams) -> complex:
     of the critical point u = -b/a.  Elsewhere the other root may be the
     continued one, and it is not returned.
     """
-    a, b = _quad(d)
-    f = complex(phase_mod.f1(complex(zeta), d.lambda_c, d.Lambda))
-    if f == 0.0:
-        return 0.0 + 0.0j
-    return 2.0 * f / (b + cmath.sqrt(b * b + 2.0 * a * f))
-
-
-def _as_flat(u):
-    return np.asarray(u, dtype=complex).ravel()
-
-
-def _shaped(u, out):
-    """Give out (flat) the shape of u, or a complex scalar for a scalar u."""
-    return out.reshape(np.shape(u)) if isinstance(u, np.ndarray) else complex(out[0])
+    return _root(phase_mod.f1(zeta, d.lambda_c, d.Lambda), d)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -101,11 +103,13 @@ def _cubic_tail(lambda_c: float):
 
 def _horner(c, x):
     """The polynomial c (highest degree first) at the array x, by Horner's
-    rule in place: np.polyval's operations in its order, without its
-    temporaries."""
+    rule: np.polyval's operations in its order, with the sum in place.  The
+    product is not: numpy's in-place complex product of a one-element array
+    rounds differently from its loop over a longer one, so a number would
+    not get an array's bits."""
     y = np.zeros_like(x)
     for ck in c:
-        y *= x
+        y = y * x
         y += ck
     return y
 
@@ -164,14 +168,12 @@ def _newton(u, d: DerivedParams):
     which brings zeta to the precision of f1 itself (the derivatives of the
     map want no less).  NewtonDivergence is raised after 50 steps.
     """
-    a, b = _quad(d)
     zeta = u.copy()
     live = np.arange(u.size)
     for _ in range(50):
         z, ul = zeta[live], u[live]
-        f = phase_mod.f1(z, d.lambda_c, d.Lambda)
-        root = np.sqrt(b * b + 2.0 * a * f)
-        res = 2.0 * f / (b + root) - ul
+        forward, root = _root(phase_mod.f1(z, d.lambda_c, d.Lambda), d)
+        res = forward - ul
         zeta[live] = z - res * root / phase_mod.d_f1(z, d.lambda_c, d.Lambda)
         # a nan residual never passes, so it too ends in NewtonDivergence
         going = ~(np.abs(res) <= 1e-13 * np.abs(ul))
@@ -181,12 +183,13 @@ def _newton(u, d: DerivedParams):
     raise NewtonDivergence(f"Newton stalled at u={u[live[0]]}, residual {abs(res[0]):.3e}")
 
 
+@phase_mod._on_arrays
 def zeta_of_u(u, d: DerivedParams):
     """Invert the map by Newton on the forward map u_of_zeta, from zeta = u.
 
-    u may be a scalar or an array; NewtonDivergence is raised if any element
-    fails.  Small |u| is solved by _near_map instead: there f1'(zeta) is
-    tiny and, at Lambda = 0, the forward map is 0/0 once f1 underflows.
+    NewtonDivergence is raised if any element fails.  Small |u| is solved by
+    _near_map instead: there f1'(zeta) is tiny and, at Lambda = 0, f1 ~ a u^2/2
+    underflows to 0, where the forward map reads 0 whatever zeta is.
 
     Domain: the pi/4 ray, the only ray that decomposition_residual
     integrates along; every ray it integrates ends by |u| = 4.  Further out
@@ -200,14 +203,13 @@ def zeta_of_u(u, d: DerivedParams):
     u = -f b/a converges up to f = 0.991, in 45 steps at f = 0.99, and not
     in 50 from f ~ 0.9913): both raise.
     """
-    flat = _as_flat(u)
-    zeta = np.zeros_like(flat)
-    near = _near_origin(flat, d)
+    zeta = np.zeros_like(u)
+    near = _near_origin(u, d)
     if near.any():
-        zeta[near] = _near_map(flat[near], d)[0]
-    todo = np.flatnonzero((flat != 0.0) & ~near)
-    if todo.size:
-        uu = flat[todo]
+        zeta[near] = _near_map(u[near], d)[0]
+    todo = (u != 0.0) & ~near
+    if todo.any():
+        uu = u[todo]
         z = _newton(uu, d)
         # For Re u >= 0 the quadratic rhs(s u) = s^2 (a/2) u^2 + s b u has
         # Im = s^2 (a/2) Im(u^2) + s b Im u of the sign of Im u for
@@ -220,11 +222,11 @@ def zeta_of_u(u, d: DerivedParams):
             raise NewtonDivergence(f"Newton reached zeta={z[across][0]} at u={uu[across][0]}, "
                                    "across the real axis from u: a root off the branch")
         zeta[todo] = z
-    return _shaped(u, zeta)
+    return zeta
 
 
 def _map(u, d: DerivedParams):
-    """zeta(u), zeta'(u) and zeta''(u) for a flat array u, one solve per point.
+    """zeta(u), zeta'(u) and zeta''(u) for an array u, one solve per point.
 
     Points near the origin take all three from _near_map.  The rest take zeta
     from zeta_of_u, and the derivatives from differentiating
@@ -256,6 +258,7 @@ def _map(u, d: DerivedParams):
     return zeta, d1, d2
 
 
+@phase_mod._on_arrays
 def dzeta_du(u, d: DerivedParams):
     """dzeta/du = (log(1+Lambda) + (1+lambda_c) u) / (f1'(zeta)/lambda_c).
 
@@ -263,33 +266,29 @@ def dzeta_du(u, d: DerivedParams):
     log(1+Lambda), or to 0 at the same linear rate when Lambda = 0); small
     |u| takes the series value from _near_map.
     """
-    flat = _as_flat(u)
-    return _shaped(u, _map(flat, d)[1])
+    return _map(u, d)[1]
 
 
+@phase_mod._on_arrays
 def amp_F(u, d: DerivedParams, sigma: float):
-    """Amplitude in the u frame, g(zeta(u)) dzeta/du, at scalar or array u;
-    1 at u = 0."""
-    flat = _as_flat(u)
-    zeta, d1, _d2 = _map(flat, d)
-    return phase_mod.amp_g(_shaped(u, zeta), d.lambda_c, sigma) * _shaped(u, d1)
+    """Amplitude in the u frame, g(zeta(u)) dzeta/du; 1 at u = 0."""
+    zeta, d1, _d2 = _map(u, d)
+    return phase_mod.amp_g(zeta, d.lambda_c, sigma) * d1
 
 
+@phase_mod._on_arrays
 def phi_closed(u, d: DerivedParams):
     """Closed form of the Gaussian-phase tail Phi(u) via the Fresnel tail:
 
     Phi(u) = e^{-i omega^2} sqrt(2/(lambda_c t)) FT(sqrt(lambda_c t/2) u + omega).
-
-    Scalar or array u.
     """
-    u = np.asarray(u, dtype=complex) if isinstance(u, np.ndarray) else complex(u)
     w = math.sqrt(d.lambda_c * d.t / 2.0) * u + d.omega
     scale = math.sqrt(2.0 / (d.lambda_c * d.t))
     return cmath.exp(-1j * d.omega**2) * scale * fresnel_tail_general(w)
 
 
 def _amp_F_prime(u, d: DerivedParams, sigma: float):
-    """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' for a flat array u."""
+    """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' for an array u."""
     lc = d.lambda_c
     zeta, d1, d2 = _map(u, d)
     dlog_g = 0.5 / (1.0 - zeta) + (sigma - 0.5) * lc / (1.0 + lc * zeta)

@@ -430,3 +430,15 @@ def test_term_that_fits_a_double_is_formed():
     want, _floor = _term_mp(39, p, split.k, amn_table(38).as_dict())
     assert 39 * math.log10(p.t) > 308 and abs(want) == pytest.approx(1.7e-76, rel=0.02)
     assert abs(t_term(39, d, split).value - want) <= 1e-6 * abs(want)
+
+
+def test_a_term_that_is_no_double_is_a_typed_error(split_setup, monkeypatch):
+    # the closed form at the split point overflowing to inf: t_term and the
+    # series raise NumericalError naming the term, not return inf or NaN
+    from endpoint_uniform import NumericalError, ibp
+    _p, d, dd = split_setup
+    monkeypatch.setattr(ibp, "_operator", lambda *args: complex("inf"))
+    with pytest.raises(NumericalError, match="term j=2 overflows a double"):
+        t_term(2, d, dd)
+    with pytest.raises(NumericalError, match="term j=1 overflows a double"):
+        jb2_series(d, dd, 3)

@@ -604,6 +604,38 @@ def test_ray_truncation_without_decay_finds_no_radius():
         ray_truncation(flat, 0.0 + 0.0j, math.pi / 4, 1e-10)
 
 
+def _nan_phase_beyond_one(z):
+    # decays like i|z|, but its phase is NaN past |z| = 1
+    w = 1j * np.abs(z)
+    w[np.abs(z) > 1.0] = complex(math.nan, math.nan)
+    return w, np.ones_like(z)
+
+
+def _blow_up_beyond_1e_3(z):
+    # Im w = -inf past |z| = 1e-3: the integrand blows up there
+    w = 1j * np.abs(z)
+    w[np.abs(z) > 1e-3] = complex(0.0, -math.inf)
+    return w, np.ones_like(z)
+
+
+def _nan_amplitude_beyond_one(z):
+    a = np.ones_like(z)
+    a[np.abs(z) > 1.0] = math.nan
+    return 100j * np.abs(z), a
+
+
+@pytest.mark.parametrize("frame, radius", [(_nan_phase_beyond_one, "2"),
+                                           (_blow_up_beyond_1e_3, "0.00195312"),
+                                           (_nan_amplitude_beyond_one, "2")])
+def test_ray_truncation_refuses_a_non_finite_frame(frame, radius):
+    # a NaN phase, an Im w of -inf and a NaN amplitude on the grid were read
+    # as infinite decay and as 0: r_max 2.0, 1.95e-3 and 0.25, the first two
+    # with a truncation bound of 0
+    with pytest.raises(NumericalError, match=rf"not finite at r={radius} ") as exc:
+        ray_truncation(frame, 0.0 + 0.0j, math.pi / 4, 1e-10)
+    assert not isinstance(exc.value, NonConvergence)
+
+
 def test_ray_truncation_takes_a_subnormal_tol():
     # log(1/tol) overflows to inf below tol ~ 5.6e-309, which left no radius
     # on the grid; -log(tol) stays finite down to the least subnormal

@@ -2,10 +2,12 @@
 
 The closed-form routes in asymptotics.py import nothing from the oracle
 module, and only phase.py forms a t-sized phase: outside it, t_phase is called
-only by the exponent-identity check.  phase.py computes on arrays only: its
-one test for a numpy array is the wrapper that serves the public evaluators
-a Python number.  The contour integrals take one frame, the pair (phase,
-amplitude): only quadrature._on_line turns a phase into an oscillation.
+only by the exponent-identity check.  The package has one array path: its one
+test for a numpy array is phase's wrapper _on_arrays, which serves every
+public evaluator that takes a point a Python number, so the evaluators of
+phase, substitution and fresnel compute on arrays only.  The contour
+integrals take one frame, the pair (phase, amplitude): only
+quadrature._on_line turns a phase into an oscillation.
 """
 
 import ast
@@ -67,9 +69,10 @@ def _ndarray_tests(tree):
 
 
 def test_phase_has_one_array_path():
-    found = _ndarray_tests(ast.parse((SRC / "phase.py").read_text()))
-    assert [owner for owner, _line in found] == ["_on_arrays"], (
-        f"phase.py tests for a numpy array outside its public wrapper at {found}")
+    found = [(path.name, owner, line) for path in sorted(SRC.glob("*.py"))
+             for owner, line in _ndarray_tests(ast.parse(path.read_text()))]
+    assert [(name, owner) for name, owner, _line in found] == [("phase.py", "_on_arrays")], (
+        f"a test for a numpy array outside phase's public wrapper at {found}")
     # the walk sees such a test at all, nested in an expression
     probe = "def f(z):\n    return 1 if isinstance(z, np.ndarray) else 0\n"
     assert _ndarray_tests(ast.parse(probe)) == [("f", 2)]

@@ -10,9 +10,11 @@ from endpoint_uniform import (
     NewtonDivergence,
     amp_F,
     amp_g,
+    apply_ibp_operator,
     decomposition_residual,
     derive,
     dzeta_du,
+    fresnel_tail_general,
     from_offset,
     phi_closed,
     phi_oracle,
@@ -138,18 +140,21 @@ def test_amplitude_normalisation(state):
 def test_amplitude_factorisation(state):
     # amp_F must equal g(zeta(u)) * dzeta/du with each factor computed
     # independently (map by the root solve, derivative by differencing),
-    # and exactly the product of the public factors; at 5e-9 the map and
-    # its derivative come from the series near the origin
+    # and exactly the product of the public factors, on a one-element array
+    # so that both sides multiply in numpy; at 5e-9 the map and its
+    # derivative come from the series near the origin
     for u in (0.1 * RAY, 5e-9 * RAY):
         zeta = zeta_of_u(u, state)
         h = 1e-6
         dz = (zeta_of_u(u + h, state) - zeta_of_u(u - h, state)) / (2 * h)
+        ua = np.array([u])
         for sigma in (0.5, 0.7):
             expect = amp_g(zeta, state.lambda_c, sigma) * dz
             got = amp_F(u, state, sigma)
             assert got.real == pytest.approx(expect.real, rel=1e-7)
             assert got.imag == pytest.approx(expect.imag, rel=1e-7)
-            assert got == amp_g(zeta, state.lambda_c, sigma) * dzeta_du(u, state)
+            factors = amp_g(zeta_of_u(ua, state), state.lambda_c, sigma) * dzeta_du(ua, state)
+            assert amp_F(ua, state, sigma)[0] == factors[0] == got
 
 
 def test_amplitude_half_sigma_drops_offset_factor(state):
@@ -247,6 +252,42 @@ def test_array_calls_equal_scalar_calls(Lam):
         assert got.shape == u.shape
         expect = np.array([fn(complex(x)) for x in u.ravel()]).reshape(u.shape)
         np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+# On the pi/4 ray: the origin, the series near it and Newton; at Lambda = 0
+# u_of_zeta meets 0/0 at zeta = 0 unless the root is taken as 0 there.
+_CRITICAL = derive(from_offset(200.0, 0.5, 0.5, 0.0))
+_U = [0.0, 5e-9 * RAY, 1e-6 * RAY, 0.03 * RAY, 0.3 * RAY, 1.2 * RAY]
+POINT_EVALUATORS = {
+    "u_of_zeta": (lambda x: u_of_zeta(x, _CRITICAL), [0.0, 1e-9 + 1e-9j, 0.05 + 0.03j,
+                                                      0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.1j]),
+    "zeta_of_u": (lambda x: zeta_of_u(x, _CRITICAL), _U),
+    "dzeta_du": (lambda x: dzeta_du(x, _CRITICAL), _U),
+    "amp_F": (lambda x: amp_F(x, _CRITICAL, 0.7), _U),
+    "phi_closed": (lambda x: phi_closed(x, _CRITICAL), _U),
+    "fresnel_tail_general": (fresnel_tail_general, [0.0, 0.3 + 0.7j, -1.5 + 0.4j, -2.0 - 0.5j,
+                                                    1.0 - 0.2j, 5.0 + 5.0j]),
+    "apply_ibp_operator": (lambda x: apply_ibp_operator(2, x, 5e3, 0.02),
+                           [0.95 + 0.1j, 0.9 + 0.3j, 1.0 + 0.5j, 0.5 + 0.2j, 0.7 - 0.3j,
+                            1.2 + 0.1j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_EVALUATORS))
+def test_every_point_evaluator_takes_a_number_or_an_array_of_any_shape(name):
+    evaluate, points = POINT_EVALUATORS[name]
+    assert all(type(evaluate(x)) is complex for x in points)
+    # a 2-d array keeps its shape and the bits of one point at a time
+    grid = np.array(points, dtype=complex).reshape(2, 3)
+    out = evaluate(grid)
+    assert out.shape == (2, 3)
+    singles = [evaluate(np.array([x]))[0] for x in grid.ravel()]
+    assert list(out.ravel()) == singles
+    if name != "apply_ibp_operator":  # a number there takes Python complex arithmetic
+        assert [evaluate(x) for x in grid.ravel()] == singles
+    # a list is neither a number nor an array: refused, not read as its first point
+    with pytest.raises(TypeError):
+        evaluate(points)
 
 
 def test_array_path_raises_when_one_element_diverges(state):
