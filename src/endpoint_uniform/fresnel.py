@@ -23,7 +23,8 @@ scalar cmath path that the closed-form routes take (a few microseconds).
 fresnel_tail_general, at a complex w, is the array path, the same
 recurrence in numpy: it takes a number or an array of any shape through
 phase's one wrapper, and gives a Python complex for a number.  A tail too
-large for a double raises NumericalError.
+large for a double, or a w^2 too large for one, raises NumericalError; the
+real-argument routes refuse a w that is not finite with InvalidParam.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import math
 
 import numpy as np
 
-from .errors import NegativeArgument, NumericalError, OrderViolation, ZeroArgument
+from .errors import (InvalidParam, NegativeArgument, NumericalError, OrderViolation,
+                     ZeroArgument)
 from .phase import _on_arrays
 
 _ROT = cmath.exp(1j * math.pi / 4.0)
@@ -83,12 +85,10 @@ def _tail(w: complex) -> complex:
     if w == 0.0:
         return FT_ZERO
     x, y = w.real, w.imag
-    try:
-        # i w^2 = -2xy + i (x - y)(x + y), formed as fresnel_tail_general forms it
-        value = FT_ZERO * cmath.exp(complex(-2.0 * x * y, (x - y) * (x + y))) \
-            * _faddeeva(_ROT * w)
-    except OverflowError:
-        value = complex("inf")
+    # i w^2 = -2xy + i (x - y)(x + y), formed as fresnel_tail_general forms it;
+    # cmath.exp refuses an infinite phase, so a w^2 past the doubles is the value
+    iw2 = complex(-2.0 * x * y, (x - y) * (x + y))
+    value = FT_ZERO * cmath.exp(iw2) * _faddeeva(_ROT * w) if cmath.isfinite(iw2) else iw2
     if not cmath.isfinite(value):
         raise NumericalError(f"Fresnel tail is not a finite double at w={w}")
     return value
@@ -97,6 +97,8 @@ def _tail(w: complex) -> complex:
 def fresnel_tail(w: float) -> complex:
     """int_w^{inf e^{i pi/4}} e^{i xi^2} dxi for real w >= 0."""
     w = float(w)
+    if not math.isfinite(w):
+        raise InvalidParam(f"fresnel_tail requires a finite w, got {w}")
     if w < 0.0:
         raise NegativeArgument(f"fresnel_tail requires w >= 0, got {w}")
     return _tail(complex(w))
@@ -137,6 +139,8 @@ def fresnel_tail_asymptotic(w: float) -> complex:
     """Leading large-w term e^{iw^2} (-1/(2iw)) of the tail; the remainder is
     O(w^-3)."""
     w = float(w)
+    if not math.isfinite(w):
+        raise InvalidParam(f"fresnel_tail_asymptotic requires a finite w, got {w}")
     if w == 0.0:
         raise ZeroArgument("asymptotic form undefined at w = 0")
     return cmath.exp(1j * (w * w)) * (-1.0 / (2j * w))

@@ -48,6 +48,7 @@ import numpy as np
 from . import phase as phase_mod
 from .errors import AssumptionViolated, NumericalError, OrderViolation, SingularPoint
 from .params import DerivedParams, Split, check_half_sigma, check_split_point
+from .phase import _on_arrays
 
 
 def double_factorial(n: int) -> int:
@@ -129,11 +130,17 @@ def _operator(N: int, w, z, d, t: float):
 def apply_ibp_operator(N: int, z, t: float, lam: float):
     """Closed form of the N-fold operator applied to (1-z)^(-1/2).
 
-    z is a number or an array of any shape: phase.d_f serves both, a number
-    in Python complex arithmetic and an array in numpy's; a list is refused
-    with TypeError.  Raises SingularPoint if dF/dz vanishes on the locus.
+    z is a number or an array of any shape, through phase's one wrapper: a
+    number is computed as a one-point array and comes out as a Python
+    complex; a list is refused with TypeError.  Raises SingularPoint if
+    dF/dz vanishes on the locus.
     """
-    z = z + 0j
+    return _operator_at(z, N, t, lam)
+
+
+@_on_arrays
+def _operator_at(z, N: int, t: float, lam: float):
+    """apply_ibp_operator on a complex array, the point first for _on_arrays."""
     d = phase_mod.d_f(z, lam)
     if np.any(np.abs(d) < 1e-12):
         raise SingularPoint("dF/dz ~ 0 on the evaluation locus")

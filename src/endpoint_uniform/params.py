@@ -131,8 +131,8 @@ def select_phi(lam: float) -> float:
     pi*cos(phi) + sin(phi)*log(lambda) > 0 restricts phi below
     arctan(pi/|log lambda|), and we take half that bound.
     """
-    if lam <= 0.0:
-        raise InvalidParam(f"lambda must be > 0, got {lam}")
+    if not (lam > 0.0) or not math.isfinite(lam):
+        raise InvalidParam(f"lambda must be finite and > 0, got {lam}")
     loglam = math.log(lam)
     if loglam >= 0.0:
         return math.pi / 4.0

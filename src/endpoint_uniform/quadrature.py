@@ -26,12 +26,14 @@ Each node is evaluated once, for the amplitude and the phase together: the
 integrators and ray_truncation take one frame, a callable giving the pair
 (phase w, amplitude) of the integrand amp e^(i w), the z-frame and
 offset-frame ones each from one pair of logarithms taken in real arithmetic
-(phase.big_f and phase.f1 with sigma).  _on_line alone forms e^(i w), at the
-GK15 nodes, and a panel is bisected at its centre node (GK15 node 7 is
-x = 0), so the phase at a new panel edge is the one the frame already gave
-there.  Outside the GK15 batches the frame runs only at the initial breaks
-and on the truncation grid.  A truncated ray (ray_truncation's RayContour)
-carries the bound on its discarded tail, and integrate_ray reports it.
+(phase.big_f and phase.f1 with sigma).  _on_line alone forms e^(i w).  The
+first round is one frame call, on the initial GK15 nodes and the breaks,
+which gives the phase at the panel edges too; a panel is bisected at its
+centre node (GK15 node 7 is x = 0), so the phase at a new panel edge is the
+one the frame already gave there.  Outside the refinement batches
+(_gk_batch) the frame runs only in that first call and on the truncation
+grid.  A truncated ray (ray_truncation's RayContour) carries the bound on
+its discarded tail, and integrate_ray reports it.
 
 Panel evaluation is batched through numpy, and the final sum runs over panels
 sorted by position, so results are reproducible run to run.
@@ -157,41 +159,51 @@ class QuadratureResult:
         }
 
 
-def _gk_batch(f, lo, hi):
-    """Evaluate GK15 on each [lo_i, hi_i]; f returns (integrand, phase) at the
-    nodes.  Returns (integral, err, absint, phase at the centre node)."""
-    mid = 0.5 * (lo + hi)
+def _gk_nodes(lo, hi):
+    """GK15 nodes on each [lo_i, hi_i], one row per panel, and the half widths."""
     half = 0.5 * (hi - lo)
-    s = mid[:, None] + half[:, None] * _XGK[None, :]
-    y, w = f(s.ravel())
-    y = np.asarray(y, dtype=complex).reshape(s.shape)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * _XGK[None, :], half
+
+
+def _gk_sums(y, half):
+    """(integral, err, absint) per panel from the integrand at its 15 nodes."""
+    y = np.asarray(y, dtype=complex).reshape(len(half), 15)
     if not np.isfinite(y).all():
         raise NumericalError("integrand returned a non-finite value")
     ik = (y @ _WGK_C) * half
     ig = (y[:, 1::2] @ _WG_C) * half
-    err = np.abs(ik - ig)
-    absint = (np.abs(y) @ _WGK) * half
+    return ik, np.abs(ik - ig), (np.abs(y) @ _WGK) * half
+
+
+def _gk_batch(f, lo, hi):
+    """Evaluate GK15 on each [lo_i, hi_i]; f returns (integrand, phase) at the
+    nodes.  Returns (integral, err, absint, phase at the centre node)."""
+    s, half = _gk_nodes(lo, hi)
+    y, w = f(s.ravel())
     wc = np.asarray(w, dtype=complex).reshape(s.shape)[:, _CENTRE]
-    return ik, err, absint, wc
+    return (*_gk_sums(y, half), wc)
 
 
-def _adaptive(f, phase, breaks, tol):
+def _adaptive(f, breaks, tol):
     """Adaptive GK15 of f from breaks[0] to breaks[-1] (real parameter line),
     starting from the panels between consecutive breaks.
 
     f maps parameter arrays to the pair (integrand, complex oscillation
-    exponent t*F); phase gives t*F alone and is called once, at the initial
-    breaks.  A panel is bisected at its centre node, where f has already
-    given t*F.  Panels with more than 2*pi of phase advance and a
-    non-negligible modulus are split regardless of their error estimate,
-    unless that advance is within the phase's rounding noise.
+    exponent t*F).  The first round calls f once, on the initial GK15 nodes
+    and the breaks, for t*F at the panel edges too; each later round is one
+    _gk_batch, and bisects a panel at its centre node, where f gave t*F.
+    Panels with more than 2*pi of phase advance and a non-negligible modulus
+    are split regardless of their error estimate, unless that advance is
+    within the phase's rounding noise.
     Raises NonConvergence at PANEL_CAP panels or at the roundoff floor.
     """
-    lo = np.asarray(breaks[:-1], dtype=float)
-    hi = np.asarray(breaks[1:], dtype=float)
-    vals, errs, absints, wmid = _gk_batch(f, lo, hi)
-    wends = np.asarray(phase(np.concatenate([lo, [hi[-1]]])), dtype=complex)
-    wlo, whi = wends[:-1], wends[1:]
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:-1], breaks[1:]
+    s, half = _gk_nodes(lo, hi)
+    y, w = f(np.concatenate([s.ravel(), breaks]))
+    vals, errs, absints = _gk_sums(y[:s.size], half)
+    w = np.asarray(w, dtype=complex)
+    wmid, wlo, whi = w[_CENTRE:s.size:15], w[s.size:-1], w[s.size + 1:]
     min_width = 1e-14 * (hi[-1] - lo[0])
     neglect = 1e-3 * tol
     capped = len(lo) > PANEL_CAP
@@ -269,16 +281,13 @@ def _geometric_breaks(r_max):
 
 def _on_line(frame, z0, rot):
     """Pull frame back to the line z0 + s*rot: f(s) gives the pair
-    (amp e^(i w) dz/ds, w) at the nodes, ph(s) the phase w at the breaks."""
+    (amp e^(i w) dz/ds, w) at the points s."""
 
     def f(s):
         w, amp = frame(z0 + s * rot)
         return amp * np.exp(1j * w) * rot, w
 
-    def ph(s):
-        return frame(z0 + s * rot)[0]
-
-    return f, ph
+    return f
 
 
 def integrate_ray(frame, contour: RayContour, tol: float):
@@ -293,8 +302,8 @@ def integrate_ray(frame, contour: RayContour, tol: float):
     partial result attached) at PANEL_CAP panels or at the roundoff floor.
     """
     check_tolerance(tol)
-    f, ph = _on_line(frame, contour.origin, cmath.exp(1j * contour.angle))
-    value, err, n = _adaptive(f, ph, _geometric_breaks(contour.r_max), tol)
+    f = _on_line(frame, contour.origin, cmath.exp(1j * contour.angle))
+    value, err, n = _adaptive(f, _geometric_breaks(contour.r_max), tol)
     return QuadratureResult(value, err, n, contour.truncation_bound)
 
 
@@ -307,8 +316,7 @@ def integrate_segment(frame, z_from, z_to, tol: float):
     length = abs(dz)
     if length == 0.0:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0.0)
-    f, ph = _on_line(frame, z0, dz / length)
-    value, err, n = _adaptive(f, ph, np.array([0.0, length]), tol)
+    value, err, n = _adaptive(_on_line(frame, z0, dz / length), np.array([0.0, length]), tol)
     return QuadratureResult(value, err, n, 0.0)
 
 

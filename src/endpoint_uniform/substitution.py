@@ -303,8 +303,7 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     the tolerance DECOMPOSITION_TOL; Phi is closed form.  The ray quadrature
     takes the zero-phase frame (0, F' Phi), F' Phi decaying by itself, and
     evaluates each GK15 batch with one map solve (zeta, zeta' and zeta'')
-    and one Fresnel-tail call; the integrator also runs the frame once at
-    the initial breaks, for their (zero) phase.
+    and one Fresnel-tail call.
     """
     p = from_offset(t, delta, sigma, Lambda)
     d = derive(p)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from endpoint_uniform import (
     FT_FULL_LINE,
     FT_ZERO,
+    InvalidParam,
     NegativeArgument,
     NumericalError,
     OrderViolation,
@@ -199,3 +200,20 @@ def test_overflowing_tail_raises_typed_error():
         fresnel_tail_general(30.0 - 20.0j)
     with pytest.raises(NumericalError):
         fresnel_tail_general(np.array([1.0, 30.0 - 20.0j]))
+
+
+def test_tail_whose_w_squared_overflows_raises_typed_error():
+    # w^2 = 1e310 is no double: cmath.exp refused the infinite phase with a
+    # ValueError, where the array path raises NumericalError
+    for tail in (fresnel_tail, fresnel_tail_general):
+        with pytest.raises(NumericalError, match="not a finite double"):
+            tail(1e155)
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tail", [fresnel_tail, fresnel_tail_asymptotic])
+def test_real_argument_tails_refuse_a_non_finite_w(tail, w):
+    # NaN reported a NumericalError from fresnel_tail and came back as
+    # nan+nanj from fresnel_tail_asymptotic
+    with pytest.raises(InvalidParam, match="requires a finite w"):
+        tail(w)

@@ -151,6 +151,16 @@ class TestOperator:
         singles = [apply_ibp_operator(2, complex(z), self.T, self.LAM) for z in zs]
         assert np.allclose(batch, singles, rtol=1e-14)
 
+    @pytest.mark.parametrize("N", [0, 2, 12])
+    def test_a_number_has_the_bits_of_a_one_point_array(self, N):
+        # a number took Python complex arithmetic, and matched the array at
+        # 88 %, 14 % and 0 % of these points, up to 4.6e-14 apart
+        rng = np.random.default_rng(3)
+        zs = 0.5 + 0.6 * rng.random(50) + 1j * (rng.random(50) - 0.3)
+        got = [self._phi(N, complex(z)) for z in zs]
+        assert all(type(v) is complex for v in got)
+        assert got == [self._phi(N, np.array([z]))[0] for z in zs]
+
     def test_stationary_point_is_singular(self):
         z = 1.0 / (1.0 + self.LAM)  # the root of dF/dz
         with pytest.raises(SingularPoint):

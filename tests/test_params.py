@@ -85,6 +85,13 @@ def test_select_phi_branches():
     assert select_phi(math.exp(-math.pi)) == pytest.approx(math.pi / 8, rel=1e-14)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+def test_select_phi_refuses_a_lambda_that_is_not_finite_and_positive(lam):
+    # NaN failed "lam <= 0" and came back as the angle NaN
+    with pytest.raises(InvalidParam, match="lambda must be finite and > 0"):
+        select_phi(lam)
+
+
 @given(st.floats(min_value=-30.0, max_value=30.0))
 def test_select_phi_always_in_open_quadrant(loglam):
     lam = math.exp(loglam)

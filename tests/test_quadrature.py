@@ -174,28 +174,37 @@ def test_noisy_segment_stops_at_its_error_floor():
 
 
 def test_stuck_round_bisects_the_worst_half_of_the_error(monkeypatch):
-    # replay the panel set from the batches _adaptive asks for; without a
-    # phase every round is error-driven, so the first round whose summed error
-    # did not halve is stuck, and it must bisect only the fewest largest-error
-    # panels that together hold half of that error (from 16 panels the chirp
-    # converges to the noise floor, and that round comes at 512 panels)
-    batches = []
-    gk_batch = quadrature._gk_batch
+    # replay the panel set from the GK15 nodes and sums of every round, the
+    # first round (one frame call in _adaptive) and each refinement batch
+    # alike; without a phase every round is error-driven, so the first round
+    # whose summed error did not halve is stuck, and it must bisect only the
+    # fewest largest-error panels that together hold half of that error (from
+    # 16 panels the chirp converges to the noise floor, and that round comes
+    # at 512 panels)
+    los, errss = [], []
+    gk_nodes, gk_sums = quadrature._gk_nodes, quadrature._gk_sums
 
-    def spy(f, lo, hi):
-        out = gk_batch(f, lo, hi)
-        batches.append((lo.copy(), out[1]))
+    def spy_nodes(lo, hi):
+        los.append(lo.copy())
+        return gk_nodes(lo, hi)
+
+    def spy_sums(y, half):
+        out = gk_sums(y, half)
+        errss.append(out[1])
         return out
 
-    monkeypatch.setattr(quadrature, "_gk_batch", spy)
+    monkeypatch.setattr(quadrature, "_gk_nodes", spy_nodes)
+    monkeypatch.setattr(quadrature, "_gk_sums", spy_sums)
     def unphased(z):
         # the same integrand, all of it in the amplitude
         w, amp = _noisy_chirp(z)
         return np.zeros_like(z), amp * np.exp(1j * w)
 
+    breaks = np.linspace(0.0, 20.0, 17)
     with pytest.raises(NonConvergence):
-        quadrature._adaptive(*quadrature._on_line(unphased, 0.0, 1.0),
-                             np.linspace(0.0, 20.0, 17), 1e-10)
+        quadrature._adaptive(quadrature._on_line(unphased, 0.0, 1.0), breaks, 1e-10)
+    assert len(los) == len(errss) and np.array_equal(los[0], breaks[:-1])
+    batches = list(zip(los, errss))
     lo, errs = batches[0]
     prev = math.inf
     for child_lo, child_errs in batches[1:]:
@@ -514,15 +523,19 @@ def test_bisection_point_is_the_centre_node():
     assert quadrature._XGK[quadrature._CENTRE] == 0.0
     lo, hi = np.array([0.1, 1.0 / 3.0]), np.array([0.7, 2.0])
     mid = 0.5 * (lo + hi)
-    f, _ph = quadrature._on_line(_chirp, 0.0, 1.0)
+    # the first round's nodes and a refinement batch's are the same points
+    assert np.array_equal(quadrature._gk_nodes(lo, hi)[0][:, quadrature._CENTRE], mid)
+    f = quadrature._on_line(_chirp, 0.0, 1.0)
     _ik, _err, _abs, wc = quadrature._gk_batch(f, lo, hi)
     assert np.array_equal(wc, mid * mid)
 
 
 @pytest.mark.parametrize("piece, t, Lam, sigma", [FUSED_POINTS[i] for i in (0, 1, 4, 5)])
 def test_phase_alone_only_at_the_breaks_and_truncation(monkeypatch, piece, t, Lam, sigma):
-    # outside the GK15 batches the phase is evaluated once on the truncation
-    # grid (rays only) and once at the initial breaks, never per round
+    # no frame call gives the phase alone: outside the refinement batches a
+    # ray's frame runs exactly twice, on the truncation grid and then on the
+    # initial GK15 nodes and the breaks together, and a segment's once, on
+    # 15 + 2 points; never per round
     p = from_offset(t, 0.5, sigma, Lam)
     batches, outside = [], []
     fused, gk_batch = phase.big_f, quadrature._gk_batch
@@ -541,10 +554,11 @@ def test_phase_alone_only_at_the_breaks_and_truncation(monkeypatch, piece, t, La
     monkeypatch.setattr(phase, "big_f", spy_f)
     monkeypatch.setattr(quadrature, "_gk_batch", spy_batch)
     _run_oracle(piece, p)
-    assert len(batches) > 2  # refinement rounds ran
+    assert len(batches) > 1  # refinement rounds ran
     grid = quadrature.TRUNCATION_J_HI - quadrature.TRUNCATION_J_LO + 1
     breaks = 2 if piece == "jb1" else len(quadrature._geometric_breaks(1.0))
-    assert outside == ([breaks] if piece == "jb1" else [grid, breaks])
+    first = 15 * (breaks - 1) + breaks
+    assert outside == ([first] if piece == "jb1" else [grid, first])
 
 
 BAD_SETTINGS = {"tol-zero": {"tol": 0.0}, "tol-negative": {"tol": -1.0},
@@ -587,7 +601,7 @@ def test_gk_batch_refuses_a_non_finite_integrand():
         return np.zeros_like(z), np.where(z.real > 0.5, np.nan, 1.0) + 0j
 
     lo, hi = np.array([0.0, 0.5]), np.array([0.5, 1.0])
-    f, _ph = quadrature._on_line(nan_at_half, 0.0, 1.0)
+    f = quadrature._on_line(nan_at_half, 0.0, 1.0)
     with pytest.raises(NumericalError, match="non-finite") as exc:
         quadrature._gk_batch(f, lo, hi)
     assert not isinstance(exc.value, NonConvergence)
@@ -655,7 +669,7 @@ def test_adaptive_stops_when_every_panel_left_is_at_its_minimum_width():
         return np.where(above, 1e20, 0.0) + 0j, np.where(above, 1e6, 0.0) + 0j
 
     with pytest.raises(NonConvergence, match="stalled at") as exc:
-        quadrature._adaptive(*quadrature._on_line(jump, 0.0, 1.0), np.array([0.0, 1.0]), 1e-12)
+        quadrature._adaptive(quadrature._on_line(jump, 0.0, 1.0), np.array([0.0, 1.0]), 1e-12)
     res = exc.value.result
     assert isinstance(res, QuadratureResult)
     # 1 + one panel per bisection of the jump's panel, far below the cap

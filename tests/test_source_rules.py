@@ -5,9 +5,10 @@ module, and only phase.py forms a t-sized phase: outside it, t_phase is called
 only by the exponent-identity check.  The package has one array path: its one
 test for a numpy array is phase's wrapper _on_arrays, which serves every
 public evaluator that takes a point a Python number, so the evaluators of
-phase, substitution and fresnel compute on arrays only.  The contour
+phase, substitution, fresnel and ibp compute on arrays only.  The contour
 integrals take one frame, the pair (phase, amplitude): only
-quadrature._on_line turns a phase into an oscillation.
+quadrature._on_line turns a phase into an oscillation, and every call of a
+frame in quadrature.py gives the phase and the amplitude together.
 """
 
 import ast
@@ -105,3 +106,37 @@ def test_only_on_line_forms_the_oscillation_of_a_frame():
     # the walk sees such a call at all, nested in a closure, either way round
     probe = "def f(w):\n    def g(z):\n        return np.exp(w * 1j)\n    return g\n"
     assert _oscillations(ast.parse(probe)) == [("f", 3)]
+
+
+# a frame, and its pull-back onto a line, as quadrature.py names them
+_FRAMES = ("frame", "f")
+
+
+def _frame_calls(tree):
+    """(enclosing top-level name, line, unpacked) of each call of a frame;
+    unpacked when the call is the whole value assigned to a pair of names."""
+    pairs = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and isinstance(node.targets[0], ast.Tuple) and len(node.targets[0].elts) == 2
+             and all(isinstance(e, ast.Name) for e in node.targets[0].elts)}
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FRAMES:
+                found.append((getattr(top, "name", None), node.lineno, id(node) in pairs))
+    return found
+
+
+def test_every_frame_call_gives_the_phase_and_the_amplitude_together():
+    # a frame evaluated for its phase alone costs a second call at the same
+    # points; each call is unpacked as the pair (w, amp) instead
+    calls = _frame_calls(ast.parse((SRC / "quadrature.py").read_text()))
+    alone = [(owner, line) for owner, line, unpacked in calls if not unpacked]
+    assert not alone, f"a frame call in quadrature.py not unpacked as a pair at {alone}"
+    # the walk sees the calls at all: the pull-back, truncation and GK15 rounds
+    assert {owner for owner, _line, _u in calls} == {"_on_line", "ray_truncation",
+                                                    "_gk_batch", "_adaptive"}
+    # and catches a phase-only closure that indexes the pair
+    probe = ("def _on_line(frame, z0, rot):\n    def ph(s):\n"
+             "        return frame(z0 + s * rot)[0]\n    return ph\n")
+    assert _frame_calls(ast.parse(probe)) == [("_on_line", 3, False)]

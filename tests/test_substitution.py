@@ -283,8 +283,7 @@ def test_every_point_evaluator_takes_a_number_or_an_array_of_any_shape(name):
     assert out.shape == (2, 3)
     singles = [evaluate(np.array([x]))[0] for x in grid.ravel()]
     assert list(out.ravel()) == singles
-    if name != "apply_ibp_operator":  # a number there takes Python complex arithmetic
-        assert [evaluate(x) for x in grid.ravel()] == singles
+    assert [evaluate(x) for x in grid.ravel()] == singles
     # a list is neither a number nor an array: refused, not read as its first point
     with pytest.raises(TypeError):
         evaluate(points)
