@@ -9,7 +9,6 @@ adaptive complex-contour quadrature, the other two are closed forms.
 
 from endpoint_uniform import (
     all_orders,
-    derive,
     from_offset,
     from_omega,
     jb_oracle,
@@ -19,21 +18,20 @@ from endpoint_uniform import (
 
 
 def show_point(t, Lambda):
-    p = from_offset(t, 0.5, 0.5, Lambda)
-    d = derive(p)
+    d = from_offset(t, 0.5, 0.5, Lambda)
     print(f"\nt = {t:.1e}, Lambda = {Lambda}  "
-          f"(lambda = {p.lam:.6e}, omega = {d.omega:.4f})")
+          f"(lambda = {d.lam:.6e}, omega = {d.omega:.4f})")
 
-    oracle = jb_oracle(p, tol=1e-10)
+    oracle = jb_oracle(d, tol=1e-10)
     print(f"  oracle      {oracle.value.real:+.10e} {oracle.value.imag:+.10e}i"
           f"   [{oracle.panels} panels, est {oracle.abs_error_estimate:.1e}]")
 
-    lead = leading_order(p)
+    lead = leading_order(d)
     err = abs(lead.value - oracle.value) / abs(oracle.value)
     print(f"  leading     {lead.value.real:+.10e} {lead.value.imag:+.10e}i"
           f"   [rel err {err:.2e}, regime {lead.regime.value}]")
 
-    expansion = all_orders(p, 4)
+    expansion = all_orders(d, 4)
     err = abs(expansion.value - oracle.value) / abs(oracle.value)
     print(f"  all-orders  {expansion.value.real:+.10e} "
           f"{expansion.value.imag:+.10e}i   [rel err {err:.2e}]")
@@ -48,9 +46,9 @@ def main():
     # deep in the oscillatory regime the compact 1/(2 i omega) form kicks in
     print("\nlarge-omega closed form at t = 1e6:")
     for w in (6.0, 12.0, 18.0):
-        p = from_omega(1e6, 0.5, 0.5, w)
-        quick = leading_order_large_omega(p).value
-        full = leading_order(p).value
+        d = from_omega(1e6, 0.5, 0.5, w)
+        quick = leading_order_large_omega(d).value
+        full = leading_order(d).value
         gap = abs(quick - full) / abs(full)
         print(f"  omega = {w:4.1f}: gap to uniform form {gap:.2e} "
               f"(decays like omega^-2)")

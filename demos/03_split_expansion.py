@@ -11,7 +11,6 @@ combination of them, so a single corrupted entry is detectable numerically.
 from endpoint_uniform import (
     amn_table,
     choose_split,
-    derive,
     from_offset,
     jb2_oracle,
     jb2_series,
@@ -28,8 +27,7 @@ def main():
         print(f"  level {level}: {joined}")
 
     t = 3e4
-    p = from_offset(t, 0.5, 0.5, 0.6)
-    d = derive(p)
+    d = from_offset(t, 0.5, 0.5, 0.6)
     dd = choose_split(d, 4)
     print(f"\nsplit at a = {dd.a:.4e} (k = {dd.k:.4e}) for t = {t:.0e}")
 
@@ -39,7 +37,7 @@ def main():
         print(f"  j = {j}: |T_j| = {abs(term.value):.3e}   "
               f"printed bound = {term.magnitude_bound:.3e}")
 
-    oracle = jb2_oracle(p, dd, tol=1e-12)
+    oracle = jb2_oracle(d, dd, tol=1e-12)
     print(f"\nray piece by quadrature: {oracle.value:.12e}")
     for j_max in (1, 2, 3, 4):
         value, terms, bound = jb2_series(d, dd, j_max)

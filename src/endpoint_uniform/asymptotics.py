@@ -29,8 +29,8 @@ from . import phase as phase_mod
 from .errors import AssumptionViolated, OrderViolation, RegimeMismatch
 from .fresnel import fresnel_segment, fresnel_tail
 from .ibp import MAX_TABLE_LEVEL, jb2_series, rn_bound
-from .params import (DerivedParams, ProblemParams, Split, check_half_sigma, choose_split,
-                     corollary_split, derive, endpoint_offset)
+from .params import (DerivedParams, Split, check_half_sigma, choose_split, corollary_split,
+                     endpoint_offset)
 
 OMEGA_THRESHOLD_DEFAULT = 5.0
 
@@ -69,7 +69,7 @@ def classify_regime(omega: float) -> Regime:
     return Regime.OMEGA_LARGE if omega > OMEGA_THRESHOLD_DEFAULT else Regime.OMEGA_BOUNDED
 
 
-def exponent_identity_residual(p: ProblemParams) -> float:
+def exponent_identity_residual(d: DerivedParams) -> float:
     """Gap between the two equivalent forms of the endpoint exponent.
 
     endpoint_prefactor takes it through t_phase at the left endpoint; the
@@ -80,20 +80,18 @@ def exponent_identity_residual(p: ProblemParams) -> float:
     is checked on the exponent the routes use.  Returns the absolute
     residual, expected at the 1e-16 * t rounding floor.
     """
-    d = derive(p)
-    left = p.t * phase_mod.f0(d.Lambda, d.lambda_c) / (1.0 + d.lambda_c)
-    right = phase_mod.t_phase(p.t, p.lam, endpoint_offset(p.t, p.delta))
+    left = d.t * phase_mod.f0(d.Lambda, d.lambda_c) / (1.0 + d.lambda_c)
+    right = phase_mod.t_phase(d.t, d.lam, endpoint_offset(d.t, d.delta))
     return abs(left - right)
 
 
-def leading_order(p: ProblemParams) -> Approximation:
+def leading_order(d: DerivedParams) -> Approximation:
     """Uniform leading term, any sigma in [1/2, 1), any admissible offset:
     endpoint_prefactor * e^(-i omega^2) * sqrt(2/(lambda_c t)) times the
     Fresnel tail from omega.
     """
-    d = derive(p)
     ft = fresnel_tail(d.omega)
-    scale = math.sqrt(2.0 / (d.lambda_c * p.t))
+    scale = math.sqrt(2.0 / (d.lambda_c * d.t))
     value = phase_mod.endpoint_prefactor(d) * cmath.exp(-1j * d.omega**2) * scale * ft
     return Approximation(
         value=value,
@@ -103,15 +101,14 @@ def leading_order(p: ProblemParams) -> Approximation:
     )
 
 
-def leading_order_large_omega(p: ProblemParams) -> Approximation:
+def leading_order_large_omega(d: DerivedParams) -> Approximation:
     """Integration-by-parts form, requires omega above the regime threshold."""
-    d = derive(p)
     if d.omega < OMEGA_THRESHOLD_DEFAULT:
         raise RegimeMismatch(
             f"omega={d.omega:.3f} below the large-omega threshold {OMEGA_THRESHOLD_DEFAULT}"
         )
     lc = d.lambda_c
-    scale = math.sqrt(2.0 / (lc * p.t))
+    scale = math.sqrt(2.0 / (lc * d.t))
     pref = phase_mod.endpoint_prefactor(d)
     value = pref * scale * (-1.0 / (2j * d.omega))
     budget = [("omega-cubed", abs(pref) * scale / d.omega**3)]
@@ -145,7 +142,7 @@ def jb1_main(d: DerivedParams, a: float) -> complex:
     return phase_mod.endpoint_prefactor(d) * cmath.exp(-1j * d.omega**2) * scale * seg
 
 
-def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approximation:
+def all_orders(d: DerivedParams, m: int, split: Split | None = None) -> Approximation:
     """Split-contour expansion of order 4 <= m <= MAX_TABLE_LEVEL + 4 (sigma = 1/2).
 
     Ray-piece boundary terms j = 1..m-3 plus the segment main term; the
@@ -153,18 +150,17 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
     boundary-term series at depth N = 2m-2, and the segment's a^4 error).
     The contour splits at split, by default at choose_split's for order m.
     """
-    check_half_sigma(p.sigma, "all_orders")
+    check_half_sigma(d.sigma, "all_orders")
     # term m-3 reads the level-(m-4) table
     if not 4 <= m <= MAX_TABLE_LEVEL + 4:
         raise OrderViolation(f"expansion order m must lie in [4, {MAX_TABLE_LEVEL + 4}], got {m}")
-    d = derive(p)
     if split is None:
         split = choose_split(d, m)
     series_value, _terms, _series_bound = jb2_series(d, split, m - 3)
     seg = jb1_main(d, split.a)
     budget = [
         ("R-term", rn_bound(2 * m - 2, d, split)),
-        ("JB1-term", p.t ** (-0.5 + 1.5 * p.delta) * split.a**4),
+        ("JB1-term", d.t ** (-0.5 + 1.5 * d.delta) * split.a**4),
     ]
     return Approximation(
         value=series_value + seg,
@@ -175,7 +171,7 @@ def all_orders(p: ProblemParams, m: int, split: Split | None = None) -> Approxim
     )
 
 
-def corollary_leading(p: ProblemParams) -> Approximation:
+def corollary_leading(d: DerivedParams) -> Approximation:
     """Two-term concrete leading form at the balanced split a = t^(-7 delta/16).
 
     The "corollary-estimate" budget t^(-1/2-delta/4) is the remainder's order
@@ -183,15 +179,13 @@ def corollary_leading(p: ProblemParams) -> Approximation:
     delta = 1/2 the measured abs_err/budget is 0.76 at t=1e4, 1.02 at 1e6,
     1.16 at 1e7 and 1.31 at 1e8, so the error exceeds it from t ~ 1e6 on.
     """
-    check_half_sigma(p.sigma, "corollary_leading")
-    t = p.t
-    d = derive(p)
+    check_half_sigma(d.sigma, "corollary_leading")
     split = corollary_split(d)
     big_d = phase_mod.split_derivative(d, split)
     osc = phase_mod.split_oscillation(d, split)
-    term1 = 1j * osc * t ** (-0.5 - p.delta / 2.0) / big_d
+    term1 = 1j * osc * d.t ** (-0.5 - d.delta / 2.0) / big_d
     value = term1 + jb1_main(d, split.a)
-    budget = [("corollary-estimate", t ** (-0.5 - p.delta / 4.0))]
+    budget = [("corollary-estimate", d.t ** (-0.5 - d.delta / 4.0))]
     return Approximation(
         value=value,
         method=Method.COROLLARY_LEADING,
@@ -201,7 +195,7 @@ def corollary_leading(p: ProblemParams) -> Approximation:
     )
 
 
-def phase_difference_residual(p: ProblemParams, a: float) -> float:
+def phase_difference_residual(d: DerivedParams, a: float) -> float:
     """Residual of the split-point exponent expansion.
 
     t (F(1-k) - F(1-t^(delta-1))) collapses algebraically to
@@ -214,9 +208,7 @@ def phase_difference_residual(p: ProblemParams, a: float) -> float:
     form, the last two terms of which are phase.split_phase_tail, avoids the
     catastrophic cancellation of differencing two ~t-sized phases in doubles.
     """
-    d = derive(p)
-    td = p.t**p.delta
-    lc = d.lambda_c
+    td = d.t**d.delta
     exact_tail = phase_mod.split_phase_tail(d, a)
-    model_tail = 0.5 * a * a * td * (1.0 + lc)
+    model_tail = 0.5 * a * a * td * (1.0 + d.lambda_c)
     return abs(exact_tail - model_tail)

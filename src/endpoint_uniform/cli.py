@@ -81,11 +81,12 @@ def _load_config(path) -> harness.SweepConfig:
     return harness.sweep_config_from_dict(data)
 
 
-def _build_params(ns) -> ProblemParams:
+def _build_params(ns) -> DerivedParams:
+    """The point record from --Lambda or --lambda, derived once."""
     if ns.Lambda is not None:
         return from_offset(ns.t, ns.delta, ns.sigma, ns.Lambda)
     if ns.lam is not None:
-        return ProblemParams(t=ns.t, delta=ns.delta, sigma=ns.sigma, lam=ns.lam)
+        return derive(ProblemParams(t=ns.t, delta=ns.delta, sigma=ns.sigma, lam=ns.lam))
     raise InvalidParam("one of --lambda or --Lambda is required")
 
 
@@ -134,9 +135,9 @@ def _emit(payload: dict, ns):
 def _cmd_eval(ns) -> dict:
     if ns.method != "all-orders":
         _refuse(ns, _SPLIT_FLAGS, f"eval --method {ns.method}")
-    p = _build_params(ns)
-    split = _split_fields(ns, derive(p), order_read=True) if ns.method == "all-orders" else None
-    result = harness.eval_method(ns.method, p, _order(ns), split)[0]
+    d = _build_params(ns)
+    split = _split_fields(ns, d, order_read=True) if ns.method == "all-orders" else None
+    result = harness.eval_method(ns.method, d, _order(ns), split)[0]
     return {"subcommand": "eval", "flags": _echo_flags(ns),
             "result": result.as_dict()}
 
@@ -145,15 +146,15 @@ def _cmd_oracle(ns) -> dict:
     piece = ns.piece
     if piece in ("whole", "jtilde"):
         _refuse(ns, _SPLIT_FLAGS, f"oracle --piece {piece}")
-    p = _build_params(ns)
+    d = _build_params(ns)
     if piece == "whole":
-        res = jb_oracle(p, tol=ns.tol)
+        res = jb_oracle(d, tol=ns.tol)
     elif piece == "jtilde":
-        res = jtilde_oracle(p, tol=ns.tol)
+        res = jtilde_oracle(d, tol=ns.tol)
     else:
-        split = _split_fields(ns, derive(p))
+        split = _split_fields(ns, d)
         fn = jb1_oracle if piece == "jb1" else jb2_oracle
-        res = fn(p, split, tol=ns.tol)
+        res = fn(d, split, tol=ns.tol)
     return {"subcommand": "oracle", "flags": _echo_flags(ns), "piece": piece,
             "result": res.as_dict()}
 
@@ -226,7 +227,7 @@ def _cmd_terms(ns) -> dict:
         table = ibp.amn_table(ns.N)
         out["table"] = {"level": table.level, "entries": table.as_strings()}
     if ns.t is not None:
-        d = derive(_build_params(ns))
+        d = _build_params(ns)
         split = _split_fields(ns, d)
         value, terms, bound = ibp.jb2_series(d, split, _j_max(ns))
         out["terms"] = [

@@ -10,11 +10,12 @@ default so identical configs give identical bytes.  The jitter depends only
 on IEEE arithmetic, not on a numpy random stream that a release may change,
 so a pinned verify report stays reproducible across numpy versions.
 
-A sweep runs the oracle at most once per grid point, at the config's tol: the
-rows of a point compare against the one quadrature that its oracle row
-reports, and a failed one gives each row that needs it the same error.  So
-with deterministic=False the runtime_ms of the first row that needs the
-quadrature includes it, and the later rows do not.
+A sweep derives each grid point once, and runs the oracle at most once per
+point, at the config's tol: every row of a point reads its one point record,
+and the rows compare against the one quadrature that its oracle row reports.
+A typed error from either lands on each row that needs it, with the same
+text.  So with deterministic=False the runtime_ms of the first row that needs
+the quadrature includes it, and the later rows do not.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from . import asymptotics, phase as phase_mod, substitution
 from .errors import DegenerateData, EndpointUniformError, InvalidParam
 from .fresnel import fresnel_tail, fresnel_tail_asymptotic
 from .params import (
+    DerivedParams,
     ProblemParams,
     admissible_lambda_range,
     check_delta,
@@ -177,34 +179,34 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def eval_method(method: str, p: ProblemParams, m_order: int = DEFAULT_ORDER, split=None):
-    """One asymptotic method at p: (approximation, m, a), where m and a are
-    the expansion order and split width the method used, "" if it has none.
-    Only all-orders reads m_order and split: it splits at split (a
-    params.Split), by default at choose_split's for m_order.  Any other
-    method given a split, or an unknown method, is InvalidParam; every
-    method accepts m_order, as a sweep passes its own to every row."""
+def eval_method(method: str, d: DerivedParams, m_order: int = DEFAULT_ORDER, split=None):
+    """One asymptotic method at the derived point d: (approximation, m, a),
+    where m and a are the expansion order and split width the method used,
+    "" if it has none.  Only all-orders reads m_order and split: it splits
+    at split (a params.Split), by default at choose_split's for m_order.
+    Any other method given a split, or an unknown method, is InvalidParam;
+    every method accepts m_order, as a sweep passes its own to every row."""
     if split is not None and method != "all-orders":
         raise InvalidParam(f"{method} reads no split; only all-orders does")
     if method == "leading":
-        return asymptotics.leading_order(p), "", ""
+        return asymptotics.leading_order(d), "", ""
     if method == "large-omega":
-        return asymptotics.leading_order_large_omega(p), "", ""
+        return asymptotics.leading_order_large_omega(d), "", ""
     if method == "all-orders":
-        ap = asymptotics.all_orders(p, m_order, split)
+        ap = asymptotics.all_orders(d, m_order, split)
         return ap, m_order, ap.split.a
     if method == "corollary":
-        ap = asymptotics.corollary_leading(p)
+        ap = asymptotics.corollary_leading(d)
         return ap, "", ap.split.a
     raise InvalidParam(f"unknown method {method!r}; choose from {APPROXIMATIONS}")
 
 
-def _oracle(memo: list, p: ProblemParams, tol: float):
-    """jb_oracle(p, tol) once at this point: memo keeps the result, or the
+def _oracle(memo: list, d: DerivedParams, tol: float):
+    """jb_oracle(d, tol) once at this point: memo keeps the result, or the
     typed error, which is raised again for every row."""
     if not memo:
         try:
-            memo.append(jb_oracle(p, tol=tol))
+            memo.append(jb_oracle(d, tol=tol))
         except EndpointUniformError as exc:
             memo.append(exc)
     res = memo[0]
@@ -213,32 +215,33 @@ def _oracle(memo: list, p: ProblemParams, tol: float):
     return res
 
 
-def _run_point(cfg, t, lam, method, memo, raise_errors=False):
-    """The row of one method at (t, lam); memo is shared by the point's rows."""
+def _run_point(cfg, t, lam, d, method, memo, raise_errors=False):
+    """The row of one method at (t, lam), derived once as d (or the typed
+    error its derivation raised); memo is shared by the point's rows."""
     start = time.perf_counter()
     row = ComparisonRow(
         t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam,
         Lambda=float("nan"), omega=float("nan"), method=method,
     )
     try:
-        p = ProblemParams(t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam)
-        d = derive(p)
+        if isinstance(d, EndpointUniformError):
+            raise d
         row.Lambda = d.Lambda
         row.omega = d.omega
         if method == "oracle":
-            res = _oracle(memo, p, cfg.tol)
+            res = _oracle(memo, d, cfg.tol)
             row.approx = res.value
             row.oracle = res.value
             row.abs_err = 0.0
             row.rel_err = 0.0
             row.budget = res.abs_error_estimate + res.truncation_bound
         else:
-            ap, row.m, row.a = eval_method(method, p, cfg.m_order)
+            ap, row.m, row.a = eval_method(method, d, cfg.m_order)
             row.approx = ap.value
             # leading_order has no budget, and its column stays nan
             if ap.error_budget:
                 row.budget = sum(v for _k, v in ap.error_budget)
-            res = _oracle(memo, p, cfg.tol)
+            res = _oracle(memo, d, cfg.tol)
             row.oracle = res.value
             row.abs_err = abs(ap.value - res.value)
             if abs(res.value) > 0.0:
@@ -255,16 +258,20 @@ def run_sweep(cfg: SweepConfig, raise_errors: bool = False) -> list:
     """Cross product of (t grid) x (lambda spec) x (methods), one row each,
     in that order.
 
-    The rows of a point share its one oracle quadrature, at cfg.tol.  A
-    row's failure lands in its error column and the sweep goes on; with
-    raise_errors the typed error is raised instead.
+    The rows of a point share its one derivation and its one oracle
+    quadrature, at cfg.tol.  A row's failure lands in its error column and
+    the sweep goes on; with raise_errors the typed error is raised instead.
     """
     rows = []
     for t in cfg.t_grid:
         for lam in cfg.lambda_values(t):
+            try:
+                d = derive(ProblemParams(t=t, delta=cfg.delta, sigma=cfg.sigma, lam=lam))
+            except EndpointUniformError as exc:
+                d = exc
             memo = []
             for method in cfg.methods:
-                rows.append(_run_point(cfg, t, lam, method, memo, raise_errors))
+                rows.append(_run_point(cfg, t, lam, d, method, memo, raise_errors))
     return rows
 
 
@@ -418,11 +425,11 @@ def _scan_split_consistency(cfg: SweepConfig):
     """|segment piece + ray piece - whole| against 3x the quadrature estimates."""
     for t in cfg.t_grid:
         for Lam in (0.0, 1.0):
-            p = from_offset(t, cfg.delta, 0.5, Lam)
-            split = corollary_split(derive(p))
-            whole = jb_oracle(p, tol=cfg.tol)
-            part1 = jb1_oracle(p, split, tol=cfg.tol)
-            part2 = jb2_oracle(p, split, tol=cfg.tol)
+            d = from_offset(t, cfg.delta, 0.5, Lam)
+            split = corollary_split(d)
+            whole = jb_oracle(d, tol=cfg.tol)
+            part1 = jb1_oracle(d, split, tol=cfg.tol)
+            part2 = jb2_oracle(d, split, tol=cfg.tol)
             gap = abs(part1.value + part2.value - whole.value)
             est = (
                 whole.abs_error_estimate
@@ -446,18 +453,18 @@ def _scan_fresnel_asym(cfg: SweepConfig):
 
 def _scan_cov_decomposition(cfg: SweepConfig):
     for Lam in (0.0, 1.0):
-        res = substitution.decomposition_residual(200.0, cfg.delta, Lam, sigma=cfg.sigma)
+        res = substitution.decomposition_residual(from_offset(200.0, cfg.delta, cfg.sigma, Lam))
         yield 1e-6 - res, {"t": 200.0, "Lambda": Lam, "residual": res}, 1
 
 
 def _scan_exponent_identity(cfg: SweepConfig):
     for t in cfg.t_grid:
         for Lam in (0.0, 0.5, 1.0, 5.0):
-            p = from_offset(t, cfg.delta, cfg.sigma, Lam)
-            res1 = asymptotics.exponent_identity_residual(p)
+            d = from_offset(t, cfg.delta, cfg.sigma, Lam)
+            res1 = asymptotics.exponent_identity_residual(d)
             m1 = 1e-9 * (1.0 + t) - res1
-            a = corollary_split(derive(p)).a
-            res2 = asymptotics.phase_difference_residual(p, a)
+            a = corollary_split(d).a
+            res2 = asymptotics.phase_difference_residual(d, a)
             m2 = 10.0 * a**3 * t**cfg.delta - res2
             point = {
                 "t": t, "Lambda": Lam,

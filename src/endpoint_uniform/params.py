@@ -157,20 +157,30 @@ def derive(p: ProblemParams) -> DerivedParams:
     )
 
 
-def from_offset(t: float, delta: float, sigma: float, Lambda: float) -> ProblemParams:
-    """Construct params from the offset Lambda >= 0 instead of lambda itself."""
+def from_offset(t: float, delta: float, sigma: float, Lambda: float) -> DerivedParams:
+    """The point record at the offset Lambda >= 0 instead of lambda itself."""
+    if math.isnan(Lambda):
+        raise InvalidParam(f"Lambda must be a number, got {Lambda}")
     if Lambda < 0.0:
         raise OutOfRange(f"Lambda must be >= 0, got {Lambda}", lower=0.0)
     lc = critical_lambda(t, delta)
-    return ProblemParams(t=t, delta=delta, sigma=sigma, lam=lc * (1.0 + Lambda))
+    return derive(ProblemParams(t=t, delta=delta, sigma=sigma, lam=lc * (1.0 + Lambda)))
 
 
-def from_omega(t: float, delta: float, sigma: float, omega: float) -> ProblemParams:
-    """Construct params hitting a target omega >= 0 exactly."""
+def from_omega(t: float, delta: float, sigma: float, omega: float) -> DerivedParams:
+    """The point record at omega >= 0: its omega is exact at 0, else within
+    2 eps (1 + 1/Lambda) relative of the target, from rounding through the
+    offset Lambda.  An omega whose offset overflows is OutOfRange."""
+    if math.isnan(omega):
+        raise InvalidParam(f"omega must be a number, got {omega}")
     if omega < 0.0:
         raise OutOfRange(f"omega must be >= 0, got {omega}", lower=0.0)
     lc = critical_lambda(t, delta)
-    Lambda = math.expm1(omega * (1.0 + lc) * math.sqrt(2.0 / (lc * t)))
+    try:
+        Lambda = math.expm1(omega * (1.0 + lc) * math.sqrt(2.0 / (lc * t)))
+    except OverflowError:
+        raise OutOfRange(f"omega={omega} gives an offset Lambda beyond the doubles "
+                         f"at t={t}, delta={delta}", lower=0.0) from None
     return from_offset(t, delta, sigma, Lambda)
 
 

@@ -49,8 +49,8 @@ import numpy as np
 
 from . import phase as phase_mod
 from .errors import NonConvergence, NumericalError
-from .params import (DerivedParams, ProblemParams, Split, check_half_sigma,
-                     check_split_point, check_tolerance, derive, endpoint_offset)
+from .params import (DerivedParams, Split, check_half_sigma, check_split_point,
+                     check_tolerance, endpoint_offset)
 
 # 15-point Kronrod nodes on [-1,1] and weights; Gauss-7 weights sit on the odd
 # indexed nodes.  Values as tabulated for the classical QUADPACK pair.
@@ -369,23 +369,23 @@ def _oracle(frame, origin, tol, angle=None, end=None):
     return integrate_ray(frame, ray_truncation(frame, origin, angle, tol), tol)
 
 
-def _z_frame(p: ProblemParams, sigma: float):
+def _z_frame(d: DerivedParams):
     """The z-frame oracles' (phase, amplitude) callable: t F with the
     amplitude (1-z)^(-1/2) z^(sigma-1/2), both from big_f's log(1-z) and
     log z."""
 
     def wa(z):
-        f, amp = phase_mod.big_f(z, p.lam, sigma)
-        return p.t * f, amp
+        f, amp = phase_mod.big_f(z, d.lam, d.sigma)
+        return d.t * f, amp
 
     return wa
 
 
-def _split_piece(p: ProblemParams, k: float, origin, tol, **contour):
+def _split_piece(d: DerivedParams, k: float, origin, tol, **contour):
     """A piece of the split contour: amplitude (1-z)^(-1/2), sigma = 1/2 only."""
-    check_half_sigma(p.sigma, "a split piece")
-    check_split_point(p.t, p.delta, k)
-    return _oracle(_z_frame(p, 0.5), origin, tol, **contour)
+    check_half_sigma(d.sigma, "a split piece")
+    check_split_point(d.t, d.delta, k)
+    return _oracle(_z_frame(d), origin, tol, **contour)
 
 
 def _gaussian_frame(d: DerivedParams):
@@ -401,39 +401,38 @@ def _gaussian_frame(d: DerivedParams):
     return wa
 
 
-def jb_oracle(p: ProblemParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def jb_oracle(d: DerivedParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Direct adaptive quadrature of J(t; lambda) from the left endpoint.
 
     Contour: the ray 1 - t^(delta-1) + s e^(i phi) with phi = select_phi(lambda),
     truncated by the decay rule.  tol is absolute.
     """
-    z0 = 1.0 - endpoint_offset(p.t, p.delta)
-    return _oracle(_z_frame(p, p.sigma), z0, tol, angle=derive(p).phi)
+    z0 = 1.0 - endpoint_offset(d.t, d.delta)
+    return _oracle(_z_frame(d), z0, tol, angle=d.phi)
 
 
-def jb1_oracle(p: ProblemParams, split: Split, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def jb1_oracle(d: DerivedParams, split: Split, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Real-segment piece: integral over [1 - t^(delta-1), 1 - k] at split.k.
 
     Only sigma = 1/2 (the split analysis drops z^(sigma-1/2)).
     """
-    z0 = 1.0 - endpoint_offset(p.t, p.delta)
-    return _split_piece(p, split.k, z0, tol, end=1.0 - split.k)
+    z0 = 1.0 - endpoint_offset(d.t, d.delta)
+    return _split_piece(d, split.k, z0, tol, end=1.0 - split.k)
 
 
-def jb2_oracle(p: ProblemParams, split: Split, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def jb2_oracle(d: DerivedParams, split: Split, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Ray piece: integral from 1 - split.k out to infinity at angle select_phi."""
-    return _split_piece(p, split.k, 1.0 - split.k, tol, angle=derive(p).phi)
+    return _split_piece(d, split.k, 1.0 - split.k, tol, angle=d.phi)
 
 
-def jtilde_oracle(p: ProblemParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def jtilde_oracle(d: DerivedParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Offset-frame integral J_tilde = int_0^(inf e^(i phi)) g e^(i t h) dzeta,
     its phase and amplitude g = amp_g from f1's two logarithms."""
-    d = derive(p)
     lc = d.lambda_c
 
     def wa(zeta):
-        f, amp = phase_mod.f1(zeta, lc, d.Lambda, p.sigma)
-        return p.t * f / (1.0 + lc), amp
+        f, amp = phase_mod.f1(zeta, lc, d.Lambda, d.sigma)
+        return d.t * f / (1.0 + lc), amp
 
     return _oracle(wa, 0.0, tol, angle=d.phi)
 

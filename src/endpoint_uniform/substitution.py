@@ -42,7 +42,7 @@ import numpy as np
 from . import phase as phase_mod
 from .errors import NewtonDivergence
 from .fresnel import fresnel_tail_general
-from .params import DerivedParams, derive, from_offset
+from .params import DerivedParams
 from .quadrature import _gaussian_frame, integrate_ray, jtilde_oracle, ray_truncation
 
 # Degree of the Taylor polynomial of f1 used near the origin.  It is used for
@@ -270,10 +270,10 @@ def dzeta_du(u, d: DerivedParams):
 
 
 @phase_mod._on_arrays
-def amp_F(u, d: DerivedParams, sigma: float):
+def amp_F(u, d: DerivedParams):
     """Amplitude in the u frame, g(zeta(u)) dzeta/du; 1 at u = 0."""
     zeta, d1, _d2 = _map(u, d)
-    return phase_mod.amp_g(zeta, d.lambda_c, sigma) * d1
+    return phase_mod.amp_g(zeta, d.lambda_c, d.sigma) * d1
 
 
 @phase_mod._on_arrays
@@ -287,17 +287,16 @@ def phi_closed(u, d: DerivedParams):
     return cmath.exp(-1j * d.omega**2) * scale * fresnel_tail_general(w)
 
 
-def _amp_F_prime(u, d: DerivedParams, sigma: float):
+def _amp_F_prime(u, d: DerivedParams):
     """dF/du = g'(zeta) zeta'^2 + g(zeta) zeta'' for an array u."""
     lc = d.lambda_c
     zeta, d1, d2 = _map(u, d)
-    dlog_g = 0.5 / (1.0 - zeta) + (sigma - 0.5) * lc / (1.0 + lc * zeta)
-    return phase_mod.amp_g(zeta, lc, sigma) * (dlog_g * d1 * d1 + d2)
+    dlog_g = 0.5 / (1.0 - zeta) + (d.sigma - 0.5) * lc / (1.0 + lc * zeta)
+    return phase_mod.amp_g(zeta, lc, d.sigma) * (dlog_g * d1 * d1 + d2)
 
 
-def decomposition_residual(t: float, delta: float, Lambda: float,
-                           sigma: float = 0.5) -> float:
-    """|Jtilde - F(0) Phi(0) - int F'(u) Phi(u) du| over the pi/4 ray.
+def decomposition_residual(d: DerivedParams) -> float:
+    """|Jtilde - F(0) Phi(0) - int F'(u) Phi(u) du| over the pi/4 ray at d.
 
     The direct Jtilde quadrature and the ray quadrature of F' Phi each carry
     the tolerance DECOMPOSITION_TOL; Phi is closed form.  The ray quadrature
@@ -305,15 +304,13 @@ def decomposition_residual(t: float, delta: float, Lambda: float,
     evaluates each GK15 batch with one map solve (zeta, zeta' and zeta'')
     and one Fresnel-tail call.
     """
-    p = from_offset(t, delta, sigma, Lambda)
-    d = derive(p)
-    direct = jtilde_oracle(p, tol=DECOMPOSITION_TOL).value
+    direct = jtilde_oracle(d, tol=DECOMPOSITION_TOL).value
 
     def frame(v):
-        return np.zeros_like(v), _amp_F_prime(v, d, sigma) * phi_closed(v, d)
+        return np.zeros_like(v), _amp_F_prime(v, d) * phi_closed(v, d)
 
     ray = ray_truncation(_gaussian_frame(d), 0.0 + 0.0j, math.pi / 4.0, DECOMPOSITION_TOL)
     tail = integrate_ray(frame, ray, DECOMPOSITION_TOL)
     # boundary term F(0) Phi(0) of the integration by parts; F(0) = 1
-    recomposed = amp_F(0.0, d, sigma) * phi_closed(0.0, d) + tail.value
+    recomposed = amp_F(0.0, d) * phi_closed(0.0, d) + tail.value
     return abs(direct - recomposed)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,3 +25,23 @@ def fit_loglog(xs, ys):
 @pytest.fixture(scope="session")
 def fit():
     return fit_loglog
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """Count params.derive calls as the benchmark's tracer does: a counting
+    wrapper is bound under every name that holds derive in every package
+    module.  Returns the list that each call appends its input to."""
+    from endpoint_uniform import params
+    real, calls = params.derive, []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "endpoint_uniform" or name.startswith("endpoint_uniform."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

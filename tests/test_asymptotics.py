@@ -23,7 +23,6 @@ from endpoint_uniform import (
     choose_split,
     classify_regime,
     corollary_leading,
-    derive,
     endpoint_prefactor,
     exponent_identity_residual,
     fresnel_segment,
@@ -37,7 +36,6 @@ from endpoint_uniform import (
     leading_order,
     leading_order_large_omega,
     phase_difference_residual,
-    ProblemParams,
     split_from_a,
 )
 from endpoint_uniform.params import corollary_split
@@ -82,12 +80,11 @@ class TestLeadingOrder:
     def test_critical_point_closed_form(self):
         # at lambda = lambda_c the tail starts at 0 and the phase shift
         # omega^2 vanishes, so the value factorises exactly
-        p = from_offset(1e6, 0.5, 0.5, 0.0)
-        d = derive(p)
+        d = from_offset(1e6, 0.5, 0.5, 0.0)
         assert d.omega == 0.0
-        got = leading_order(p).value
+        got = leading_order(d).value
         expect = (endpoint_prefactor(d)
-                  * math.sqrt(2.0 / (d.lambda_c * p.t))
+                  * math.sqrt(2.0 / (d.lambda_c * d.t))
                   * fresnel_tail(0.0))
         assert got == pytest.approx(expect, rel=1e-14)
 
@@ -98,14 +95,13 @@ class TestLeadingOrder:
         # value must match both
         for t, Lam, sigma in itertools.product(
                 np.geomspace(1e4, 1e8, 10), (0.0, 0.1, 0.5, 1.0, 2.0), (0.5, 0.7)):
-            p = from_offset(float(t), 0.5, sigma, Lam)
-            d = derive(p)
+            d = from_offset(float(t), 0.5, sigma, Lam)
             lc = d.lambda_c
-            v = leading_order(p).value
-            mod_b = (p.t ** -0.5 * math.sqrt(2.0 / (1.0 + lc))
+            v = leading_order(d).value
+            mod_b = (d.t ** -0.5 * math.sqrt(2.0 / (1.0 + lc))
                      * (1.0 + lc) ** (0.5 - sigma) * abs(fresnel_tail(d.omega)))
             assert abs(abs(v) - mod_b) <= 1e-12 * abs(v)
-            assert exponent_identity_residual(p) <= 1e-9 * (1.0 + p.t)
+            assert exponent_identity_residual(d) <= 1e-9 * (1.0 + d.t)
 
     def test_general_sigma_runs(self):
         p = from_offset(1e5, 0.5, 0.8, 0.3)
@@ -135,22 +131,20 @@ class TestLargeOmega:
             leading_order_large_omega(p)
 
     def test_value_formula(self):
-        p = from_omega(1e6, 0.5, 0.5, 9.0)
-        d = derive(p)
-        got = leading_order_large_omega(p).value
+        d = from_omega(1e6, 0.5, 0.5, 9.0)
+        got = leading_order_large_omega(d).value
         expect = (endpoint_prefactor(d)
-                  * math.sqrt(2.0 / (d.lambda_c * p.t))
+                  * math.sqrt(2.0 / (d.lambda_c * d.t))
                   * (-1.0 / (2j * d.omega)))
         assert got == pytest.approx(expect, rel=1e-14)
 
     def test_budget_label_and_magnitude(self):
-        p = from_omega(1e6, 0.5, 0.5, 9.0)
-        d = derive(p)
-        ap = leading_order_large_omega(p)
+        d = from_omega(1e6, 0.5, 0.5, 9.0)
+        ap = leading_order_large_omega(d)
         (label, val), = ap.error_budget
         assert label == "omega-cubed"
         expect = (abs(endpoint_prefactor(d))
-                  * math.sqrt(2.0 / (d.lambda_c * p.t)) / d.omega**3)
+                  * math.sqrt(2.0 / (d.lambda_c * d.t)) / d.omega**3)
         assert val == pytest.approx(expect, rel=1e-14)
 
     def test_gap_to_uniform_form_decays_like_omega_squared(self):
@@ -170,12 +164,11 @@ class TestLargeOmega:
 
 class TestSegmentMain:
     def test_matches_direct_quadrature_within_budget(self):
-        p = from_offset(3e4, 0.5, 0.5, 0.6)
-        d = derive(p)
+        d = from_offset(3e4, 0.5, 0.5, 0.6)
         dd = choose_split(d, 4)
         main = jb1_main(d, dd.a)
-        orc = jb1_oracle(p, dd, tol=1e-12)
-        budget = p.t ** (-0.5 + 1.5 * p.delta) * dd.a**4
+        orc = jb1_oracle(d, dd, tol=1e-12)
+        budget = d.t ** (-0.5 + 1.5 * d.delta) * dd.a**4
         assert abs(main - orc.value) <= budget
 
     @pytest.mark.parametrize("t", [1e6, 1e8])
@@ -183,8 +176,7 @@ class TestSegmentMain:
     def test_reads_leading_orders_factors_over_the_segment(self, t, Lam):
         # one prefactor: the ratio carries no second form of the t-sized
         # exponent, whose two forms differ by up to ~1e-6 rad at t = 1e8
-        p = from_offset(t, 0.5, 0.5, Lam)
-        d = derive(p)
+        d = from_offset(t, 0.5, 0.5, Lam)
         a = corollary_split(d).a
         w2 = d.omega + a * math.sqrt(d.lambda_c * t / 2.0)
         expect = (cmath.exp(-1j * d.omega**2) * math.sqrt(2.0 / (d.lambda_c * t))
@@ -195,14 +187,13 @@ class TestSegmentMain:
     @pytest.mark.parametrize("Lam", [0.0, 0.05, 0.5])
     def test_at_the_phase_rounding_floor(self, t, Lam):
         # the double inputs carry the t-sized phase to eps |phase| rad, no better
-        p = from_offset(t, 0.5, 0.5, Lam)
-        d = derive(p)
+        d = from_offset(t, 0.5, 0.5, Lam)
         a = corollary_split(d).a
-        ref, phase = _jb1_main_mp(p, a)
+        ref, phase = _jb1_main_mp(d, a)
         assert abs(jb1_main(d, a) - ref) <= 2.0 * EPS * phase * abs(ref)
 
     def test_window_guards(self):
-        d = derive(from_offset(3e4, 0.5, 0.5, 0.6))
+        d = from_offset(3e4, 0.5, 0.5, 0.6)
         lo = d.t ** (-d.delta / 2.0)
         hi = d.t ** (-d.delta / 3.0)
         with pytest.raises(AssumptionViolated):
@@ -211,26 +202,18 @@ class TestSegmentMain:
             jb1_main(d, hi * 20.0)
 
     def test_sigma_guard(self):
-        p = ProblemParams(t=3e4, delta=0.5, sigma=0.75,
-                          lam=from_offset(3e4, 0.5, 0.5, 0.6).lam)
+        d = from_offset(3e4, 0.5, 0.75, 0.6)
         with pytest.raises(SigmaUnsupported):
-            jb1_main(derive(p), 0.1)
+            jb1_main(d, 0.1)
 
-    def test_split_routes_derive_their_point_once(self, monkeypatch):
-        # all_orders and corollary_leading derive the point once and hand it
-        # to jb1_main and the ray terms, which derive none
-        from endpoint_uniform import asymptotics, ibp
-        p = from_offset(1e6, 0.5, 0.5, 0.5)
-        d = derive(p)
+    def test_split_routes_derive_their_point_once(self, derive_calls):
+        # from_offset derives the point once; all_orders and corollary_leading
+        # hand that record to jb1_main and the ray terms, and none derives
+        d = from_offset(1e6, 0.5, 0.5, 0.5)
+        assert len(derive_calls) == 1
         a = corollary_split(d).a
-        calls = []
-        monkeypatch.setattr(asymptotics, "derive", lambda q: calls.append(q) or derive(q))
-        for route, derived in ((lambda: all_orders(p, 6), 1), (lambda: corollary_leading(p), 1),
-                               (lambda: jb1_main(d, a), 0)):
-            calls.clear()
-            route()
-            assert len(calls) == derived
-        assert not hasattr(ibp, "derive")
+        all_orders(d, 6), corollary_leading(d), jb1_main(d, a)
+        assert len(derive_calls) == 1
 
 
 class TestAllOrders:
@@ -240,10 +223,9 @@ class TestAllOrders:
             all_orders(p, 3)
 
     def test_sigma_guard(self):
-        p = ProblemParams(t=3e4, delta=0.5, sigma=0.6,
-                          lam=from_offset(3e4, 0.5, 0.5, 0.6).lam)
+        d = from_offset(3e4, 0.5, 0.6, 0.6)
         with pytest.raises(SigmaUnsupported):
-            all_orders(p, 4)
+            all_orders(d, 4)
 
     def test_budget_labels(self):
         ap = all_orders(from_offset(3e4, 0.5, 0.5, 0.6), 4)
@@ -278,7 +260,7 @@ class TestAllOrders:
 
     def test_explicit_split_width_accepted(self):
         p = from_offset(3e4, 0.5, 0.5, 0.6)
-        dd = choose_split(derive(p), 4)
+        dd = choose_split(p, 4)
         auto = all_orders(p, 4)
         manual = all_orders(p, 4, split=dd)
         assert manual.value == pytest.approx(auto.value, rel=1e-13)
@@ -293,10 +275,9 @@ class TestCorollary:
         assert val == pytest.approx(p.t ** (-0.5 - p.delta / 4.0), rel=1e-14)
 
     def test_sigma_guard(self):
-        p = ProblemParams(t=1e6, delta=0.5, sigma=0.9,
-                          lam=from_offset(1e6, 0.5, 0.5, 0.5).lam)
+        d = from_offset(1e6, 0.5, 0.9, 0.5)
         with pytest.raises(SigmaUnsupported):
-            corollary_leading(p)
+            corollary_leading(d)
 
     def test_gap_to_leading_shrinks(self):
         # the two closed forms approach each other as t grows; checked in
@@ -323,7 +304,7 @@ class TestSplitRoutesInTheOffsetFrame:
         errs = {"corollary": [], "all-orders": []}
         for t in (1e10, 1e12, 1e14):
             p = from_offset(t, 0.5, 0.5, Lam)
-            pref = endpoint_prefactor(derive(p))
+            pref = endpoint_prefactor(p)
             jt = jtilde_oracle(p, tol=1e-13).value
             for name, ap in (("corollary", corollary_leading(p)),
                              ("all-orders", all_orders(p, 4))):
@@ -366,15 +347,14 @@ class TestSerialisation:
 
 class TestSplitReported:
     def test_all_orders_reports_its_split(self):
-        p = from_offset(1e8, 0.5, 0.5, 0.6)
-        d = derive(p)
-        assert all_orders(p, 4).split == choose_split(d, 4)
-        assert all_orders(p, 5).split == choose_split(d, 5)
-        assert all_orders(p, 4, split_from_a(d, 0.02)).split == split_from_a(d, 0.02)
+        d = from_offset(1e8, 0.5, 0.5, 0.6)
+        assert all_orders(d, 4).split == choose_split(d, 4)
+        assert all_orders(d, 5).split == choose_split(d, 5)
+        assert all_orders(d, 4, split_from_a(d, 0.02)).split == split_from_a(d, 0.02)
 
     def test_corollary_reports_its_split(self):
         p = from_offset(1e6, 0.5, 0.5, 0.5)
-        assert corollary_leading(p).split == corollary_split(derive(p))
+        assert corollary_leading(p).split == corollary_split(p)
 
     def test_routes_without_a_split_report_none(self):
         p = from_offset(1e6, 0.5, 0.5, 10.0)

@@ -173,7 +173,7 @@ class TestEval:
         )
         assert code == 0
         p = from_offset(1e6, 0.5, 0.5, 0.5)
-        split = choose_split(derive(p), 4, 0.44)
+        split = choose_split(p, 4, 0.44)
         assert json.loads(out)["result"] == all_orders(p, 4, split).as_dict()
         assert json.loads(out)["result"] != all_orders(p, 4).as_dict()
 
@@ -618,6 +618,18 @@ class TestConfigFiles:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "InvalidParam"
 
+    def test_omega_whose_offset_overflows_is_out_of_range(self, capsys, tmp_path):
+        # the offset's exponent omega (1 + lambda_c) sqrt(2/(lambda_c t)) is
+        # 1.4e5, past the ~710 where expm1 overflows: a typed error on
+        # stderr, where an OverflowError traceback was
+        path = tmp_path / "cfg.json"
+        path.write_text('{"t_grid": [1e4], "lambda_spec": {"kind": "omega", '
+                        '"values": [1e6]}, "methods": ["leading"]}')
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "OutOfRange"
+        assert "omega=1000000.0" in json.loads(err)["message"]
+
     def test_verify_with_no_t_is_parameter_error(self, capsys, tmp_path):
         # the contour scans, SplitConsistency and ExponentIdentity would check
         # nothing and pass with worst margin Infinity
@@ -804,7 +816,7 @@ class TestUncoveredPaths:
         assert payload["result"] == jtilde_oracle(from_offset(1e5, 0.5, 0.5, 0.4)).as_dict()
 
     def test_lambda_flag_on_eval_oracle_and_compare(self, capsys):
-        p = ProblemParams(t=1e6, delta=0.5, sigma=0.5, lam=LAM)
+        p = derive(ProblemParams(t=1e6, delta=0.5, sigma=0.5, lam=LAM))
         point = ("--t", "1e6", "--lambda", repr(LAM))
         code, out, _ = run(capsys, "eval", "--method", "leading", *point)
         assert code == 0
@@ -834,7 +846,7 @@ class TestUncoveredPaths:
         code, out, _ = run(capsys, "oracle", "--piece", "jb1", "--a", "0.02",
                            "--t", "1e8", "--Lambda", "0.5")
         assert code == 0
-        split = split_from_a(derive(p), 0.02)
+        split = split_from_a(p, 0.02)
         assert json.loads(out)["result"] == jb1_oracle(p, split).as_dict()
 
     def test_a_split_on_eval_all_orders_keeps_its_width(self, capsys):
@@ -844,7 +856,7 @@ class TestUncoveredPaths:
         code, out, _ = run(capsys, "eval", "--method", "all-orders", "--a", "0.02",
                            "--t", "1e8", "--Lambda", "0.5")
         assert code == 0
-        expect = all_orders(p, 4, split_from_a(derive(p), 0.02)).as_dict()
+        expect = all_orders(p, 4, split_from_a(p, 0.02)).as_dict()
         assert json.loads(out)["result"] == expect
 
     def test_a_split_on_terms(self, capsys):
@@ -854,7 +866,7 @@ class TestUncoveredPaths:
         assert code == 0
         series = json.loads(out)["series"]
         assert series["a"] == 0.02
-        assert series["k"] == split_from_a(derive(p), 0.02).k
+        assert series["k"] == split_from_a(p, 0.02).k
 
     def test_failing_verify_suite_exits_2(self, capsys, monkeypatch):
         def broken(cfg):

@@ -1,7 +1,9 @@
 """Sweep driver, CSV serialisation, slope fits, and the property scans."""
 
 import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,11 @@ from endpoint_uniform import (
     DegenerateData,
     InvalidParam,
     NonConvergence,
+    OutOfRange,
     SweepConfig,
     big_f,
     choose_split,
     d_f,
-    derive,
     fit_error_slope,
     from_offset,
     from_omega,
@@ -33,6 +35,8 @@ from endpoint_uniform import (
 )
 from endpoint_uniform.fresnel import fresnel_tail, fresnel_tail_asymptotic
 from endpoint_uniform.params import corollary_split
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_cfg(**kw):
@@ -133,13 +137,37 @@ class TestSweep:
         real = harness._run_point
 
         def counted(*args):
-            calls.append(args[3])
+            calls.append(args[4])
             return real(*args)
 
         monkeypatch.setattr(harness, "_run_point", counted)
         cfg = small_cfg(lambda_spec=("omega", [0.5, 2.0]), methods=["leading", "corollary"])
         rows = run_sweep(cfg)
         assert calls == [r.method for r in rows] and len(rows) == 2 * 2 * 2
+
+    @pytest.mark.parametrize("name, points, calls", [
+        ("large_omega_gap", 4, 8), ("leading_critical", 5, 5), ("omega_scaling", 5, 10)])
+    def test_one_derivation_per_point(self, derive_calls, name, points, calls):
+        # run_sweep derives each point once for all its rows; an omega spec
+        # derives each point once more, inside from_omega, to find its lambda
+        cfg = sweep_config_from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+        rows = run_sweep(cfg)
+        assert len({(r.t, r.lam) for r in rows}) == points
+        assert len(derive_calls) == calls
+
+    def test_a_failed_derivation_fails_every_row_of_its_point(self, derive_calls):
+        # lambda = 1e9 lies above the window at t = 1e4: ProblemParams
+        # refuses it once, before any derivation, and each row of the point
+        # carries that one OutOfRange with its text
+        cfg = small_cfg(t_grid=[1e4], lambda_spec=("lambda", [1e9, 0.05]),
+                        methods=["oracle", "leading", "corollary"])
+        rows = run_sweep(cfg)
+        assert [d.lam for d in derive_calls] == [0.05]
+        bad = [r.error for r in rows[:3]]
+        assert bad[0].startswith("OutOfRange: lambda=1000000000.0 outside") and len(set(bad)) == 1
+        assert not any(r.error for r in rows[3:])
+        with pytest.raises(OutOfRange, match="lambda=1000000000.0 outside"):
+            run_sweep(cfg, raise_errors=True)
 
     def test_raise_errors_raises_the_oracle_error_itself(self, monkeypatch):
         # not a copy rebuilt from the error column: the partial result stays
@@ -159,11 +187,11 @@ def count_oracle(monkeypatch, raises=None):
     calls = []
     real = harness.jb_oracle
 
-    def oracle(p, tol):
-        calls.append((p.t, p.lam, tol))
+    def oracle(d, tol):
+        calls.append((d.t, d.lam, tol))
         if raises is not None:
             raise raises
-        return real(p, tol=tol)
+        return real(d, tol=tol)
 
     monkeypatch.setattr(harness, "jb_oracle", oracle)
     return calls
@@ -390,8 +418,8 @@ class TestPropertyScans:
     def test_cov_decomposition_reads_the_config_sigma(self, monkeypatch):
         seen = []
 
-        def spy(t, delta, Lambda, **kwargs):
-            seen.append(kwargs.get("sigma", 0.5))
+        def spy(d):
+            seen.append(d.sigma)
             return 0.0
 
         monkeypatch.setattr(harness.substitution, "decomposition_residual", spy)
@@ -596,13 +624,12 @@ class TestEvalMethod:
     def test_split_columns_are_the_routes_own_split(self):
         # all-orders and corollary report the split they used; eval_method
         # passes it on rather than choosing it again
-        p = from_omega(1e8, 0.5, 0.5, 1.0)
-        d = derive(p)
-        _ap, m, a = harness.eval_method("all-orders", p, 5)
+        d = from_omega(1e8, 0.5, 0.5, 1.0)
+        _ap, m, a = harness.eval_method("all-orders", d, 5)
         assert (m, a) == (5, choose_split(d, 5).a)
-        _ap, m, a = harness.eval_method("all-orders", p, 4, split=split_from_a(d, 0.02))
+        _ap, m, a = harness.eval_method("all-orders", d, 4, split=split_from_a(d, 0.02))
         assert (m, a) == (4, 0.02)
-        _ap, m, a = harness.eval_method("corollary", p)
+        _ap, m, a = harness.eval_method("corollary", d)
         assert (m, a) == ("", corollary_split(d).a)
         far = from_omega(3e4, 0.5, 0.5, 6.0)
         for method in ("leading", "large-omega"):
@@ -612,7 +639,7 @@ class TestEvalMethod:
         # refused, not dropped: corollary at t = 1e8, Lambda = 0.5 would keep
         # its own width 0.0178 given 0.02; m_order stays accepted everywhere
         p = from_offset(1e8, 0.5, 0.5, 0.5)
-        split = split_from_a(derive(p), 0.02)
+        split = split_from_a(p, 0.02)
         for method in ("leading", "large-omega", "corollary"):
             with pytest.raises(InvalidParam, match=f"{method} reads no split"):
                 harness.eval_method(method, p, 7, split)

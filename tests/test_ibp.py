@@ -170,10 +170,9 @@ class TestOperator:
 @pytest.fixture(scope="module")
 def split_setup():
     t = 3e4
-    p = from_offset(t, 0.5, 0.5, 0.6)
     from endpoint_uniform import choose_split
-    d = derive(p)
-    return p, d, choose_split(d, 4)
+    d = from_offset(t, 0.5, 0.5, 0.6)
+    return d, choose_split(d, 4)
 
 
 EPS = 2.0**-52
@@ -206,15 +205,15 @@ def _term_mp(j, p, k, table):
 
 def test_first_boundary_term_closed_form(split_setup):
     # at j = 1 the table is A_00 = 1, so T_1 = i e^(i t F(1-k)) / (t sqrt(k) D)
-    p, d, dd = split_setup
-    expect, floor = _term_mp(1, p, dd.k, {(0, 0): Fraction(1)})
+    d, dd = split_setup
+    expect, floor = _term_mp(1, d, dd.k, {(0, 0): Fraction(1)})
     term = t_term(1, d, dd)
     assert abs(term.value - expect) < floor * abs(expect)
     assert term.j == 1
 
 
 def test_boundary_terms_decay(split_setup):
-    _p, d, dd = split_setup
+    d, dd = split_setup
     mags = [abs(t_term(j, d, dd).value) for j in (1, 2, 3, 4)]
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
@@ -223,32 +222,32 @@ def test_boundary_term_magnitude_bounds(split_setup):
     # the bound is (2j-1)!! t^(-1/2-(2j+1)delta/2) a^(-(2j+1)) in the split's
     # own width a, summed in logs to the last bit, and the product of its
     # factors to 1e-14
-    p, d, dd = split_setup
+    d, dd = split_setup
     for j in (1, 2, 3):
         term = t_term(j, d, dd)
         assert term.magnitude_bound == math.exp(
             math.log(double_factorial(2 * j - 1))
-            - (0.5 + (2 * j + 1) * p.delta / 2.0) * math.log(p.t)
+            - (0.5 + (2 * j + 1) * d.delta / 2.0) * math.log(d.t)
             - (2 * j + 1) * math.log(dd.a))
         assert term.magnitude_bound == pytest.approx(
-            double_factorial(2 * j - 1) * p.t ** (-0.5 - (2 * j + 1) * p.delta / 2.0)
+            double_factorial(2 * j - 1) * d.t ** (-0.5 - (2 * j + 1) * d.delta / 2.0)
             * dd.a ** (-(2 * j + 1)), rel=1e-14)
         assert abs(term.value) <= 10.0 * term.magnitude_bound
 
 
 def test_term_guards(split_setup):
-    p, d, dd = split_setup
+    d, dd = split_setup
     with pytest.raises(OrderViolation):
         t_term(0, d, dd)
     with pytest.raises(OrderViolation):
         jb2_series(d, dd, -1)
-    bad_sigma = derive(ProblemParams(t=p.t, delta=p.delta, sigma=0.75, lam=p.lam))
+    bad_sigma = derive(ProblemParams(t=d.t, delta=d.delta, sigma=0.75, lam=d.lam))
     with pytest.raises(SigmaUnsupported):
         t_term(1, bad_sigma, dd)
     with pytest.raises(SigmaUnsupported):
         jb2_series(bad_sigma, dd, 0)
     with pytest.raises(SplitOutOfRange):
-        t_term(1, d, Split(p.t ** (p.delta - 1.0) * 1.01, dd.a))
+        t_term(1, d, Split(d.t ** (d.delta - 1.0) * 1.01, dd.a))
     with pytest.raises(SplitOutOfRange):
         t_term(1, d, Split(0.0, dd.a))
 
@@ -257,7 +256,7 @@ def test_expansion_assumption_gate():
     # a wide split (a close to 1) violates D_minus < 1, which the remainder
     # bound needs; the term values themselves stay computable
     t = 3e4
-    d = derive(from_offset(t, 0.5, 0.5, 0.6))
+    d = from_offset(t, 0.5, 0.5, 0.6)
     wide = Split(t ** -0.5 * (1.0 - 0.75), 0.75)
     with pytest.raises(AssumptionViolated):
         rn_bound(1, d, wide)
@@ -267,12 +266,12 @@ def test_expansion_assumption_gate():
 def test_one_step_remainder_reconstructs_ray_integral(split_setup):
     # after a single integration by parts the ray piece must equal the
     # boundary term plus the integral of the order-1 operator image
-    p, d, dd = split_setup
-    whole = jb2_oracle(p, dd, tol=1e-12)
+    d, dd = split_setup
+    whole = jb2_oracle(d, dd, tol=1e-12)
     term = t_term(1, d, dd)
 
     def frame(z):
-        return p.t * big_f(z, p.lam), apply_ibp_operator(1, z, p.t, p.lam)
+        return d.t * big_f(z, d.lam), apply_ibp_operator(1, z, d.t, d.lam)
 
     ray = ray_truncation(frame, 1.0 - dd.k, d.phi, 1e-12)
     rem = integrate_ray(frame, ray, 1e-12)
@@ -280,8 +279,8 @@ def test_one_step_remainder_reconstructs_ray_integral(split_setup):
 
 
 def test_series_approaches_ray_integral(split_setup):
-    p, d, dd = split_setup
-    whole = jb2_oracle(p, dd, tol=1e-12)
+    d, dd = split_setup
+    whole = jb2_oracle(d, dd, tol=1e-12)
     value, terms, bound = jb2_series(d, dd, 4)
     assert [t.j for t in terms] == [1, 2, 3, 4]
     assert value == sum(t.value for t in terms)
@@ -292,7 +291,7 @@ def test_series_approaches_ray_integral(split_setup):
 
 
 def test_series_single_term_bound_indexing(split_setup):
-    _p, d, dd = split_setup
+    d, dd = split_setup
     _, _, bound = jb2_series(d, dd, 1)
     assert bound == pytest.approx(rn_bound(2, d, dd), rel=1e-13)
 
@@ -302,7 +301,7 @@ def test_series_derives_its_point_once(split_setup, monkeypatch):
     # none) and forms the split point's oscillation once for all its terms,
     # which keep the bits of t_term's
     from endpoint_uniform import ibp, phase
-    _p, d, dd = split_setup
+    d, dd = split_setup
     want = [t_term(j, d, dd) for j in (1, 2, 3, 4)]
     calls = []
     read = phase.split_oscillation
@@ -314,9 +313,8 @@ def test_series_derives_its_point_once(split_setup, monkeypatch):
 
 def test_remainder_bound_formula():
     t = 3e4
-    p = from_offset(t, 0.5, 0.5, 0.6)
+    d = from_offset(t, 0.5, 0.5, 0.6)
     from endpoint_uniform import choose_split
-    d = derive(p)
     dd = choose_split(d, 4)
     N = 3
     expect = (double_factorial(2 * N - 1) * t ** -N
@@ -339,10 +337,9 @@ def test_remainder_bound_reads_the_splits_own_width():
     rebuilt_differs = 0
     for t in (1e4, 1e6, 1e8, 1e10):
         for Lam in (0.0, 0.5, 10.0):
-            p = from_offset(t, 0.5, 0.5, Lam)
-            d = derive(p)
+            d = from_offset(t, 0.5, 0.5, Lam)
             dd = choose_split(d, 4)
-            rebuilt_differs += 1.0 - dd.k * t ** (1.0 - p.delta) != dd.a
+            rebuilt_differs += 1.0 - dd.k * t ** (1.0 - d.delta) != dd.a
             assert rn_bound(6, d, dd) == _log_bound(6, t, -math.log1p(-dd.a), dd.k)
     assert rebuilt_differs > 0
 
@@ -353,9 +350,8 @@ def test_remainder_bound_keeps_its_product_values_at_low_orders():
     from endpoint_uniform import choose_split
     for t in (1e4, 1e6, 1e8, 1e10):
         for Lam in (0.0, 0.5, 10.0):
-            p = from_offset(t, 0.5, 0.5, Lam)
+            d = from_offset(t, 0.5, 0.5, Lam)
             for m in range(4, 9):
-                d = derive(p)
                 dd = choose_split(d, m)
                 N = 2 * m - 2
                 product = (double_factorial(2 * N - 1) * t ** -N
@@ -369,13 +365,12 @@ def test_remainder_bound_at_high_order(m):
     # N = 2m - 2: t^-N underflows at both orders.  The bound is ~1.9e261 at
     # m = 48 and ~1e367 at m = 64, which no double holds
     from endpoint_uniform import NumericalError, choose_split
-    p = from_offset(1e4, 0.5, 0.5, 0.5)
-    d = derive(p)
+    d = from_offset(1e4, 0.5, 0.5, 0.5)
     dd = choose_split(d, m)
     N = 2 * m - 2
-    assert p.t ** -N == 0.0
+    assert d.t ** -N == 0.0
     with mp.workdps(30):
-        t, k, d_minus = mp.mpf(p.t), mp.mpf(dd.k), -mp.log1p(-mp.mpf(dd.a))
+        t, k, d_minus = mp.mpf(d.t), mp.mpf(dd.k), -mp.log1p(-mp.mpf(dd.a))
         want = (mp.mpf(double_factorial(2 * N - 1)) * t ** -N * mp.log(t) ** (N + mp.mpf(0.5))
                 * d_minus ** (-2 * N) * k ** -(N - mp.mpf(0.5)))
     if m == 48:
@@ -390,27 +385,26 @@ def test_successive_term_bound_ratio_identity():
     # bound(j+1)/bound(j) = (2j+1) t^-delta a^-2 exactly
     from endpoint_uniform import choose_split
     for t in (1e4, 1e6, 1e8):
-        p = from_offset(t, 0.5, 0.5, 0.6)
-        d = derive(p)
+        d = from_offset(t, 0.5, 0.5, 0.6)
         dd = choose_split(d, 4)
         for j in (1, 2, 3):
             ratio = (t_term(j + 1, d, dd).magnitude_bound
                      / t_term(j, d, dd).magnitude_bound)
-            expect = (2 * j + 1) * t ** -p.delta * dd.a ** -2.0
+            expect = (2 * j + 1) * t ** -d.delta * dd.a ** -2.0
             assert ratio == pytest.approx(expect, rel=1e-12)
 
 
 def test_table_feeds_term_values(split_setup):
     # recomputing T_2 with one corrupted coefficient must move the value;
     # guards that the tables actually drive the computation
-    p, d, dd = split_setup
+    d, dd = split_setup
     j = 2
     table = amn_table(j - 1).as_dict()
-    clean, floor = _term_mp(j, p, dd.k, table)
+    clean, floor = _term_mp(j, d, dd.k, table)
     assert abs(clean - t_term(j, d, dd).value) < floor * abs(clean)
     corrupted = dict(table)
     corrupted[(1, 1)] = table[(1, 1)] * Fraction(101, 100)
-    assert abs(_term_mp(j, p, dd.k, corrupted)[0] - clean) > 1e-4 * abs(clean)
+    assert abs(_term_mp(j, d, dd.k, corrupted)[0] - clean) > 1e-4 * abs(clean)
 
 
 @pytest.mark.parametrize("t", [1e4, 1e8, 1e12])
@@ -420,12 +414,11 @@ def test_high_order_terms_match_40_digits(t):
     # the term without its oscillation is within 1e-6 of its 40-digit value.
     # Above j ~ 40 the table sum itself cancels, so the pin stops at 39
     from endpoint_uniform import choose_split, phase
-    p = from_offset(t, 0.5, 0.5, 0.5)
-    d = derive(p)
+    d = from_offset(t, 0.5, 0.5, 0.5)
     split = choose_split(d, 64)
     osc = phase.split_oscillation(d, split)
     for j in (1, 10, 20, 30, 39):
-        want = _amplitude_mp(j, p, split.k, amn_table(j - 1).as_dict())
+        want = _amplitude_mp(j, d, split.k, amn_table(j - 1).as_dict())
         got = t_term(j, d, split).value / osc
         assert abs(got - want) <= 1e-6 * abs(want), j
 
@@ -434,11 +427,10 @@ def test_term_that_fits_a_double_is_formed():
     # t^39 = 1e312 is no double at t = 1e8, but term 39 of the m = 50 split
     # is about 1.7e-76, and comes out within 1e-6 of its 40-digit value
     from endpoint_uniform import choose_split
-    p = from_offset(1e8, 0.5, 0.5, 0.5)
-    d = derive(p)
+    d = from_offset(1e8, 0.5, 0.5, 0.5)
     split = choose_split(d, 50)
-    want, _floor = _term_mp(39, p, split.k, amn_table(38).as_dict())
-    assert 39 * math.log10(p.t) > 308 and abs(want) == pytest.approx(1.7e-76, rel=0.02)
+    want, _floor = _term_mp(39, d, split.k, amn_table(38).as_dict())
+    assert 39 * math.log10(d.t) > 308 and abs(want) == pytest.approx(1.7e-76, rel=0.02)
     assert abs(t_term(39, d, split).value - want) <= 1e-6 * abs(want)
 
 
@@ -446,7 +438,7 @@ def test_a_term_that_is_no_double_is_a_typed_error(split_setup, monkeypatch):
     # the closed form at the split point overflowing to inf: t_term and the
     # series raise NumericalError naming the term, not return inf or NaN
     from endpoint_uniform import NumericalError, ibp
-    _p, d, dd = split_setup
+    d, dd = split_setup
     monkeypatch.setattr(ibp, "_operator", lambda *args: complex("inf"))
     with pytest.raises(NumericalError, match="term j=2 overflows a double"):
         t_term(2, d, dd)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -157,7 +158,7 @@ def test_offset_round_trip(log10t, frac):
 
 def test_omega_zero_iff_critical_and_increasing():
     t = 1e5
-    omegas = [derive(from_offset(t, 0.5, 0.5, L)).omega
+    omegas = [from_offset(t, 0.5, 0.5, L).omega
               for L in (0.0, 0.1, 0.3, 1.0, 3.0)]
     assert omegas[0] == 0.0
     assert all(b > a for a, b in zip(omegas, omegas[1:]))
@@ -172,13 +173,53 @@ def test_d_minus_matches_a_for_small_splits():
 
 def test_from_omega_round_trip():
     for om in (0.0, 0.5, 3.0, 12.0):
-        p = from_omega(1e6, 0.5, 0.5, om)
-        assert derive(p).omega == pytest.approx(om, rel=1e-12, abs=1e-12)
+        d = from_omega(1e6, 0.5, 0.5, om)
+        assert d.omega == pytest.approx(om, rel=1e-12, abs=1e-12)
+    assert from_omega(1e14, 0.5, 0.5, 0.0).omega == 0.0
+
+
+def test_from_omega_misses_by_the_rounding_of_the_offset():
+    # the offset Lambda ~ omega sqrt(2/(lambda_c t)) is small at large t and
+    # small omega, and lambda_c (1 + Lambda) keeps it to eps/Lambda
+    eps = 2.0**-52
+    for t in (1e4, 1e8, 1e12, 1e14):
+        for om in (0.05, 0.5, 3.0, 20.0):
+            d = from_omega(t, 0.5, 0.5, om)
+            assert abs(d.omega - om) <= 2 * eps * (1.0 + 1.0 / d.Lambda) * om
 
 
 def test_from_offset_round_trip():
-    p = from_offset(1e6, 0.5, 0.5, 0.7)
-    assert derive(p).Lambda == pytest.approx(0.7, rel=1e-13)
+    d = from_offset(1e6, 0.5, 0.5, 0.7)
+    assert d.Lambda == pytest.approx(0.7, rel=1e-13)
+
+
+@pytest.mark.parametrize("t, delta, Lambda", [(16.0, 0.5, 0.0), (1e6, 0.5, 0.7),
+                                              (3e10, 0.3, 10.0)])
+def test_the_constructors_return_the_derived_record(t, delta, Lambda):
+    # the record derive gives for the lambda they construct, field for field
+    d = from_offset(t, delta, 0.75, Lambda)
+    assert d == derive(ProblemParams(t=t, delta=delta, sigma=0.75,
+                                     lam=critical_lambda(t, delta) * (1.0 + Lambda)))
+    w = from_omega(t, delta, 0.75, d.omega)
+    lc = critical_lambda(t, delta)
+    Lam = math.expm1(d.omega * (1.0 + lc) * math.sqrt(2.0 / (lc * t)))
+    assert w == derive(ProblemParams(t=t, delta=delta, sigma=0.75, lam=lc * (1.0 + Lam)))
+
+
+@pytest.mark.parametrize("t, omega", [(1e4, 1e6), (1e4, 1e300), (1e14, 1e9)])
+def test_an_omega_whose_offset_overflows_is_out_of_range(t, omega):
+    # expm1 of omega (1 + lambda_c) sqrt(2/(lambda_c t)) passes the doubles
+    # above ~710; it raised an untyped OverflowError
+    with pytest.raises(OutOfRange, match=re.escape(f"omega={omega} ")) as exc:
+        from_omega(t, 0.5, 0.5, omega)
+    assert exc.value.lower == 0.0
+
+
+@pytest.mark.parametrize("build, name", [(from_offset, "Lambda"), (from_omega, "omega")])
+def test_a_nan_offset_or_omega_is_invalid_param_naming_it(build, name):
+    # NaN < 0 is false: the guard let it through, to be refused as a lambda
+    with pytest.raises(InvalidParam, match=f"^{name} must be a number, got nan"):
+        build(1e4, 0.5, 0.5, math.nan)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf])
@@ -201,7 +242,7 @@ def test_endpoint_offset_is_the_one_split_and_window_rule():
     end = endpoint_offset(t, delta)
     assert end == t ** (delta - 1.0)
     assert critical_lambda(t, delta) == end / (1.0 - end)
-    d = derive(from_offset(t, delta, 0.5, 0.6))
+    d = from_offset(t, delta, 0.5, 0.6)
     assert split_from_a(d, 0.25).k == end * 0.75
 
 

@@ -8,7 +8,6 @@ import pytest
 from endpoint_uniform import phase
 from endpoint_uniform import (
     BranchViolation,
-    ProblemParams,
     Split,
     amp_g,
     big_f,
@@ -16,7 +15,6 @@ from endpoint_uniform import (
     critical_lambda,
     d_f,
     d_f1,
-    derive,
     exponent_identity_residual,
     f0,
     f1,
@@ -184,7 +182,7 @@ def _mp_split_phases(d, a):
 @pytest.mark.parametrize("t", (1e4, 1e8, 1e12, 1e14))
 @pytest.mark.parametrize("Lam", (0.0, 0.5, 10.0))
 def test_split_oscillation_is_the_endpoints_times_the_collapsed_difference(t, Lam):
-    d = derive(from_offset(t, 0.5, 0.5, Lam))
+    d = from_offset(t, 0.5, 0.5, Lam)
     for split in (corollary_split(d), choose_split(d, 8), split_from_a(d, 0.1)):
         at_split, at_end = _mp_split_phases(d, split.a)
         osc = phase.split_oscillation(d, split)
@@ -201,7 +199,7 @@ def test_split_oscillation_is_the_endpoints_times_the_collapsed_difference(t, La
 
 
 def test_split_oscillation_at_zero_width_is_the_endpoints():
-    d = derive(from_offset(1e14, 0.5, 0.5, 0.5))
+    d = from_offset(1e14, 0.5, 0.5, 0.5)
     end = Split(endpoint_offset(d.t, d.delta), 0.0)
     assert phase.split_oscillation(d, end) == phase._endpoint_oscillation(d)
 
@@ -494,7 +492,7 @@ def test_t_phase_is_big_fs_real_part_to_the_last_bit():
     for t in (1e4, 1e6, 1e8, 1e10, 1e12, 1e14, 1e15):
         for delta in (0.3, 0.5, 0.7):
             for Lam in (0.0, 1e-6, 0.5, 10.0):
-                d = derive(from_offset(t, delta, 0.5, Lam))
+                d = from_offset(t, delta, 0.5, Lam)
                 for k in (endpoint_offset(t, delta), corollary_split(d).k,
                           choose_split(d, 8).k):
                     want = t * big_f(np.array([1.0 - k]), d.lam)[0].real
@@ -525,7 +523,7 @@ def test_split_derivative_to_4_eps_on_the_window():
     for t in (1e4, 1e5, 1e6, 1e7, 1e8, 1e10, 1e12, 1e14):
         for Lam in (0.0, 1e-6, 0.5, 1.0, 10.0):
             for delta in (0.3, 0.5, 0.7):
-                d = derive(from_offset(t, delta, 0.5, Lam))
+                d = from_offset(t, delta, 0.5, Lam)
                 for split in (corollary_split(d), choose_split(d, 4), choose_split(d, 8)):
                     want = _mp_split_derivative(d, split)
                     got = phase.split_derivative(d, split)
@@ -547,11 +545,11 @@ def test_split_routes_take_d_from_split_derivative(monkeypatch):
     monkeypatch.setattr(phase, "d_f", refuse)
     monkeypatch.setattr(phase, "big_f", refuse)
     monkeypatch.setattr(phase, "split_derivative", lambda d, s: calls.append(s) or read(d, s))
-    p = from_offset(1e6, 0.5, 0.5, 0.5)
-    split = choose_split(derive(p), 6)
-    all_orders(p, 6, split)
+    d = from_offset(1e6, 0.5, 0.5, 0.5)
+    split = choose_split(d, 6)
+    all_orders(d, 6, split)
     assert calls == [split]
-    corollary_leading(p)
-    assert calls[1:] == [corollary_split(derive(p))]
-    t_term(2, derive(p), split)
+    corollary_leading(d)
+    assert calls[1:] == [corollary_split(d)]
+    t_term(2, d, split)
     assert len(calls) == 3

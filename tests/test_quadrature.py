@@ -248,12 +248,12 @@ def test_near_floor_calls_still_converge(piece, t, Lam, tol):
     # these calls pass through stuck rounds before they converge; a panel
     # whose own bisection did not halve its error may still need splitting,
     # so refusing to re-split such panels turns them into NonConvergence
-    p = from_offset(t, 0.5, 0.5, Lam)
+    d = from_offset(t, 0.5, 0.5, Lam)
     if piece == "whole":
-        res = jb_oracle(p, tol=tol)
+        res = jb_oracle(d, tol=tol)
     else:
         oracle = jb1_oracle if piece == "jb1" else jb2_oracle
-        res = oracle(p, choose_split(derive(p), 4), tol=tol)
+        res = oracle(d, choose_split(d, 4), tol=tol)
     assert res.abs_error_estimate <= tol * 1.0000001
 
 
@@ -267,8 +267,8 @@ def test_converged_oracle_panel_counts(t, Lam, panels):
 def test_phase_forced_rise_then_convergence():
     # jb1 starts from one panel; its error estimate rises from 1.7e-5 to
     # 5.1e-5 over phase-forced rounds and then converges
-    p = from_offset(1e8, 0.5, 0.5, 10.0)
-    assert jb1_oracle(p, choose_split(derive(p), 4)).panels == 128
+    d = from_offset(1e8, 0.5, 0.5, 10.0)
+    assert jb1_oracle(d, choose_split(d, 4)).panels == 128
 
 
 def test_nonfinite_integrand_rejected():
@@ -293,18 +293,18 @@ def test_ray_truncation_linear_decay():
 
 
 def test_jb_oracle_independent_pin():
-    p = ProblemParams(t=100.0, delta=0.5, sigma=0.5,
-                      lam=critical_lambda(100.0, 0.5))
-    res = jb_oracle(p, tol=1e-12)
+    d = derive(ProblemParams(t=100.0, delta=0.5, sigma=0.5,
+                             lam=critical_lambda(100.0, 0.5)))
+    res = jb_oracle(d, tol=1e-12)
     assert abs(res.value - JB_T100_CRITICAL) < 1e-11
     assert res.abs_error_estimate <= 1e-12 * 1.01
     assert res.truncation_bound <= 1e-12
 
 
 def test_jtilde_oracle_independent_pin():
-    p = ProblemParams(t=100.0, delta=0.5, sigma=0.5,
-                      lam=critical_lambda(100.0, 0.5))
-    res = jtilde_oracle(p, tol=1e-12)
+    d = derive(ProblemParams(t=100.0, delta=0.5, sigma=0.5,
+                             lam=critical_lambda(100.0, 0.5)))
+    res = jtilde_oracle(d, tol=1e-12)
     assert abs(res.value - JTILDE_T100_CRITICAL) < 1e-11
 
 
@@ -343,10 +343,9 @@ def test_jtilde_oracle_reaches_1e_14_relative_at_lambda_0(t):
 def test_frame_change_prefactor_identity():
     # the original and offset-frame integrals differ by the exact prefactor
     for t, Lam in ((100.0, 0.0), (400.0, 0.6), (2000.0, 1.5)):
-        p = from_offset(t, 0.5, 0.5, Lam)
-        d = derive(p)
-        jb = jb_oracle(p, tol=1e-12).value
-        jt = jtilde_oracle(p, tol=1e-12).value
+        d = from_offset(t, 0.5, 0.5, Lam)
+        jb = jb_oracle(d, tol=1e-12).value
+        jt = jtilde_oracle(d, tol=1e-12).value
         assert abs(jb - endpoint_prefactor(d) * jt) < 1e-10
 
 
@@ -365,23 +364,23 @@ def test_split_pieces_sum_to_whole():
 
 
 def test_split_pieces_require_half_sigma():
-    p = ProblemParams(t=1e4, delta=0.5, sigma=0.75,
-                      lam=critical_lambda(1e4, 0.5))
+    d = derive(ProblemParams(t=1e4, delta=0.5, sigma=0.75,
+                             lam=critical_lambda(1e4, 0.5)))
     with pytest.raises(SigmaUnsupported):
-        jb1_oracle(p, Split(1e-3, 0.9))
+        jb1_oracle(d, Split(1e-3, 0.9))
     with pytest.raises(SigmaUnsupported):
-        jb2_oracle(p, Split(1e-3, 0.9))
+        jb2_oracle(d, Split(1e-3, 0.9))
 
 
 def test_split_point_range_enforced():
     # a split point outside (0, t^(delta-1)) is a parameter error, typed as
     # the boundary-term series types it
-    p = ProblemParams(t=1e4, delta=0.5, sigma=0.5,
-                      lam=critical_lambda(1e4, 0.5))
+    d = derive(ProblemParams(t=1e4, delta=0.5, sigma=0.5,
+                             lam=critical_lambda(1e4, 0.5)))
     for oracle in (jb1_oracle, jb2_oracle):
         for bad_k in (0.0, 1e4 ** -0.5, 0.5):
             with pytest.raises(SplitOutOfRange):
-                oracle(p, Split(bad_k, 0.5))
+                oracle(d, Split(bad_k, 0.5))
 
 
 def test_oracle_deterministic():
@@ -417,27 +416,25 @@ FUSED_POINTS = [("whole", 1e6, 0.5, 0.5), ("whole", 1e12, 0.0, 0.5),
                 ("jb1", 1e12, 10.0, 0.5), ("jb2", 1e12, 0.0, 0.5)]
 
 
-def _run_oracle(piece, p):
+def _run_oracle(piece, d):
     """The oracle's result, or its NonConvergence (message and partial result)."""
-    d = derive(p)
     try:
         if piece == "whole":
-            return jb_oracle(p)
+            return jb_oracle(d)
         if piece == "jtilde":
-            return jtilde_oracle(p)
+            return jtilde_oracle(d)
         if piece == "phi":
             return phi_oracle(0.0, d)
-        return (jb1_oracle if piece == "jb1" else jb2_oracle)(p, choose_split(d, 4))
+        return (jb1_oracle if piece == "jb1" else jb2_oracle)(d, choose_split(d, 4))
     except NonConvergence as exc:
         return exc
 
 
-def _generic_oracle(piece, p):
+def _generic_oracle(piece, d):
     """The same quadrature through the public integrators, on a frame whose
     phase and amplitude come from separate calls: big_f alone and with sigma
     (z frame), f1 and amp_g (offset frame), or the Gaussian phase written
     out with a unit amplitude (phi)."""
-    d = derive(p)
     k = choose_split(d, 4).k
     lc = d.lambda_c
     half = 0.5 * lc * d.t
@@ -445,13 +442,13 @@ def _generic_oracle(piece, p):
 
     def frame(z):
         if piece == "jtilde":
-            return (p.t * phase.f1(z, lc, d.Lambda) / (1.0 + lc),
-                    phase.amp_g(z, lc, p.sigma))
+            return (d.t * phase.f1(z, lc, d.Lambda) / (1.0 + lc),
+                    phase.amp_g(z, lc, d.sigma))
         if piece == "phi":
             return half * (z * z + beta * z), np.ones_like(z)
-        return p.t * big_f(z, p.lam), big_f(z, p.lam, p.sigma)[1]
+        return d.t * big_f(z, d.lam), big_f(z, d.lam, d.sigma)[1]
 
-    z0 = 1.0 - p.t ** (p.delta - 1.0)
+    z0 = 1.0 - d.t ** (d.delta - 1.0)
     try:
         if piece == "jb1":
             return integrate_segment(frame, z0, 1.0 - k, 1e-10)
@@ -515,8 +512,8 @@ def test_fused_evaluator_equals_the_formula_it_replaces(monkeypatch, piece, t, L
 def test_z_frame_oracles_match_the_generic_path(piece, t, Lam, sigma):
     # value, error estimate, panels, truncation bound and failure message;
     # the offset-frame and Gaussian-phase oracles are held to it too
-    p = from_offset(t, 0.5, sigma, Lam)
-    assert _outcome(_run_oracle(piece, p)) == _outcome(_generic_oracle(piece, p))
+    d = from_offset(t, 0.5, sigma, Lam)
+    assert _outcome(_run_oracle(piece, d)) == _outcome(_generic_oracle(piece, d))
 
 
 def test_bisection_point_is_the_centre_node():
@@ -536,7 +533,7 @@ def test_phase_alone_only_at_the_breaks_and_truncation(monkeypatch, piece, t, La
     # ray's frame runs exactly twice, on the truncation grid and then on the
     # initial GK15 nodes and the breaks together, and a segment's once, on
     # 15 + 2 points; never per round
-    p = from_offset(t, 0.5, sigma, Lam)
+    d = from_offset(t, 0.5, sigma, Lam)
     batches, outside = [], []
     fused, gk_batch = phase.big_f, quadrature._gk_batch
 
@@ -553,7 +550,7 @@ def test_phase_alone_only_at_the_breaks_and_truncation(monkeypatch, piece, t, La
 
     monkeypatch.setattr(phase, "big_f", spy_f)
     monkeypatch.setattr(quadrature, "_gk_batch", spy_batch)
-    _run_oracle(piece, p)
+    _run_oracle(piece, d)
     assert len(batches) > 1  # refinement rounds ran
     grid = quadrature.TRUNCATION_J_HI - quadrature.TRUNCATION_J_LO + 1
     breaks = 2 if piece == "jb1" else len(quadrature._geometric_breaks(1.0))
@@ -568,15 +565,15 @@ BAD_SETTINGS = {"tol-zero": {"tol": 0.0}, "tol-negative": {"tol": -1.0},
 @pytest.mark.parametrize("piece", ["whole", "jb1", "jb2", "jtilde"])
 @pytest.mark.parametrize("kwargs", list(BAD_SETTINGS.values()), ids=list(BAD_SETTINGS))
 def test_bad_tol_or_panel_cap_is_invalid_param(piece, kwargs):
-    p = from_offset(1e6, 0.5, 0.5, 0.5)
-    split = choose_split(derive(p), 4)
+    d = from_offset(1e6, 0.5, 0.5, 0.5)
+    split = choose_split(d, 4)
     with pytest.raises(InvalidParam):
         if piece == "whole":
-            jb_oracle(p, **kwargs)
+            jb_oracle(d, **kwargs)
         elif piece == "jtilde":
-            jtilde_oracle(p, **kwargs)
+            jtilde_oracle(d, **kwargs)
         else:
-            (jb1_oracle if piece == "jb1" else jb2_oracle)(p, split, **kwargs)
+            (jb1_oracle if piece == "jb1" else jb2_oracle)(d, split, **kwargs)
 
 
 BAD_TOLS = {"zero": 0.0, "negative": -1.0, "inf": math.inf, "nan": math.nan}
@@ -653,11 +650,11 @@ def test_ray_truncation_refuses_a_non_finite_frame(frame, radius):
 def test_ray_truncation_takes_a_subnormal_tol():
     # log(1/tol) overflows to inf below tol ~ 5.6e-309, which left no radius
     # on the grid; -log(tol) stays finite down to the least subnormal
-    p = from_offset(1e4, 0.5, 0.5, 0.5)
-    frame, z0 = quadrature._z_frame(p, p.sigma), 1.0 - p.t ** (p.delta - 1.0)
-    ray = ray_truncation(frame, z0, derive(p).phi, 1e-310)
+    d = from_offset(1e4, 0.5, 0.5, 0.5)
+    frame, z0 = quadrature._z_frame(d), 1.0 - d.t ** (d.delta - 1.0)
+    ray = ray_truncation(frame, z0, d.phi, 1e-310)
     assert math.isfinite(ray.r_max)
-    assert ray.r_max >= ray_truncation(frame, z0, derive(p).phi, 1e-300).r_max
+    assert ray.r_max >= ray_truncation(frame, z0, d.phi, 1e-300).r_max
 
 
 def test_adaptive_stops_when_every_panel_left_is_at_its_minimum_width():

@@ -8,7 +8,10 @@ public evaluator that takes a point a Python number, so the evaluators of
 phase, substitution, fresnel and ibp compute on arrays only.  The contour
 integrals take one frame, the pair (phase, amplitude): only
 quadrature._on_line turns a phase into an oscillation, and every call of a
-frame in quadrature.py gives the phase and the amplitude together.
+frame in quadrature.py gives the phase and the amplitude together.  A point
+is derived where it enters the package, once: params.derive is called only
+by params.from_offset, by harness.run_sweep and by cli._build_params, and
+every route, oracle and residual takes the record they give.
 """
 
 import ast
@@ -140,3 +143,30 @@ def test_every_frame_call_gives_the_phase_and_the_amplitude_together():
     probe = ("def _on_line(frame, z0, rot):\n    def ph(s):\n"
              "        return frame(z0 + s * rot)[0]\n    return ph\n")
     assert _frame_calls(ast.parse(probe)) == [("_on_line", 3, False)]
+
+
+def _derive_calls(tree):
+    """(enclosing top-level name, line) of each call of derive, by name or
+    as an attribute."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            f = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "derive" in (getattr(f, "id", None),
+                                                         getattr(f, "attr", None)):
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_a_point_is_derived_only_where_it_enters():
+    # asymptotics, quadrature, substitution and ibp take the record: none of
+    # their functions derives one
+    found = [(path.name, owner, line) for path in sorted(SRC.glob("*.py"))
+             for owner, line in _derive_calls(ast.parse(path.read_text()))]
+    assert [(name, owner) for name, owner, _line in found] == [
+        ("cli.py", "_build_params"), ("harness.py", "run_sweep"),
+        ("params.py", "from_offset")], f"derive called at {found}"
+    # the walk sees such a call at all, nested in an expression in a closure
+    probe = ("def route(p):\n    def wa(z):\n"
+             "        return z * params.derive(p).phi\n    return wa\n")
+    assert _derive_calls(ast.parse(probe)) == [("route", 3)]

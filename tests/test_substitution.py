@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -12,7 +13,6 @@ from endpoint_uniform import (
     amp_g,
     apply_ibp_operator,
     decomposition_residual,
-    derive,
     dzeta_du,
     fresnel_tail_general,
     from_offset,
@@ -29,12 +29,12 @@ RAY = cmath.exp(1j * math.pi / 4)
 
 @pytest.fixture(scope="module")
 def state():
-    return derive(from_offset(200.0, 0.5, 0.5, 0.8))
+    return from_offset(200.0, 0.5, 0.5, 0.8)
 
 
 @pytest.fixture(scope="module")
 def state_critical():
-    return derive(from_offset(200.0, 0.5, 0.5, 0.0))
+    return from_offset(200.0, 0.5, 0.5, 0.0)
 
 
 def test_state_fields(state):
@@ -63,7 +63,7 @@ def test_round_trip_along_ray_to_the_last_bits(t, Lam):
     # Newton on the forward map stops relative to |u|: an absolute 1e-13
     # stop on f1 lost 2.4e-13 at t = 1e12, r = 0.26 and 1.2e-11 at t = 1e14,
     # r = 0.4, where f1 ~ lambda_c u^2 is far below 1
-    s = derive(from_offset(t, 0.5, 0.5, Lam))
+    s = from_offset(t, 0.5, 0.5, Lam)
     for r in (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.26, 0.3, 0.4, 0.5, 1.0, 2.0):
         u = r * RAY
         assert abs(u_of_zeta(zeta_of_u(u, s), s) - u) <= 1e-15 * r, r
@@ -76,7 +76,7 @@ def test_round_trip_on_the_real_segment(t, Lam):
     # u = u_of_zeta(1); past u = 1 Newton starts on the cut of f1 and comes
     # back to the real root with an imaginary part of rounding size, which
     # is no root across the real axis
-    s = derive(from_offset(t, 0.5, 0.5, Lam))
+    s = from_offset(t, 0.5, 0.5, Lam)
     u = np.linspace(0.01, u_of_zeta(1.0 - 1e-9, s).real, 40)
     zeta = zeta_of_u(u, s)
     assert np.all(np.abs(zeta.imag) <= 1e-15)
@@ -108,12 +108,12 @@ def test_map_derivative_at_origin(state):
 def test_map_derivative_near_origin_is_its_series(t):
     # at Lambda = 0, zeta' = 1 - (1-lambda_c) u/3 + O(u^2); dzeta_du and
     # amp_F / g(zeta) give that value at tiny u, not the limit 1
-    s = derive(from_offset(t, 0.5, 0.5, 0.0))
+    s = from_offset(t, 0.5, 0.5, 0.0)
     for r in (1e-12, 1e-10, 1e-8):
         u = r * RAY
         want = 1.0 - (1.0 - s.lambda_c) * u / 3.0
         assert abs(dzeta_du(u, s) - want) <= 1e-15
-        ratio = amp_F(u, s, 0.5) / amp_g(zeta_of_u(u, s), s.lambda_c, 0.5)
+        ratio = amp_F(u, s) / amp_g(zeta_of_u(u, s), s.lambda_c, 0.5)
         assert abs(ratio - want) <= 1e-15
 
 
@@ -134,7 +134,7 @@ def test_map_derivative_matches_finite_difference(state):
 
 
 def test_amplitude_normalisation(state):
-    assert amp_F(0.0, state, 0.5) == 1.0
+    assert amp_F(0.0, state) == 1.0
 
 
 def test_amplitude_factorisation(state):
@@ -149,12 +149,13 @@ def test_amplitude_factorisation(state):
         dz = (zeta_of_u(u + h, state) - zeta_of_u(u - h, state)) / (2 * h)
         ua = np.array([u])
         for sigma in (0.5, 0.7):
+            rec = dataclasses.replace(state, sigma=sigma)
             expect = amp_g(zeta, state.lambda_c, sigma) * dz
-            got = amp_F(u, state, sigma)
+            got = amp_F(u, rec)
             assert got.real == pytest.approx(expect.real, rel=1e-7)
             assert got.imag == pytest.approx(expect.imag, rel=1e-7)
             factors = amp_g(zeta_of_u(ua, state), state.lambda_c, sigma) * dzeta_du(ua, state)
-            assert amp_F(ua, state, sigma)[0] == factors[0] == got
+            assert amp_F(ua, rec)[0] == factors[0] == got
 
 
 def test_amplitude_half_sigma_drops_offset_factor(state):
@@ -162,11 +163,11 @@ def test_amplitude_half_sigma_drops_offset_factor(state):
     u = 0.2 * RAY
     zeta = zeta_of_u(u, state)
     expect = (1.0 - zeta) ** -0.5 * dzeta_du(u, state)
-    assert abs(amp_F(u, state, 0.5) - expect) < 1e-10
+    assert abs(amp_F(u, state) - expect) < 1e-10
 
 
 def test_phi_closed_form_matches_direct_quadrature(state):
-    d = derive(from_offset(200.0, 0.5, 0.5, 0.8))
+    d = from_offset(200.0, 0.5, 0.5, 0.8)
     for u in (0.0, 0.05 * RAY, 0.2 * RAY, 0.8 * RAY):
         closed = phi_closed(u, state)
         direct = phi_oracle(u, d, tol=1e-12).value
@@ -185,7 +186,7 @@ def test_phi_envelope_bounded_along_ray(state, state_critical):
 
 def test_phi_origin_large_omega_limit():
     # Phi(0) approaches the integration-by-parts value as omega grows
-    d = derive(from_offset(4e4, 0.5, 0.5, 3.0))
+    d = from_offset(4e4, 0.5, 0.5, 3.0)
     assert d.omega > 10.0
     closed = phi_closed(0.0, d)
     scale = math.sqrt(2.0 / (d.lambda_c * d.t))
@@ -193,17 +194,17 @@ def test_phi_origin_large_omega_limit():
     assert abs(closed / ibp - 1.0) < 1.0 / d.omega ** 2 * 2.0
 
 
-def test_decomposition_identity_critical():
-    assert decomposition_residual(200.0, 0.5, 0.0) < 1e-6
+def test_decomposition_identity_critical(state_critical):
+    assert decomposition_residual(state_critical) < 1e-6
 
 
 def test_decomposition_identity_offset():
-    assert decomposition_residual(200.0, 0.5, 1.0) < 1e-6
+    assert decomposition_residual(from_offset(200.0, 0.5, 0.5, 1.0)) < 1e-6
 
 
 def test_decomposition_identity_just_off_critical():
     # log(1+Lambda) ~ 1e-10: f1'(zeta) is tiny near the origin as at Lambda = 0
-    assert decomposition_residual(200.0, 0.5, 1e-10) < 1e-6
+    assert decomposition_residual(from_offset(200.0, 0.5, 0.5, 1e-10)) < 1e-6
 
 
 def mp_amp_F(s, sigma, seed):
@@ -231,10 +232,10 @@ def mp_amp_F(s, sigma, seed):
 def test_amp_F_prime_matches_mpmath_derivative(Lam, r):
     # the implicit derivative, with the near-origin solve for small |u| where
     # f1'(zeta) is tiny, against mpmath differentiation of g(zeta(u)) zeta'(u)
-    s = derive(from_offset(200.0, 0.5, 0.5, Lam))
+    s = from_offset(200.0, 0.5, 0.5, Lam)
     u = np.array([r * RAY])
     zeta = zeta_of_u(u, s)
-    got = _amp_F_prime(u, s, 0.5)[0]
+    got = _amp_F_prime(u, s)[0]
     with mpmath.workdps(40):
         ref = complex(mpmath.diff(mp_amp_F(s, 0.5, zeta[0]), mpmath.mpc(u[0]),
                                   h=mpmath.mpf(r) * mpmath.mpf("1e-12")))
@@ -243,10 +244,11 @@ def test_amp_F_prime_matches_mpmath_derivative(Lam, r):
 
 @pytest.mark.parametrize("Lam", [0.0, 0.8])
 def test_array_calls_equal_scalar_calls(Lam):
-    s = derive(from_offset(200.0, 0.5, 0.5, Lam))
+    s = from_offset(200.0, 0.5, 0.5, Lam)
+    s7 = from_offset(200.0, 0.5, 0.7, Lam)
     u = np.array([0.0, 5e-9, 1e-6, 0.03, 0.3, 1.2, 2.0]) * RAY
     u = np.concatenate([u, [0.5, -0.2j, 0.4 + 0.1j]]).reshape(2, 5)
-    for fn in (lambda x: zeta_of_u(x, s), lambda x: amp_F(x, s, 0.7),
+    for fn in (lambda x: zeta_of_u(x, s), lambda x: amp_F(x, s7),
                lambda x: phi_closed(x, s)):
         got = fn(u)
         assert got.shape == u.shape
@@ -256,14 +258,15 @@ def test_array_calls_equal_scalar_calls(Lam):
 
 # On the pi/4 ray: the origin, the series near it and Newton; at Lambda = 0
 # u_of_zeta meets 0/0 at zeta = 0 unless the root is taken as 0 there.
-_CRITICAL = derive(from_offset(200.0, 0.5, 0.5, 0.0))
+_CRITICAL = from_offset(200.0, 0.5, 0.5, 0.0)
+_CRITICAL_SIGMA_7 = from_offset(200.0, 0.5, 0.7, 0.0)
 _U = [0.0, 5e-9 * RAY, 1e-6 * RAY, 0.03 * RAY, 0.3 * RAY, 1.2 * RAY]
 POINT_EVALUATORS = {
     "u_of_zeta": (lambda x: u_of_zeta(x, _CRITICAL), [0.0, 1e-9 + 1e-9j, 0.05 + 0.03j,
                                                       0.3 + 0.1j, -0.2 + 0.05j, 0.5 - 0.1j]),
     "zeta_of_u": (lambda x: zeta_of_u(x, _CRITICAL), _U),
     "dzeta_du": (lambda x: dzeta_du(x, _CRITICAL), _U),
-    "amp_F": (lambda x: amp_F(x, _CRITICAL, 0.7), _U),
+    "amp_F": (lambda x: amp_F(x, _CRITICAL_SIGMA_7), _U),
     "phi_closed": (lambda x: phi_closed(x, _CRITICAL), _U),
     "fresnel_tail_general": (fresnel_tail_general, [0.0, 0.3 + 0.7j, -1.5 + 0.4j, -2.0 - 0.5j,
                                                     1.0 - 0.2j, 5.0 + 5.0j]),
@@ -295,7 +298,7 @@ def test_array_path_raises_when_one_element_diverges(state):
     with pytest.raises(NewtonDivergence, match=r"u=\(3\+0j\)"):
         zeta_of_u(u, state)
     with pytest.raises(NewtonDivergence):
-        amp_F(u, state, 0.5)
+        amp_F(u, state)
     zeta_of_u(u[:2], state)
 
 
@@ -304,7 +307,7 @@ def test_round_trip_next_to_the_critical_point():
     # near-origin solve must leave such points to Newton.  From zeta = u
     # Newton zigzags across the fold there: f = 0.99 takes 45 of its 50
     # steps (the same 45 for f and Lambda moved by up to 3e-12 relative)
-    s = derive(from_offset(200.0, 0.5, 0.5, 0.1))
+    s = from_offset(200.0, 0.5, 0.5, 0.1)
     quad_a, quad_b = _quad(s)
     for f in (0.3, 0.9, 0.99):
         u = -f * quad_b / quad_a
@@ -315,7 +318,7 @@ def test_round_trip_next_to_the_critical_point():
 def test_no_root_past_the_critical_point(f):
     # on the real axis a U + b = sqrt(b^2 + 2 a f1) >= 0, so u < -b/a has no
     # root: the call raises rather than return a zeta that maps elsewhere
-    s = derive(from_offset(200.0, 0.5, 0.5, 0.1))
+    s = from_offset(200.0, 0.5, 0.5, 0.1)
     quad_a, quad_b = _quad(s)
     with pytest.raises(NewtonDivergence, match="Newton stalled"):
         zeta_of_u(-f * quad_b / quad_a, s)
@@ -365,7 +368,7 @@ def test_zeta_of_u_matches_a_30_digit_continuation(t, Lam):
     # Newton from zeta = u must land on the root continued from u = 0, to
     # the precision of f1, on the pi/4 ray out to |u| = 4, the largest end
     # of a ray that decomposition_residual integrates (t = 50, Lambda = 0)
-    s = derive(from_offset(t, 0.5, 0.5, Lam))
+    s = from_offset(t, 0.5, 0.5, Lam)
     radii = np.linspace(0.26, 4.0, 300)[::23]
     want = mp_zeta_along_ray(s, [float(r) for r in radii])
     got = zeta_of_u(radii * RAY, s)
@@ -390,7 +393,7 @@ def test_newton_from_zeta_equal_u_is_cheap(monkeypatch):
     monkeypatch.setattr(phase, "f1", lambda *args: calls.append(1) or f1(*args))
     u = np.linspace(0.3, 2.5, 50) * RAY
     for t, Lam in ((200.0, 0.0), (200.0, 1.0), (1e6, 0.5)):
-        zeta_of_u(u, derive(from_offset(t, 0.5, 0.5, Lam)))
+        zeta_of_u(u, from_offset(t, 0.5, 0.5, Lam))
     assert len(calls) <= 16
 
 
