@@ -158,23 +158,27 @@ def derive(p: ProblemParams) -> DerivedParams:
 
 
 def from_offset(t: float, delta: float, sigma: float, Lambda: float) -> DerivedParams:
-    """The point record at the offset Lambda >= 0 instead of lambda itself."""
+    """The point record at a finite offset Lambda >= 0 instead of lambda itself."""
     if math.isnan(Lambda):
         raise InvalidParam(f"Lambda must be a number, got {Lambda}")
     if Lambda < 0.0:
         raise OutOfRange(f"Lambda must be >= 0, got {Lambda}", lower=0.0)
+    if math.isinf(Lambda):
+        raise InvalidParam(f"Lambda must be finite, got {Lambda}")
     lc = critical_lambda(t, delta)
     return derive(ProblemParams(t=t, delta=delta, sigma=sigma, lam=lc * (1.0 + Lambda)))
 
 
 def from_omega(t: float, delta: float, sigma: float, omega: float) -> DerivedParams:
-    """The point record at omega >= 0: its omega is exact at 0, else within
+    """The point record at a finite omega >= 0: its omega is exact at 0, else within
     2 eps (1 + 1/Lambda) relative of the target, from rounding through the
     offset Lambda.  An omega whose offset overflows is OutOfRange."""
     if math.isnan(omega):
         raise InvalidParam(f"omega must be a number, got {omega}")
     if omega < 0.0:
         raise OutOfRange(f"omega must be >= 0, got {omega}", lower=0.0)
+    if math.isinf(omega):
+        raise InvalidParam(f"omega must be finite, got {omega}")
     lc = critical_lambda(t, delta)
     try:
         Lambda = math.expm1(omega * (1.0 + lc) * math.sqrt(2.0 / (lc * t)))

@@ -132,6 +132,14 @@ class TestEval:
         assert msg["error"] == "InvalidParam"
         assert "admit no lambda" in msg["message"]
 
+    def test_infinite_offset_is_parameter_error_naming_it(self, capsys):
+        # it was refused as "lambda must be finite and > 0, got inf"
+        code, out, err = run(capsys, "eval", "--t", "1e4", "--Lambda", "inf",
+                             "--method", "leading")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "InvalidParam",
+                                   "message": "Lambda must be finite, got inf"}
+
     def test_conflicting_lambda_flags(self, capsys):
         code, _, err = run(
             capsys, "eval", "--t", "1e5", "--lambda", "0.01",
@@ -629,6 +637,16 @@ class TestConfigFiles:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "OutOfRange"
         assert "omega=1000000.0" in json.loads(err)["message"]
+
+    def test_infinite_omega_is_parameter_error_naming_it(self, capsys, tmp_path):
+        # JSON reads 1e400 as inf, which was refused as a lambda
+        path = tmp_path / "cfg.json"
+        path.write_text('{"t_grid": [1e4], "lambda_spec": {"kind": "omega", '
+                        '"values": [1e400]}, "methods": ["leading"]}')
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "InvalidParam",
+                                   "message": "omega must be finite, got inf"}
 
     def test_verify_with_no_t_is_parameter_error(self, capsys, tmp_path):
         # the contour scans, SplitConsistency and ExponentIdentity would check

@@ -222,6 +222,14 @@ def test_a_nan_offset_or_omega_is_invalid_param_naming_it(build, name):
         build(1e4, 0.5, 0.5, math.nan)
 
 
+@pytest.mark.parametrize("build, name", [(from_offset, "Lambda"), (from_omega, "omega")])
+def test_an_infinite_offset_or_omega_is_invalid_param_naming_it(build, name):
+    # inf passed the NaN and sign guards and was refused as a lambda the
+    # caller never gave: "lambda must be finite and > 0, got inf"
+    with pytest.raises(InvalidParam, match=f"^{name} must be finite, got inf$"):
+        build(1e4, 0.5, 0.5, math.inf)
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf])
 def test_non_finite_lambda_is_invalid(lam):
     with pytest.raises(InvalidParam, match="finite"):
@@ -229,7 +237,7 @@ def test_non_finite_lambda_is_invalid(lam):
 
 
 @pytest.mark.parametrize("build", [from_offset, from_omega])
-@pytest.mark.parametrize("value", [-1.0, -1e-300])
+@pytest.mark.parametrize("value", [-1.0, -1e-300, -math.inf])
 def test_negative_offset_or_omega_is_out_of_range(build, value):
     with pytest.raises(OutOfRange) as exc:
         build(16.0, 0.5, 0.5, value)

@@ -95,12 +95,14 @@ def test_panel_cap_raises_with_partial_result(monkeypatch):
 @pytest.mark.parametrize("t", [1e11, 1e12])
 def test_panel_cap_is_not_passed(monkeypatch, t):
     # the last refinement round used to run past the cap (316 and 433 panels
-    # against 300); a round that would pass it is now refused before it runs
-    monkeypatch.setattr(quadrature, "PANEL_CAP", 300)
+    # against 300); a round that would pass it is now refused before it runs.
+    # Uncapped, the rounds go 162 -> 184 panels (t = 1e11, which converges at
+    # 258) and 166 -> 196 (t = 1e12, which stops at its floor there)
+    monkeypatch.setattr(quadrature, "PANEL_CAP", 180)
     p = from_offset(t, 0.5, 0.5, 0.0)
-    with pytest.raises(NonConvergence) as exc:
+    with pytest.raises(NonConvergence, match=r"stalled at \d+ panels \(cap 180\)") as exc:
         jb_oracle(p, tol=1e-10)
-    assert 0 < exc.value.result.panels <= 300
+    assert 0 < exc.value.result.panels <= 180
 
 
 def test_panel_cap_with_only_phase_splits_left_is_not_converged(monkeypatch):
@@ -142,7 +144,7 @@ def test_oracle_converges_at_t_1e11_lambda_0():
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 3: the GK15 estimate misses the "
                    "z-frame phase floor, so this point converges 2.2e-10 off with an "
-                   "estimate of 9.8e-11")
+                   "estimate of 9.6e-11")
 def test_oracle_error_at_t_1e11_lambda_0_is_within_its_estimate():
     # the converged value of the test above misses the pinned 34-digit
     # reference by more than the error the oracle reports with it
@@ -257,8 +259,8 @@ def test_near_floor_calls_still_converge(piece, t, Lam, tol):
     assert res.abs_error_estimate <= tol * 1.0000001
 
 
-@pytest.mark.parametrize("t, Lam, panels", [(1e14, 0.5, 93), (1e10, 0.0, 106),
-                                            (1e9, 10.0, 68)])
+@pytest.mark.parametrize("t, Lam, panels", [(1e14, 0.5, 51), (1e10, 0.0, 73),
+                                            (1e9, 10.0, 40)])
 def test_converged_oracle_panel_counts(t, Lam, panels):
     # oracle-hard points that converge keep their value and panel count
     assert jb_oracle(from_offset(t, 0.5, 0.5, Lam)).panels == panels
@@ -655,6 +657,87 @@ def test_ray_truncation_takes_a_subnormal_tol():
     ray = ray_truncation(frame, z0, d.phi, 1e-310)
     assert math.isfinite(ray.r_max)
     assert ray.r_max >= ray_truncation(frame, z0, d.phi, 1e-300).r_max
+
+
+DEPTH_RAYS = [(piece, t, Lam) for piece in ("whole", "jb2", "jtilde")
+              for t in (1e4, 1e8, 1e11, 1e14) for Lam in (0.0, 1e-3, 0.5, 10.0)]
+
+
+@pytest.mark.parametrize("piece, t, Lam", DEPTH_RAYS)
+def test_refinement_stays_four_levels_above_the_ladder_floor(monkeypatch, piece, t, Lam):
+    # a ray's first round lays RAY_BREAK_LEVELS geometric levels below r_max;
+    # every split lands in the top levels, so the bottom four ladder levels
+    # (and the panel from 0) are never refined, converged or not
+    radii, starts = [], []
+    breaks, gk_batch = quadrature._geometric_breaks, quadrature._gk_batch
+
+    def spy_breaks(r_max):
+        radii.append(r_max)
+        return breaks(r_max)
+
+    def spy_batch(f, lo, hi):
+        starts.append(float(lo.min()))
+        return gk_batch(f, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_geometric_breaks", spy_breaks)
+    monkeypatch.setattr(quadrature, "_gk_batch", spy_batch)
+    _run_oracle(piece, from_offset(t, 0.5, 0.5, Lam))
+    (r_max,) = radii
+    floor = r_max * 2.0 ** -(quadrature.RAY_BREAK_LEVELS - 4)
+    assert starts and min(starts) >= floor
+
+
+GRID_ORACLES = {
+    "z": lambda d, tol: jb_oracle(d, tol),
+    "offset": lambda d, tol: jtilde_oracle(d, tol),
+    "gauss": lambda d, tol: phi_oracle(0.0, d, tol),
+    "jb2": lambda d, tol: jb2_oracle(d, choose_split(d, 4), tol),
+}
+# Lambda = 1e6 lies outside the lambda window at t = 1e2 (Lambda <= 80)
+GRID_POINTS = [(t, Lam) for t in (1e2, 1e8, 1e16) for Lam in (0.0, 10.0, 1e6)
+               if critical_lambda(t, 0.5) * (1.0 + Lam) <= t ** 0.5 - 1.0]
+
+
+class _Truncated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", list(GRID_ORACLES))
+@pytest.mark.parametrize("t, Lam", GRID_POINTS)
+def test_truncation_grid_floor_moves_no_radius(monkeypatch, kind, t, Lam):
+    # the oracles' decay radii lie far above 2^TRUNCATION_J_LO (the smallest
+    # seen is 2^-51), so the grid from 2^-120 picked the same radius and bound
+    d = from_offset(t, 0.5, 0.5, Lam)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise _Truncated
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "ray_truncation", spy)
+        for tol in (1e-7, 1e-10, 1e-13):
+            with pytest.raises(_Truncated):
+                GRID_ORACLES[kind](d, tol)
+    for args in calls:
+        ray = ray_truncation(*args)
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "TRUNCATION_J_LO", -120)
+            assert ray_truncation(*args) == ray
+        assert ray.r_max > 2.0 ** quadrature.TRUNCATION_J_LO
+
+
+def test_decay_below_the_grid_floor_truncates_at_the_floor():
+    # Im w = c r reaches log(1e10) at r = 23/c, about 2^-4.5 of the grid's
+    # first radius r = 2^TRUNCATION_J_LO, where Im w = 512: the ray stops
+    # there, and its bound e^-512 (1 + r) holds for the exact tail e^-512 / c
+    r = 2.0 ** quadrature.TRUNCATION_J_LO
+    c = 512.0 / r
+    ray = ray_truncation(lambda z: (1j * c * np.abs(z), np.ones_like(z)),
+                         0.0 + 0.0j, math.pi / 2, 1e-10)
+    assert ray.r_max == r
+    tail = math.exp(-c * r) / c  # int_r^inf e^(-c s) ds
+    assert 0.0 < tail <= ray.truncation_bound <= 1e-10
 
 
 def test_adaptive_stops_when_every_panel_left_is_at_its_minimum_width():
